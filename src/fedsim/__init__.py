@@ -27,14 +27,11 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DataError, FedsimError
 from .federated import (
-    ClientState,
     LockstepPlan,
     RoundReport,
     Seeds,
-    ServerState,
     TrainingConfig,
     aggregate,
-    client_update_fedavg,
     client_update_mmb,
     run_centralized,
     run_fedavg,
@@ -72,7 +69,6 @@ __all__ = [
     "BatchSchedule",
     "CSV_HEADER",
     "ClientDataset",
-    "ClientState",
     "CommCost",
     "ConfigError",
     "ContractError",
@@ -89,13 +85,11 @@ __all__ = [
     "PartitionPlan",
     "RoundReport",
     "Seeds",
-    "ServerState",
     "TrainingConfig",
     "Xoshiro256PP",
     "aggregate",
     "apply_partition",
     "batch_window",
-    "client_update_fedavg",
     "client_update_mmb",
     "comm_cost",
     "compute_gradients",

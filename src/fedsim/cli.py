@@ -158,12 +158,14 @@ def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = N
     base = load_config(config_path)
     path, values = _parse_sweep_expr(set_expr)
     key_leaf = path[-1]
-    summary_rows = []
+    variants = []
     for value in values:
         document = copy.deepcopy(base.resolved)
         _set_in(document, path, value)
         document["output"]["name"] = f"{base.run_name}-{key_leaf}{value}"
-        variant = config_from_dict(document)
+        variants.append((value, config_from_dict(document)))
+    summary_rows = []
+    for value, variant in variants:
         log = run_experiment(variant)
         csv_path, _ = _write_artifacts(variant, log)
         reached = _rounds_to_target(log, target_accuracy)

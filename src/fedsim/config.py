@@ -26,14 +26,7 @@ from .data import (
     synthetic_split,
 )
 from .errors import ConfigError
-from .federated import (
-    LockstepPlan,
-    Seeds,
-    TrainingConfig,
-    run_centralized,
-    run_fedavg,
-    run_fedmmb,
-)
+from .federated import Seeds, TrainingConfig, run_centralized, run_fedavg, run_fedmmb
 from .metrics import MetricsLog
 from .nn import NetworkSpec
 
@@ -69,6 +62,18 @@ def _str(section: dict, where: str, key: str) -> str:
     if not isinstance(v, str):
         raise ConfigError(f"{where}.{key}: expected a string, got {v!r}")
     return v
+
+
+def _at_least(section: dict, where: str, key: str, minimum: int) -> int:
+    v = _int(section, where, key)
+    if v < minimum:
+        raise ConfigError(f"{where}.{key}: expected an integer >= {minimum}, got {v}")
+    return v
+
+
+_DATASET_PATHS = {
+    "train_path", "test_path", "train_images", "train_labels", "test_images", "test_labels"
+}
 
 
 @dataclass
@@ -124,6 +129,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError("train.seeds: expected an object")
     _require_keys(seeds_sec, "train.seeds", required={"init", "shuffle", "partition"}, optional=set())
 
+    _validate_dataset_section(resolved["dataset"])
     _apply_env_seed(resolved)
 
     seeds = Seeds(
@@ -154,7 +160,6 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError("model.hidden: expected a list of positive integers")
     hidden = tuple(hidden_raw)
 
-    _validate_dataset_section(resolved["dataset"])
     _validate_partition_section(resolved.get("partition"), train)
 
     output_sec = resolved["output"]
@@ -167,8 +172,16 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         train=train,
         hidden=hidden,
         output_dir=_str(output_sec, "output", "dir"),
-        run_name=_str(output_sec, "output", "name"),
+        run_name=_run_name(output_sec),
     )
+
+
+def _run_name(output_sec: dict) -> str:
+    # The name becomes a file name inside output.dir and must not leave it.
+    name = _str(output_sec, "output", "name")
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"output.name: expected a plain file name, got {name!r}")
+    return name
 
 
 def _apply_env_seed(resolved: dict[str, Any]) -> None:
@@ -219,6 +232,20 @@ def _validate_dataset_section(section: Any) -> None:
         )
     else:
         raise ConfigError(f"dataset.source must be synthetic, csv, or idx, got {source!r}")
+    for key in section:
+        if key in _DATASET_PATHS:
+            _str(section, "dataset", key)
+        elif key == "seed":
+            _int(section, "dataset", key)
+        elif key == "header":
+            if not isinstance(section[key], bool):
+                raise ConfigError(f"dataset.header: expected true or false, got {section[key]!r}")
+        elif key == "test_split":
+            split = _num(section, "dataset", key)
+            if not 0.0 < split < 1.0:
+                raise ConfigError(f"dataset.test_split: expected a number in (0, 1), got {split}")
+        elif key != "source":  # sizes and num_classes
+            _at_least(section, "dataset", key, 2 if key == "num_classes" else 1)
 
 
 def _validate_partition_section(section: Any, train: TrainingConfig) -> None:
@@ -233,6 +260,7 @@ def _validate_partition_section(section: Any, train: TrainingConfig) -> None:
         _require_keys(section, "partition", required={"kind"}, optional=set())
     elif kind == "noniid_l":
         _require_keys(section, "partition", required={"kind", "L"}, optional=set())
+        _at_least(section, "partition", "L", 1)
     elif kind == "manual":
         _require_keys(section, "partition", required={"kind", "assignment"}, optional=set())
         if not isinstance(section["assignment"], dict):
@@ -254,7 +282,7 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
             num_classes=section["num_classes"],
         )
     if source == "csv":
-        header = bool(section.get("header", False))
+        header = section.get("header", False)
         train = load_csv(section["train_path"], section["num_classes"], header=header)
         if "test_path" in section:
             test = load_csv(section["test_path"], section["num_classes"], header=header)
@@ -293,22 +321,15 @@ def build_partition_plan(config: ExperimentConfig) -> PartitionPlan:
     )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    max_workers: int | None = None,
-    lockstep: LockstepPlan | None = None,
-) -> MetricsLog:
+def run_experiment(config: ExperimentConfig) -> MetricsLog:
     """Run the configured experiment end to end and return its metrics."""
     train_set, test_set = build_datasets(config)
     spec = build_spec(config, train_set)
     if config.mode == "centralized":
-        log = run_centralized(config.train, spec, train_set, test_set, lockstep=lockstep)
+        log = run_centralized(config.train, spec, train_set, test_set)
     else:
-        plan = build_partition_plan(config)
-        clients = apply_partition(plan, train_set)
-        if config.mode == "fedmmb":
-            log = run_fedmmb(config.train, spec, clients, test_set, max_workers=max_workers)
-        else:
-            log = run_fedavg(config.train, spec, clients, test_set, max_workers=max_workers)
+        clients = apply_partition(build_partition_plan(config), train_set)
+        driver = run_fedmmb if config.mode == "fedmmb" else run_fedavg
+        log = driver(config.train, spec, clients, test_set)
     log.metadata = {"config": copy.deepcopy(config.resolved)}
     return log

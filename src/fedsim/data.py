@@ -325,7 +325,7 @@ class BatchSchedule:
     needed to sweep the whole list once. ``reshuffle`` rebuilds the batch
     list with the next permutation of this client's seed stream; the stream
     is the pure function ``derive_seed(base_seed, client_index, count)``,
-    so reshuffles never depend on call or thread order.
+    so reshuffles never depend on call order.
     """
 
     source: Dataset
@@ -366,6 +366,17 @@ class BatchSchedule:
     def reshuffle(self) -> None:
         self.reshuffle_count += 1
         self.batches = self._build()
+
+    def take_window(self, index: int) -> list[Batch]:
+        """The batches of window ``index`` (see ``batch_window``), in training order.
+
+        Reshuffles once the window that completes a sweep has been taken.
+        """
+        p, q, reshuffle_after = batch_window(self, index)
+        window = self.batches[p : q + 1]
+        if reshuffle_after:
+            self.reshuffle()
+        return window
 
 
 def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed: int) -> BatchSchedule:

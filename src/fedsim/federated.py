@@ -1,27 +1,26 @@
-"""Client/server round machinery and the training drivers.
+"""The round loop and the three training drivers.
 
-Three drivers share the same skeleton: broadcast the global weights, let
-every client train locally, combine the results by sample-weighted
-averaging, and evaluate on a fixed cadence. ``run_fedmmb`` trains each
-client on a sliding window of ``batch_count`` batches per round (batch
-count 1 is the single-mini-batch special case), ``run_fedavg`` runs whole
-local epochs, and ``run_centralized`` is the single-site baseline.
-
-Within a round the client updates are mutually independent; passing
-``max_workers`` runs them in a thread pool. Results are bit-identical to
-sequential ascending-index execution because every client draws from its
-own derived seed stream and aggregation order is fixed.
+Every driver runs the same sequential loop: each round, every client's
+batch schedule trains from the broadcast global weights, the reports are
+combined by sample-weighted averaging in ascending client order, the model
+is evaluated on a fixed cadence, and the round hook sees the new weights.
+The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
+each client a sliding window of ``batch_count`` batches per round (batch
+count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
+client ``local_epochs`` windows that each cover its whole batch list.
+``run_centralized`` is the one-client case: one schedule over the whole
+train set, or a lockstep source that concatenates the single batches of
+shadow clients, with zero bytes exchanged.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .data import BatchSchedule, ClientDataset, Dataset, batch_window, make_schedule
+from .data import BatchSchedule, ClientDataset, Dataset, make_schedule
 from .errors import ConfigError, ContractError
 from .metrics import MetricsLog, MetricsRow, comm_cost
 from .nn import (
@@ -105,22 +104,6 @@ class TrainingConfig:
                 raise ConfigError(f"mode {self.mode!r} does not accept {name}")
 
 
-@dataclass
-class ServerState:
-    round_index: int
-    global_weights: ModelWeights
-
-
-@dataclass
-class ClientState:
-    """Per-client training state: local data, batch schedule, update counter."""
-
-    client_index: int
-    data: ClientDataset
-    schedule: BatchSchedule
-    local_updates: int = 0
-
-
 @dataclass(frozen=True)
 class RoundReport:
     """What a client returns to the server each round."""
@@ -139,55 +122,31 @@ def client_update_mmb(
     spec: NetworkSpec,
     round_index: int,
     global_weights: ModelWeights,
-    client: ClientState,
+    schedule: BatchSchedule,
     eta: float,
+    windows: int = 1,
 ) -> RoundReport:
-    """Train on this round's batch window, one SGD step per batch in order.
+    """Train on this round's ``windows`` batch windows, one SGD step per batch in order.
 
     Starts from the broadcast global weights; reports the samples consumed.
-    Reshuffles the client's schedule after the window that completes a full
-    sweep of its batch list.
+    Round ``i`` takes windows ``i * windows`` to ``i * windows + windows - 1``
+    of the schedule, which reshuffles after each window that completes a
+    sweep of its batch list. A whole-list schedule therefore runs
+    ``windows`` local epochs, epoch k of round i on permutation
+    ``i * windows + k`` of the client's seed stream.
     """
-    p, q, reshuffle_after = batch_window(client.schedule, round_index)
-    weights = global_weights
-    samples = 0
-    for batch in client.schedule.batches[p : q + 1]:
-        _, grads = compute_gradients(spec, weights, batch)
-        weights = sgd_step(weights, grads, eta)
-        samples += batch.size
-    client.local_updates += q - p + 1
-    if reshuffle_after:
-        client.schedule.reshuffle()
-    return RoundReport(client.client_index, weights, samples, q - p + 1)
-
-
-def client_update_fedavg(
-    spec: NetworkSpec,
-    global_weights: ModelWeights,
-    client: ClientState,
-    local_epochs: int,
-    eta: float,
-) -> RoundReport:
-    """Run ``local_epochs`` full passes of mini-batch SGD on the client.
-
-    Each epoch consumes the whole shuffled batch list and then reshuffles,
-    so epoch k of round i trains on permutation ``i * E + k`` of the
-    client's seed stream.
-    """
-    if local_epochs < 1:
-        raise ContractError("local_epochs must be at least 1")
+    if windows < 1:
+        raise ContractError("a client update needs at least one window")
     weights = global_weights
     samples = 0
     updates = 0
-    for _ in range(local_epochs):
-        for batch in client.schedule.batches:
+    for k in range(windows):
+        for batch in schedule.take_window(round_index * windows + k):
             _, grads = compute_gradients(spec, weights, batch)
             weights = sgd_step(weights, grads, eta)
             samples += batch.size
             updates += 1
-        client.schedule.reshuffle()
-    client.local_updates += updates
-    return RoundReport(client.client_index, weights, samples, updates)
+    return RoundReport(schedule.client_index, weights, samples, updates)
 
 
 def aggregate(reports: list[RoundReport]) -> ModelWeights:
@@ -197,6 +156,8 @@ def aggregate(reports: list[RoundReport]) -> ModelWeights:
     first report (``W_0 + sum n_j (W_j - W_0) / sum n_j``), which is
     algebraically the plain weighted average but keeps the all-identical
     case exact and the result well inside the clients' coordinate range.
+    A single report's weights come back unchanged (save that -0.0 becomes
+    +0.0), which makes centralized training the one-client round.
     """
     if not reports:
         raise ContractError("cannot aggregate an empty report list")
@@ -216,56 +177,44 @@ def aggregate(reports: list[RoundReport]) -> ModelWeights:
     return result
 
 
-def _client_states(
-    clients: list[ClientDataset], batch_size: int, batch_count: int, shuffle_seed: int
-) -> list[ClientState]:
-    ordered = sorted(clients, key=lambda c: c.client_index)
-    return [
-        ClientState(c.client_index, c, make_schedule(c, batch_size, batch_count, shuffle_seed))
-        for c in ordered
-    ]
-
-
 def _run_rounds(
     config: TrainingConfig,
     spec: NetworkSpec,
-    states: list[ClientState],
+    schedules: list,
+    windows: int,
     test_set: Dataset,
-    update_one: Callable[[int, ModelWeights, ClientState], RoundReport],
-    max_workers: int | None,
     round_hook: RoundHook | None,
 ) -> MetricsLog:
-    server = ServerState(0, init_weights(spec, config.seeds.init))
+    """The one round loop: every schedule's client update, aggregate, evaluate, hook.
+
+    ``schedules`` holds one batch source per client, in ascending client
+    order; each needs a ``client_index`` and a ``take_window`` method.
+    """
+    weights = init_weights(spec, config.seeds.init)
     cost = comm_cost(config, spec)
     log = MetricsLog(metadata=_run_metadata(config, spec))
-    pool = ThreadPoolExecutor(max_workers) if max_workers and max_workers > 1 else None
-    try:
-        for i in range(config.max_rounds):
-            if pool is not None:
-                reports = list(pool.map(lambda s: update_one(i, server.global_weights, s), states))
-            else:
-                reports = [update_one(i, server.global_weights, s) for s in states]
-            if len(reports) != len(states):
-                raise ContractError("every client must report every round")
-            server.global_weights = aggregate(reports)
-            server.round_index = i + 1
-            if (i + 1) % config.eval_every == 0:
-                loss, accuracy = evaluate(spec, server.global_weights, test_set)
-                log.append(
-                    MetricsRow(
-                        round=i + 1,
-                        test_loss=loss,
-                        test_accuracy=accuracy,
-                        train_loss=None,
-                        cum_local_updates=sum(s.local_updates for s in states),
-                        cum_bytes=cost.cumulative_after(i + 1),
-                    )
+    local_updates = 0
+    for i in range(config.max_rounds):
+        reports = [
+            client_update_mmb(spec, i, weights, s, config.learning_rate, windows)
+            for s in schedules
+        ]
+        local_updates += sum(r.local_updates for r in reports)
+        weights = aggregate(reports)
+        if (i + 1) % config.eval_every == 0:
+            loss, accuracy = evaluate(spec, weights, test_set)
+            log.append(
+                MetricsRow(
+                    round=i + 1,
+                    test_loss=loss,
+                    test_accuracy=accuracy,
+                    train_loss=None,
+                    cum_local_updates=local_updates,
+                    cum_bytes=cost.cumulative_after(i + 1),
                 )
-            if round_hook is not None:
-                round_hook(i + 1, server.global_weights)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
+        if round_hook is not None:
+            round_hook(i + 1, weights)
     return log
 
 
@@ -274,7 +223,6 @@ def run_fedmmb(
     spec: NetworkSpec,
     clients: list[ClientDataset],
     test_set: Dataset,
-    max_workers: int | None = None,
     round_hook: RoundHook | None = None,
 ) -> MetricsLog:
     """Federated training on a window of ``batch_count`` batches per round.
@@ -284,14 +232,12 @@ def run_fedmmb(
     """
     if config.mode != "fedmmb":
         raise ConfigError(f"run_fedmmb needs mode 'fedmmb', got {config.mode!r}")
-    _check_clients(config, clients)
     assert config.batch_count is not None
-    states = _client_states(clients, config.batch_size, config.batch_count, config.seeds.shuffle)
-
-    def update_one(i: int, weights: ModelWeights, state: ClientState) -> RoundReport:
-        return client_update_mmb(spec, i, weights, state, config.learning_rate)
-
-    return _run_rounds(config, spec, states, test_set, update_one, max_workers, round_hook)
+    schedules = [
+        make_schedule(c, config.batch_size, config.batch_count, config.seeds.shuffle)
+        for c in _ordered_clients(config, clients)
+    ]
+    return _run_rounds(config, spec, schedules, 1, test_set, round_hook)
 
 
 def run_fedavg(
@@ -299,40 +245,33 @@ def run_fedavg(
     spec: NetworkSpec,
     clients: list[ClientDataset],
     test_set: Dataset,
-    max_workers: int | None = None,
     round_hook: RoundHook | None = None,
 ) -> MetricsLog:
-    """Federated averaging: every client runs ``local_epochs`` epochs per round."""
+    """Federated averaging: every client runs ``local_epochs`` epochs per round.
+
+    An epoch is one window of a schedule whose window covers the client's
+    whole batch list (``batch_count = ceil(N_j / B)``).
+    """
     if config.mode != "fedavg":
         raise ConfigError(f"run_fedavg needs mode 'fedavg', got {config.mode!r}")
-    _check_clients(config, clients)
     assert config.local_epochs is not None
-    states = [
-        ClientState(c.client_index, c, _fedavg_schedule(c, config))
-        for c in sorted(clients, key=lambda c: c.client_index)
+    b = config.batch_size
+    schedules = [
+        make_schedule(c, b, -(-c.data.n // b), config.seeds.shuffle)
+        for c in _ordered_clients(config, clients)
     ]
-
-    def update_one(i: int, weights: ModelWeights, state: ClientState) -> RoundReport:
-        return client_update_fedavg(spec, weights, state, config.local_epochs, config.learning_rate)
-
-    return _run_rounds(config, spec, states, test_set, update_one, max_workers, round_hook)
+    return _run_rounds(config, spec, schedules, config.local_epochs, test_set, round_hook)
 
 
-def _fedavg_schedule(client: ClientDataset, config: TrainingConfig) -> BatchSchedule:
-    # Window math is unused by epoch training; a whole-list window keeps the
-    # schedule identical to a fedmmb schedule covering all batches at once.
-    num_batches = -(-client.data.n // config.batch_size)
-    return make_schedule(client, config.batch_size, num_batches, config.seeds.shuffle)
-
-
-def _check_clients(config: TrainingConfig, clients: list[ClientDataset]) -> None:
+def _ordered_clients(config: TrainingConfig, clients: list[ClientDataset]) -> list[ClientDataset]:
     if not clients:
         raise ConfigError("at least one client is required")
     if config.clients != len(clients):
         raise ConfigError(f"config names {config.clients} clients but {len(clients)} were given")
-    indices = sorted(c.client_index for c in clients)
-    if indices != list(range(len(clients))):
+    ordered = sorted(clients, key=lambda c: c.client_index)
+    if [c.client_index for c in ordered] != list(range(len(clients))):
         raise ConfigError("client indices must be 0..K-1 without gaps")
+    return ordered
 
 
 @dataclass(frozen=True)
@@ -349,6 +288,23 @@ class LockstepPlan:
     batch_size: int
 
 
+@dataclass
+class _LockstepSchedule:
+    """A one-client batch source whose window ``i`` is the lockstep batch of round ``i``."""
+
+    shadows: list[BatchSchedule]
+    client_index: int = 0
+
+    def take_window(self, index: int) -> list[Batch]:
+        parts = [batch for s in self.shadows for batch in s.take_window(index)]
+        return [
+            Batch(
+                np.concatenate([b.features for b in parts]),
+                np.concatenate([b.labels for b in parts]),
+            )
+        ]
+
+
 def run_centralized(
     config: TrainingConfig,
     spec: NetworkSpec,
@@ -359,6 +315,8 @@ def run_centralized(
 ) -> MetricsLog:
     """Single-site mini-batch gradient descent, one update per iteration.
 
+    This is the round loop with one client, one single-batch window per
+    round and no traffic; aggregating a single report returns its weights.
     In the default (free-running) mode the train set is shuffled and split
     into batches of ``config.batch_size``, consumed one per iteration with a
     reshuffle after each full sweep. With a ``lockstep`` plan the batches
@@ -366,58 +324,19 @@ def run_centralized(
     """
     if config.mode != "centralized":
         raise ConfigError(f"run_centralized needs mode 'centralized', got {config.mode!r}")
-
     if lockstep is not None:
-        shadow = _client_states(lockstep.clients, lockstep.batch_size, 1, config.seeds.shuffle)
-
-        def next_batch(i: int) -> Batch:
-            parts = []
-            for state in shadow:
-                p, q, reshuffle_after = batch_window(state.schedule, i)
-                parts.extend(state.schedule.batches[p : q + 1])
-                if reshuffle_after:
-                    state.schedule.reshuffle()
-            return Batch(
-                np.concatenate([b.features for b in parts]),
-                np.concatenate([b.labels for b in parts]),
-            )
-
+        shadows = [
+            make_schedule(c, lockstep.batch_size, 1, config.seeds.shuffle)
+            for c in sorted(lockstep.clients, key=lambda c: c.client_index)
+        ]
+        schedule = _LockstepSchedule(shadows)
+    elif train_set is None:
+        raise ConfigError("centralized training requires a train set")
     else:
-        if train_set is None:
-            raise ConfigError("centralized training requires a train set")
         schedule = make_schedule(
             ClientDataset(0, train_set), config.batch_size, 1, config.seeds.shuffle
         )
-
-        def next_batch(i: int) -> Batch:
-            p, _, reshuffle_after = batch_window(schedule, i)
-            batch = schedule.batches[p]
-            if reshuffle_after:
-                schedule.reshuffle()
-            return batch
-
-    weights = init_weights(spec, config.seeds.init)
-    cost = comm_cost(config, spec)
-    log = MetricsLog(metadata=_run_metadata(config, spec))
-    for i in range(config.max_rounds):
-        batch = next_batch(i)
-        _, grads = compute_gradients(spec, weights, batch)
-        weights = sgd_step(weights, grads, config.learning_rate)
-        if (i + 1) % config.eval_every == 0:
-            loss, accuracy = evaluate(spec, weights, test_set)
-            log.append(
-                MetricsRow(
-                    round=i + 1,
-                    test_loss=loss,
-                    test_accuracy=accuracy,
-                    train_loss=None,
-                    cum_local_updates=i + 1,
-                    cum_bytes=cost.cumulative_after(i + 1),
-                )
-            )
-        if round_hook is not None:
-            round_hook(i + 1, weights)
-    return log
+    return _run_rounds(config, spec, [schedule], 1, test_set, round_hook)
 
 
 def _run_metadata(config: TrainingConfig, spec: NetworkSpec) -> dict:

@@ -138,14 +138,9 @@ class CommCost:
     """Bytes exchanged per communication round and cumulatively."""
 
     bytes_per_round: int
-    total_rounds: int
 
     def cumulative_after(self, rounds: int) -> int:
         return rounds * self.bytes_per_round
-
-    @property
-    def schedule(self) -> tuple[int, ...]:
-        return tuple(self.cumulative_after(i) for i in range(1, self.total_rounds + 1))
 
 
 def comm_cost(config, spec: NetworkSpec) -> CommCost:
@@ -154,6 +149,5 @@ def comm_cost(config, spec: NetworkSpec) -> CommCost:
     Centralized runs exchange nothing and report zero bytes per round.
     """
     if config.clients is None:
-        return CommCost(bytes_per_round=0, total_rounds=config.max_rounds)
-    per_round = spec.parameter_count * 8 * 2 * config.clients
-    return CommCost(bytes_per_round=per_round, total_rounds=config.max_rounds)
+        return CommCost(bytes_per_round=0)
+    return CommCost(bytes_per_round=spec.parameter_count * 8 * 2 * config.clients)

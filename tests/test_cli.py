@@ -75,6 +75,20 @@ def test_run_rejects_unknown_keys(tmp_path):
     document = base_config(tmp_path)
     document["extra_section"] = {}
     assert main(["run", write_config(tmp_path, document, "c2.json")]) == 2
+    # Malformed values of known keys are config errors too, not crashes or
+    # data/runtime errors raised later.
+    malformed = [
+        ("dataset", {"n_train": "abc"}),
+        ("dataset", {"seed": 1.5}),
+        ("dataset", {"n_train": -5}),
+        ("dataset", {"input_dim": 0}),
+        ("dataset", {"num_classes": 1}),
+        ("partition", {"kind": "noniid_l", "L": "2"}),
+    ]
+    for section, values in malformed:
+        document = base_config(tmp_path)
+        document[section].update(values)
+        assert main(["run", write_config(tmp_path, document, "bad.json")]) == 2, values
 
 
 def test_run_missing_data_file_exits_3_without_partial_csv(tmp_path):
@@ -150,6 +164,17 @@ def test_sidecar_alone_reproduces_run(tmp_path):
     replay_path = write_config(tmp_path, document, "replay.json")
     assert main(["run", replay_path]) == 0
     assert (tmp_path / "replay" / "run.csv").read_bytes() == csv_first
+
+
+def test_output_name_cannot_leave_output_dir(tmp_path):
+    document = base_config(tmp_path)
+    document["output"]["name"] = "../escaped"
+    assert main(["run", write_config(tmp_path, document)]) == 2
+    # One bad sweep value stops the sweep before its first run.
+    path = write_config(tmp_path, base_config(tmp_path), "sweep.json")
+    assert main(["sweep", path, "--set", "output.name=ok,x/../../../sweep_escaped"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "sweep.json"]
+    assert not list(tmp_path.parent.glob("*escaped*"))
 
 
 def test_env_seed_overrides_all_seeds(tmp_path, monkeypatch):

@@ -14,10 +14,8 @@ def make_client(n: int, input_dim: int = 4, classes: int = 5, seed: int = 0, ind
     return fs.ClientDataset(index, fs.synthetic(seed, n, input_dim, classes))
 
 
-def make_state(n: int, batch_size: int, batch_count: int, seed: int = 2, index: int = 0):
-    client = make_client(n, index=index)
-    schedule = fs.make_schedule(client, batch_size, batch_count, seed)
-    return fs.ClientState(client.client_index, client, schedule)
+def client_schedule(n: int, batch_size: int, batch_count: int, seed: int = 2, index: int = 0):
+    return fs.make_schedule(make_client(n, index=index), batch_size, batch_count, seed)
 
 
 def weights_equal(a: fs.ModelWeights, b: fs.ModelWeights) -> bool:
@@ -57,40 +55,39 @@ def test_config_mode_exclusivity():
 
 
 def test_mmb_update_whole_epoch_when_count_covers_list():
-    state = make_state(40, batch_size=10, batch_count=4)
+    schedule = client_schedule(40, batch_size=10, batch_count=4)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    report = fs.client_update_mmb(spec, 0, w, state, 0.05)
+    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05)
     assert report.local_updates == 4
     assert report.samples_used == 40
-    assert state.local_updates == 4
 
 
 def test_mmb_update_single_batch_mode():
-    state = make_state(40, batch_size=10, batch_count=1)
+    schedule = client_schedule(40, batch_size=10, batch_count=1)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    report = fs.client_update_mmb(spec, 0, w, state, 0.05)
+    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05)
     assert report.local_updates == 1
     assert report.samples_used == 10
 
 
 def test_mmb_update_zero_eta_returns_broadcast_weights():
-    state = make_state(20, batch_size=5, batch_count=2)
+    schedule = client_schedule(20, batch_size=5, batch_count=2)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    report = fs.client_update_mmb(spec, 0, w, state, 0.0)
+    report = fs.client_update_mmb(spec, 0, w, schedule, 0.0)
     assert weights_equal(report.local_weights, w)
     assert report.samples_used == 10
 
 
 def test_mmb_update_counts_short_last_window():
     # T=ceil(25/10)=3, C=2 -> windows (0,1) then (2,2) with 5 samples.
-    state = make_state(25, batch_size=10, batch_count=2)
+    schedule = client_schedule(25, batch_size=10, batch_count=2)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    first = fs.client_update_mmb(spec, 0, w, state, 0.01)
-    second = fs.client_update_mmb(spec, 1, w, state, 0.01)
+    first = fs.client_update_mmb(spec, 0, w, schedule, 0.01)
+    second = fs.client_update_mmb(spec, 1, w, schedule, 0.01)
     assert (first.local_updates, first.samples_used) == (2, 20)
     assert (second.local_updates, second.samples_used) == (1, 5)
 
@@ -98,13 +95,13 @@ def test_mmb_update_counts_short_last_window():
 def test_fedavg_update_accounting():
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    state = make_state(100, batch_size=10, batch_count=10)
-    report = fs.client_update_fedavg(spec, w, state, 1, 0.05)
+    schedule = client_schedule(100, batch_size=10, batch_count=10)
+    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05, windows=1)
     assert report.local_updates == 10
     assert report.samples_used == 100
 
-    state = make_state(95, batch_size=10, batch_count=10)
-    report = fs.client_update_fedavg(spec, w, state, 2, 0.05)
+    schedule = client_schedule(95, batch_size=10, batch_count=10)
+    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05, windows=2)
     assert report.local_updates == 20
     assert report.samples_used == 190
 
@@ -113,22 +110,10 @@ def test_fedavg_update_count_large_client():
     # One epoch at batch size 10 over a 10000-sample client: 1000 updates.
     spec = fs.NetworkSpec(4, (), 5)
     w = fs.init_weights(spec, 1)
-    state = make_state(10000, batch_size=10, batch_count=1000)
-    report = fs.client_update_fedavg(spec, w, state, 1, 0.05)
+    schedule = client_schedule(10000, batch_size=10, batch_count=1000)
+    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05, windows=1)
     assert report.local_updates == 1000
     assert report.samples_used == 10000
-
-
-def test_fedavg_single_epoch_equals_mmb_full_window():
-    spec = fs.NetworkSpec(4, (6,), 5)
-    w = fs.init_weights(spec, 1)
-    a = make_state(40, batch_size=10, batch_count=4, seed=7)
-    b = make_state(40, batch_size=10, batch_count=4, seed=7)
-    for i in range(3):  # stays identical across rounds, reshuffles included
-        r_avg = fs.client_update_fedavg(spec, w, a, 1, 0.05)
-        r_mmb = fs.client_update_mmb(spec, i, w, b, 0.05)
-        assert weights_equal(r_avg.local_weights, r_mmb.local_weights)
-        assert r_avg.samples_used == r_mmb.samples_used
 
 
 # --- aggregation ------------------------------------------------------------
@@ -335,17 +320,6 @@ def test_local_update_counters():
     assert log.rows[-1].cum_local_updates == 6 * 4  # one update per client per round
 
 
-def test_concurrent_clients_match_sequential():
-    spec, clients, test = small_fed_setup(clients=4)
-    cfg = fs.TrainingConfig(
-        mode="fedmmb", learning_rate=0.05, max_rounds=8, batch_size=5, seeds=SEEDS,
-        clients=4, batch_count=2,
-    )
-    sequential = fs.run_fedmmb(cfg, spec, clients, test)
-    threaded = fs.run_fedmmb(cfg, spec, clients, test, max_workers=4)
-    assert sequential.rows == threaded.rows
-
-
 def test_runs_are_deterministic():
     spec, clients, test = small_fed_setup()
     cfg = fs.TrainingConfig(
@@ -422,7 +396,6 @@ def test_comm_cost_formula():
     cost = fs.comm_cost(cfg, spec)
     assert cost.bytes_per_round == 100 * 8 * 2 * 10
     assert cost.cumulative_after(3) == 3 * 16000
-    assert cost.schedule == (16000, 32000, 48000)
 
 
 def test_comm_cost_linear_in_clients():
