@@ -263,8 +263,16 @@ def _validate_partition_section(section: Any, train: TrainingConfig) -> None:
         _at_least(section, "partition", "L", 1)
     elif kind == "manual":
         _require_keys(section, "partition", required={"kind", "assignment"}, optional=set())
-        if not isinstance(section["assignment"], dict):
+        assignment = section["assignment"]
+        if not isinstance(assignment, dict):
             raise ConfigError("partition.assignment: expected an object")
+        for client, indices in assignment.items():
+            if not isinstance(indices, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in indices
+            ):
+                raise ConfigError(
+                    f"partition.assignment[{client!r}]: expected a list of sample indices"
+                )
     else:
         raise ConfigError(f"partition.kind must be iid, noniid_l, or manual, got {kind!r}")
 

@@ -1,7 +1,8 @@
 """The round loop and the three training drivers.
 
 Every driver runs the same sequential loop: each round, every client's
-batch schedule trains from the broadcast global weights, the reports are
+batch schedule trains from the broadcast global weights, all clients
+stacked along a leading axis in one batched computation; the reports are
 combined by sample-weighted averaging in ascending client order, the model
 is evaluated on a fixed cadence, and the round hook sees the new weights.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
@@ -15,6 +16,7 @@ shadow clients, with zero bytes exchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,8 +74,10 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be at least 1")
         if self.batch_size < 1:
@@ -122,31 +126,74 @@ def client_update_mmb(
     spec: NetworkSpec,
     round_index: int,
     global_weights: ModelWeights,
-    schedule: BatchSchedule,
+    schedules: list,
     eta: float,
     windows: int = 1,
-) -> RoundReport:
-    """Train on this round's ``windows`` batch windows, one SGD step per batch in order.
+    stack: ModelWeights | None = None,
+) -> list[RoundReport]:
+    """Every client's local training for one round, run as one stacked batch.
 
-    Starts from the broadcast global weights; reports the samples consumed.
+    Each client starts from the broadcast global weights and takes one SGD
+    step per batch of this round's ``windows`` batch windows, in order.
     Round ``i`` takes windows ``i * windows`` to ``i * windows + windows - 1``
-    of the schedule, which reshuffles after each window that completes a
+    of each schedule, which reshuffles after each window that completes a
     sweep of its batch list. A whole-list schedule therefore runs
     ``windows`` local epochs, epoch k of round i on permutation
     ``i * windows + k`` of the client's seed stream.
+
+    Client ``j`` trains in row ``j`` of ``stack`` (arrays ``[K, fan_in,
+    fan_out]`` and ``[K, fan_out]``; a fresh one when omitted), updated in
+    place. At step ``s`` the clients whose batch ``s`` has the same size
+    train together, one gradient computation for the group; a client whose
+    window has no batch ``s`` sits the step out. The reports, one per
+    schedule in order, hold views of ``stack``.
     """
     if windows < 1:
         raise ContractError("a client update needs at least one window")
-    weights = global_weights
-    samples = 0
-    updates = 0
-    for k in range(windows):
-        for batch in schedule.take_window(round_index * windows + k):
-            _, grads = compute_gradients(spec, weights, batch)
-            weights = sgd_step(weights, grads, eta)
-            samples += batch.size
-            updates += 1
-    return RoundReport(schedule.client_index, weights, samples, updates)
+    k = len(schedules)
+    if stack is None:
+        stack = _client_stack(global_weights, k)
+    for rows, broadcast in zip(stack.arrays(), global_weights.arrays()):
+        rows[...] = broadcast
+    steps = [
+        [
+            batch
+            for e in range(windows)
+            for batch in schedule.take_window(round_index * windows + e)
+        ]
+        for schedule in schedules
+    ]
+    for s in range(max(map(len, steps))):
+        groups: dict[int, list[int]] = {}
+        for j, batches in enumerate(steps):
+            if s < len(batches):
+                groups.setdefault(batches[s].size, []).append(j)
+        for members in groups.values():
+            everyone = len(members) == k
+            local = stack if everyone else map_params(lambda rows: rows[members], stack)
+            batch = Batch(
+                np.stack([steps[j][s].features for j in members]),
+                np.stack([steps[j][s].labels for j in members]),
+            )
+            _, grads = compute_gradients(spec, local, batch)
+            sgd_step(local, grads, eta, out=local)
+            if not everyone:
+                for rows, trained in zip(stack.arrays(), local.arrays()):
+                    rows[members] = trained
+    return [
+        RoundReport(
+            schedule.client_index,
+            ModelWeights([w[j] for w in stack.weights], [b[j] for b in stack.biases]),
+            sum(batch.size for batch in batches),
+            len(batches),
+        )
+        for j, (schedule, batches) in enumerate(zip(schedules, steps))
+    ]
+
+
+def _client_stack(weights: ModelWeights, clients: int) -> ModelWeights:
+    """Uninitialised ``[clients, ...]`` arrays shaped like ``weights``, one row per client."""
+    return map_params(lambda a: np.empty((clients, *a.shape), dtype=a.dtype), weights)
 
 
 def aggregate(reports: list[RoundReport]) -> ModelWeights:
@@ -188,17 +235,19 @@ def _run_rounds(
     """The one round loop: every schedule's client update, aggregate, evaluate, hook.
 
     ``schedules`` holds one batch source per client, in ascending client
-    order; each needs a ``client_index`` and a ``take_window`` method.
+    order; each needs a ``client_index`` and a ``take_window`` method. The
+    clients train in one stack allocated here, once per run; ``aggregate``
+    returns new arrays, so the weights the hook sees never alias it.
     """
     weights = init_weights(spec, config.seeds.init)
+    stack = _client_stack(weights, len(schedules))
     cost = comm_cost(config, spec)
     log = MetricsLog(metadata=_run_metadata(config, spec))
     local_updates = 0
     for i in range(config.max_rounds):
-        reports = [
-            client_update_mmb(spec, i, weights, s, config.learning_rate, windows)
-            for s in schedules
-        ]
+        reports = client_update_mmb(
+            spec, i, weights, schedules, config.learning_rate, windows, stack
+        )
         local_updates += sum(r.local_updates for r in reports)
         weights = aggregate(reports)
         if (i + 1) % config.eval_every == 0:

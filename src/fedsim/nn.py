@@ -3,7 +3,14 @@
 Fully-connected layers with ReLU on hidden layers, a softmax output, and
 mean-reduced categorical cross-entropy. Everything is float64 and every
 operation is a pure function of its inputs (plus an explicit seed where
-randomness is involved), so values can be shared freely across threads.
+randomness is involved); only ``sgd_step`` with ``out`` writes into arrays
+it is given (``out`` and the gradients).
+
+The forward pass and backpropagation also take a stack of K clients along
+a leading axis (weights ``[K, fan_in, fan_out]``, biases ``[K, fan_out]``,
+features ``[K, b, input_dim]``, labels ``[K, b]``). Transposes swap the last
+two axes and reductions run along the class or batch axis, so each client
+of a stack gets the bits its own 2-D call gives.
 
 The loss is always computed through the fused log-softmax path with
 max-subtraction, which keeps it finite for arbitrary finite logits.
@@ -80,7 +87,11 @@ Gradients = ModelWeights
 
 @dataclass(frozen=True)
 class Batch:
-    """A mini-batch: float64 features ``[b, input_dim]`` and integer class labels ``[b]``."""
+    """A mini-batch: float64 features ``[b, input_dim]`` and integer class labels ``[b]``.
+
+    A stack of K equal-sized client batches has features ``[K, b, input_dim]``
+    and labels ``[K, b]``; ``size`` is then the per-client batch size ``b``.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -88,16 +99,16 @@ class Batch:
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.features.ndim != 2:
-            raise ContractError("batch features must be 2-D")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ContractError("labels must be a vector matching the batch size")
+        if self.features.ndim not in (2, 3):
+            raise ContractError("batch features must be 2-D, or 3-D for a client stack")
+        if self.labels.shape != self.features.shape[:-1]:
+            raise ContractError("labels must match the batch size")
         if self.size < 1:
             raise ContractError("a batch must contain at least one sample")
 
     @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
 
 def map_params(fn: Callable[..., np.ndarray], *param_sets: ModelWeights) -> ModelWeights:
@@ -124,21 +135,24 @@ def _require_same_shape(a: ModelWeights, b: ModelWeights) -> None:
         raise ContractError(f"parameter shapes differ: {shapes_a} vs {shapes_b}")
 
 
-def _require_congruent(spec: NetworkSpec, weights: ModelWeights) -> None:
+def _require_congruent(spec: NetworkSpec, weights: ModelWeights, batch: Batch) -> None:
+    """Layer shapes match the spec, with the batch's leading client axis if it has one."""
     expected = spec.layer_dims
     if len(weights.weights) != len(expected):
         raise ContractError("layer count does not match the network spec")
+    stack = batch.features.shape[:-2]
     for (fi, fo), w, b in zip(expected, weights.weights, weights.biases):
-        if w.shape != (fi, fo) or b.shape != (fo,):
+        if w.shape != (*stack, fi, fo) or b.shape != (*stack, fo):
             raise ContractError(
                 f"layer shape {w.shape}/{b.shape} does not match spec ({fi}, {fo})"
+                f" for a batch of shape {batch.features.shape}"
             )
 
 
 def _require_batch(spec: NetworkSpec, batch: Batch) -> None:
-    if batch.features.shape[1] != spec.input_dim:
+    if batch.features.shape[-1] != spec.input_dim:
         raise ContractError(
-            f"batch feature dim {batch.features.shape[1]} != input_dim {spec.input_dim}"
+            f"batch feature dim {batch.features.shape[-1]} != input_dim {spec.input_dim}"
         )
     if batch.labels.min() < 0 or batch.labels.max() >= spec.output_dim:
         raise ContractError("batch labels out of range for the network output")
@@ -163,64 +177,92 @@ def init_weights(spec: NetworkSpec, seed: int) -> ModelWeights:
 
 def _forward_full(
     spec: NetworkSpec, weights: ModelWeights, batch: Batch
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float]:
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float | np.ndarray]:
     """Shared forward pass: (pre-activations, activations, log-probs, loss).
 
     ``forward`` and ``compute_gradients`` both report this exact loss value,
-    bit for bit, because they share this code path.
+    bit for bit, because they share this code path. A client stack (weights
+    ``[K, fan_in, fan_out]``, biases ``[K, fan_out]``, a 3-D batch) runs
+    through the same operations, one matrix product per client, and gives
+    one loss per client.
     """
-    _require_congruent(spec, weights)
+    _require_congruent(spec, weights, batch)
     _require_batch(spec, batch)
     num_layers = len(weights.weights)
     activations = [batch.features]
     pre_acts: list[np.ndarray] = []
     a = batch.features
     for l, (w, b) in enumerate(zip(weights.weights, weights.biases)):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         pre_acts.append(z)
         if l < num_layers - 1:
             a = np.maximum(z, 0.0)
             activations.append(a)
     logits = pre_acts[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(batch.size), batch.labels]
-    loss = float(-np.mean(picked))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(log_probs, batch.labels[..., None], axis=-1)[..., 0]
+    losses = -picked.mean(axis=-1)
+    loss = float(losses) if losses.ndim == 0 else losses
     return pre_acts, activations, log_probs, loss
 
 
-def forward(spec: NetworkSpec, weights: ModelWeights, batch: Batch) -> tuple[np.ndarray, float]:
-    """Class probabilities ``[b, output_dim]`` and the mean cross-entropy loss."""
+def forward(
+    spec: NetworkSpec, weights: ModelWeights, batch: Batch
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Class probabilities ``[b, output_dim]`` and the mean cross-entropy loss.
+
+    A client stack gives probabilities ``[K, b, output_dim]`` and ``[K]`` losses.
+    """
     _, _, log_probs, loss = _forward_full(spec, weights, batch)
     return np.exp(log_probs), loss
 
 
 def compute_gradients(
     spec: NetworkSpec, weights: ModelWeights, batch: Batch
-) -> tuple[float, Gradients]:
-    """Analytic backpropagation of the mean-reduced cross-entropy."""
+) -> tuple[float | np.ndarray, Gradients]:
+    """Analytic backpropagation of the mean-reduced cross-entropy.
+
+    On a client stack each client's gradients equal, bit for bit, those of
+    its own 2-D call: every product, reduction and label pick acts per client.
+    """
     pre_acts, activations, log_probs, loss = _forward_full(spec, weights, batch)
-    probs = np.exp(log_probs)
-    b = batch.size
-    delta = probs
-    delta[np.arange(b), batch.labels] -= 1.0
-    delta /= b
+    delta = np.exp(log_probs)
+    # delta is a new C-contiguous array, so this reshape is a view of it.
+    classes = delta.shape[-1]
+    flat_labels = batch.labels.reshape(-1)
+    delta.reshape(-1, classes)[np.arange(flat_labels.size), flat_labels] -= 1.0
+    delta /= batch.size
     grad_w: list[np.ndarray] = [None] * len(weights.weights)  # type: ignore[list-item]
     grad_b: list[np.ndarray] = [None] * len(weights.biases)  # type: ignore[list-item]
     for l in range(len(weights.weights) - 1, -1, -1):
-        grad_w[l] = activations[l].T @ delta
-        grad_b[l] = delta.sum(axis=0)
+        grad_w[l] = activations[l].swapaxes(-1, -2) @ delta
+        grad_b[l] = delta.sum(axis=-2)
         if l > 0:
-            delta = (delta @ weights.weights[l].T) * (pre_acts[l - 1] > 0.0)
+            delta = (delta @ weights.weights[l].swapaxes(-1, -2)) * (pre_acts[l - 1] > 0.0)
     return loss, ModelWeights(grad_w, grad_b)
 
 
-def sgd_step(weights: ModelWeights, grads: Gradients, eta: float) -> ModelWeights:
-    """One gradient-descent update: ``weights - eta * grads``, as new arrays."""
+def sgd_step(
+    weights: ModelWeights, grads: Gradients, eta: float, out: ModelWeights | None = None
+) -> ModelWeights:
+    """One gradient-descent update, ``weights - eta * grads``.
+
+    The result goes into new arrays. With ``out`` (which may be ``weights``
+    itself, an in-place update) it goes there instead, and ``grads`` serves
+    as scratch: it is scaled by ``eta`` in place, so the step allocates no
+    temporary array. The bits are the same either way.
+    """
     if eta < 0:
         raise ContractError("learning rate must be non-negative")
     _require_same_shape(weights, grads)
-    return map_params(lambda w, g: w - eta * g, weights, grads)
+    if out is None:
+        return map_params(lambda w, g: w - eta * g, weights, grads)
+    _require_same_shape(weights, out)
+    for w, g, o in zip(weights.arrays(), grads.arrays(), out.arrays()):
+        g *= eta
+        np.subtract(w, g, out=o)
+    return out
 
 
 def finite_diff_grad(

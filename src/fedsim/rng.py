@@ -88,12 +88,34 @@ class Xoshiro256PP:
                 return r % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of ``range(n)``, high index first."""
-        idx = np.arange(n, dtype=np.int64)
+        """Fisher-Yates permutation of ``range(n)``, high index first.
+
+        Swap ``i`` takes ``j = below(i + 1)``. The generator step and the
+        rejection test of ``below`` are inlined on local state, which leaves
+        the draws and the final state unchanged.
+        """
+        idx = list(range(n))
+        mask, span = _MASK64, _MASK64 + 1
+        s0, s1, s2, s3 = self._s
         for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+            bound = i + 1
+            limit = span - span % bound
+            while True:
+                x = (s0 + s3) & mask
+                r = ((((x << 23) & mask) | (x >> 41)) + s0) & mask
+                t = (s1 << 17) & mask
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) & mask) | (s3 >> 19)
+                if r < limit:
+                    break
+            j = r % bound
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        self._s = [s0, s1, s2, s3]
+        return np.array(idx, dtype=np.int64)
 
     def uniform_array(self, n: int, low: float, high: float) -> np.ndarray:
         span = high - low

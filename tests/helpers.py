@@ -1,7 +1,9 @@
 """Shared test utilities: scalar-loop oracles, IDX fixtures, image blobs.
 
 The oracles here recompute results with plain Python loops and math calls,
-independently of the vectorized implementation paths they check.
+independently of the vectorized implementation paths they check. The
+per-client reference run trains one client and one 2-D batch at a time, the
+way the stacked round loop must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import struct
 
 import numpy as np
 
+import fedsim as fs
 from fedsim import Batch, Dataset, ModelWeights, NetworkSpec
 from fedsim.rng import Xoshiro256PP, derive_seed
 
@@ -152,3 +155,52 @@ def balanced_subset(dataset: Dataset, per_class: int, seed: int) -> Dataset:
     # Interleave classes so any prefix stays roughly balanced.
     idx = idx.reshape(dataset.num_classes, per_class).T.reshape(-1)
     return dataset.subset(idx)
+
+
+def per_client_reference(
+    config: fs.TrainingConfig,
+    spec: NetworkSpec,
+    clients: list[fs.ClientDataset],
+    test_set: Dataset,
+) -> tuple[fs.MetricsLog, ModelWeights]:
+    """A fedmmb or fedavg run trained client by client with 2-D batches.
+
+    Each round every client, in ascending index order, takes its windows
+    from its own schedule and runs ``compute_gradients`` and ``sgd_step``
+    batch by batch; ``aggregate`` then combines the reports. Returns the
+    metrics log and the final global weights.
+    """
+    b = config.batch_size
+    if config.mode == "fedmmb":
+        windows = 1
+        counts = [config.batch_count] * len(clients)
+    else:
+        windows = config.local_epochs
+        counts = [-(-c.data.n // b) for c in clients]
+    ordered = sorted(clients, key=lambda c: c.client_index)
+    schedules = [
+        fs.make_schedule(c, b, count, config.seeds.shuffle) for c, count in zip(ordered, counts)
+    ]
+    cost = fs.comm_cost(config, spec)
+    weights = fs.init_weights(spec, config.seeds.init)
+    log = fs.MetricsLog()
+    updates = 0
+    for i in range(config.max_rounds):
+        reports = []
+        for schedule in schedules:
+            local, samples, steps = weights, 0, 0
+            for k in range(windows):
+                for batch in schedule.take_window(i * windows + k):
+                    _, grads = fs.compute_gradients(spec, local, batch)
+                    local = fs.sgd_step(local, grads, config.learning_rate)
+                    samples += batch.size
+                    steps += 1
+            reports.append(fs.RoundReport(schedule.client_index, local, samples, steps))
+            updates += steps
+        weights = fs.aggregate(reports)
+        if (i + 1) % config.eval_every == 0:
+            loss, accuracy = fs.evaluate(spec, weights, test_set)
+            log.append(
+                fs.MetricsRow(i + 1, loss, accuracy, None, updates, cost.cumulative_after(i + 1))
+            )
+    return log, weights

@@ -18,7 +18,14 @@ from fedsim.cli import main
 from fedsim.data import synthetic_split
 from fedsim.rng import Xoshiro256PP, derive_seed
 
-from helpers import balanced_subset, grad_rel_error, make_image_blobs, mnist_idx_paths, write_idx_pair
+from helpers import (
+    balanced_subset,
+    grad_rel_error,
+    make_image_blobs,
+    mnist_idx_paths,
+    per_client_reference,
+    write_idx_pair,
+)
 
 
 def report_pass(number: int, name: str, detail: str = "") -> None:
@@ -262,7 +269,7 @@ def test_acceptance_7_accounting_identities():
     for n, batch_size, epochs in ((100, 10, 1), (95, 10, 2), (7, 3, 4)):
         client = fs.ClientDataset(0, fs.synthetic(3, n, 4, 5))
         schedule = fs.make_schedule(client, batch_size, -(-n // batch_size), 2)
-        report = fs.client_update_mmb(spec, 0, w, schedule, 0.01, windows=epochs)
+        [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.01, windows=epochs)
         assert report.local_updates == epochs * -(-n // batch_size)
         assert schedule.reshuffle_count == epochs  # one reshuffle per epoch
 
@@ -273,7 +280,7 @@ def test_acceptance_7_accounting_identities():
     local_updates = 0
     for i, expected in enumerate(expected_windows):
         assert fs.batch_window(schedule, i) == expected
-        report = fs.client_update_mmb(spec, i, w, schedule, 0.01)
+        [report] = fs.client_update_mmb(spec, i, w, [schedule], 0.01)
         p, q, _ = expected
         assert report.local_updates == q - p + 1
         local_updates += report.local_updates
@@ -322,9 +329,15 @@ def test_acceptance_8_determinism(tmp_path):
     for case in range(10):
         cfg, spec, clients, test = random_config(case)
         driver = fs.run_fedmmb if cfg.mode == "fedmmb" else fs.run_fedavg
-        first = driver(cfg, spec, clients, test)
+        final = []
+        first = driver(cfg, spec, clients, test, round_hook=lambda i, w: final.append(w))
         second = driver(cfg, spec, clients, test)
         assert first.to_csv_string() == second.to_csv_string()
+        # The stacked round loop equals training client by client, bit for bit.
+        reference_log, reference_weights = per_client_reference(cfg, spec, clients, test)
+        assert first.to_csv_string() == reference_log.to_csv_string(), case
+        for a, b in zip(final[-1].arrays(), reference_weights.arrays()):
+            assert np.array_equal(a, b), case
 
     # File-level determinism through the CLI as well.
     document = {
@@ -345,4 +358,7 @@ def test_acceptance_8_determinism(tmp_path):
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
-    report_pass(8, "determinism", f"10 configs rerun-identical, {elapsed:.0f}s")
+    report_pass(
+        8, "determinism",
+        f"10 configs rerun-identical and equal to per-client training, {elapsed:.0f}s",
+    )

@@ -84,11 +84,46 @@ def test_run_rejects_unknown_keys(tmp_path):
         ("dataset", {"input_dim": 0}),
         ("dataset", {"num_classes": 1}),
         ("partition", {"kind": "noniid_l", "L": "2"}),
+        ("train", {"eta": float("nan")}),
+        ("train", {"eta": float("inf")}),
     ]
     for section, values in malformed:
         document = base_config(tmp_path)
         document[section].update(values)
+        # json.dumps writes NaN and Infinity, which json.load reads back.
         assert main(["run", write_config(tmp_path, document, "bad.json")]) == 2, values
+
+
+def manual_partition_config(tmp_path, second_client: list) -> dict:
+    document = base_config(tmp_path)
+    document["train"]["K"] = 2
+    document["partition"] = {
+        "kind": "manual",
+        "assignment": {"0": list(range(1, 80)), "1": second_client},
+    }
+    return document
+
+
+@pytest.mark.parametrize(
+    "bad_indices",
+    [
+        [0.5, *range(80, 160)],  # a float index would be truncated to sample 0
+        [True, *range(80, 160)],  # a bool index would be taken as sample 1
+        ["0", *range(80, 160)],
+        [[0], *range(80, 160)],
+        "0",
+    ],
+    ids=["float", "bool", "string", "nested-list", "not-a-list"],
+)
+def test_run_rejects_malformed_manual_assignment(tmp_path, bad_indices):
+    document = manual_partition_config(tmp_path, bad_indices)
+    assert main(["run", write_config(tmp_path, document)]) == 2
+    assert not (tmp_path / "out" / "run.csv").exists()
+
+
+def test_manual_assignment_with_integer_indices_runs(tmp_path):
+    document = manual_partition_config(tmp_path, [0, *range(80, 160)])
+    assert main(["run", write_config(tmp_path, document)]) == 0
 
 
 def test_run_missing_data_file_exits_3_without_partial_csv(tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 import fedsim as fs
 from fedsim.data import synthetic_split
 
+from helpers import per_client_reference
+
 
 SEEDS = fs.Seeds(init=1, shuffle=2, partition=3)
 
@@ -58,7 +60,7 @@ def test_mmb_update_whole_epoch_when_count_covers_list():
     schedule = client_schedule(40, batch_size=10, batch_count=4)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05)
+    [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.05)
     assert report.local_updates == 4
     assert report.samples_used == 40
 
@@ -67,7 +69,7 @@ def test_mmb_update_single_batch_mode():
     schedule = client_schedule(40, batch_size=10, batch_count=1)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05)
+    [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.05)
     assert report.local_updates == 1
     assert report.samples_used == 10
 
@@ -76,7 +78,7 @@ def test_mmb_update_zero_eta_returns_broadcast_weights():
     schedule = client_schedule(20, batch_size=5, batch_count=2)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    report = fs.client_update_mmb(spec, 0, w, schedule, 0.0)
+    [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.0)
     assert weights_equal(report.local_weights, w)
     assert report.samples_used == 10
 
@@ -86,8 +88,8 @@ def test_mmb_update_counts_short_last_window():
     schedule = client_schedule(25, batch_size=10, batch_count=2)
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
-    first = fs.client_update_mmb(spec, 0, w, schedule, 0.01)
-    second = fs.client_update_mmb(spec, 1, w, schedule, 0.01)
+    [first] = fs.client_update_mmb(spec, 0, w, [schedule], 0.01)
+    [second] = fs.client_update_mmb(spec, 1, w, [schedule], 0.01)
     assert (first.local_updates, first.samples_used) == (2, 20)
     assert (second.local_updates, second.samples_used) == (1, 5)
 
@@ -96,12 +98,12 @@ def test_fedavg_update_accounting():
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
     schedule = client_schedule(100, batch_size=10, batch_count=10)
-    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05, windows=1)
+    [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.05, windows=1)
     assert report.local_updates == 10
     assert report.samples_used == 100
 
     schedule = client_schedule(95, batch_size=10, batch_count=10)
-    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05, windows=2)
+    [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.05, windows=2)
     assert report.local_updates == 20
     assert report.samples_used == 190
 
@@ -111,9 +113,38 @@ def test_fedavg_update_count_large_client():
     spec = fs.NetworkSpec(4, (), 5)
     w = fs.init_weights(spec, 1)
     schedule = client_schedule(10000, batch_size=10, batch_count=1000)
-    report = fs.client_update_mmb(spec, 0, w, schedule, 0.05, windows=1)
+    [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.05, windows=1)
     assert report.local_updates == 1000
     assert report.samples_used == 10000
+
+
+def unequal_clients() -> tuple[fs.NetworkSpec, list[fs.ClientDataset], fs.Dataset]:
+    # 13, 22 and 25 samples: at B=4 the clients have 4, 6 and 7 batches and
+    # end on batches of 1, 2 and 1, so steps group clients by batch size and
+    # clients with shorter windows sit steps out.
+    train, test = synthetic_split(12, 60, 20, 4, 3)
+    clients = fs.partition_manual(
+        train, {0: list(range(13)), 1: list(range(13, 35)), 2: list(range(35, 60))}
+    )
+    return fs.NetworkSpec(4, (5,), 3), clients, test
+
+
+@pytest.mark.parametrize("mode", ["fedmmb", "fedavg"])
+def test_driver_matches_per_client_reference_on_unequal_clients(mode):
+    spec, clients, test = unequal_clients()
+    knobs = {"batch_count": 3} if mode == "fedmmb" else {"local_epochs": 2}
+    cfg = fs.TrainingConfig(
+        mode=mode, learning_rate=0.1, max_rounds=6, batch_size=4, seeds=SEEDS,
+        eval_every=2, clients=3, **knobs,
+    )
+    driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
+    seen = []
+    log = driver(cfg, spec, clients, test, round_hook=lambda i, w: seen.append((w, w.copy())))
+    reference_log, reference_weights = per_client_reference(cfg, spec, clients, test)
+    assert log.to_csv_string() == reference_log.to_csv_string()
+    assert weights_equal(seen[-1][0], reference_weights)
+    # Weights handed to the hook are never overwritten by later rounds.
+    assert all(weights_equal(w, snapshot) for w, snapshot in seen)
 
 
 # --- aggregation ------------------------------------------------------------

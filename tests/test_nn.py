@@ -182,6 +182,53 @@ def test_gradient_linearity_property(seed, n1, n2, input_dim, classes):
         np.testing.assert_allclose((n1 * a1 + n2 * a2) / (n1 + n2), au, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    clients=st.integers(1, 5),
+    size=st.integers(1, 12),
+    input_dim=st.integers(1, 9),
+    classes=st.integers(2, 6),
+    hidden=st.sampled_from([(), (7,), (5, 4)]),
+)
+def test_stacked_gradients_equal_per_client_calls(seed, clients, size, input_dim, classes, hidden):
+    # A [K, b, d] batch on [K, ...] weights gives each client exactly the
+    # loss and gradients of its own 2-D call.
+    spec = NetworkSpec(input_dim, hidden, classes)
+    per_client = [fs.init_weights(spec, seed + k) for k in range(clients)]
+    for k, w in enumerate(per_client):
+        for b in w.biases:
+            b[:] = np.linspace(-0.5, 0.5, b.size) * (k + 1)  # non-zero, distinct per client
+    stacked = fs.map_params(lambda *arrays: np.stack(arrays), *per_client)
+    ds = fs.synthetic(seed, max(clients * size, classes), input_dim, classes)
+    features = ds.features[: clients * size].reshape(clients, size, input_dim)
+    labels = ds.labels[: clients * size].reshape(clients, size)
+    losses, grads = fs.compute_gradients(spec, stacked, Batch(features, labels))
+    assert losses.shape == (clients,)
+    for k, w in enumerate(per_client):
+        loss, own = fs.compute_gradients(spec, w, Batch(features[k], labels[k]))
+        assert losses[k] == loss
+        for a, b in zip(grads.arrays(), own.arrays()):
+            assert np.array_equal(a[k], b)
+
+
+def test_stacked_shapes_are_checked():
+    spec = NetworkSpec(4, (5,), 3)
+    w = fs.init_weights(spec, 1)
+    stacked = fs.map_params(lambda a: np.stack([a, a]), w)
+    features, labels = np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(fs.ContractError):
+        fs.compute_gradients(spec, w, Batch(features, labels))  # 2-D weights, 3-D batch
+    with pytest.raises(fs.ContractError):
+        fs.compute_gradients(spec, stacked, Batch(features[0], labels[0]))
+    with pytest.raises(fs.ContractError):
+        fs.compute_gradients(spec, stacked, Batch(np.zeros((3, 3, 4)), np.zeros((3, 3))))
+    with pytest.raises(fs.ContractError):
+        Batch(features, labels[0])
+    with pytest.raises(fs.ContractError):
+        Batch(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3)))
+
+
 # --- sgd_step ---------------------------------------------------------------
 
 
@@ -211,6 +258,21 @@ def test_sgd_step_two_constant_steps_compose():
     combined = fs.map_params(lambda a, b, c: a - 0.2 * (b + c), w, g1, g2)
     for a, b in zip(stepped.arrays(), combined.arrays()):
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+
+def test_sgd_step_in_place_matches_new_arrays():
+    spec = NetworkSpec(4, (5,), 3)
+    w = fs.init_weights(spec, 2)
+    _, g = fs.compute_gradients(spec, w, small_batch(spec, 3, 4))
+    fresh = fs.sgd_step(w, g, 0.3)
+    work, scratch = w.copy(), g.copy()
+    assert fs.sgd_step(work, scratch, 0.3, out=work) is work
+    for a, b in zip(fresh.arrays(), work.arrays()):
+        assert np.array_equal(a, b)
+    for a, b in zip(g.arrays(), scratch.arrays()):
+        assert np.array_equal(0.3 * a, b)  # the gradients were scaled in place
+    with pytest.raises(fs.ContractError):
+        fs.sgd_step(w, g, 0.3, out=fs.init_weights(NetworkSpec(4, (6,), 3), 2))
 
 
 def test_sgd_step_shape_mismatch_raises():

@@ -50,6 +50,46 @@ def test_permutation_deterministic():
     assert np.array_equal(Xoshiro256PP(5).permutation(50), Xoshiro256PP(5).permutation(50))
 
 
+class CountingGenerator(Xoshiro256PP):
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_uint64(self) -> int:
+        self.draws += 1
+        return super().next_uint64()
+
+
+def reference_permutation(rng: Xoshiro256PP, n: int) -> np.ndarray:
+    """Fisher-Yates through ``below``, the generator's public draw path."""
+    idx = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 200, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_permutation_matches_below_loop(seed, n):
+    fast, slow = Xoshiro256PP(seed), Xoshiro256PP(seed)
+    perm = fast.permutation(n)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, reference_permutation(slow, n))
+    assert fast.next_uint64() == slow.next_uint64()  # same state after the call
+
+
+def test_permutation_rejection_draw_matches_below_loop():
+    # With s0 = 0 and s3 = 2**64 - 1 the next output is 2**64 - 1, which
+    # below(3) rejects, so the first swap of permutation(3) draws twice.
+    state = [0, 1, 2, (1 << 64) - 1]
+    fast, slow = Xoshiro256PP(0), CountingGenerator(0)
+    fast._s, slow._s = list(state), list(state)
+    assert np.array_equal(fast.permutation(3), reference_permutation(slow, 3))
+    assert slow.draws == 3  # n - 1 swaps plus one rejected draw
+    assert fast._s == slow._s
+
+
 def test_derive_seed_pure_and_sensitive():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
