@@ -48,16 +48,13 @@ from .metrics import (
 )
 from .nn import (
     Batch,
-    Gradients,
-    ModelWeights,
     NetworkSpec,
     compute_gradients,
     evaluate,
     finite_diff_grad,
     forward,
     init_weights,
-    map_params,
-    max_abs_diff,
+    layer_views,
     sgd_step,
 )
 from .rng import Xoshiro256PP, derive_seed
@@ -76,11 +73,9 @@ __all__ = [
     "Dataset",
     "DiscordanceReport",
     "FedsimError",
-    "Gradients",
     "LockstepPlan",
     "MetricsLog",
     "MetricsRow",
-    "ModelWeights",
     "NetworkSpec",
     "PartitionPlan",
     "RoundReport",
@@ -99,11 +94,10 @@ __all__ = [
     "finite_diff_grad",
     "forward",
     "init_weights",
+    "layer_views",
     "load_csv",
     "load_idx",
     "make_schedule",
-    "map_params",
-    "max_abs_diff",
     "partition_iid",
     "partition_manual",
     "partition_noniid_l",

@@ -2,9 +2,9 @@
 
 Partitioners split one dataset across clients either homogeneously (iid)
 or with label skew (noniid_l: every client holds samples of exactly L
-distinct labels). A batch schedule is a client's current shuffled batch
-list plus the windowing state that decides which batches a round consumes
-and when to reshuffle. All functions are pure in (inputs, seed).
+distinct labels). A batch schedule is a client's current shuffle
+permutation plus the windowing state that decides which batches a round
+consumes and when to reshuffle. All functions are pure in (inputs, seed).
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     magic, count, rows, cols = struct.unpack(">iiii", raw_images[:16])
     if magic != IDX_IMAGE_MAGIC:
         raise DataError(f"{images_path}: bad IDX image magic {magic:#010x}")
+    if rows < 1 or cols < 1:
+        raise DataError(f"{images_path}: image size {rows}x{cols} is not positive")
     if len(raw_images) != 16 + count * rows * cols:
         raise DataError(f"{images_path}: pixel payload does not match header counts")
 
@@ -158,6 +160,8 @@ def load_csv(path: str, num_classes: int, header: bool = False) -> Dataset:
                 values = [float(c) for c in cells[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise DataError(f"{path}:{lineno}: non-finite feature (nan or inf)")
             if not (0 <= label < num_classes):
                 raise DataError(f"{path}:{lineno}: label {label} out of range")
             if rows and len(values) != len(rows[0]):
@@ -318,14 +322,18 @@ def apply_partition(plan: PartitionPlan, dataset: Dataset) -> list[ClientDataset
 
 @dataclass
 class BatchSchedule:
-    """A client's shuffled batch list plus its windowing state.
+    """A client's shuffle permutation plus its windowing state.
 
+    Batch ``t`` is the samples at positions ``t * batch_size`` to
+    ``(t + 1) * batch_size - 1`` of the permutation ``order``, so all
+    batches have ``batch_size`` samples except possibly the last.
     ``num_batches`` (the batch total T) is ``ceil(N / batch_size)``;
     ``window_span`` (f) is ``ceil(T / batch_count)``, the number of rounds
-    needed to sweep the whole list once. ``reshuffle`` rebuilds the batch
-    list with the next permutation of this client's seed stream; the stream
-    is the pure function ``derive_seed(base_seed, client_index, count)``,
-    so reshuffles never depend on call order.
+    needed to sweep the whole list once. ``reshuffle`` draws the next
+    permutation of this client's seed stream; the stream is the pure
+    function ``derive_seed(base_seed, client_index, count)``, so reshuffles
+    never depend on call order. Batches are gathered from ``source`` only
+    when a window is taken.
     """
 
     source: Dataset
@@ -334,30 +342,31 @@ class BatchSchedule:
     base_seed: int
     client_index: int
     reshuffle_count: int = 0
-    batches: list[Batch] = field(default_factory=list)
+    order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.batch_count < 1:
             raise ContractError("batch size and batch count must be positive")
-        if not self.batches:
-            self.batches = self._build()
+        self.order = self._permutation()
 
-    def _build(self) -> list[Batch]:
-        perm = Xoshiro256PP(
-            derive_seed(self.base_seed, self.client_index, self.reshuffle_count)
-        ).permutation(self.source.n)
-        chunks = range(0, self.source.n, self.batch_size)
-        return [
-            Batch(
-                self.source.features[perm[start : start + self.batch_size]],
-                self.source.labels[perm[start : start + self.batch_size]],
-            )
-            for start in chunks
-        ]
+    def _permutation(self) -> np.ndarray:
+        seed = derive_seed(self.base_seed, self.client_index, self.reshuffle_count)
+        return Xoshiro256PP(seed).permutation(self.source.n)
+
+    def _gather(self, first: int, stop: int) -> list[Batch]:
+        """Batches ``first`` to ``stop - 1`` of the current permutation."""
+        b = self.batch_size
+        picks = [self.order[t * b : (t + 1) * b] for t in range(first, stop)]
+        return [Batch(self.source.features[idx], self.source.labels[idx]) for idx in picks]
+
+    @property
+    def batches(self) -> list[Batch]:
+        """The whole current batch list, in order (a fresh copy each call)."""
+        return self._gather(0, self.num_batches)
 
     @property
     def num_batches(self) -> int:
-        return len(self.batches)
+        return -(-self.source.n // self.batch_size)
 
     @property
     def window_span(self) -> int:
@@ -365,7 +374,7 @@ class BatchSchedule:
 
     def reshuffle(self) -> None:
         self.reshuffle_count += 1
-        self.batches = self._build()
+        self.order = self._permutation()
 
     def take_window(self, index: int) -> list[Batch]:
         """The batches of window ``index`` (see ``batch_window``), in training order.
@@ -373,7 +382,7 @@ class BatchSchedule:
         Reshuffles once the window that completes a sweep has been taken.
         """
         p, q, reshuffle_after = batch_window(self, index)
-        window = self.batches[p : q + 1]
+        window = self._gather(p, q + 1)
         if reshuffle_after:
             self.reshuffle()
         return window

@@ -25,21 +25,11 @@ import numpy as np
 from .data import BatchSchedule, ClientDataset, Dataset, make_schedule
 from .errors import ConfigError, ContractError
 from .metrics import MetricsLog, MetricsRow, comm_cost
-from .nn import (
-    Batch,
-    ModelWeights,
-    NetworkSpec,
-    compute_gradients,
-    evaluate,
-    init_weights,
-    map_params,
-    sgd_step,
-    zeros_like,
-)
+from .nn import Batch, NetworkSpec, compute_gradients, evaluate, init_weights, sgd_step
 
 MODES = ("fedmmb", "fedavg", "centralized")
 
-RoundHook = Callable[[int, ModelWeights], None]
+RoundHook = Callable[[int, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,7 @@ class RoundReport:
     """What a client returns to the server each round."""
 
     client_index: int
-    local_weights: ModelWeights
+    local_weights: np.ndarray
     samples_used: int
     local_updates: int
 
@@ -125,11 +115,11 @@ class RoundReport:
 def client_update_mmb(
     spec: NetworkSpec,
     round_index: int,
-    global_weights: ModelWeights,
+    global_weights: np.ndarray,
     schedules: list,
     eta: float,
     windows: int = 1,
-    stack: ModelWeights | None = None,
+    stack: np.ndarray | None = None,
 ) -> list[RoundReport]:
     """Every client's local training for one round, run as one stacked batch.
 
@@ -141,20 +131,19 @@ def client_update_mmb(
     ``windows`` local epochs, epoch k of round i on permutation
     ``i * windows + k`` of the client's seed stream.
 
-    Client ``j`` trains in row ``j`` of ``stack`` (arrays ``[K, fan_in,
-    fan_out]`` and ``[K, fan_out]``; a fresh one when omitted), updated in
-    place. At step ``s`` the clients whose batch ``s`` has the same size
-    train together, one gradient computation for the group; a client whose
-    window has no batch ``s`` sits the step out. The reports, one per
-    schedule in order, hold views of ``stack``.
+    Client ``j`` trains in row ``j`` of ``stack`` (``[K, parameter_count]``;
+    a fresh one when omitted), updated in place. At step ``s`` the clients
+    whose batch ``s`` has the same size train together, one gradient
+    computation for the group; a client whose window has no batch ``s``
+    sits the step out. The reports, one per schedule in order, hold views
+    of ``stack``.
     """
     if windows < 1:
         raise ContractError("a client update needs at least one window")
     k = len(schedules)
     if stack is None:
-        stack = _client_stack(global_weights, k)
-    for rows, broadcast in zip(stack.arrays(), global_weights.arrays()):
-        rows[...] = broadcast
+        stack = np.empty((k, global_weights.size))
+    stack[...] = global_weights
     steps = [
         [
             batch
@@ -170,7 +159,7 @@ def client_update_mmb(
                 groups.setdefault(batches[s].size, []).append(j)
         for members in groups.values():
             everyone = len(members) == k
-            local = stack if everyone else map_params(lambda rows: rows[members], stack)
+            local = stack if everyone else stack[members]
             batch = Batch(
                 np.stack([steps[j][s].features for j in members]),
                 np.stack([steps[j][s].labels for j in members]),
@@ -178,12 +167,11 @@ def client_update_mmb(
             _, grads = compute_gradients(spec, local, batch)
             sgd_step(local, grads, eta, out=local)
             if not everyone:
-                for rows, trained in zip(stack.arrays(), local.arrays()):
-                    rows[members] = trained
+                stack[members] = local
     return [
         RoundReport(
             schedule.client_index,
-            ModelWeights([w[j] for w in stack.weights], [b[j] for b in stack.biases]),
+            stack[j],
             sum(batch.size for batch in batches),
             len(batches),
         )
@@ -191,12 +179,7 @@ def client_update_mmb(
     ]
 
 
-def _client_stack(weights: ModelWeights, clients: int) -> ModelWeights:
-    """Uninitialised ``[clients, ...]`` arrays shaped like ``weights``, one row per client."""
-    return map_params(lambda a: np.empty((clients, *a.shape), dtype=a.dtype), weights)
-
-
-def aggregate(reports: list[RoundReport]) -> ModelWeights:
+def aggregate(reports: list[RoundReport]) -> np.ndarray:
     """Sample-weighted average of the clients' local weights.
 
     Accumulation runs in ascending client-index order, anchored at the
@@ -204,24 +187,25 @@ def aggregate(reports: list[RoundReport]) -> ModelWeights:
     algebraically the plain weighted average but keeps the all-identical
     case exact and the result well inside the clients' coordinate range.
     A single report's weights come back unchanged (save that -0.0 becomes
-    +0.0), which makes centralized training the one-client round.
+    +0.0), which makes centralized training the one-client round. The
+    result is a new array on every call; the sum runs in place in it.
     """
     if not reports:
         raise ContractError("cannot aggregate an empty report list")
     ordered = sorted(reports, key=lambda r: r.client_index)
     anchor = ordered[0].local_weights
     total = sum(r.samples_used for r in ordered)
-    acc = zeros_like(anchor)
+    acc = np.zeros_like(anchor)
+    scratch = np.empty_like(anchor)
     for r in ordered:
-        scale = float(r.samples_used)
-        acc = map_params(
-            lambda a, w, ref: a + scale * (w - ref), acc, r.local_weights, anchor
-        )
-    result = map_params(lambda ref, a: ref + a / total, anchor, acc)
-    for arr in result.arrays():
-        if not np.isfinite(arr).all():
-            raise ContractError("aggregated weights are non-finite; training diverged")
-    return result
+        np.subtract(r.local_weights, anchor, out=scratch)
+        scratch *= float(r.samples_used)
+        acc += scratch
+    acc /= total
+    acc += anchor
+    if not np.isfinite(acc).all():
+        raise ContractError("aggregated weights are non-finite; training diverged")
+    return acc
 
 
 def _run_rounds(
@@ -237,10 +221,10 @@ def _run_rounds(
     ``schedules`` holds one batch source per client, in ascending client
     order; each needs a ``client_index`` and a ``take_window`` method. The
     clients train in one stack allocated here, once per run; ``aggregate``
-    returns new arrays, so the weights the hook sees never alias it.
+    returns a new array, so the weights the hook sees never alias it.
     """
     weights = init_weights(spec, config.seeds.init)
-    stack = _client_stack(weights, len(schedules))
+    stack = np.empty((len(schedules), weights.size))
     cost = comm_cost(config, spec)
     log = MetricsLog(metadata=_run_metadata(config, spec))
     local_updates = 0

@@ -15,20 +15,19 @@ import struct
 import numpy as np
 
 import fedsim as fs
-from fedsim import Batch, Dataset, ModelWeights, NetworkSpec
+from fedsim import Batch, Dataset, NetworkSpec, layer_views
 from fedsim.rng import Xoshiro256PP, derive_seed
 
 
-def scalar_loss(spec: NetworkSpec, weights: ModelWeights, batch: Batch) -> float:
+def scalar_loss(spec: NetworkSpec, weights: np.ndarray, batch: Batch) -> float:
     """Per-sample forward pass and cross-entropy, all in Python floats."""
     total = 0.0
-    num_layers = len(weights.weights)
+    layers = layer_views(spec, weights)
+    num_layers = len(layers)
     for s in range(batch.size):
         x = [float(v) for v in batch.features[s]]
         z: list[float] = []
-        for l in range(num_layers):
-            w = weights.weights[l]
-            b = weights.biases[l]
+        for l, (w, b) in enumerate(layers):
             z = [
                 sum(x[i] * float(w[i, o]) for i in range(w.shape[0])) + float(b[o])
                 for o in range(w.shape[1])
@@ -41,13 +40,12 @@ def scalar_loss(spec: NetworkSpec, weights: ModelWeights, batch: Batch) -> float
     return total / batch.size
 
 
-def scalar_probabilities(spec: NetworkSpec, weights: ModelWeights, features_row) -> list[float]:
+def scalar_probabilities(spec: NetworkSpec, weights: np.ndarray, features_row) -> list[float]:
     x = [float(v) for v in features_row]
-    num_layers = len(weights.weights)
+    layers = layer_views(spec, weights)
+    num_layers = len(layers)
     z: list[float] = []
-    for l in range(num_layers):
-        w = weights.weights[l]
-        b = weights.biases[l]
+    for l, (w, b) in enumerate(layers):
         z = [
             sum(x[i] * float(w[i, o]) for i in range(w.shape[0])) + float(b[o])
             for o in range(w.shape[1])
@@ -60,7 +58,7 @@ def scalar_probabilities(spec: NetworkSpec, weights: ModelWeights, features_row)
     return [e / norm for e in exps]
 
 
-def scalar_evaluate(spec: NetworkSpec, weights: ModelWeights, dataset: Dataset) -> tuple[float, float]:
+def scalar_evaluate(spec: NetworkSpec, weights: np.ndarray, dataset: Dataset) -> tuple[float, float]:
     """Loss and accuracy recomputed sample by sample (lowest-index tie-break)."""
     total_loss = 0.0
     hits = 0
@@ -76,13 +74,10 @@ def scalar_evaluate(spec: NetworkSpec, weights: ModelWeights, dataset: Dataset) 
     return total_loss / dataset.n, hits / dataset.n
 
 
-def grad_rel_error(analytic: ModelWeights, reference: ModelWeights) -> float:
+def grad_rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     """Max absolute gradient gap, relative to the reference's largest entry."""
-    scale = max(float(np.max(np.abs(a))) for a in reference.arrays())
-    gap = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(analytic.arrays(), reference.arrays())
-    )
+    scale = float(np.max(np.abs(reference)))
+    gap = float(np.max(np.abs(analytic - reference)))
     return gap / max(scale, 1e-12)
 
 
@@ -162,7 +157,7 @@ def per_client_reference(
     spec: NetworkSpec,
     clients: list[fs.ClientDataset],
     test_set: Dataset,
-) -> tuple[fs.MetricsLog, ModelWeights]:
+) -> tuple[fs.MetricsLog, np.ndarray]:
     """A fedmmb or fedavg run trained client by client with 2-D batches.
 
     Each round every client, in ascending index order, takes its windows

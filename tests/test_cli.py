@@ -142,6 +142,26 @@ def test_run_missing_data_file_exits_3_without_partial_csv(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_run_non_finite_csv_feature_exits_3(tmp_path, capsys, cell):
+    data = tmp_path / "points.csv"
+    rows = ["0,1.0,0.0", "1,0.0,1.0"] * 20
+    rows[2] = f"0,{cell},0.0"
+    data.write_text("\n".join(rows) + "\n")
+    document = base_config(tmp_path)
+    document["dataset"] = {
+        "source": "csv",
+        "train_path": str(data),
+        "num_classes": 2,
+        "test_split": 0.25,
+        "seed": 3,
+    }
+    document["train"]["K"] = 2
+    assert main(["run", write_config(tmp_path, document)]) == 3
+    assert "points.csv:3:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_run_diverged_training_exits_4(tmp_path):
     document = base_config(tmp_path)

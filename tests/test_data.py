@@ -75,6 +75,20 @@ def test_load_idx_rejects_truncation_and_count_mismatch(tmp_path):
         fs.load_idx(images_path, labels_path3)
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, -1), (0, 5), (3, 0)])
+def test_load_idx_rejects_non_positive_image_size(tmp_path, rows, cols):
+    # Each header's payload size (count * rows * cols) matches the bytes
+    # that follow it, so only the size check can refuse the file.
+    images_path, labels_path = write_idx_pair(
+        str(tmp_path), np.zeros((1, 1, 1), dtype=np.uint8), np.zeros(1, dtype=np.uint8), "size"
+    )
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">iiii", 0x00000803, 1, rows, cols))
+        f.write(bytes(rows * cols))
+    with pytest.raises(fs.DataError, match="image size"):
+        fs.load_idx(images_path, labels_path)
+
+
 @pytest.mark.skipif(mnist_idx_paths() is None, reason="real MNIST IDX files not present")
 def test_load_idx_real_mnist():
     paths = mnist_idx_paths()

@@ -20,10 +20,6 @@ def client_schedule(n: int, batch_size: int, batch_count: int, seed: int = 2, in
     return fs.make_schedule(make_client(n, index=index), batch_size, batch_count, seed)
 
 
-def weights_equal(a: fs.ModelWeights, b: fs.ModelWeights) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
-
-
 # --- training config --------------------------------------------------------
 
 
@@ -79,7 +75,7 @@ def test_mmb_update_zero_eta_returns_broadcast_weights():
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
     [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.0)
-    assert weights_equal(report.local_weights, w)
+    assert np.array_equal(report.local_weights, w)
     assert report.samples_used == 10
 
 
@@ -142,15 +138,15 @@ def test_driver_matches_per_client_reference_on_unequal_clients(mode):
     log = driver(cfg, spec, clients, test, round_hook=lambda i, w: seen.append((w, w.copy())))
     reference_log, reference_weights = per_client_reference(cfg, spec, clients, test)
     assert log.to_csv_string() == reference_log.to_csv_string()
-    assert weights_equal(seen[-1][0], reference_weights)
+    assert np.array_equal(seen[-1][0], reference_weights)
     # Weights handed to the hook are never overwritten by later rounds.
-    assert all(weights_equal(w, snapshot) for w, snapshot in seen)
+    assert all(np.array_equal(w, snapshot) for w, snapshot in seen)
 
 
 # --- aggregation ------------------------------------------------------------
 
 
-def report(index: int, weights: fs.ModelWeights, n: int) -> fs.RoundReport:
+def report(index: int, weights: np.ndarray, n: int) -> fs.RoundReport:
     return fs.RoundReport(index, weights, n, 1)
 
 
@@ -158,25 +154,21 @@ def test_aggregate_identical_weights_fixed_point():
     spec = fs.NetworkSpec(3, (4,), 3)
     w = fs.init_weights(spec, 5)
     merged = fs.aggregate([report(j, w, 7 + j) for j in range(10)])
-    assert weights_equal(merged, w)
+    assert np.array_equal(merged, w)
 
 
 def test_aggregate_two_client_arithmetic():
-    a = fs.ModelWeights([np.array([[0.0]])], [np.array([0.0])])
-    b = fs.ModelWeights([np.array([[4.0]])], [np.array([4.0])])
+    a = np.array([0.0, 0.0])  # one 1x1 layer: weight, bias
+    b = np.array([4.0, 4.0])
     merged = fs.aggregate([report(0, a, 1), report(1, b, 3)])
-    assert merged.weights[0][0, 0] == 3.0
-    assert merged.biases[0][0] == 3.0
+    assert np.array_equal(merged, [3.0, 3.0])
 
 
 def test_aggregate_equal_counts_is_mean():
     spec = fs.NetworkSpec(3, (4,), 3)
     ws = [fs.init_weights(spec, s) for s in range(4)]
     merged = fs.aggregate([report(j, w, 5) for j, w in enumerate(ws)])
-    for idx, arrays in enumerate(zip(*(w.arrays() for w in ws))):
-        mean = sum(arrays) / 4
-        got = list(merged.arrays())[idx]
-        np.testing.assert_allclose(got, mean, atol=1e-15)
+    np.testing.assert_allclose(merged, sum(ws) / 4, atol=1e-15)
 
 
 def test_aggregate_empty_raises():
@@ -189,7 +181,7 @@ def test_aggregate_order_independent_of_report_order():
     reports = [report(j, fs.init_weights(spec, j), j + 1) for j in range(5)]
     forward_order = fs.aggregate(reports)
     shuffled = fs.aggregate(list(reversed(reports)))
-    assert weights_equal(forward_order, shuffled)
+    assert np.array_equal(forward_order, shuffled)
 
 
 @settings(max_examples=25, deadline=None)
@@ -201,9 +193,9 @@ def test_aggregate_convexity_property(seed, counts):
     spec = fs.NetworkSpec(2, (), 2)
     ws = [fs.init_weights(spec, seed + j) for j in range(len(counts))]
     merged = fs.aggregate([report(j, w, n) for j, (w, n) in enumerate(zip(ws, counts))])
-    stacked = np.stack([w.weights[0] for w in ws])
-    assert np.all(merged.weights[0] >= stacked.min(axis=0))
-    assert np.all(merged.weights[0] <= stacked.max(axis=0))
+    stacked = np.stack(ws)
+    assert np.all(merged >= stacked.min(axis=0))
+    assert np.all(merged <= stacked.max(axis=0))
 
 
 # --- drivers ----------------------------------------------------------------
@@ -297,7 +289,7 @@ def test_lockstep_single_batch_equals_centralized_union():
         lockstep=fs.LockstepPlan(clients, 5),
         round_hook=lambda r, w: cent_weights.append(w),
     )
-    gaps = [fs.max_abs_diff(a, b) for a, b in zip(fed_weights, cent_weights)]
+    gaps = [np.max(np.abs(a - b)) for a, b in zip(fed_weights, cent_weights)]
     assert len(gaps) == 60
     assert max(gaps) <= 1e-10
 

@@ -43,23 +43,45 @@ def test_init_weights_deterministic():
     spec = NetworkSpec(12, (7,), 5)
     a = fs.init_weights(spec, 7)
     b = fs.init_weights(spec, 7)
-    for x, y in zip(a.arrays(), b.arrays()):
-        assert np.array_equal(x, y)
+    assert a.shape == (spec.parameter_count,)
+    assert np.array_equal(a, b)
 
 
 def test_init_weights_zero_biases():
     spec = NetworkSpec(6, (4, 3), 5)
     w = fs.init_weights(spec, 3)
-    for b in w.biases:
+    for _, b in fs.layer_views(spec, w):
         assert np.all(b == 0.0)
 
 
 def test_init_weights_glorot_bound():
     spec = NetworkSpec(784, (200, 200), 10)
-    w = fs.init_weights(spec, 123)
+    (w0, _), (w1, _), _ = fs.layer_views(spec, fs.init_weights(spec, 123))
     bound = math.sqrt(6.0 / (784 + 200))
-    assert np.all(np.abs(w.weights[0]) <= bound)
-    assert np.all(np.abs(w.weights[1]) <= math.sqrt(6.0 / 400))
+    assert np.all(np.abs(w0) <= bound)
+    assert np.all(np.abs(w1) <= math.sqrt(6.0 / 400))
+
+
+# --- layer_views ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_layer_views_tile_the_vector_in_layer_order(lead):
+    # Per layer: the weight matrix row-major, then the bias; every entry once.
+    spec = NetworkSpec(4, (5, 2), 3)
+    params = np.arange(np.prod(lead, dtype=int) * spec.parameter_count, dtype=np.float64)
+    params = params.reshape(*lead, spec.parameter_count)
+    views = fs.layer_views(spec, params)
+    assert [(w.shape, b.shape) for w, b in views] == [
+        ((*lead, fi, fo), (*lead, fo)) for fi, fo in spec.layer_dims
+    ]
+    pieces = [p for w, b in views for p in (w.reshape(*lead, -1), b)]
+    assert np.array_equal(np.concatenate(pieces, axis=-1), params)
+    for w, b in views:
+        assert np.shares_memory(w, params) and np.shares_memory(b, params)
+        w[...] = -1.0
+        b[...] = -2.0
+    assert np.all(params < 0)  # the writes went through to the vector
 
 
 # --- forward ----------------------------------------------------------------
@@ -67,7 +89,7 @@ def test_init_weights_glorot_bound():
 
 def test_forward_zero_weights_uniform():
     spec = NetworkSpec(5, (8,), 10)
-    zeros = fs.map_params(np.zeros_like, fs.init_weights(spec, 1))
+    zeros = np.zeros(spec.parameter_count)
     batch = small_batch(spec, 2, 6)
     probs, loss = fs.forward(spec, zeros, batch)
     np.testing.assert_allclose(probs, 0.1, atol=1e-15)
@@ -76,9 +98,7 @@ def test_forward_zero_weights_uniform():
 
 def test_forward_saturated_true_class_zero_loss():
     spec = NetworkSpec(2, (), 3)
-    w = fs.ModelWeights(
-        [np.zeros((2, 3))], [np.array([1000.0, 0.0, 0.0])]
-    )
+    w = np.concatenate([np.zeros(2 * 3), [1000.0, 0.0, 0.0]])
     batch = Batch(np.array([[0.3, -0.2]]), np.array([0]))
     probs, loss = fs.forward(spec, w, batch)
     assert probs[0, 0] == 1.0
@@ -95,9 +115,9 @@ def test_forward_matches_scalar_oracle():
 
 def test_forward_probability_rows_sum_to_one_with_huge_logits():
     spec = NetworkSpec(3, (), 4)
-    w = fs.ModelWeights(
-        [np.array([[800.0, -900.0, 50.0, 0.0], [0.0, 1000.0, -1000.0, 3.0], [1.0, 2.0, 3.0, 4.0]])],
-        [np.array([5.0, -5.0, 0.0, 1000.0])],
+    w = np.array(
+        [800.0, -900.0, 50.0, 0.0, 0.0, 1000.0, -1000.0, 3.0, 1.0, 2.0, 3.0, 4.0]  # W row-major
+        + [5.0, -5.0, 0.0, 1000.0]  # b
     )
     batch = Batch(np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]]), np.array([0, 3]))
     probs, loss = fs.forward(spec, w, batch)
@@ -155,8 +175,7 @@ def test_duplicated_batch_same_gradients():
     )
     _, g1 = fs.compute_gradients(spec, w, batch)
     _, g2 = fs.compute_gradients(spec, w, doubled)
-    for a, b in zip(g1.arrays(), g2.arrays()):
-        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-16)
+    np.testing.assert_allclose(g1, g2, rtol=1e-13, atol=1e-16)
 
 
 @settings(max_examples=20, deadline=None)
@@ -178,8 +197,7 @@ def test_gradient_linearity_property(seed, n1, n2, input_dim, classes):
     _, g1 = fs.compute_gradients(spec, w, b1)
     _, g2 = fs.compute_gradients(spec, w, b2)
     _, gu = fs.compute_gradients(spec, w, union)
-    for a1, a2, au in zip(g1.arrays(), g2.arrays(), gu.arrays()):
-        np.testing.assert_allclose((n1 * a1 + n2 * a2) / (n1 + n2), au, atol=1e-12)
+    np.testing.assert_allclose((n1 * g1 + n2 * g2) / (n1 + n2), gu, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,14 +210,14 @@ def test_gradient_linearity_property(seed, n1, n2, input_dim, classes):
     hidden=st.sampled_from([(), (7,), (5, 4)]),
 )
 def test_stacked_gradients_equal_per_client_calls(seed, clients, size, input_dim, classes, hidden):
-    # A [K, b, d] batch on [K, ...] weights gives each client exactly the
-    # loss and gradients of its own 2-D call.
+    # A [K, b, d] batch on [K, P] parameters gives each client exactly the
+    # loss and gradients of its own 1-D call.
     spec = NetworkSpec(input_dim, hidden, classes)
     per_client = [fs.init_weights(spec, seed + k) for k in range(clients)]
     for k, w in enumerate(per_client):
-        for b in w.biases:
+        for _, b in fs.layer_views(spec, w):
             b[:] = np.linspace(-0.5, 0.5, b.size) * (k + 1)  # non-zero, distinct per client
-    stacked = fs.map_params(lambda *arrays: np.stack(arrays), *per_client)
+    stacked = np.stack(per_client)
     ds = fs.synthetic(seed, max(clients * size, classes), input_dim, classes)
     features = ds.features[: clients * size].reshape(clients, size, input_dim)
     labels = ds.labels[: clients * size].reshape(clients, size)
@@ -208,23 +226,27 @@ def test_stacked_gradients_equal_per_client_calls(seed, clients, size, input_dim
     for k, w in enumerate(per_client):
         loss, own = fs.compute_gradients(spec, w, Batch(features[k], labels[k]))
         assert losses[k] == loss
-        for a, b in zip(grads.arrays(), own.arrays()):
-            assert np.array_equal(a[k], b)
+        assert np.array_equal(grads[k], own)
 
 
 def test_stacked_shapes_are_checked():
     spec = NetworkSpec(4, (5,), 3)
     w = fs.init_weights(spec, 1)
-    stacked = fs.map_params(lambda a: np.stack([a, a]), w)
+    stacked = np.stack([w, w])
     features, labels = np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(fs.ContractError):
-        fs.compute_gradients(spec, w, Batch(features, labels))  # 2-D weights, 3-D batch
+        fs.compute_gradients(spec, w, Batch(features, labels))  # 1-D parameters, 3-D batch
     with pytest.raises(fs.ContractError):
         fs.compute_gradients(spec, stacked, Batch(features[0], labels[0]))
     with pytest.raises(fs.ContractError):
         fs.compute_gradients(spec, stacked, Batch(np.zeros((3, 3, 4)), np.zeros((3, 3))))
     with pytest.raises(fs.ContractError):
         Batch(features, labels[0])
+    for wrong in (w[:-1], np.append(w, 0.0), stacked[:, 1:], np.float64(0.0)):
+        with pytest.raises(fs.ContractError):
+            fs.layer_views(spec, wrong)  # wrong parameter count
+    with pytest.raises(fs.ContractError):
+        fs.compute_gradients(spec, w[1:], Batch(features[0], labels[0]))
     with pytest.raises(fs.ContractError):
         Batch(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3)))
 
@@ -237,27 +259,23 @@ def test_sgd_step_zero_eta_identity():
     w = fs.init_weights(spec, 2)
     _, g = fs.compute_gradients(spec, w, small_batch(spec, 3, 4))
     out = fs.sgd_step(w, g, 0.0)
-    for a, b in zip(w.arrays(), out.arrays()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(w, out)
 
 
 def test_sgd_step_arithmetic():
-    w = fs.ModelWeights([np.ones((2, 2))], [np.ones(2)])
-    g = fs.ModelWeights([np.full((2, 2), 0.5)], [np.full(2, 0.5)])
+    w = np.ones(2 * 2 + 2)
+    g = np.full(2 * 2 + 2, 0.5)
     out = fs.sgd_step(w, g, 0.1)
-    np.testing.assert_allclose(out.weights[0], 0.95, atol=1e-15)
-    np.testing.assert_allclose(out.biases[0], 0.95, atol=1e-15)
+    np.testing.assert_allclose(out, 0.95, atol=1e-15)
 
 
 def test_sgd_step_two_constant_steps_compose():
     spec = NetworkSpec(3, (), 3)
     w = fs.init_weights(spec, 6)
-    g1 = fs.map_params(lambda a: np.full_like(a, 0.25), w)
-    g2 = fs.map_params(lambda a: np.full_like(a, -0.5), w)
+    g1 = np.full_like(w, 0.25)
+    g2 = np.full_like(w, -0.5)
     stepped = fs.sgd_step(fs.sgd_step(w, g1, 0.2), g2, 0.2)
-    combined = fs.map_params(lambda a, b, c: a - 0.2 * (b + c), w, g1, g2)
-    for a, b in zip(stepped.arrays(), combined.arrays()):
-        np.testing.assert_allclose(a, b, atol=1e-15)
+    np.testing.assert_allclose(stepped, w - 0.2 * (g1 + g2), atol=1e-15)
 
 
 def test_sgd_step_in_place_matches_new_arrays():
@@ -267,10 +285,8 @@ def test_sgd_step_in_place_matches_new_arrays():
     fresh = fs.sgd_step(w, g, 0.3)
     work, scratch = w.copy(), g.copy()
     assert fs.sgd_step(work, scratch, 0.3, out=work) is work
-    for a, b in zip(fresh.arrays(), work.arrays()):
-        assert np.array_equal(a, b)
-    for a, b in zip(g.arrays(), scratch.arrays()):
-        assert np.array_equal(0.3 * a, b)  # the gradients were scaled in place
+    assert np.array_equal(fresh, work)
+    assert np.array_equal(0.3 * g, scratch)  # the gradients were scaled in place
     with pytest.raises(fs.ContractError):
         fs.sgd_step(w, g, 0.3, out=fs.init_weights(NetworkSpec(4, (6,), 3), 2))
 
@@ -291,24 +307,26 @@ def test_sgd_step_shape_mismatch_raises():
 def test_finite_diff_matches_hand_derived_softmax_regression():
     # Single dense layer: grad_W = X^T (P - Y) / n, grad_b = mean(P - Y).
     spec = NetworkSpec(3, (), 2)
-    w = fs.ModelWeights([np.array([[0.2, -0.1], [0.4, 0.3], [-0.5, 0.1]])], [np.array([0.05, -0.2])])
+    weight = np.array([[0.2, -0.1], [0.4, 0.3], [-0.5, 0.1]])
+    bias = np.array([0.05, -0.2])
+    w = np.concatenate([weight.reshape(-1), bias])
     x = np.array([[1.0, 2.0, -1.0], [0.5, -0.5, 0.25]])
     y = np.array([0, 1])
     batch = Batch(x, y)
-    logits = x @ w.weights[0] + w.biases[0]
+    logits = x @ weight + bias
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = shifted / shifted.sum(axis=1, keepdims=True)
     onehot = np.eye(2)[y]
     hand_w = x.T @ (probs - onehot) / 2
     hand_b = (probs - onehot).mean(axis=0)
 
+    hand = np.concatenate([hand_w.reshape(-1), hand_b])
+
     fd = fs.finite_diff_grad(spec, w, batch, 1e-6)
-    np.testing.assert_allclose(fd.weights[0], hand_w, atol=1e-9)
-    np.testing.assert_allclose(fd.biases[0], hand_b, atol=1e-9)
+    np.testing.assert_allclose(fd, hand, atol=1e-9)
 
     _, analytic = fs.compute_gradients(spec, w, batch)
-    np.testing.assert_allclose(analytic.weights[0], hand_w, atol=1e-12)
-    np.testing.assert_allclose(analytic.biases[0], hand_b, atol=1e-12)
+    np.testing.assert_allclose(analytic, hand, atol=1e-12)
 
 
 def test_finite_diff_error_shrinks_with_eps():
@@ -333,7 +351,7 @@ def test_finite_diff_rejects_bad_eps():
 
 def test_evaluate_zero_weights_balanced_set():
     spec = NetworkSpec(6, (4,), 10)
-    zeros = fs.map_params(np.zeros_like, fs.init_weights(spec, 1))
+    zeros = np.zeros(spec.parameter_count)
     ds = fs.synthetic(3, 200, 6, 10)
     loss, accuracy = fs.evaluate(spec, zeros, ds)
     assert abs(loss - math.log(10)) < 1e-12
@@ -343,7 +361,7 @@ def test_evaluate_zero_weights_balanced_set():
 
 def test_evaluate_perfect_predictor():
     spec = NetworkSpec(3, (), 3)
-    w = fs.ModelWeights([np.eye(3) * 200.0], [np.zeros(3)])
+    w = np.concatenate([(np.eye(3) * 200.0).reshape(-1), np.zeros(3)])
     ds = fs.Dataset(np.eye(3), np.array([0, 1, 2]), 3)
     loss, accuracy = fs.evaluate(spec, w, ds)
     assert accuracy == 1.0
@@ -363,7 +381,7 @@ def test_evaluate_matches_scalar_oracle():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf weights on purpose
 def test_evaluate_non_finite_weights_raise():
     spec = NetworkSpec(3, (), 2)
-    w = fs.ModelWeights([np.full((3, 2), np.inf)], [np.zeros(2)])
+    w = np.concatenate([np.full(3 * 2, np.inf), np.zeros(2)])
     ds = fs.Dataset(np.ones((2, 3)), np.array([0, 1]), 2)
     with pytest.raises(fs.ContractError):
         fs.evaluate(spec, w, ds)
