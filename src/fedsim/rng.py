@@ -1,11 +1,13 @@
 """Seeded, portable random number generation.
 
-Every stochastic choice in the package (weight init, shuffles, synthetic
-data) flows through the xoshiro256++ generator implemented here, seeded
-via SplitMix64. Both algorithms are pure 64-bit integer arithmetic, so
-identical seeds give bit-identical streams on every platform and
-interpreter. The platform generators (``random``, ``numpy.random``) are
-deliberately never used.
+Every stochastic choice in the package flows through this module. Weight
+init, synthetic data, the train/test split and the client partitions use
+the xoshiro256++ generator implemented here, seeded via SplitMix64. The
+per-client schedule shuffles use ``shuffle_order``, a counter-based stream
+that hashes each element's counter with the SplitMix64 mixer and sorts by
+the hashes. All of it is pure 64-bit integer arithmetic, so identical seeds
+give bit-identical streams on every platform and interpreter. The platform
+generators (``random``, ``numpy.random``) are deliberately never used.
 """
 
 from __future__ import annotations
@@ -43,6 +45,27 @@ def derive_seed(seed: int, *path: int) -> int:
     for p in path:
         z = _mix64((z + _GOLDEN * ((p & _MASK64) + 1)) & _MASK64)
     return z
+
+
+def shuffle_order(seed: int, n: int) -> np.ndarray:
+    """A permutation of ``range(n)`` from a counter-based stream.
+
+    Element ``i`` gets the key ``derive_seed(seed, i)``, i.e.
+    ``_mix64(seed + GOLDEN * (i + 1))``, computed at once for all ``i`` on a
+    numpy ``uint64`` array, whose arithmetic wraps modulo 2**64 exactly as
+    the masked Python integers do. The permutation is the stable argsort of
+    the keys. The mixer is a bijection and the counters are distinct modulo
+    2**64, so the keys are distinct, and the order depends on the keys alone.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.argsort(z, kind="stable")
 
 
 def _rotl(x: int, k: int) -> int:

@@ -366,6 +366,26 @@ def test_reshuffle_changes_order_preserves_content():
     assert sorted(map(tuple, before.tolist())) == sorted(map(tuple, after.tolist()))
 
 
+def test_schedule_orders_do_not_depend_on_call_order():
+    clients = [fs.ClientDataset(j, fs.synthetic(j, 17 + j, 3, 5)) for j in range(3)]
+
+    def orders(sequence):
+        schedules = [fs.make_schedule(c, 4, 1, 11) for c in clients]
+        seen = {(j, 0): schedules[j].order.copy() for j in range(3)}
+        for j in sequence:
+            schedules[j].reshuffle()
+            seen[(j, schedules[j].reshuffle_count)] = schedules[j].order.copy()
+        return seen
+
+    one_by_one = orders([0, 0, 0, 1, 1, 1, 2, 2, 2])
+    interleaved = orders([2, 0, 1, 1, 2, 0, 0, 2, 1])
+    assert one_by_one.keys() == interleaved.keys()
+    for (j, count), order in one_by_one.items():
+        assert np.array_equal(order, interleaved[(j, count)]), (j, count)
+        fresh = fs.BatchSchedule(clients[j].data, 4, 1, 11, j, reshuffle_count=count)
+        assert np.array_equal(order, fresh.order), (j, count)
+
+
 def test_split_dataset_seeded():
     ds = fs.synthetic(1, 100, 4, 5)
     train, test = fs.split_dataset(ds, 0.25, 3)

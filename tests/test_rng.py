@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedsim.rng import Xoshiro256PP, derive_seed, splitmix64
+from fedsim.rng import (
+    _GOLDEN,
+    _MASK64,
+    Xoshiro256PP,
+    _mix64,
+    derive_seed,
+    shuffle_order,
+    splitmix64,
+)
 
 
 def test_splitmix64_reference_vectors():
@@ -109,3 +119,24 @@ def test_uniform_array_bounds():
     u = Xoshiro256PP(13).uniform_array(5000, -2.0, 3.0)
     assert u.min() >= -2.0
     assert u.max() < 3.0
+
+
+def reference_shuffle_order(seed: int, n: int) -> list[int]:
+    """Python-int keys ``_mix64(seed + GOLDEN * (i + 1))``, sorted stably."""
+    keys = [_mix64((seed + _GOLDEN * (i + 1)) & _MASK64) for i in range(n)]
+    return sorted(range(n), key=lambda i: keys[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_shuffle_order_matches_scalar_oracle(seed, n):
+    order = shuffle_order(seed, n)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.array(reference_shuffle_order(seed, n), dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 300))
+def test_shuffle_order_is_a_permutation(seed, n):
+    order = shuffle_order(seed, n)
+    assert sorted(order.tolist()) == list(range(n))
