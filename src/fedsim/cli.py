@@ -3,7 +3,8 @@
 Verbs:
 
 * ``fedsim run <config.json>`` - run one experiment, write ``<name>.csv``
-  plus a ``<name>.json`` sidecar echoing the fully resolved config.
+  plus a ``<name>.json`` sidecar echoing the fully resolved config and the
+  version of the random streams the run drew from.
 * ``fedsim compare <a.csv> <b.csv> [--epsilon E] [--target-acc X] [--json]``
   - discordance between two runs plus max-accuracy / rounds-to-target.
 * ``fedsim sweep <config.json> --set train.C=1,5,10 [--target-acc X]`` -
@@ -28,6 +29,7 @@ from . import __version__
 from .config import ExperimentConfig, config_from_dict, load_config, run_experiment
 from .errors import ConfigError, ContractError, DataError, FedsimError
 from .metrics import MetricsLog, discordance
+from .rng import STREAM_VERSION
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -71,6 +73,7 @@ def _write_artifacts(config: ExperimentConfig, log: MetricsLog) -> tuple[str, st
         "fedsim_version": __version__,
         "config": log.metadata["config"],
         "metrics_csv": os.path.basename(csv_path),
+        "stream_version": STREAM_VERSION,
     }
     _atomic_write(csv_path, log.to_csv_string())
     _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, DataError
 from .nn import Batch
-from .rng import Xoshiro256PP, derive_seed
+from .rng import Xoshiro256PP, derive_seed, shuffle_order
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -329,11 +329,13 @@ class BatchSchedule:
     batches have ``batch_size`` samples except possibly the last.
     ``num_batches`` (the batch total T) is ``ceil(N / batch_size)``;
     ``window_span`` (f) is ``ceil(T / batch_count)``, the number of rounds
-    needed to sweep the whole list once. ``reshuffle`` draws the next
-    permutation of this client's seed stream; the stream is the pure
-    function ``derive_seed(base_seed, client_index, count)``, so reshuffles
-    never depend on call order. Batches are gathered from ``source`` only
-    when a window is taken.
+    needed to sweep the whole list once. ``reshuffle`` moves to the next
+    permutation of this client's counter-based stream: permutation ``count``
+    is ``shuffle_order(derive_seed(base_seed, client_index, count), N)``,
+    which sorts sample ``i`` by the SplitMix64 hash of the counter
+    ``(base_seed, client_index, count, i)``. Each permutation is a pure
+    function of its counters, so reshuffles never depend on call order.
+    Batches are gathered from ``source`` only when a window is taken.
     """
 
     source: Dataset
@@ -351,7 +353,7 @@ class BatchSchedule:
 
     def _permutation(self) -> np.ndarray:
         seed = derive_seed(self.base_seed, self.client_index, self.reshuffle_count)
-        return Xoshiro256PP(seed).permutation(self.source.n)
+        return shuffle_order(seed, self.source.n)
 
     def _gather(self, first: int, stop: int) -> list[Batch]:
         """Batches ``first`` to ``stop - 1`` of the current permutation."""

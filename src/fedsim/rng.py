@@ -19,6 +19,11 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Version of the streams a seed produces, recorded in every run sidecar.
+# Raised whenever a change alters them; version 2 moved the schedule
+# shuffles from xoshiro256++ Fisher-Yates to ``shuffle_order``.
+STREAM_VERSION = 2
+
 
 def _mix64(z: int) -> int:
     # SplitMix64 output mixer (Steele, Lea & Flood / Vigna).

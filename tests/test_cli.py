@@ -214,6 +214,8 @@ def test_sidecar_alone_reproduces_run(tmp_path):
     assert main(["run", path]) == 0
     csv_first = (tmp_path / "out" / "run.csv").read_bytes()
     sidecar = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert sidecar["stream_version"] == 2
+    assert b"stream_version" not in csv_first
     document = sidecar["config"]
     document["output"]["dir"] = str(tmp_path / "replay")
     replay_path = write_config(tmp_path, document, "replay.json")

@@ -3,8 +3,9 @@
 Each case pins the SHA-256 of its metrics CSV and of the weights passed to
 the last ``round_hook`` call (float64 bytes, layer by layer, weights before
 biases). A refactor that keeps the arithmetic keeps every digest. A change
-that alters the numbers on purpose is a declared stream bump and updates the
-digests in the same change.
+that alters the numbers on purpose is a declared stream bump: it raises
+``fedsim.rng.STREAM_VERSION`` and updates the digests in the same change.
+These digests are of stream version 2.
 
 The digests were taken with numpy 2.4.6 linked against OpenBLAS 0.3.31
 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels) on x86_64 under Python 3.11.
@@ -77,32 +78,32 @@ CASES = {
 # name -> (metrics CSV SHA-256, final weights SHA-256)
 GOLDEN = {
     "centralized_lockstep": (
-        "7363c7d2038a8af12e1addda6b5049c385ed5e14373164f6aa7c8d9bb8a40fcb",
-        "ec33b908f3ff27c2dd32356ac63e12d446e1397e413189476849d076e0d6f8e2",
+        "b6e430a39a16f91e52cd3e074d609515601016829d1fc4f414f493ee6e9a8c62",
+        "c4eac42bcf466eef07dc5c71de24b3f2bd4b4e037390ecf73b3e2801b7ade7d0",
     ),
     "centralized_short_batch": (
-        "78e2bc508fa45b753ae318f53a4728b5a3c1652da819a93f30e896d9d57a2877",
-        "118e695a630154b45da5299f002e3af9af9602cdff1dab275339ed3c162024e7",
+        "5b49550117e3706a253a3d7696ed79aa7ed2833e113573b0c58d7727fae75f55",
+        "b94d6f39f595633cf5e7d4c2296ebc9b1858419b5f27525fed1812c765f9b118",
     ),
     "fedavg_e1": (
-        "7431f693ede2b0b05e23217ca8e46a85ea9205d06b663a233cd5df5ceb66f0ef",
-        "3b172ec809a29157cc18af9c39f02d609d04535107235431412f0d105e6de228",
+        "52c4a9ae40f4204635b46d2a007442fba9e7939ee1c7c55fb7f767d25176cac3",
+        "550309742b516f7ae1e22f1d50985d0d2b79a04ca34a18b4592cd59bbcf70a07",
     ),
     "fedavg_e2_unequal": (
-        "82ed37951feb23fb2e884b28358d0d65442b7713d3002bf8d37976132f946d3d",
-        "d7fde46ebd68d7c0506f93657d394575e2046a98f66437edae90df57f0ec0718",
+        "f8288805511b1866135aba34714a087b418882aa380880455be4fe7973f2017d",
+        "7c8e83de9d27474548286bd70086cc60e1ce3fdef70bb3e117d052ef584021b8",
     ),
     "fedmmb_c1_iid": (
-        "c42873024ef86747d0b411672aaa30d0d9af256d3f37cdb3b8690c4769a9859c",
-        "2023ba9aa60114d9db900d9018de2ce5549835a540c77dd2ae172e219cab8e9f",
+        "758dcbea58662e4f793c1b75c96a4cfcd6d85c463251567b4261eb2fce02f4b3",
+        "5ca20fd74fa48c56938245592e87ef55d0879d1cf6bf3f9011082fc885569e5a",
     ),
     "fedmmb_c3_unequal": (
-        "58e22f5c532cd73d6a37c3d08b6f14c5f9d77c556d36300712db7dd7f04f88b1",
-        "4a348378d669fa0f4a39c0ce17f1b134cc9334b44f7f7755a57fa6388a3f8085",
+        "f5a74b5ce482a68e1aaf3636be502810da0f1da09e8ba89e14edce8299fdf255",
+        "25260b66eff9bc6e202ff4347a9da3b102ebaf0b1b903012f661340277a4e61c",
     ),
     "fedmmb_c_above_total": (
-        "8f66d8bfb623fe5afd502e4112804290c22925b4478c6235ea08667992917424",
-        "062b4b95459594a863cbc9eb33b5b8fa005df7ff9960734bd0b7e47c2b9668a6",
+        "a39384bddfc40f82c99d15099e6983d4e2bb23cabbd03879341012340d8f0b4e",
+        "fbfa33940351eba1ce178a4e235ad8383576d2c67953055a70ff01a8c7b65a83",
     ),
 }
 
