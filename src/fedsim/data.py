@@ -356,10 +356,15 @@ class BatchSchedule:
         return shuffle_order(seed, self.source.n)
 
     def _gather(self, first: int, stop: int) -> list[Batch]:
-        """Batches ``first`` to ``stop - 1`` of the current permutation."""
+        """Batches ``first`` to ``stop - 1`` of the current permutation.
+
+        The rows of all of them are copied out of ``source`` by one fancy
+        index; the batches are views of that copy.
+        """
         b = self.batch_size
-        picks = [self.order[t * b : (t + 1) * b] for t in range(first, stop)]
-        return [Batch(self.source.features[idx], self.source.labels[idx]) for idx in picks]
+        picks = self.order[first * b : stop * b]
+        features, labels = self.source.features[picks], self.source.labels[picks]
+        return [Batch(features[i : i + b], labels[i : i + b]) for i in range(0, picks.size, b)]
 
     @property
     def batches(self) -> list[Batch]:
