@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import tempfile
@@ -46,8 +47,8 @@ class ComparisonSpec:
     target_accuracy: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.target_accuracy is not None and not (0 < self.target_accuracy < 1):
             raise ConfigError("target accuracy must lie in (0, 1)")
 
@@ -71,7 +72,7 @@ def _write_artifacts(config: ExperimentConfig, log: MetricsLog) -> tuple[str, st
     sidecar_path = os.path.join(config.output_dir, config.run_name + ".json")
     sidecar = {
         "fedsim_version": __version__,
-        "config": log.metadata["config"],
+        "config": config.resolved,
         "metrics_csv": os.path.basename(csv_path),
         "stream_version": STREAM_VERSION,
     }

@@ -334,10 +334,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsLog:
     train_set, test_set = build_datasets(config)
     spec = build_spec(config, train_set)
     if config.mode == "centralized":
-        log = run_centralized(config.train, spec, train_set, test_set)
-    else:
-        clients = apply_partition(build_partition_plan(config), train_set)
-        driver = run_fedmmb if config.mode == "fedmmb" else run_fedavg
-        log = driver(config.train, spec, clients, test_set)
-    log.metadata = {"config": copy.deepcopy(config.resolved)}
-    return log
+        return run_centralized(config.train, spec, train_set, test_set)
+    clients = apply_partition(build_partition_plan(config), train_set)
+    driver = run_fedmmb if config.mode == "fedmmb" else run_fedavg
+    return driver(config.train, spec, clients, test_set)

@@ -2,9 +2,9 @@
 
 Partitioners split one dataset across clients either homogeneously (iid)
 or with label skew (noniid_l: every client holds samples of exactly L
-distinct labels). A batch schedule is a client's current shuffle
-permutation plus the windowing state that decides which batches a round
-consumes and when to reshuffle. All functions are pure in (inputs, seed).
+distinct labels). A batch schedule maps a window index to the batches a
+client trains on in that window, a pure function of the index and the
+client's seed. All functions are pure in (inputs, seed).
 """
 
 from __future__ import annotations
@@ -322,19 +322,21 @@ def apply_partition(plan: PartitionPlan, dataset: Dataset) -> list[ClientDataset
 
 @dataclass
 class BatchSchedule:
-    """A client's shuffle permutation plus its windowing state.
+    """A client's batch windows, each a pure function of its index.
 
-    Batch ``t`` is the samples at positions ``t * batch_size`` to
-    ``(t + 1) * batch_size - 1`` of the permutation ``order``, so all
-    batches have ``batch_size`` samples except possibly the last.
-    ``num_batches`` (the batch total T) is ``ceil(N / batch_size)``;
-    ``window_span`` (f) is ``ceil(T / batch_count)``, the number of rounds
-    needed to sweep the whole list once. ``reshuffle`` moves to the next
-    permutation of this client's counter-based stream: permutation ``count``
-    is ``shuffle_order(derive_seed(base_seed, client_index, count), N)``,
-    which sorts sample ``i`` by the SplitMix64 hash of the counter
-    ``(base_seed, client_index, count, i)``. Each permutation is a pure
-    function of its counters, so reshuffles never depend on call order.
+    The batch total T (``num_batches``) is ``ceil(N / batch_size)``, and the
+    window span f (``window_span``) is ``ceil(T / batch_count)``, the number
+    of windows that sweep the whole batch list once. Window ``i`` is window
+    ``i % f`` of sweep ``i // f`` (``batch_window`` gives its batch range).
+    Sweep ``s`` orders the client's samples by the permutation
+    ``shuffle_order(derive_seed(base_seed, client_index, s), N)``, which
+    sorts sample ``j`` by the SplitMix64 hash of the counter
+    ``(base_seed, client_index, s, j)``; batch ``t`` of the sweep is the
+    samples at positions ``t * batch_size`` to ``(t + 1) * batch_size - 1``
+    of it, so all batches have ``batch_size`` samples except possibly the
+    last. A window therefore never depends on which windows were taken
+    before it, or in what order. The last permutation drawn is kept, keyed
+    by its sweep, so taking the windows in order draws once per sweep.
     Batches are gathered from ``source`` only when a window is taken.
     """
 
@@ -343,33 +345,13 @@ class BatchSchedule:
     batch_count: int
     base_seed: int
     client_index: int
-    reshuffle_count: int = 0
-    order: np.ndarray = field(init=False, repr=False)
+    _drawn: tuple[int, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.batch_count < 1:
             raise ContractError("batch size and batch count must be positive")
-        self.order = self._permutation()
-
-    def _permutation(self) -> np.ndarray:
-        seed = derive_seed(self.base_seed, self.client_index, self.reshuffle_count)
-        return shuffle_order(seed, self.source.n)
-
-    def _gather(self, first: int, stop: int) -> list[Batch]:
-        """Batches ``first`` to ``stop - 1`` of the current permutation.
-
-        The rows of all of them are copied out of ``source`` by one fancy
-        index; the batches are views of that copy.
-        """
-        b = self.batch_size
-        picks = self.order[first * b : stop * b]
-        features, labels = self.source.features[picks], self.source.labels[picks]
-        return [Batch(features[i : i + b], labels[i : i + b]) for i in range(0, picks.size, b)]
-
-    @property
-    def batches(self) -> list[Batch]:
-        """The whole current batch list, in order (a fresh copy each call)."""
-        return self._gather(0, self.num_batches)
 
     @property
     def num_batches(self) -> int:
@@ -379,27 +361,30 @@ class BatchSchedule:
     def window_span(self) -> int:
         return math.ceil(self.num_batches / self.batch_count)
 
-    def reshuffle(self) -> None:
-        self.reshuffle_count += 1
-        self.order = self._permutation()
+    def _order(self, sweep: int) -> np.ndarray:
+        if self._drawn is None or self._drawn[0] != sweep:
+            seed = derive_seed(self.base_seed, self.client_index, sweep)
+            self._drawn = (sweep, shuffle_order(seed, self.source.n))
+        return self._drawn[1]
 
     def take_window(self, index: int) -> list[Batch]:
         """The batches of window ``index`` (see ``batch_window``), in training order.
 
-        Reshuffles once the window that completes a sweep has been taken.
+        The rows of all of them are copied out of ``source`` by one fancy
+        index; the batches are views of that copy.
         """
-        p, q, reshuffle_after = batch_window(self, index)
-        window = self._gather(p, q + 1)
-        if reshuffle_after:
-            self.reshuffle()
-        return window
+        p, q, _ = batch_window(self, index)
+        b = self.batch_size
+        picks = self._order(index // self.window_span)[p * b : (q + 1) * b]
+        features, labels = self.source.features[picks], self.source.labels[picks]
+        return [Batch(features[i : i + b], labels[i : i + b]) for i in range(0, picks.size, b)]
 
 
 def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed: int) -> BatchSchedule:
-    """Shuffle and split a client's data into batches of ``batch_size``.
+    """A client's schedule of shuffled batches of ``batch_size``.
 
     All batches have exactly ``batch_size`` samples except possibly the
-    last, which may be smaller.
+    last of each sweep, which may be smaller.
     """
     if client.data.n < 1:
         raise DataError("cannot schedule an empty client dataset")
@@ -413,14 +398,15 @@ def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed
 
 
 def batch_window(schedule: BatchSchedule, round_index: int) -> tuple[int, int, bool]:
-    """Inclusive batch-index window ``(p, q)`` for a round, plus the reshuffle flag.
+    """Inclusive batch-index window ``(p, q)`` for a round, plus the end-of-sweep flag.
 
     Successive rounds slide a window of ``batch_count`` batches across the
-    shuffled list; the last window of a sweep is clipped to the list end and
-    triggers a reshuffle once the round completes.
+    shuffled list: ``p = (i mod f) * C`` and ``q = min(p + C - 1, T - 1)``.
+    The last window of a sweep is clipped to the list end, and the flag
+    marks it; the next window starts the next sweep, on a fresh permutation.
     """
     span = schedule.window_span
     p = (round_index % span) * schedule.batch_count
     q = min(p + schedule.batch_count - 1, schedule.num_batches - 1)
-    reshuffle_after = (round_index + 1) % span == 0
-    return p, q, reshuffle_after
+    last_of_sweep = (round_index + 1) % span == 0
+    return p, q, last_of_sweep

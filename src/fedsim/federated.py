@@ -70,6 +70,8 @@ class TrainingConfig:
             )
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be at least 1")
+        if self.clients is not None and self.clients < 1:
+            raise ConfigError("clients must be at least 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.eval_every < 1 or self.max_rounds % self.eval_every != 0:
@@ -126,10 +128,11 @@ def client_update_mmb(
     Each client starts from the broadcast global weights and takes one SGD
     step per batch of this round's ``windows`` batch windows, in order.
     Round ``i`` takes windows ``i * windows`` to ``i * windows + windows - 1``
-    of each schedule, which reshuffles after each window that completes a
-    sweep of its batch list. A whole-list schedule therefore runs
-    ``windows`` local epochs, epoch k of round i on permutation
-    ``i * windows + k`` of the client's seed stream.
+    of each schedule. A window is a pure function of its index, so the
+    round reads no state that earlier rounds left behind. A whole-list
+    schedule (one window per sweep) therefore runs ``windows`` local
+    epochs, epoch k of round i on permutation ``i * windows + k`` of the
+    client's seed stream.
 
     Client ``j`` trains in row ``j`` of ``stack`` (``[K, parameter_count]``;
     a fresh one when omitted), updated in place. At step ``s`` the clients
@@ -226,7 +229,7 @@ def _run_rounds(
     weights = init_weights(spec, config.seeds.init)
     stack = np.empty((len(schedules), weights.size))
     cost = comm_cost(config, spec)
-    log = MetricsLog(metadata=_run_metadata(config, spec))
+    log = MetricsLog()
     local_updates = 0
     for i in range(config.max_rounds):
         reports = client_update_mmb(
@@ -351,8 +354,8 @@ def run_centralized(
     This is the round loop with one client, one single-batch window per
     round and no traffic; aggregating a single report returns its weights.
     In the default (free-running) mode the train set is shuffled and split
-    into batches of ``config.batch_size``, consumed one per iteration with a
-    reshuffle after each full sweep. With a ``lockstep`` plan the batches
+    into batches of ``config.batch_size``, consumed one per iteration, on a
+    fresh permutation each sweep. With a ``lockstep`` plan the batches
     come from the plan's clients instead and ``train_set`` is ignored.
     """
     if config.mode != "centralized":
@@ -371,25 +374,3 @@ def run_centralized(
         )
     return _run_rounds(config, spec, [schedule], 1, test_set, round_hook)
 
-
-def _run_metadata(config: TrainingConfig, spec: NetworkSpec) -> dict:
-    return {
-        "mode": config.mode,
-        "learning_rate": config.learning_rate,
-        "max_rounds": config.max_rounds,
-        "eval_every": config.eval_every,
-        "batch_size": config.batch_size,
-        "batch_count": config.batch_count,
-        "local_epochs": config.local_epochs,
-        "clients": config.clients,
-        "seeds": {
-            "init": config.seeds.init,
-            "shuffle": config.seeds.shuffle,
-            "partition": config.seeds.partition,
-        },
-        "model": {
-            "input_dim": spec.input_dim,
-            "hidden": list(spec.hidden),
-            "output_dim": spec.output_dim,
-        },
-    }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -25,12 +26,9 @@ class MetricsLog:
     """Per-evaluated-round metrics for one training run.
 
     Rows are strictly increasing in round number, one per evaluated round.
-    ``metadata`` echoes the run configuration; it travels in the JSON
-    sidecar, never in the CSV.
     """
 
     rows: list[MetricsRow] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def append(self, row: MetricsRow) -> None:
         if self.rows and row.round <= self.rows[-1].round:
@@ -115,8 +113,8 @@ def discordance(fed: MetricsLog, cent: MetricsLog, epsilon: float) -> Discordanc
     The two logs must have been evaluated at identical rounds; the runs are
     declared concordant when the mean squared gap stays below ``epsilon``.
     """
-    if epsilon <= 0:
-        raise DataError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DataError(f"epsilon must be finite and positive, got {epsilon}")
     if fed.rounds() != cent.rounds():
         raise DataError("metrics logs do not share the same evaluated rounds")
     if not fed.rows:

@@ -43,8 +43,8 @@ def derive_seed(seed: int, *path: int) -> int:
 
     The derivation is a fixed pure function: each label ``p`` is folded in
     as one SplitMix64 round of ``state + GOLDEN * (p + 1)``. It gives every
-    (client index, reshuffle counter) pair its own stream with no generator
-    state shared between callers, so results never depend on call order.
+    (client index, sweep) pair its own stream with no generator state
+    shared between callers, so results never depend on call order.
     """
     z = seed & _MASK64
     for p in path:

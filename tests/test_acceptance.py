@@ -16,7 +16,7 @@ import pytest
 import fedsim as fs
 from fedsim.cli import main
 from fedsim.data import synthetic_split
-from fedsim.rng import Xoshiro256PP, derive_seed
+from fedsim.rng import Xoshiro256PP, derive_seed, shuffle_order
 
 from helpers import (
     balanced_subset,
@@ -265,13 +265,22 @@ def test_acceptance_7_accounting_identities():
     spec = fs.NetworkSpec(4, (6,), 5)
     w = fs.init_weights(spec, 1)
 
-    # FedAvg: mu_j = E * ceil(N_j / B).
+    # FedAvg: mu_j = E * ceil(N_j / B), and epoch e of round 0 trains on
+    # permutation e of the client's shuffle stream (seed 2, client 0).
     for n, batch_size, epochs in ((100, 10, 1), (95, 10, 2), (7, 3, 4)):
-        client = fs.ClientDataset(0, fs.synthetic(3, n, 4, 5))
-        schedule = fs.make_schedule(client, batch_size, -(-n // batch_size), 2)
+        data = fs.synthetic(3, n, 4, 5)
+        schedule = fs.make_schedule(fs.ClientDataset(0, data), batch_size, -(-n // batch_size), 2)
         [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.01, windows=epochs)
         assert report.local_updates == epochs * -(-n // batch_size)
-        assert schedule.reshuffle_count == epochs  # one reshuffle per epoch
+        local = w
+        for e in range(epochs):
+            order = shuffle_order(derive_seed(2, 0, e), n)
+            for start in range(0, n, batch_size):
+                rows = order[start : start + batch_size]
+                batch = fs.Batch(data.features[rows], data.labels[rows])
+                _, grads = fs.compute_gradients(spec, local, batch)
+                local = fs.sgd_step(local, grads, 0.01)
+        assert np.array_equal(report.local_weights, local)
 
     # Windowed client: per-round update counts follow the window sizes.
     client = fs.ClientDataset(0, fs.synthetic(3, 100, 4, 5))

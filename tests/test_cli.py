@@ -86,6 +86,8 @@ def test_run_rejects_unknown_keys(tmp_path):
         ("partition", {"kind": "noniid_l", "L": "2"}),
         ("train", {"eta": float("nan")}),
         ("train", {"eta": float("inf")}),
+        ("train", {"K": 0}),
+        ("train", {"K": -1}),
     ]
     for section, values in malformed:
         document = base_config(tmp_path)
@@ -323,6 +325,14 @@ def test_compare_higher_batch_count_reaches_target_sooner(tmp_path, capsys):
     second = payload["log_b"]["rounds_to_target"]
     assert first != "never" and second != "never"
     assert second < first
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_compare_rejects_epsilon_that_is_not_finite_and_positive(tmp_path, capsys, epsilon):
+    csv_path = run_and_get_csv(tmp_path, "eps")
+    capsys.readouterr()
+    assert main(["compare", csv_path, csv_path, "--json", f"--epsilon={epsilon}"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_mismatched_rounds_exits_3(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fedsim as fs
 from fedsim.data import synthetic_split
+from fedsim.rng import shuffle_order
 
 from helpers import make_image_blobs, mnist_idx_paths, write_idx_pair
 
@@ -293,6 +294,12 @@ def make_client(n: int, seed: int = 0) -> fs.ClientDataset:
     return fs.ClientDataset(0, fs.synthetic(seed, n, 3, 5))
 
 
+def sweep_batches(schedule: fs.BatchSchedule, sweep: int) -> list[fs.Batch]:
+    """The batches of every window of one sweep, in training order."""
+    span = schedule.window_span
+    return [b for i in range(sweep * span, (sweep + 1) * span) for b in schedule.take_window(i)]
+
+
 def test_make_schedule_counts():
     schedule = fs.make_schedule(make_client(100), 10, 3, 1)
     assert schedule.num_batches == 10
@@ -301,7 +308,7 @@ def test_make_schedule_counts():
 
 def test_make_schedule_last_batch_smaller():
     schedule = fs.make_schedule(make_client(95), 10, 1, 1)
-    sizes = [b.size for b in schedule.batches]
+    sizes = [b.size for b in sweep_batches(schedule, 0)]
     assert sizes == [10] * 9 + [5]
 
 
@@ -314,10 +321,15 @@ def test_make_schedule_full_batch():
 def test_schedule_covers_client_exactly():
     client = make_client(23, seed=4)
     schedule = fs.make_schedule(client, 5, 2, 9)
-    total = sum(b.size for b in schedule.batches)
-    assert total == 23
-    stacked = np.concatenate([b.features for b in schedule.batches])
-    assert multiset(fs.Dataset(stacked, np.concatenate([b.labels for b in schedule.batches]), 5)) == multiset(client.data)
+    for sweep in range(3):
+        batches = sweep_batches(schedule, sweep)
+        assert sum(b.size for b in batches) == 23
+        stacked = fs.Dataset(
+            np.concatenate([b.features for b in batches]),
+            np.concatenate([b.labels for b in batches]),
+            5,
+        )
+        assert multiset(stacked) == multiset(client.data)
 
 
 def test_batch_window_documented_sequence():
@@ -359,9 +371,8 @@ def test_batch_window_tiles_every_sweep(n, batch_size, batch_count):
 def test_reshuffle_changes_order_preserves_content():
     client = make_client(30, seed=2)
     schedule = fs.make_schedule(client, 5, 1, 7)
-    before = np.concatenate([b.features for b in schedule.batches])
-    schedule.reshuffle()
-    after = np.concatenate([b.features for b in schedule.batches])
+    before = np.concatenate([b.features for b in sweep_batches(schedule, 0)])
+    after = np.concatenate([b.features for b in sweep_batches(schedule, 1)])
     assert not np.array_equal(before, after)
     assert sorted(map(tuple, before.tolist())) == sorted(map(tuple, after.tolist()))
 
@@ -369,21 +380,44 @@ def test_reshuffle_changes_order_preserves_content():
 def test_schedule_orders_do_not_depend_on_call_order():
     clients = [fs.ClientDataset(j, fs.synthetic(j, 17 + j, 3, 5)) for j in range(3)]
 
-    def orders(sequence):
+    def sweeps(sequence):
         schedules = [fs.make_schedule(c, 4, 1, 11) for c in clients]
-        seen = {(j, 0): schedules[j].order.copy() for j in range(3)}
-        for j in sequence:
-            schedules[j].reshuffle()
-            seen[(j, schedules[j].reshuffle_count)] = schedules[j].order.copy()
-        return seen
+        return {
+            (j, sweep): np.concatenate([b.features for b in sweep_batches(schedules[j], sweep)])
+            for j, sweep in sequence
+        }
 
-    one_by_one = orders([0, 0, 0, 1, 1, 1, 2, 2, 2])
-    interleaved = orders([2, 0, 1, 1, 2, 0, 0, 2, 1])
+    one_by_one = sweeps([(j, sweep) for j in range(3) for sweep in range(4)])
+    interleaved = sweeps(
+        [(2, 3), (0, 1), (1, 0), (1, 3), (2, 0), (0, 3), (0, 0), (2, 1), (1, 1), (0, 2), (1, 2), (2, 2)]
+    )
     assert one_by_one.keys() == interleaved.keys()
-    for (j, count), order in one_by_one.items():
-        assert np.array_equal(order, interleaved[(j, count)]), (j, count)
-        fresh = fs.BatchSchedule(clients[j].data, 4, 1, 11, j, reshuffle_count=count)
-        assert np.array_equal(order, fresh.order), (j, count)
+    for (j, sweep), features in one_by_one.items():
+        assert np.array_equal(features, interleaved[(j, sweep)]), (j, sweep)
+        # Sweep s of client j is permutation s of the client's counter stream.
+        order = shuffle_order(fs.derive_seed(11, j, sweep), clients[j].data.n)
+        assert np.array_equal(features, clients[j].data.features[order]), (j, sweep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(5, 40),
+    batch_size=st.integers(1, 8),
+    batch_count=st.integers(1, 8),
+    indices=st.lists(st.integers(0, 30), min_size=1, max_size=10),
+)
+def test_take_window_is_pure_in_its_index(n, batch_size, batch_count, indices):
+    client = make_client(n)
+    schedule = fs.make_schedule(client, batch_size, batch_count, 3)
+    # Each index is taken again in reverse, so the sequence has repeats and
+    # runs out of order.
+    for i in indices + indices[::-1]:
+        got = schedule.take_window(i)
+        want = fs.make_schedule(client, batch_size, batch_count, 3).take_window(i)
+        assert len(got) == len(want), i
+        for a, b in zip(got, want):
+            assert np.array_equal(a.features, b.features), i
+            assert np.array_equal(a.labels, b.labels), i
 
 
 def test_split_dataset_seeded():

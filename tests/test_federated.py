@@ -390,6 +390,13 @@ def test_discordance_arithmetic():
     assert verdict.rounds_compared == 2
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0])
+def test_discordance_rejects_epsilon_that_is_not_finite_and_positive(epsilon):
+    log = make_log([0.5, 0.4])
+    with pytest.raises(fs.DataError):
+        fs.discordance(log, log, epsilon=epsilon)
+
+
 def test_discordance_mismatched_rounds_raise():
     a = make_log([1.0, 2.0])
     b = make_log([1.0, 2.0], rounds=[1, 3])

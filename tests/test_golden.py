@@ -8,9 +8,11 @@ that alters the numbers on purpose is a declared stream bump: it raises
 These digests are of stream version 2.
 
 The digests were taken with numpy 2.4.6 linked against OpenBLAS 0.3.31
-(scipy-openblas, DYNAMIC_ARCH, Haswell kernels) on x86_64 under Python 3.11.
-Another BLAS build may round matrix products differently and fail these
-tests with no change to fedsim.
+(scipy-openblas, DYNAMIC_ARCH) under Python 3.11 on an x86_64 CPU with
+AVX512, where DYNAMIC_ARCH picks the SkylakeX kernels. Other kernels may
+round matrix products differently and fail these tests with no change to
+fedsim: under ``OPENBLAS_CORETYPE=Haswell``, ``centralized_lockstep``
+fails and the other six cases pass.
 """
 
 import hashlib
