@@ -146,30 +146,33 @@ def load_csv(path: str, num_classes: int, header: bool = False) -> Dataset:
         f = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read CSV {path}: {exc}") from exc
-    with f:
-        reader = csv.reader(f)
-        for lineno, cells in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not cells:
-                continue
-            if len(cells) < 2:
-                raise DataError(f"{path}:{lineno}: need a label and at least one feature")
-            try:
-                label = int(cells[0])
-                values = [float(c) for c in cells[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise DataError(f"{path}:{lineno}: non-finite feature (nan or inf)")
-            if not (0 <= label < num_classes):
-                raise DataError(f"{path}:{lineno}: label {label} out of range")
-            if rows and len(values) != len(rows[0]):
-                raise DataError(
-                    f"{path}:{lineno}: ragged row ({len(values)} features, expected {len(rows[0])})"
-                )
-            rows.append(values)
-            labels.append(label)
+    try:
+        with f:
+            for lineno, cells in enumerate(csv.reader(f), start=1):
+                if header and lineno == 1:
+                    continue
+                if not cells:
+                    continue
+                if len(cells) < 2:
+                    raise DataError(f"{path}:{lineno}: need a label and at least one feature")
+                try:
+                    label = int(cells[0])
+                    values = [float(c) for c in cells[1:]]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
+                if not all(math.isfinite(v) for v in values):
+                    raise DataError(f"{path}:{lineno}: non-finite feature (nan or inf)")
+                if not (0 <= label < num_classes):
+                    raise DataError(f"{path}:{lineno}: label {label} out of range")
+                if rows and len(values) != len(rows[0]):
+                    raise DataError(
+                        f"{path}:{lineno}: ragged row"
+                        f" ({len(values)} features, expected {len(rows[0])})"
+                    )
+                rows.append(values)
+                labels.append(label)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot parse CSV {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), num_classes)
@@ -367,17 +370,28 @@ class BatchSchedule:
             self._drawn = (sweep, shuffle_order(seed, self.source.n))
         return self._drawn[1]
 
-    def take_window(self, index: int) -> list[Batch]:
-        """The batches of window ``index`` (see ``batch_window``), in training order.
+    def window_rows(self, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Window ``index`` (see ``batch_window``) as rows of ``source``.
 
-        The rows of all of them are copied out of ``source`` by one fancy
-        index; the batches are views of that copy.
+        Returns the source row of every sample of the window, in training
+        order, and the sizes of its batches, which take those rows in
+        consecutive runs.
         """
         p, q, _ = batch_window(self, index)
         b = self.batch_size
-        picks = self._order(index // self.window_span)[p * b : (q + 1) * b]
-        features, labels = self.source.features[picks], self.source.labels[picks]
-        return [Batch(features[i : i + b], labels[i : i + b]) for i in range(0, picks.size, b)]
+        rows = self._order(index // self.window_span)[p * b : (q + 1) * b]
+        return rows, (b,) * (q - p) + (rows.size - (q - p) * b,)
+
+    def take_window(self, index: int) -> list[Batch]:
+        """The batches of window ``index``, in training order.
+
+        The rows of all of them are copied out of ``source`` by one fancy
+        index (``window_rows``); the batches are views of that copy.
+        """
+        rows, sizes = self.window_rows(index)
+        features, labels = self.source.features[rows], self.source.labels[rows]
+        starts = np.cumsum((0,) + sizes[:-1])
+        return [Batch(features[o : o + z], labels[o : o + z]) for o, z in zip(starts, sizes)]
 
 
 def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed: int) -> BatchSchedule:

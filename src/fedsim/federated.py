@@ -17,7 +17,7 @@ shadow clients, with zero bytes exchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,16 @@ import numpy as np
 from .data import BatchSchedule, ClientDataset, Dataset, make_schedule
 from .errors import ConfigError, ContractError
 from .metrics import MetricsLog, MetricsRow, comm_cost
-from .nn import Batch, NetworkSpec, compute_gradients, evaluate, init_weights, sgd_step
+from .nn import (
+    NetworkSpec,
+    _descend,
+    _gradients_into,
+    _one_hot,
+    _require_data,
+    evaluate,
+    init_weights,
+    layer_views,
+)
 
 MODES = ("fedmmb", "fedavg", "centralized")
 
@@ -114,6 +123,76 @@ class RoundReport:
             raise ContractError("a round report must cover at least one sample")
 
 
+class StepPlan:
+    """What every local step of a run reuses, built once per run.
+
+    It holds the client stack (``[K, parameter_count]``, client ``j`` in
+    row ``j``), one gradient buffer of the same shape, the layer views of
+    both, and gather buffers for a round's window rows. Building it checks
+    each schedule's source against the spec (feature width, label range)
+    and keeps the source's labels as one-hot rows, so no step checks or
+    converts a batch again.
+    """
+
+    def __init__(self, spec: NetworkSpec, schedules: list, stack: np.ndarray | None = None):
+        self.spec = spec
+        self.features = []
+        self.targets = []
+        for schedule in schedules:
+            source = schedule.source
+            _require_data(spec, source.features, source.labels)
+            self.features.append(source.features)
+            self.targets.append(_one_hot(source.labels, spec.output_dim))
+        k = len(schedules)
+        if stack is None:
+            stack = np.empty((k, spec.parameter_count))
+        elif stack.shape != (k, spec.parameter_count):
+            raise ContractError(f"a stack of shape {stack.shape} does not hold {k} clients")
+        self.stack = stack
+        self.grads = np.empty_like(stack)
+        self.layers = layer_views(spec, stack)
+        self.grad_layers = layer_views(spec, self.grads)
+        self._x = np.empty((k, 0, spec.input_dim))
+        self._t = np.empty((k, 0, spec.output_dim))
+
+    def gather(self, rows: list[np.ndarray]) -> None:
+        """Copy rows ``rows[j]`` of client ``j``'s source to the front of its gather buffers."""
+        n = max(r.size for r in rows)
+        if self._x.shape[1] < n:
+            self._x = np.empty((len(rows), n, self.spec.input_dim))
+            self._t = np.empty((len(rows), n, self.spec.output_dim))
+        for j, r in enumerate(rows):
+            # The rows come from a permutation of the source, so they are in
+            # range; "clip" lets np.take write into ``out`` without a buffer.
+            np.take(self.features[j], r, axis=0, out=self._x[j, : r.size], mode="clip")
+            np.take(self.targets[j], r, axis=0, out=self._t[j, : r.size], mode="clip")
+
+    def step(self, members: list[int], starts: list[int], size: int, eta: float) -> None:
+        """One SGD step of clients ``members`` on batches of ``size`` gathered rows.
+
+        Member ``i``'s batch starts at row ``starts[i]`` of its gather
+        buffers. When the group is every client at a common offset, its
+        batch is a view of the gather buffers and it trains in the stack
+        itself. Any other group's rows and parameters are copied out, and
+        its new parameters written back.
+        """
+        o = starts[0]
+        everyone = len(members) == len(self.features)
+        if everyone and starts.count(o) == len(starts):
+            x, t = self._x[:, o : o + size], self._t[:, o : o + size]
+        else:
+            picks = (np.array(members)[:, None], np.add.outer(starts, np.arange(size)))
+            x, t = self._x[picks], self._t[picks]
+        if everyone:
+            _gradients_into(self.layers, self.grad_layers, x, t)
+            _descend(self.stack, self.grads, eta, out=self.stack)
+            return
+        local = self.stack[members]
+        grads = np.empty_like(local)
+        _gradients_into(layer_views(self.spec, local), layer_views(self.spec, grads), x, t)
+        self.stack[members] = _descend(local, grads, eta, out=local)
+
+
 def client_update_mmb(
     spec: NetworkSpec,
     round_index: int,
@@ -122,6 +201,7 @@ def client_update_mmb(
     eta: float,
     windows: int = 1,
     stack: np.ndarray | None = None,
+    plan: StepPlan | None = None,
 ) -> list[RoundReport]:
     """Every client's local training for one round, run as one stacked batch.
 
@@ -134,51 +214,42 @@ def client_update_mmb(
     epochs, epoch k of round i on permutation ``i * windows + k`` of the
     client's seed stream.
 
-    Client ``j`` trains in row ``j`` of ``stack`` (``[K, parameter_count]``;
-    a fresh one when omitted), updated in place. At step ``s`` the clients
-    whose batch ``s`` has the same size train together, one gradient
-    computation for the group; a client whose window has no batch ``s``
-    sits the step out. The reports, one per schedule in order, hold views
-    of ``stack``.
+    Client ``j`` trains in row ``j`` of the ``plan``'s stack; without a
+    plan, one is built here around ``stack`` (``[K, parameter_count]``; a
+    fresh one when omitted). The round's rows of each client are copied
+    out of its source once. At step ``s`` the clients whose batch ``s`` has
+    the same size train together, one gradient computation for the group;
+    a client whose windows have no batch ``s`` sits the step out. The
+    reports, one per schedule in order, hold views of the stack.
     """
     if windows < 1:
         raise ContractError("a client update needs at least one window")
-    k = len(schedules)
-    if stack is None:
-        stack = np.empty((k, global_weights.size))
-    stack[...] = global_weights
-    steps = [
-        [
-            batch
-            for e in range(windows)
-            for batch in schedule.take_window(round_index * windows + e)
-        ]
-        for schedule in schedules
-    ]
-    for s in range(max(map(len, steps))):
+    if eta < 0:
+        raise ContractError("learning rate must be non-negative")
+    if plan is None:
+        plan = StepPlan(spec, schedules, stack)
+    elif stack is not None:
+        raise ContractError("pass a stack or a plan, not both")
+    plan.stack[...] = global_weights
+    rows, sizes = [], []
+    for schedule in schedules:
+        parts = [schedule.window_rows(round_index * windows + e) for e in range(windows)]
+        rows.append(np.concatenate([r for r, _ in parts]))
+        sizes.append([z for _, zs in parts for z in zs])
+    plan.gather(rows)
+    starts = [0] * len(schedules)
+    for s in range(max(map(len, sizes))):
         groups: dict[int, list[int]] = {}
-        for j, batches in enumerate(steps):
+        for j, batches in enumerate(sizes):
             if s < len(batches):
-                groups.setdefault(batches[s].size, []).append(j)
-        for members in groups.values():
-            everyone = len(members) == k
-            local = stack if everyone else stack[members]
-            batch = Batch(
-                np.stack([steps[j][s].features for j in members]),
-                np.stack([steps[j][s].labels for j in members]),
-            )
-            _, grads = compute_gradients(spec, local, batch)
-            sgd_step(local, grads, eta, out=local)
-            if not everyone:
-                stack[members] = local
+                groups.setdefault(batches[s], []).append(j)
+        for size, members in groups.items():
+            plan.step(members, [starts[j] for j in members], size, eta)
+            for j in members:
+                starts[j] += size
     return [
-        RoundReport(
-            schedule.client_index,
-            stack[j],
-            sum(batch.size for batch in batches),
-            len(batches),
-        )
-        for j, (schedule, batches) in enumerate(zip(schedules, steps))
+        RoundReport(schedule.client_index, plan.stack[j], r.size, len(z))
+        for j, (schedule, r, z) in enumerate(zip(schedules, rows, sizes))
     ]
 
 
@@ -222,18 +293,19 @@ def _run_rounds(
     """The one round loop: every schedule's client update, aggregate, evaluate, hook.
 
     ``schedules`` holds one batch source per client, in ascending client
-    order; each needs a ``client_index`` and a ``take_window`` method. The
-    clients train in one stack allocated here, once per run; ``aggregate``
-    returns a new array, so the weights the hook sees never alias it.
+    order; each needs a ``client_index``, a ``source`` dataset and a
+    ``window_rows`` method. The clients train in the stack of one step plan
+    built here, once per run; ``aggregate`` returns a new array, so the
+    weights the hook sees never alias it.
     """
+    plan = StepPlan(spec, schedules)
     weights = init_weights(spec, config.seeds.init)
-    stack = np.empty((len(schedules), weights.size))
     cost = comm_cost(config, spec)
     log = MetricsLog()
     local_updates = 0
     for i in range(config.max_rounds):
         reports = client_update_mmb(
-            spec, i, weights, schedules, config.learning_rate, windows, stack
+            spec, i, weights, schedules, config.learning_rate, windows, plan=plan
         )
         local_updates += sum(r.local_updates for r in reports)
         weights = aggregate(reports)
@@ -326,19 +398,33 @@ class LockstepPlan:
 
 @dataclass
 class _LockstepSchedule:
-    """A one-client batch source whose window ``i`` is the lockstep batch of round ``i``."""
+    """A one-client batch source whose window ``i`` is the lockstep batch of round ``i``.
+
+    Its source is the shadows' sources, concatenated once; window ``i`` is
+    one batch of every shadow's rows of its window ``i``, in shadow order.
+    """
 
     shadows: list[BatchSchedule]
     client_index: int = 0
+    source: Dataset = field(init=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
 
-    def take_window(self, index: int) -> list[Batch]:
-        parts = [batch for s in self.shadows for batch in s.take_window(index)]
-        return [
-            Batch(
-                np.concatenate([b.features for b in parts]),
-                np.concatenate([b.labels for b in parts]),
-            )
-        ]
+    def __post_init__(self) -> None:
+        sources = [s.source for s in self.shadows]
+        if len({d.input_dim for d in sources}) != 1:
+            raise ContractError("lockstep clients must share one feature width")
+        self.source = Dataset(
+            np.concatenate([d.features for d in sources]),
+            np.concatenate([d.labels for d in sources]),
+            max(d.num_classes for d in sources),
+        )
+        self._offsets = np.cumsum([0] + [d.n for d in sources[:-1]])
+
+    def window_rows(self, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
+        rows = np.concatenate(
+            [s.window_rows(index)[0] + o for s, o in zip(self.shadows, self._offsets)]
+        )
+        return rows, (rows.size,)
 
 
 def run_centralized(

@@ -21,6 +21,17 @@ class MetricsRow:
     cum_bytes: int
 
 
+def _check_row(row: MetricsRow, line: str) -> None:
+    """Reject cells no run writes: ``evaluate`` raises before logging such values."""
+    losses = (row.test_loss,) if row.train_loss is None else (row.test_loss, row.train_loss)
+    if not all(math.isfinite(v) for v in losses):
+        raise DataError(f"non-finite loss in metrics row: {line!r}")
+    if not 0.0 <= row.test_accuracy <= 1.0:
+        raise DataError(f"accuracy outside [0, 1] in metrics row: {line!r}")
+    if min(row.round, row.cum_local_updates, row.cum_bytes) < 0:
+        raise DataError(f"negative count in metrics row: {line!r}")
+
+
 @dataclass
 class MetricsLog:
     """Per-evaluated-round metrics for one training run.
@@ -74,18 +85,18 @@ class MetricsLog:
             if len(cells) != 6:
                 raise DataError(f"malformed metrics row: {ln!r}")
             try:
-                log.append(
-                    MetricsRow(
-                        round=int(cells[0]),
-                        test_loss=float(cells[1]),
-                        test_accuracy=float(cells[2]),
-                        train_loss=None if cells[3] == "" else float(cells[3]),
-                        cum_local_updates=int(cells[4]),
-                        cum_bytes=int(cells[5]),
-                    )
+                row = MetricsRow(
+                    round=int(cells[0]),
+                    test_loss=float(cells[1]),
+                    test_accuracy=float(cells[2]),
+                    train_loss=None if cells[3] == "" else float(cells[3]),
+                    cum_local_updates=int(cells[4]),
+                    cum_bytes=int(cells[5]),
                 )
             except ValueError as exc:
                 raise DataError(f"malformed metrics row: {ln!r} ({exc})") from exc
+            _check_row(row, ln)
+            log.append(row)
         return log
 
     @classmethod

@@ -3,8 +3,8 @@
 Fully-connected layers with ReLU on hidden layers, a softmax output, and
 mean-reduced categorical cross-entropy. Everything is float64 and every
 operation is a pure function of its inputs (plus an explicit seed where
-randomness is involved); only ``sgd_step`` with ``out`` writes into arrays
-it is given (``out`` and the gradients).
+randomness is involved); of the public functions only ``sgd_step`` with
+``out`` writes into arrays it is given (``out`` and the gradients).
 
 A model's parameters are one flat float64 vector of ``spec.parameter_count``
 entries, laid out layer by layer: the weight matrix ``[fan_in, fan_out]``
@@ -14,6 +14,11 @@ of K clients along a leading axis (parameters ``[K, parameter_count]``,
 features ``[K, b, input_dim]``, labels ``[K, b]``). Transposes swap the last
 two axes and reductions run along the class or batch axis, so each client
 of a stack gets the bits its own 1-D call gives.
+
+Backpropagation has one implementation, ``_gradients_into``, which writes
+into given gradient views and checks nothing. ``compute_gradients`` checks
+its inputs and allocates around it; the federated round loop, which checks
+its data once per run, calls it directly.
 
 The loss is always computed through the fused log-softmax path with
 max-subtraction, which keeps it finite for arbitrary finite logits.
@@ -116,13 +121,12 @@ def layer_views(spec: NetworkSpec, params: np.ndarray) -> list[tuple[np.ndarray,
     return views
 
 
-def _require_batch(spec: NetworkSpec, batch: Batch) -> None:
-    if batch.features.shape[-1] != spec.input_dim:
-        raise ContractError(
-            f"batch feature dim {batch.features.shape[-1]} != input_dim {spec.input_dim}"
-        )
-    if batch.labels.min() < 0 or batch.labels.max() >= spec.output_dim:
-        raise ContractError("batch labels out of range for the network output")
+def _require_data(spec: NetworkSpec, features: np.ndarray, labels: np.ndarray) -> None:
+    """Raise unless the features are ``input_dim`` wide and the labels index the outputs."""
+    if features.shape[-1] != spec.input_dim:
+        raise ContractError(f"feature dim {features.shape[-1]} != input_dim {spec.input_dim}")
+    if labels.min() < 0 or labels.max() >= spec.output_dim:
+        raise ContractError("labels out of range for the network output")
 
 
 def init_weights(spec: NetworkSpec, seed: int) -> np.ndarray:
@@ -140,28 +144,34 @@ def init_weights(spec: NetworkSpec, seed: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _forward_full(
+def _check_batch(
     spec: NetworkSpec, params: np.ndarray, batch: Batch
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float | np.ndarray]:
-    """Shared forward pass: (pre-activations, activations, log-probs, loss).
-
-    ``forward`` and ``compute_gradients`` both report this exact loss value,
-    bit for bit, because they share this code path. A client stack
-    (parameters ``[K, parameter_count]``, a 3-D batch) runs through the same
-    operations, one matrix product per client, and gives one loss per client.
-    """
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The layer views of ``params``, once ``batch`` is checked against them and the spec."""
     layers = layer_views(spec, params)
     if params.shape[:-1] != batch.features.shape[:-2]:
         raise ContractError(
             f"parameters of shape {params.shape} do not match"
             f" a batch of shape {batch.features.shape}"
         )
-    _require_batch(spec, batch)
-    activations = [batch.features]
+    _require_data(spec, batch.features, batch.labels)
+    return layers
+
+
+def _forward_core(
+    layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Unchecked forward pass: (pre-activations, activations, log-probs).
+
+    A client stack (layers ``[K, ...]``, features ``[K, b, d]``) runs
+    through the same operations, one matrix product per client.
+    """
+    activations = [features]
     pre_acts: list[np.ndarray] = []
-    a = batch.features
+    a = features
     for l, (w, b) in enumerate(layers):
-        z = a @ w + b[..., None, :]
+        z = a @ w
+        z += b[..., None, :]
         pre_acts.append(z)
         if l < len(layers) - 1:
             a = np.maximum(z, 0.0)
@@ -169,10 +179,27 @@ def _forward_full(
     logits = pre_acts[-1]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    picked = np.take_along_axis(log_probs, batch.labels[..., None], axis=-1)[..., 0]
+    return pre_acts, activations, log_probs
+
+
+def _loss(log_probs: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    picked = np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
     losses = -picked.mean(axis=-1)
-    loss = float(losses) if losses.ndim == 0 else losses
-    return pre_acts, activations, log_probs, loss
+    return float(losses) if losses.ndim == 0 else losses
+
+
+def _forward_full(
+    spec: NetworkSpec, params: np.ndarray, batch: Batch
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float | np.ndarray]:
+    """Checked forward pass: (pre-activations, activations, log-probs, loss).
+
+    ``forward`` and ``compute_gradients`` both report this exact loss value,
+    bit for bit, because they share ``_forward_core`` and ``_loss``. A client
+    stack gives one loss per client.
+    """
+    layers = _check_batch(spec, params, batch)
+    pre_acts, activations, log_probs = _forward_core(layers, batch.features)
+    return pre_acts, activations, log_probs, _loss(log_probs, batch.labels)
 
 
 def forward(
@@ -186,6 +213,41 @@ def forward(
     return np.exp(log_probs), loss
 
 
+def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+    """Float64 one-hot rows ``[..., classes]`` of integer ``labels`` in ``[0, classes)``."""
+    return (labels[..., None] == np.arange(classes)).astype(np.float64)
+
+
+def _gradients_into(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    grad_layers: list[tuple[np.ndarray, np.ndarray]],
+    features: np.ndarray,
+    targets: np.ndarray,
+) -> np.ndarray:
+    """Backpropagation, unchecked: writes every layer's gradients into ``grad_layers``.
+
+    ``layers`` and ``grad_layers`` are ``layer_views`` of the parameters and
+    of a gradient buffer; ``features`` is ``[..., b, d]`` and ``targets`` the
+    one-hot labels ``[..., b, classes]``. Subtracting the one-hot row takes
+    1.0 off the label's probability and leaves the others as they are
+    (``p - 0.0 == p``), so the bits are those of a label pick. The inputs may
+    be strided views: every product acts on one client's rows. Returns the
+    log-probabilities, from which callers that want the loss take it.
+    """
+    pre_acts, activations, log_probs = _forward_core(layers, features)
+    delta = np.exp(log_probs)
+    delta -= targets
+    delta /= features.shape[-2]
+    for l in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[l]
+        np.matmul(activations[l].swapaxes(-1, -2), delta, out=gw)
+        delta.sum(axis=-2, out=gb)
+        if l > 0:
+            delta = delta @ layers[l][0].swapaxes(-1, -2)
+            delta *= pre_acts[l - 1] > 0.0
+    return log_probs
+
+
 def compute_gradients(
     spec: NetworkSpec, params: np.ndarray, batch: Batch
 ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -195,23 +257,18 @@ def compute_gradients(
     client stack each client's gradients equal, bit for bit, those of its
     own 1-D call: every product, reduction and label pick acts per client.
     """
-    pre_acts, activations, log_probs, loss = _forward_full(spec, params, batch)
-    delta = np.exp(log_probs)
-    # delta is a new C-contiguous array, so this reshape is a view of it.
-    classes = delta.shape[-1]
-    flat_labels = batch.labels.reshape(-1)
-    delta.reshape(-1, classes)[np.arange(flat_labels.size), flat_labels] -= 1.0
-    delta /= batch.size
+    layers = _check_batch(spec, params, batch)
     grads = np.empty_like(params)
-    layers = layer_views(spec, params)
-    grad_layers = layer_views(spec, grads)
-    for l in range(len(layers) - 1, -1, -1):
-        gw, gb = grad_layers[l]
-        np.matmul(activations[l].swapaxes(-1, -2), delta, out=gw)
-        delta.sum(axis=-2, out=gb)
-        if l > 0:
-            delta = (delta @ layers[l][0].swapaxes(-1, -2)) * (pre_acts[l - 1] > 0.0)
-    return loss, grads
+    log_probs = _gradients_into(
+        layers, layer_views(spec, grads), batch.features, _one_hot(batch.labels, spec.output_dim)
+    )
+    return _loss(log_probs, batch.labels), grads
+
+
+def _descend(params: np.ndarray, grads: np.ndarray, eta: float, out: np.ndarray) -> np.ndarray:
+    """``params - eta * grads`` into ``out``, scaling ``grads`` by ``eta`` in place."""
+    grads *= eta
+    return np.subtract(params, grads, out=out)
 
 
 def sgd_step(
@@ -230,8 +287,7 @@ def sgd_step(
         raise ContractError(f"gradient or output shape does not match parameters {params.shape}")
     if out is None:
         return params - eta * grads
-    grads *= eta
-    return np.subtract(params, grads, out=out)
+    return _descend(params, grads, eta, out)
 
 
 def finite_diff_grad(

@@ -346,6 +346,43 @@ def test_compare_unreadable_file_exits_3(tmp_path):
     assert main(["compare", a, str(tmp_path / "nope.csv")]) == 3
 
 
+GOOD_ROW = {"round": "1", "test_loss": "0.5", "test_accuracy": "0.75", "train_loss": "",
+            "cum_local_updates": "4", "cum_bytes": "1024"}
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [
+        ("test_loss", "nan"),
+        ("test_loss", "inf"),
+        ("test_loss", "-inf"),
+        ("test_accuracy", "inf"),
+        ("test_accuracy", "nan"),
+        ("test_accuracy", "1.5"),
+        ("test_accuracy", "-0.25"),
+        ("train_loss", "nan"),
+        ("train_loss", "-inf"),
+        ("cum_local_updates", "-4"),
+        ("cum_bytes", "-1"),
+        ("round", "-1"),
+    ],
+)
+def test_compare_rejects_corrupt_metrics_cells(tmp_path, capsys, column, cell):
+    # fedsim never writes these cells (evaluate raises first), so a CSV that
+    # holds one is corrupt: compare exits 3 and prints no result.
+    def write(name, row):
+        path = tmp_path / name
+        path.write_text(fs.CSV_HEADER + "\n" + ",".join(row.values()) + "\n")
+        return str(path)
+
+    good = write("good.csv", GOOD_ROW)
+    bad = write("bad.csv", {**GOOD_ROW, column: cell})
+    assert main(["compare", good, good, "--json"]) == 0
+    capsys.readouterr()
+    assert main(["compare", bad, bad, "--json"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 # --- sweep ------------------------------------------------------------------
 
 

@@ -234,6 +234,52 @@ def test_run_fedmmb_rejects_wrong_mode_or_clients():
         fs.run_fedmmb(cfg_central, spec, clients, test)
 
 
+@pytest.mark.parametrize("fault", ["feature_width", "label_range"])
+@pytest.mark.parametrize("driver", ["fedmmb", "fedavg", "lockstep"])
+def test_drivers_check_client_data_against_the_spec_before_training(driver, fault):
+    # The spec check runs once per run, before the first step; no batch with
+    # a wrong width or a label >= output_dim may reach the gradient code.
+    spec = fs.NetworkSpec(4, (6,), 3)
+    test = fs.synthetic(3, 12, 4, 3)
+    if fault == "feature_width":
+        clients = [make_client(20, input_dim=5, classes=3, seed=j, index=j) for j in range(2)]
+    else:
+        clients = [make_client(20, classes=3, seed=0, index=0)]
+        wide = fs.synthetic(1, 20, 4, 4)  # labels 0..3; label 3 is past the spec's 3 classes
+        clients.append(fs.ClientDataset(1, wide))
+    hooked = []
+    knobs = {
+        "fedmmb": {"clients": 2, "batch_count": 2},
+        "fedavg": {"clients": 2, "local_epochs": 1},
+        "lockstep": {},
+    }[driver]
+    cfg = fs.TrainingConfig(
+        mode="centralized" if driver == "lockstep" else driver, learning_rate=0.05,
+        max_rounds=2, batch_size=20 if driver == "lockstep" else 5, seeds=SEEDS, **knobs,
+    )
+    hook = lambda r, w: hooked.append(r)  # noqa: E731
+    with pytest.raises(fs.ContractError):
+        if driver == "fedmmb":
+            fs.run_fedmmb(cfg, spec, clients, test, round_hook=hook)
+        elif driver == "fedavg":
+            fs.run_fedavg(cfg, spec, clients, test, round_hook=hook)
+        else:
+            fs.run_centralized(cfg, spec, None, test, fs.LockstepPlan(clients, 10), hook)
+    assert hooked == []
+
+
+def test_lockstep_rejects_clients_of_different_feature_widths():
+    clients = [make_client(20, input_dim=4, index=0), make_client(20, input_dim=5, index=1)]
+    cfg = fs.TrainingConfig(
+        mode="centralized", learning_rate=0.05, max_rounds=2, batch_size=10, seeds=SEEDS,
+    )
+    with pytest.raises(fs.ContractError):
+        fs.run_centralized(
+            cfg, fs.NetworkSpec(4, (6,), 5), None, make_client(10).data,
+            fs.LockstepPlan(clients, 5),
+        )
+
+
 def test_single_client_full_window_equals_centralized_steps():
     # One client consuming its whole batch list per round walks the exact
     # same batch sequence as a centralized run at the same batch size, so
