@@ -29,7 +29,6 @@ from .nn import (
     NetworkSpec,
     _descend,
     _gradients_into,
-    _one_hot,
     _require_data,
     evaluate,
     init_weights,
@@ -124,48 +123,49 @@ class RoundReport:
 
 
 class StepPlan:
-    """What every local step of a run reuses, built once per run.
+    """What every local step of a run reuses, built once per run for its schedules.
 
     It holds the client stack (``[K, parameter_count]``, client ``j`` in
     row ``j``), one gradient buffer of the same shape, the layer views of
     both, and gather buffers for a round's window rows. Building it checks
-    each schedule's source against the spec (feature width, label range)
-    and keeps the source's labels as one-hot rows, so no step checks or
-    converts a batch again.
+    each schedule's source against the spec (feature width, label range),
+    so no step checks a batch again.
     """
 
-    def __init__(self, spec: NetworkSpec, schedules: list, stack: np.ndarray | None = None):
-        self.spec = spec
-        self.features = []
-        self.targets = []
+    def __init__(self, spec: NetworkSpec, schedules: list):
         for schedule in schedules:
-            source = schedule.source
-            _require_data(spec, source.features, source.labels)
-            self.features.append(source.features)
-            self.targets.append(_one_hot(source.labels, spec.output_dim))
+            _require_data(spec, schedule.source.features, schedule.source.labels)
+        self.spec = spec
+        self.schedules = tuple(schedules)
         k = len(schedules)
-        if stack is None:
-            stack = np.empty((k, spec.parameter_count))
-        elif stack.shape != (k, spec.parameter_count):
-            raise ContractError(f"a stack of shape {stack.shape} does not hold {k} clients")
-        self.stack = stack
-        self.grads = np.empty_like(stack)
-        self.layers = layer_views(spec, stack)
+        self.stack = np.empty((k, spec.parameter_count))
+        self.grads = np.empty_like(self.stack)
+        self.layers = layer_views(spec, self.stack)
         self.grad_layers = layer_views(spec, self.grads)
         self._x = np.empty((k, 0, spec.input_dim))
-        self._t = np.empty((k, 0, spec.output_dim))
+        self._y = np.empty((k, 0), dtype=np.int64)
+
+    def serves(self, spec: NetworkSpec, schedules: list) -> bool:
+        """Whether the plan was built for ``spec`` and these very schedules, in order."""
+        return (
+            spec == self.spec
+            and len(schedules) == len(self.schedules)
+            and all(a is b for a, b in zip(schedules, self.schedules))
+        )
 
     def gather(self, rows: list[np.ndarray]) -> None:
-        """Copy rows ``rows[j]`` of client ``j``'s source to the front of its gather buffers."""
+        """Copy rows ``rows[j]`` of schedule ``j``'s source to the front of its gather buffers."""
         n = max(r.size for r in rows)
         if self._x.shape[1] < n:
             self._x = np.empty((len(rows), n, self.spec.input_dim))
-            self._t = np.empty((len(rows), n, self.spec.output_dim))
-        for j, r in enumerate(rows):
-            # The rows come from a permutation of the source, so they are in
-            # range; "clip" lets np.take write into ``out`` without a buffer.
-            np.take(self.features[j], r, axis=0, out=self._x[j, : r.size], mode="clip")
-            np.take(self.targets[j], r, axis=0, out=self._t[j, : r.size], mode="clip")
+            self._y = np.empty((len(rows), n), dtype=np.int64)
+        for j, (schedule, r) in enumerate(zip(self.schedules, rows)):
+            # The rows come from a permutation of this schedule's source, so
+            # they are in range; "clip" lets np.take write into ``out``
+            # without a buffer.
+            source = schedule.source
+            np.take(source.features, r, axis=0, out=self._x[j, : r.size], mode="clip")
+            np.take(source.labels, r, axis=0, out=self._y[j, : r.size], mode="clip")
 
     def step(self, members: list[int], starts: list[int], size: int, eta: float) -> None:
         """One SGD step of clients ``members`` on batches of ``size`` gathered rows.
@@ -177,19 +177,19 @@ class StepPlan:
         its new parameters written back.
         """
         o = starts[0]
-        everyone = len(members) == len(self.features)
+        everyone = len(members) == len(self.schedules)
         if everyone and starts.count(o) == len(starts):
-            x, t = self._x[:, o : o + size], self._t[:, o : o + size]
+            x, y = self._x[:, o : o + size], self._y[:, o : o + size]
         else:
             picks = (np.array(members)[:, None], np.add.outer(starts, np.arange(size)))
-            x, t = self._x[picks], self._t[picks]
+            x, y = self._x[picks], self._y[picks]
         if everyone:
-            _gradients_into(self.layers, self.grad_layers, x, t)
+            _gradients_into(self.layers, self.grad_layers, x, y)
             _descend(self.stack, self.grads, eta, out=self.stack)
             return
         local = self.stack[members]
         grads = np.empty_like(local)
-        _gradients_into(layer_views(self.spec, local), layer_views(self.spec, grads), x, t)
+        _gradients_into(layer_views(self.spec, local), layer_views(self.spec, grads), x, y)
         self.stack[members] = _descend(local, grads, eta, out=local)
 
 
@@ -200,7 +200,6 @@ def client_update_mmb(
     schedules: list,
     eta: float,
     windows: int = 1,
-    stack: np.ndarray | None = None,
     plan: StepPlan | None = None,
 ) -> list[RoundReport]:
     """Every client's local training for one round, run as one stacked batch.
@@ -214,10 +213,10 @@ def client_update_mmb(
     epochs, epoch k of round i on permutation ``i * windows + k`` of the
     client's seed stream.
 
-    Client ``j`` trains in row ``j`` of the ``plan``'s stack; without a
-    plan, one is built here around ``stack`` (``[K, parameter_count]``; a
-    fresh one when omitted). The round's rows of each client are copied
-    out of its source once. At step ``s`` the clients whose batch ``s`` has
+    Client ``j`` trains in row ``j`` of the stack of ``plan``, which must
+    have been built for ``spec`` and these schedules; without one, a plan
+    is built here. The round's rows of each client are copied out of its
+    source once. At step ``s`` the clients whose batch ``s`` has
     the same size train together, one gradient computation for the group;
     a client whose windows have no batch ``s`` sits the step out. The
     reports, one per schedule in order, hold views of the stack.
@@ -227,9 +226,9 @@ def client_update_mmb(
     if eta < 0:
         raise ContractError("learning rate must be non-negative")
     if plan is None:
-        plan = StepPlan(spec, schedules, stack)
-    elif stack is not None:
-        raise ContractError("pass a stack or a plan, not both")
+        plan = StepPlan(spec, schedules)
+    elif not plan.serves(spec, schedules):
+        raise ContractError("the step plan was built for other schedules or another spec")
     plan.stack[...] = global_weights
     rows, sizes = [], []
     for schedule in schedules:

@@ -213,30 +213,25 @@ def forward(
     return np.exp(log_probs), loss
 
 
-def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
-    """Float64 one-hot rows ``[..., classes]`` of integer ``labels`` in ``[0, classes)``."""
-    return (labels[..., None] == np.arange(classes)).astype(np.float64)
-
-
 def _gradients_into(
     layers: list[tuple[np.ndarray, np.ndarray]],
     grad_layers: list[tuple[np.ndarray, np.ndarray]],
     features: np.ndarray,
-    targets: np.ndarray,
+    labels: np.ndarray,
 ) -> np.ndarray:
     """Backpropagation, unchecked: writes every layer's gradients into ``grad_layers``.
 
     ``layers`` and ``grad_layers`` are ``layer_views`` of the parameters and
-    of a gradient buffer; ``features`` is ``[..., b, d]`` and ``targets`` the
-    one-hot labels ``[..., b, classes]``. Subtracting the one-hot row takes
-    1.0 off the label's probability and leaves the others as they are
-    (``p - 0.0 == p``), so the bits are those of a label pick. The inputs may
-    be strided views: every product acts on one client's rows. Returns the
+    of a gradient buffer; ``features`` is ``[..., b, d]`` and ``labels``
+    ``[..., b]``, integers in ``[0, classes)``. The inputs may be strided
+    views: every product acts on one client's rows. Returns the
     log-probabilities, from which callers that want the loss take it.
     """
     pre_acts, activations, log_probs = _forward_core(layers, features)
     delta = np.exp(log_probs)
-    delta -= targets
+    # delta is a new C-contiguous array, so this reshape is a view of it.
+    flat_labels = labels.reshape(-1)
+    delta.reshape(-1, delta.shape[-1])[np.arange(flat_labels.size), flat_labels] -= 1.0
     delta /= features.shape[-2]
     for l in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[l]
@@ -259,9 +254,7 @@ def compute_gradients(
     """
     layers = _check_batch(spec, params, batch)
     grads = np.empty_like(params)
-    log_probs = _gradients_into(
-        layers, layer_views(spec, grads), batch.features, _one_hot(batch.labels, spec.output_dim)
-    )
+    log_probs = _gradients_into(layers, layer_views(spec, grads), batch.features, batch.labels)
     return _loss(log_probs, batch.labels), grads
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import fedsim as fs
 from fedsim.data import synthetic_split
+from fedsim.federated import StepPlan
 
 from helpers import per_client_reference
 
@@ -112,6 +113,22 @@ def test_fedavg_update_count_large_client():
     [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.05, windows=1)
     assert report.local_updates == 1000
     assert report.samples_used == 10000
+
+
+def test_mmb_update_rejects_a_plan_built_for_other_schedules():
+    spec = fs.NetworkSpec(4, (6,), 5)
+    w = fs.init_weights(spec, 1)
+    schedules = [client_schedule(20, 5, 2, index=j) for j in range(2)]
+    plan = StepPlan(spec, schedules)
+    others = [client_schedule(40, 5, 2, index=j) for j in range(2)]
+    for wrong_spec, wrong_schedules in [
+        (spec, others),  # same count, other sources
+        (spec, schedules[:1]),  # fewer clients
+        (spec, schedules[::-1]),  # other order
+        (fs.NetworkSpec(4, (7,), 5), schedules),  # other spec
+    ]:
+        with pytest.raises(fs.ContractError):
+            fs.client_update_mmb(wrong_spec, 0, w, wrong_schedules, 0.05, plan=plan)
 
 
 def unequal_clients() -> tuple[fs.NetworkSpec, list[fs.ClientDataset], fs.Dataset]:
