@@ -27,9 +27,8 @@ def main() -> None:
             seeds=seeds, clients=10, batch_count=batch_count,
         )
         log = fs.run_fedmmb(cfg, spec, clients, test)
-        cost = fs.comm_cost(cfg, spec)
         reached = log.first_round_reaching(target)
-        traffic = "-" if reached is None else f"{cost.cumulative_after(reached):,}"
+        traffic = "-" if reached is None else f"{reached * fs.comm_cost(cfg, spec):,}"
         print(
             f"{batch_count:11d}   {str(reached):>16}   {log.max_accuracy():12.4f}   {traffic:>15}"
         )

@@ -28,8 +28,8 @@ from .data import (
 from .errors import ConfigError, ContractError, DataError, FedsimError
 from .federated import (
     LockstepPlan,
-    RoundReport,
     Seeds,
+    StepPlan,
     TrainingConfig,
     aggregate,
     client_update_mmb,
@@ -38,7 +38,6 @@ from .federated import (
     run_fedmmb,
 )
 from .metrics import (
-    CommCost,
     CSV_HEADER,
     DiscordanceReport,
     MetricsLog,
@@ -66,7 +65,6 @@ __all__ = [
     "BatchSchedule",
     "CSV_HEADER",
     "ClientDataset",
-    "CommCost",
     "ConfigError",
     "ContractError",
     "DataError",
@@ -78,8 +76,8 @@ __all__ = [
     "MetricsRow",
     "NetworkSpec",
     "PartitionPlan",
-    "RoundReport",
     "Seeds",
+    "StepPlan",
     "TrainingConfig",
     "Xoshiro256PP",
     "aggregate",

@@ -377,7 +377,7 @@ class BatchSchedule:
         order, and the sizes of its batches, which take those rows in
         consecutive runs.
         """
-        p, q, _ = batch_window(self, index)
+        p, q = batch_window(self, index)
         b = self.batch_size
         rows = self._order(index // self.window_span)[p * b : (q + 1) * b]
         return rows, (b,) * (q - p) + (rows.size - (q - p) * b,)
@@ -411,16 +411,13 @@ def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed
     )
 
 
-def batch_window(schedule: BatchSchedule, round_index: int) -> tuple[int, int, bool]:
-    """Inclusive batch-index window ``(p, q)`` for a round, plus the end-of-sweep flag.
+def batch_window(schedule: BatchSchedule, round_index: int) -> tuple[int, int]:
+    """Inclusive batch-index window ``(p, q)`` for a round.
 
     Successive rounds slide a window of ``batch_count`` batches across the
     shuffled list: ``p = (i mod f) * C`` and ``q = min(p + C - 1, T - 1)``.
-    The last window of a sweep is clipped to the list end, and the flag
-    marks it; the next window starts the next sweep, on a fresh permutation.
+    The last window of a sweep is clipped to the list end; the next window
+    starts the next sweep, on a fresh permutation.
     """
-    span = schedule.window_span
-    p = (round_index % span) * schedule.batch_count
-    q = min(p + schedule.batch_count - 1, schedule.num_batches - 1)
-    last_of_sweep = (round_index + 1) % span == 0
-    return p, q, last_of_sweep
+    p = (round_index % schedule.window_span) * schedule.batch_count
+    return p, min(p + schedule.batch_count - 1, schedule.num_batches - 1)

@@ -2,9 +2,10 @@
 
 Every driver runs the same sequential loop: each round, every client's
 batch schedule trains from the broadcast global weights, all clients
-stacked along a leading axis in one batched computation; the reports are
-combined by sample-weighted averaging in ascending client order, the model
-is evaluated on a fixed cadence, and the round hook sees the new weights.
+stacked along a leading axis in one batched computation; the stack's rows
+are combined by sample-weighted averaging in ascending client order, the
+model is evaluated on a fixed cadence, and the round hook sees the new
+weights.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
@@ -108,35 +109,29 @@ class TrainingConfig:
                 raise ConfigError(f"mode {self.mode!r} does not accept {name}")
 
 
-@dataclass(frozen=True)
-class RoundReport:
-    """What a client returns to the server each round."""
-
-    client_index: int
-    local_weights: np.ndarray
-    samples_used: int
-    local_updates: int
-
-    def __post_init__(self) -> None:
-        if self.samples_used < 1:
-            raise ContractError("a round report must cover at least one sample")
-
-
 class StepPlan:
-    """What every local step of a run reuses, built once per run for its schedules.
+    """A run's local training: its schedules, hyperparameters and buffers, built once.
 
-    It holds the client stack (``[K, parameter_count]``, client ``j`` in
-    row ``j``), one gradient buffer of the same shape, the layer views of
-    both, and gather buffers for a round's window rows. Building it checks
-    each schedule's source against the spec (feature width, label range),
-    so no step checks a batch again.
+    It holds the client stack (``[K, parameter_count]``, client ``j`` of
+    ``schedules`` in row ``j``), one gradient buffer of the same shape, the
+    layer views of both, and gather buffers for a round's window rows. Each
+    round takes ``windows`` batch windows of every schedule at learning rate
+    ``eta``. Building it checks ``windows``, ``eta`` and each schedule's
+    source against the spec (feature width, label range), so no round or
+    step checks them again.
     """
 
-    def __init__(self, spec: NetworkSpec, schedules: list):
+    def __init__(self, spec: NetworkSpec, schedules: list, windows: int, eta: float):
+        if windows < 1:
+            raise ContractError("a client update needs at least one window")
+        if not (math.isfinite(eta) and eta >= 0):
+            raise ContractError(f"learning rate must be finite and non-negative, got {eta}")
         for schedule in schedules:
             _require_data(spec, schedule.source.features, schedule.source.labels)
         self.spec = spec
         self.schedules = tuple(schedules)
+        self.windows = windows
+        self.eta = eta
         k = len(schedules)
         self.stack = np.empty((k, spec.parameter_count))
         self.grads = np.empty_like(self.stack)
@@ -144,14 +139,6 @@ class StepPlan:
         self.grad_layers = layer_views(spec, self.grads)
         self._x = np.empty((k, 0, spec.input_dim))
         self._y = np.empty((k, 0), dtype=np.int64)
-
-    def serves(self, spec: NetworkSpec, schedules: list) -> bool:
-        """Whether the plan was built for ``spec`` and these very schedules, in order."""
-        return (
-            spec == self.spec
-            and len(schedules) == len(self.schedules)
-            and all(a is b for a, b in zip(schedules, self.schedules))
-        )
 
     def gather(self, rows: list[np.ndarray]) -> None:
         """Copy rows ``rows[j]`` of schedule ``j``'s source to the front of its gather buffers."""
@@ -167,114 +154,93 @@ class StepPlan:
             np.take(source.features, r, axis=0, out=self._x[j, : r.size], mode="clip")
             np.take(source.labels, r, axis=0, out=self._y[j, : r.size], mode="clip")
 
-    def step(self, members: list[int], starts: list[int], size: int, eta: float) -> None:
+    def step(self, members: list[int], starts: list[int], size: int) -> None:
         """One SGD step of clients ``members`` on batches of ``size`` gathered rows.
 
         Member ``i``'s batch starts at row ``starts[i]`` of its gather
-        buffers. When the group is every client at a common offset, its
-        batch is a view of the gather buffers and it trains in the stack
-        itself. Any other group's rows and parameters are copied out, and
-        its new parameters written back.
+        buffers. When the group is every client at a common offset, it
+        trains in the stack itself on views of the gather buffers. Any other
+        group's rows and parameters are copied out, and its new parameters
+        written back.
         """
         o = starts[0]
-        everyone = len(members) == len(self.schedules)
-        if everyone and starts.count(o) == len(starts):
+        if len(members) == len(self.schedules) and starts.count(o) == len(starts):
             x, y = self._x[:, o : o + size], self._y[:, o : o + size]
-        else:
-            picks = (np.array(members)[:, None], np.add.outer(starts, np.arange(size)))
-            x, y = self._x[picks], self._y[picks]
-        if everyone:
             _gradients_into(self.layers, self.grad_layers, x, y)
-            _descend(self.stack, self.grads, eta, out=self.stack)
+            _descend(self.stack, self.grads, self.eta, out=self.stack)
             return
+        picks = (np.array(members)[:, None], np.add.outer(starts, np.arange(size)))
         local = self.stack[members]
         grads = np.empty_like(local)
-        _gradients_into(layer_views(self.spec, local), layer_views(self.spec, grads), x, y)
-        self.stack[members] = _descend(local, grads, eta, out=local)
+        layers, grad_layers = layer_views(self.spec, local), layer_views(self.spec, grads)
+        _gradients_into(layers, grad_layers, self._x[picks], self._y[picks])
+        self.stack[members] = _descend(local, grads, self.eta, out=local)
 
 
 def client_update_mmb(
-    spec: NetworkSpec,
-    round_index: int,
-    global_weights: np.ndarray,
-    schedules: list,
-    eta: float,
-    windows: int = 1,
-    plan: StepPlan | None = None,
-) -> list[RoundReport]:
-    """Every client's local training for one round, run as one stacked batch.
+    plan: StepPlan, round_index: int, global_weights: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Every client's local training for round ``round_index``, in the plan's stack.
 
     Each client starts from the broadcast global weights and takes one SGD
-    step per batch of this round's ``windows`` batch windows, in order.
-    Round ``i`` takes windows ``i * windows`` to ``i * windows + windows - 1``
-    of each schedule. A window is a pure function of its index, so the
-    round reads no state that earlier rounds left behind. A whole-list
-    schedule (one window per sweep) therefore runs ``windows`` local
-    epochs, epoch k of round i on permutation ``i * windows + k`` of the
-    client's seed stream.
+    step per batch of this round's ``plan.windows`` batch windows, in
+    order: round ``i`` takes windows ``i * windows`` to
+    ``i * windows + windows - 1`` of each schedule. A window is a pure
+    function of its index, so the round reads no state that earlier rounds
+    left behind. A whole-list schedule (one window per sweep) therefore
+    runs ``windows`` local epochs, epoch k of round i on permutation
+    ``i * windows + k`` of the client's seed stream.
 
-    Client ``j`` trains in row ``j`` of the stack of ``plan``, which must
-    have been built for ``spec`` and these schedules; without one, a plan
-    is built here. The round's rows of each client are copied out of its
-    source once. At step ``s`` the clients whose batch ``s`` has
-    the same size train together, one gradient computation for the group;
-    a client whose windows have no batch ``s`` sits the step out. The
-    reports, one per schedule in order, hold views of the stack.
+    Client ``j`` trains in row ``j`` of ``plan.stack``. The round's rows of
+    each client are copied out of its source once. At step ``s`` the
+    clients whose batch ``s`` has the same size train together, one
+    gradient computation for the group; a client whose windows have no
+    batch ``s`` sits the step out. Returns every client's sample count and
+    step count, in row order.
     """
-    if windows < 1:
-        raise ContractError("a client update needs at least one window")
-    if eta < 0:
-        raise ContractError("learning rate must be non-negative")
-    if plan is None:
-        plan = StepPlan(spec, schedules)
-    elif not plan.serves(spec, schedules):
-        raise ContractError("the step plan was built for other schedules or another spec")
     plan.stack[...] = global_weights
+    first = round_index * plan.windows
     rows, sizes = [], []
-    for schedule in schedules:
-        parts = [schedule.window_rows(round_index * windows + e) for e in range(windows)]
+    for schedule in plan.schedules:
+        parts = [schedule.window_rows(first + e) for e in range(plan.windows)]
         rows.append(np.concatenate([r for r, _ in parts]))
         sizes.append([z for _, zs in parts for z in zs])
     plan.gather(rows)
-    starts = [0] * len(schedules)
+    starts = [0] * len(sizes)
     for s in range(max(map(len, sizes))):
         groups: dict[int, list[int]] = {}
         for j, batches in enumerate(sizes):
             if s < len(batches):
                 groups.setdefault(batches[s], []).append(j)
         for size, members in groups.items():
-            plan.step(members, [starts[j] for j in members], size, eta)
+            plan.step(members, [starts[j] for j in members], size)
             for j in members:
                 starts[j] += size
-    return [
-        RoundReport(schedule.client_index, plan.stack[j], r.size, len(z))
-        for j, (schedule, r, z) in enumerate(zip(schedules, rows, sizes))
-    ]
+    return [r.size for r in rows], [len(z) for z in sizes]
 
 
-def aggregate(reports: list[RoundReport]) -> np.ndarray:
-    """Sample-weighted average of the clients' local weights.
+def aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
+    """Sample-weighted average of the rows of a client stack.
 
-    Accumulation runs in ascending client-index order, anchored at the
-    first report (``W_0 + sum n_j (W_j - W_0) / sum n_j``), which is
-    algebraically the plain weighted average but keeps the all-identical
-    case exact and the result well inside the clients' coordinate range.
-    A single report's weights come back unchanged (save that -0.0 becomes
-    +0.0), which makes centralized training the one-client round. The
-    result is a new array on every call; the sum runs in place in it.
+    Row ``j`` holds client ``j``'s local weights, trained on ``samples[j]``
+    samples. Accumulation runs in row order, anchored at row 0
+    (``W_0 + sum n_j (W_j - W_0) / sum n_j``), which is algebraically the
+    plain weighted average but keeps the all-identical case exact and the
+    result well inside the clients' coordinate range. A single row comes
+    back unchanged (save that -0.0 becomes +0.0), which makes centralized
+    training the one-client round. The result is a new array on every call;
+    the sum runs in place in it.
     """
-    if not reports:
-        raise ContractError("cannot aggregate an empty report list")
-    ordered = sorted(reports, key=lambda r: r.client_index)
-    anchor = ordered[0].local_weights
-    total = sum(r.samples_used for r in ordered)
+    if len(stack) == 0 or len(samples) != len(stack) or min(samples) < 1:
+        raise ContractError("aggregate needs a non-empty stack and a positive count per row")
+    anchor = stack[0]
     acc = np.zeros_like(anchor)
     scratch = np.empty_like(anchor)
-    for r in ordered:
-        np.subtract(r.local_weights, anchor, out=scratch)
-        scratch *= float(r.samples_used)
+    for weights, n in zip(stack, samples):
+        np.subtract(weights, anchor, out=scratch)
+        scratch *= float(n)
         acc += scratch
-    acc /= total
+    acc /= sum(samples)
     acc += anchor
     if not np.isfinite(acc).all():
         raise ContractError("aggregated weights are non-finite; training diverged")
@@ -292,22 +258,20 @@ def _run_rounds(
     """The one round loop: every schedule's client update, aggregate, evaluate, hook.
 
     ``schedules`` holds one batch source per client, in ascending client
-    order; each needs a ``client_index``, a ``source`` dataset and a
-    ``window_rows`` method. The clients train in the stack of one step plan
-    built here, once per run; ``aggregate`` returns a new array, so the
-    weights the hook sees never alias it.
+    order; each needs a ``source`` dataset and a ``window_rows`` method.
+    The clients train in the stack of one step plan built here, once per
+    run, before the first round; ``aggregate`` returns a new array, so the
+    weights the hook sees never alias the stack.
     """
-    plan = StepPlan(spec, schedules)
+    plan = StepPlan(spec, schedules, windows, config.learning_rate)
     weights = init_weights(spec, config.seeds.init)
-    cost = comm_cost(config, spec)
+    bytes_per_round = comm_cost(config, spec)
     log = MetricsLog()
     local_updates = 0
     for i in range(config.max_rounds):
-        reports = client_update_mmb(
-            spec, i, weights, schedules, config.learning_rate, windows, plan=plan
-        )
-        local_updates += sum(r.local_updates for r in reports)
-        weights = aggregate(reports)
+        samples, steps = client_update_mmb(plan, i, weights)
+        local_updates += sum(steps)
+        weights = aggregate(plan.stack, samples)
         if (i + 1) % config.eval_every == 0:
             loss, accuracy = evaluate(spec, weights, test_set)
             log.append(
@@ -317,7 +281,7 @@ def _run_rounds(
                     test_accuracy=accuracy,
                     train_loss=None,
                     cum_local_updates=local_updates,
-                    cum_bytes=cost.cumulative_after(i + 1),
+                    cum_bytes=(i + 1) * bytes_per_round,
                 )
             )
         if round_hook is not None:
@@ -404,7 +368,6 @@ class _LockstepSchedule:
     """
 
     shadows: list[BatchSchedule]
-    client_index: int = 0
     source: Dataset = field(init=False)
     _offsets: np.ndarray = field(init=False, repr=False)
 
@@ -437,7 +400,7 @@ def run_centralized(
     """Single-site mini-batch gradient descent, one update per iteration.
 
     This is the round loop with one client, one single-batch window per
-    round and no traffic; aggregating a single report returns its weights.
+    round and no traffic; aggregating a single row returns its weights.
     In the default (free-running) mode the train set is shuffled and split
     into batches of ``config.batch_size``, consumed one per iteration, on a
     fresh permutation each sweep. With a ``lockstep`` plan the batches

@@ -142,21 +142,11 @@ def discordance(fed: MetricsLog, cent: MetricsLog, epsilon: float) -> Discordanc
     )
 
 
-@dataclass(frozen=True)
-class CommCost:
-    """Bytes exchanged per communication round and cumulatively."""
-
-    bytes_per_round: int
-
-    def cumulative_after(self, rounds: int) -> int:
-        return rounds * self.bytes_per_round
-
-
-def comm_cost(config, spec: NetworkSpec) -> CommCost:
-    """Traffic accounting: float64 parameters, down- and uplink, all clients.
+def comm_cost(config, spec: NetworkSpec) -> int:
+    """Bytes exchanged per round: float64 parameters, down- and uplink, all clients.
 
     Centralized runs exchange nothing and report zero bytes per round.
     """
     if config.clients is None:
-        return CommCost(bytes_per_round=0)
-    return CommCost(bytes_per_round=spec.parameter_count * 8 * 2 * config.clients)
+        return 0
+    return spec.parameter_count * 8 * 2 * config.clients

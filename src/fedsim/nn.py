@@ -3,8 +3,8 @@
 Fully-connected layers with ReLU on hidden layers, a softmax output, and
 mean-reduced categorical cross-entropy. Everything is float64 and every
 operation is a pure function of its inputs (plus an explicit seed where
-randomness is involved); of the public functions only ``sgd_step`` with
-``out`` writes into arrays it is given (``out`` and the gradients).
+randomness is involved); no public function writes into an array it is
+given.
 
 A model's parameters are one flat float64 vector of ``spec.parameter_count``
 entries, laid out layer by layer: the weight matrix ``[fan_in, fan_out]``
@@ -264,23 +264,17 @@ def _descend(params: np.ndarray, grads: np.ndarray, eta: float, out: np.ndarray)
     return np.subtract(params, grads, out=out)
 
 
-def sgd_step(
-    params: np.ndarray, grads: np.ndarray, eta: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """One gradient-descent update, ``params - eta * grads``.
+def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
+    """One gradient-descent update, ``params - eta * grads``, into a new array.
 
-    The result goes into a new array. With ``out`` (which may be ``params``
-    itself, an in-place update) it goes there instead, and ``grads`` serves
-    as scratch: it is scaled by ``eta`` in place, so the step allocates no
-    temporary array. The bits are the same either way.
+    The round loop updates its stack in place with ``_descend``, which gives
+    the same bits.
     """
-    if eta < 0:
-        raise ContractError("learning rate must be non-negative")
-    if grads.shape != params.shape or (out is not None and out.shape != params.shape):
-        raise ContractError(f"gradient or output shape does not match parameters {params.shape}")
-    if out is None:
-        return params - eta * grads
-    return _descend(params, grads, eta, out)
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ContractError(f"learning rate must be finite and non-negative, got {eta}")
+    if grads.shape != params.shape:
+        raise ContractError(f"gradient shape does not match parameters {params.shape}")
+    return params - eta * grads
 
 
 def finite_diff_grad(

@@ -162,8 +162,9 @@ def per_client_reference(
 
     Each round every client, in ascending index order, takes its windows
     from its own schedule and runs ``compute_gradients`` and ``sgd_step``
-    batch by batch; ``aggregate`` then combines the reports. Returns the
-    metrics log and the final global weights.
+    batch by batch; ``aggregate`` then combines the clients' local weights,
+    stacked in index order. Returns the metrics log and the final global
+    weights.
     """
     b = config.batch_size
     if config.mode == "fedmmb":
@@ -176,12 +177,12 @@ def per_client_reference(
     schedules = [
         fs.make_schedule(c, b, count, config.seeds.shuffle) for c, count in zip(ordered, counts)
     ]
-    cost = fs.comm_cost(config, spec)
+    bytes_per_round = fs.comm_cost(config, spec)
     weights = fs.init_weights(spec, config.seeds.init)
     log = fs.MetricsLog()
     updates = 0
     for i in range(config.max_rounds):
-        reports = []
+        trained, samples_used = [], []
         for schedule in schedules:
             local, samples, steps = weights, 0, 0
             for k in range(windows):
@@ -190,12 +191,13 @@ def per_client_reference(
                     local = fs.sgd_step(local, grads, config.learning_rate)
                     samples += batch.size
                     steps += 1
-            reports.append(fs.RoundReport(schedule.client_index, local, samples, steps))
+            trained.append(local)
+            samples_used.append(samples)
             updates += steps
-        weights = fs.aggregate(reports)
+        weights = fs.aggregate(np.stack(trained), samples_used)
         if (i + 1) % config.eval_every == 0:
             loss, accuracy = fs.evaluate(spec, weights, test_set)
             log.append(
-                fs.MetricsRow(i + 1, loss, accuracy, None, updates, cost.cumulative_after(i + 1))
+                fs.MetricsRow(i + 1, loss, accuracy, None, updates, (i + 1) * bytes_per_round)
             )
     return log, weights

@@ -270,8 +270,9 @@ def test_acceptance_7_accounting_identities():
     for n, batch_size, epochs in ((100, 10, 1), (95, 10, 2), (7, 3, 4)):
         data = fs.synthetic(3, n, 4, 5)
         schedule = fs.make_schedule(fs.ClientDataset(0, data), batch_size, -(-n // batch_size), 2)
-        [report] = fs.client_update_mmb(spec, 0, w, [schedule], 0.01, windows=epochs)
-        assert report.local_updates == epochs * -(-n // batch_size)
+        plan = fs.StepPlan(spec, [schedule], epochs, 0.01)
+        _, [steps] = fs.client_update_mmb(plan, 0, w)
+        assert steps == epochs * -(-n // batch_size)
         local = w
         for e in range(epochs):
             order = shuffle_order(derive_seed(2, 0, e), n)
@@ -280,19 +281,19 @@ def test_acceptance_7_accounting_identities():
                 batch = fs.Batch(data.features[rows], data.labels[rows])
                 _, grads = fs.compute_gradients(spec, local, batch)
                 local = fs.sgd_step(local, grads, 0.01)
-        assert np.array_equal(report.local_weights, local)
+        assert np.array_equal(plan.stack[0], local)
 
     # Windowed client: per-round update counts follow the window sizes.
     client = fs.ClientDataset(0, fs.synthetic(3, 100, 4, 5))
     schedule = fs.make_schedule(client, 10, 3, 2)  # T=10, C=3
-    expected_windows = [(0, 2, False), (3, 5, False), (6, 8, False), (9, 9, True)]
+    expected_windows = [(0, 2), (3, 5), (6, 8), (9, 9)]
+    plan = fs.StepPlan(spec, [schedule], 1, 0.01)
     local_updates = 0
-    for i, expected in enumerate(expected_windows):
-        assert fs.batch_window(schedule, i) == expected
-        [report] = fs.client_update_mmb(spec, i, w, [schedule], 0.01)
-        p, q, _ = expected
-        assert report.local_updates == q - p + 1
-        local_updates += report.local_updates
+    for i, (p, q) in enumerate(expected_windows):
+        assert fs.batch_window(schedule, i) == (p, q)
+        _, [steps] = fs.client_update_mmb(plan, i, w)
+        assert steps == q - p + 1
+        local_updates += steps
     assert local_updates == 10  # 3 + 3 + 3 + 1
 
     # Bytes per round: parameters x 8 bytes x 2 directions x K clients.
@@ -300,7 +301,7 @@ def test_acceptance_7_accounting_identities():
         mode="fedmmb", learning_rate=0.1, max_rounds=4, batch_size=2,
         seeds=fs.Seeds(1, 2, 3), clients=10, batch_count=1,
     )
-    assert fs.comm_cost(cfg, fs.NetworkSpec(9, (), 10)).bytes_per_round == 100 * 8 * 2 * 10
+    assert fs.comm_cost(cfg, fs.NetworkSpec(9, (), 10)) == 100 * 8 * 2 * 10
     report_pass(7, "accounting identities")
 
 

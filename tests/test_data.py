@@ -334,25 +334,24 @@ def test_schedule_covers_client_exactly():
 
 def test_batch_window_documented_sequence():
     schedule = fs.make_schedule(make_client(100), 10, 3, 1)  # T=10, C=3, f=4
-    assert fs.batch_window(schedule, 0) == (0, 2, False)
-    assert fs.batch_window(schedule, 1) == (3, 5, False)
-    assert fs.batch_window(schedule, 2) == (6, 8, False)
-    assert fs.batch_window(schedule, 3) == (9, 9, True)
-    assert fs.batch_window(schedule, 4) == (0, 2, False)
+    assert fs.batch_window(schedule, 0) == (0, 2)
+    assert fs.batch_window(schedule, 1) == (3, 5)
+    assert fs.batch_window(schedule, 2) == (6, 8)
+    assert fs.batch_window(schedule, 3) == (9, 9)
+    assert fs.batch_window(schedule, 4) == (0, 2)
 
 
 def test_batch_window_single_batch_mode():
     schedule = fs.make_schedule(make_client(40), 10, 1, 1)  # T=4, C=1 -> f=4
     for i in range(9):
-        p, q, reshuffle = fs.batch_window(schedule, i)
+        p, q = fs.batch_window(schedule, i)
         assert p == q == i % 4
-        assert reshuffle == ((i + 1) % 4 == 0)
 
 
 def test_batch_window_whole_epoch_mode():
     schedule = fs.make_schedule(make_client(40), 10, 7, 1)  # C >= T -> one window
     for i in range(5):
-        assert fs.batch_window(schedule, i) == (0, 3, True)
+        assert fs.batch_window(schedule, i) == (0, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,9 +361,8 @@ def test_batch_window_tiles_every_sweep(n, batch_size, batch_count):
     span = schedule.window_span
     covered = []
     for i in range(span):
-        p, q, reshuffle = fs.batch_window(schedule, i)
+        p, q = fs.batch_window(schedule, i)
         covered.extend(range(p, q + 1))
-        assert reshuffle == (i == span - 1)
     assert covered == list(range(schedule.num_batches))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fedsim as fs
 from fedsim import Batch, NetworkSpec
+from fedsim.nn import _descend
 
 from helpers import grad_rel_error, scalar_evaluate, scalar_loss
 
@@ -279,16 +280,16 @@ def test_sgd_step_two_constant_steps_compose():
 
 
 def test_sgd_step_in_place_matches_new_arrays():
+    # The round loop steps its stack with _descend, the per-client reference
+    # with sgd_step; the two must agree bit for bit.
     spec = NetworkSpec(4, (5,), 3)
     w = fs.init_weights(spec, 2)
     _, g = fs.compute_gradients(spec, w, small_batch(spec, 3, 4))
     fresh = fs.sgd_step(w, g, 0.3)
     work, scratch = w.copy(), g.copy()
-    assert fs.sgd_step(work, scratch, 0.3, out=work) is work
+    assert _descend(work, scratch, 0.3, out=work) is work
     assert np.array_equal(fresh, work)
     assert np.array_equal(0.3 * g, scratch)  # the gradients were scaled in place
-    with pytest.raises(fs.ContractError):
-        fs.sgd_step(w, g, 0.3, out=fs.init_weights(NetworkSpec(4, (6,), 3), 2))
 
 
 def test_sgd_step_shape_mismatch_raises():
@@ -299,6 +300,13 @@ def test_sgd_step_shape_mismatch_raises():
         fs.sgd_step(w, g, 0.1)
     with pytest.raises(fs.ContractError):
         fs.sgd_step(w, w, -0.1)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), float("-inf"), -0.1])
+def test_sgd_step_rejects_bad_learning_rates(eta):
+    w = np.ones(6)
+    with pytest.raises(fs.ContractError):
+        fs.sgd_step(w, w, eta)
 
 
 # --- finite differences -----------------------------------------------------
