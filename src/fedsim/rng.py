@@ -2,8 +2,14 @@
 
 Every stochastic choice in the package flows through this module. Weight
 init, synthetic data, the train/test split and the client partitions use
-the xoshiro256++ generator implemented here, seeded via SplitMix64. The
-per-client schedule shuffles use ``shuffle_order``, a counter-based stream
+the xoshiro256++ generator implemented here, seeded via SplitMix64. Its
+``uniform_array`` and ``normal_array`` draw large arrays in lanes:
+xoshiro256++ is linear over GF(2), so a jump through its characteristic
+polynomial gives up to 1024 lane states a fixed stride of draws apart, and
+the lanes then step together in numpy ``uint64``. That is the same stream,
+bit for bit, as one ``next_uint64`` call per draw, and it leaves the
+generator in the same state. The per-client schedule shuffles use
+``shuffle_order``, a counter-based stream
 that hashes each element's counter with the SplitMix64 mixer and sorts by
 the hashes. All of it is pure 64-bit integer arithmetic, so identical seeds
 give bit-identical streams on every platform and interpreter. The platform
@@ -23,6 +29,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Raised whenever a change alters them; version 2 moved the schedule
 # shuffles from xoshiro256++ Fisher-Yates to ``shuffle_order``.
 STREAM_VERSION = 2
+
+# The lane path of ``uniform_array`` and ``normal_array`` (see
+# ``Xoshiro256PP._raw_blocks``): the lane count, the steps per block, and the
+# draw count from which the lanes beat the scalar loop, all set by timing.
+_LANES = 1024
+_BLOCK_STEPS = 64
+_LANE_MIN_DRAWS = 16_000
 
 
 def _mix64(z: int) -> int:
@@ -106,9 +119,13 @@ class Xoshiro256PP:
         return (self.next_uint64() >> 11) * 2.0**-53
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias (rejection sampling)."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, n) without modulo bias (rejection sampling).
+
+        ``n`` must lie in [1, 2**64]: above that, no 64-bit draw is below
+        the rejection limit and the loop would never end.
+        """
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError("bound must be in [1, 2**64]")
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:
             r = self.next_uint64()
@@ -146,24 +163,184 @@ class Xoshiro256PP:
         return np.array(idx, dtype=np.int64)
 
     def uniform_array(self, n: int, low: float, high: float) -> np.ndarray:
+        """``n`` uniforms in [low, high), one draw each: ``low + u * (high - low)``."""
         span = high - low
-        out = np.empty(n, dtype=np.float64)
-        nxt = self.next_uint64
-        for i in range(n):
-            out[i] = low + ((nxt() >> 11) * 2.0**-53) * span
-        return out
+        return self._fill(n, n, lambda d: low + ((d >> 11) * 2.0**-53) * span)
 
     def normal_array(self, n: int) -> np.ndarray:
-        """Standard normals via Box-Muller on consecutive uniform pairs."""
+        """Standard normals via Box-Muller on consecutive uniform pairs.
+
+        Pair ``i`` is draws ``2i`` and ``2i + 1``; it gives normal ``2i``
+        (cosine) and ``2i + 1`` (sine). An odd ``n`` drops the last sine but
+        still takes its draw.
+        """
+        return self._fill(n, n + (n & 1), _box_muller)
+
+    def _fill(self, n: int, draws: int, convert) -> np.ndarray:
+        """``n`` floats; float ``j`` comes from draw ``j`` of the next ``draws``.
+
+        ``convert`` maps a block of raw draws to floats of the same shape.
+        Draw ``j`` lies in lane ``j // stride``, row ``j % stride``, so the
+        first ``lanes - 1`` lanes fill ``out`` as a ``[lanes - 1, stride]``
+        array and the last lane fills the rest.
+        """
         out = np.empty(n, dtype=np.float64)
-        i = 0
-        while i < n:
-            # u1 in (0, 1] so log never sees zero.
-            u1 = ((self.next_uint64() >> 11) + 1) * 2.0**-53
-            u2 = self.random()
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = r * math.cos(2.0 * math.pi * u2)
-            if i + 1 < n:
-                out[i + 1] = r * math.sin(2.0 * math.pi * u2)
-            i += 2
+        stride, lanes = _grid(draws)
+        head = out[: (lanes - 1) * stride].reshape(lanes - 1, stride)
+        tail = out[(lanes - 1) * stride :]
+        for row, block in self._raw_blocks(draws):
+            values = convert(block)
+            head[:, row : row + len(block)] = values[:, :-1].T
+            part = tail[row : row + len(block)]
+            part[:] = values[: len(part), -1]
         return out
+
+    def _raw_blocks(self, draws: int):
+        """The next ``draws`` raw draws, as ``(row, block)`` pieces of a grid.
+
+        ``block[i, l]`` is draw ``l * stride + row + i``, for the
+        ``(stride, lanes)`` of ``_grid(draws)``. Below ``_LANE_MIN_DRAWS``
+        that is one lane and one block, drawn by ``next_uint64``. Otherwise
+        the lanes start ``stride`` draws apart, found by jumping ahead, and
+        step together in numpy, ``_BLOCK_STEPS`` rows a block. ``stride`` and
+        ``_BLOCK_STEPS`` are even, so a draw pair never spans two blocks or
+        two lanes. Either way the generator ends in its state after exactly
+        ``draws`` draws, once the blocks are consumed. The last lane may step
+        on past the last draw; those draws go unused.
+        """
+        stride, lanes = _grid(draws)
+        if lanes == 1:
+            nxt = self.next_uint64
+            if draws:
+                yield 0, np.fromiter((nxt() for _ in range(draws)), np.uint64, draws)[:, None]
+            return
+        s = _lane_starts(self._s, lanes, stride)
+        last = draws - (lanes - 1) * stride  # draws taken by the last lane
+        block = np.empty((_BLOCK_STEPS, lanes), dtype=np.uint64)
+        for row in range(0, stride, _BLOCK_STEPS):
+            rows = min(_BLOCK_STEPS, stride - row)
+            for i in range(rows):
+                _lane_output(s, block[i])
+                _lane_step(s)
+                if row + i + 1 == last:
+                    self._s = s[:, -1].tolist()
+            yield row, block[:rows]
+
+
+def _grid(draws: int) -> tuple[int, int]:
+    """``(stride, lanes)`` for ``draws`` draws: ``lanes * stride >= draws``."""
+    if draws < _LANE_MIN_DRAWS:
+        return draws, 1
+    stride = 2 * -(-draws // (2 * _LANES))
+    return stride, -(-draws // stride)
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of every element of ``x``, computed by ``math`` on Python floats."""
+    return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
+def _box_muller(d: np.ndarray) -> np.ndarray:
+    """Normals from a block of draws whose rows pair up as ``(2i, 2i + 1)``.
+
+    The IEEE operations (shift, scale, ``sqrt``, products) run in numpy,
+    which rounds each correctly as Python's floats do. ``log``, ``cos`` and
+    ``sin`` go through ``math``: numpy's SIMD versions differ from libm in
+    the last bit on some inputs.
+    """
+    u1 = ((d[0::2] >> 11) + 1) * 2.0**-53  # in (0, 1], so log never sees zero
+    u2 = (d[1::2] >> 11) * 2.0**-53
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    angle = 2.0 * math.pi * u2
+    out = np.empty(d.shape, dtype=np.float64)
+    out[0::2] = r * _libm(math.cos, angle)
+    out[1::2] = r * _libm(math.sin, angle)
+    return out
+
+
+# The lane path. A [4, lanes] uint64 array holds one xoshiro256++ state per
+# lane (rows s0..s3); numpy's uint64 arithmetic wraps modulo 2**64, exactly
+# as the masked Python integers of ``next_uint64`` do.
+
+
+def _lane_step(s: np.ndarray) -> None:
+    """Advance every lane one step, in place."""
+    s0, s1, s2, s3 = s
+    t = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.right_shift(s3, 19, out=t)
+    s3 <<= 45
+    s3 |= t
+
+
+def _lane_output(s: np.ndarray, out: np.ndarray) -> None:
+    """Write every lane's next output, ``rotl(s0 + s3, 23) + s0``, to ``out``."""
+    np.add(s[0], s[3], out=out)
+    t = out >> 41
+    out <<= 23
+    out |= t
+    out += s[0]
+
+
+# Characteristic polynomial of the xoshiro256++ state transition M, a linear
+# map on 256 bits over GF(2): bit i is the coefficient of x**i. It is the
+# minimal polynomial of one state bit's sequence (Berlekamp-Massey), and
+# p(M) = 0, so M**k = q(M) for q = x**k mod p.
+_CHARPOLY = 0x1_0003C03C3F3ECB19_04B4EDCF26259F85_0280002BCEFD1A5E_9D116F2BB0F0F001
+
+
+def _polymulmod(a: int, b: int) -> int:
+    """``a * b`` modulo ``_CHARPOLY``, as polynomials over GF(2)."""
+    product = 0
+    while b:
+        low = b & -b
+        product ^= a * low
+        b ^= low
+    for shift in range(product.bit_length() - 257, -1, -1):
+        if product >> (shift + 256) & 1:
+            product ^= _CHARPOLY << shift
+    return product
+
+
+def _xpow(k: int) -> int:
+    """``x**k`` modulo ``_CHARPOLY``."""
+    result, power = 1, 2
+    while k:
+        if k & 1:
+            result = _polymulmod(result, power)
+        power = _polymulmod(power, power)
+        k >>= 1
+    return result
+
+
+def _lane_jump(s: np.ndarray, q: int) -> np.ndarray:
+    """Every lane advanced by ``k`` steps, given ``q = _xpow(k)``.
+
+    ``M**k s = sum(q_i M**i s)``: one pass of up to 256 steps, XOR-summing
+    the states whose coefficient is set.
+    """
+    s = s.copy()
+    acc = np.zeros_like(s)
+    for i in range(q.bit_length()):
+        if q >> i & 1:
+            acc ^= s
+        _lane_step(s)
+    return acc
+
+
+def _lane_starts(state: list[int], lanes: int, stride: int) -> np.ndarray:
+    """``[4, lanes]`` states; lane ``l`` is ``state`` after ``l * stride`` steps.
+
+    Doubling: the first ``c`` lanes jumped by ``c * stride`` give the next
+    ``c``, so ``lanes`` starts take about ``log2(lanes)`` jump passes.
+    """
+    s = np.array(state, dtype=np.uint64).reshape(4, 1)
+    q = _xpow(stride)
+    while s.shape[1] < lanes:
+        s = np.concatenate([s, _lane_jump(s[:, : lanes - s.shape[1]], q)], axis=1)
+        q = _polymulmod(q, q)
+    return s

@@ -81,6 +81,30 @@ def grad_rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     return gap / max(scale, 1e-12)
 
 
+def reference_uniform_array(rng: Xoshiro256PP, n: int, low: float, high: float) -> np.ndarray:
+    """``uniform_array`` as one ``next_uint64`` call and one Python float per value."""
+    span = high - low
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = low + ((rng.next_uint64() >> 11) * 2.0**-53) * span
+    return out
+
+
+def reference_normal_array(rng: Xoshiro256PP, n: int) -> np.ndarray:
+    """``normal_array`` as a Box-Muller loop on ``next_uint64`` and ``math``."""
+    out = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        u1 = ((rng.next_uint64() >> 11) + 1) * 2.0**-53
+        u2 = (rng.next_uint64() >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out[i] = r * math.cos(2.0 * math.pi * u2)
+        if i + 1 < n:
+            out[i + 1] = r * math.sin(2.0 * math.pi * u2)
+        i += 2
+    return out
+
+
 def write_idx_pair(directory: str, images: np.ndarray, labels: np.ndarray, stem: str) -> tuple[str, str]:
     """Write a uint8 image array [n, rows, cols] and labels [n] as IDX files."""
     n, rows, cols = images.shape

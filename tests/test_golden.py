@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import fedsim as fs
-from fedsim.data import synthetic_split
+from fedsim.data import synthetic, synthetic_split
+from fedsim.rng import Xoshiro256PP
 
 SEEDS = fs.Seeds(init=3, shuffle=4, partition=5)
 SPEC = fs.NetworkSpec(5, (6,), 3)
@@ -110,16 +111,34 @@ GOLDEN = {
 }
 
 
-def weights_digest(weights: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(weights, dtype=np.float64).tobytes()).hexdigest()
+def float64_digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
 def run_case(name: str) -> tuple[str, str]:
     final = []
     log = CASES[name](lambda round_index, weights: final.append(weights))
-    return hashlib.sha256(log.to_csv_string().encode()).hexdigest(), weights_digest(final[-1])
+    return hashlib.sha256(log.to_csv_string().encode()).hexdigest(), float64_digest(final[-1])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name):
     assert run_case(name) == GOLDEN[name]
+
+
+# The runs above draw 650 normals, too few for the lane path of
+# ``normal_array`` and ``uniform_array``. These digests of larger draws
+# (SHA-256 of the float64 bytes) were taken with the scalar loops that the
+# lane path replaced.
+def test_lane_path_digests():
+    assert float64_digest(synthetic(1, 3000, 784, 10).features) == (
+        "92badcd596e0c1e445c0a3f94ec7f59cb2b3e85bb3f486cfac510ffc503b6a2b"
+    )
+    assert float64_digest(fs.init_weights(fs.NetworkSpec(784, (32, 32), 10), 1)) == (
+        "9bbd78d83e1d7eb82b94fbf5316026fa053e2e634965f4164ff3ad7e6999c607"
+    )
+    rng = Xoshiro256PP(7)
+    assert float64_digest(rng.normal_array(100001)) == (
+        "02bf3698d59723a4d8a45041312272a178275983cf856cd39d6426297fce95af"
+    )
+    assert rng.next_uint64() == 0x1902D6F11B7EE88D  # the state after 100002 draws

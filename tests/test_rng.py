@@ -4,14 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.rng import (
+    _CHARPOLY,
     _GOLDEN,
+    _LANE_MIN_DRAWS,
+    _LANES,
     _MASK64,
     Xoshiro256PP,
+    _lane_jump,
     _mix64,
+    _xpow,
     derive_seed,
     shuffle_order,
     splitmix64,
 )
+from helpers import reference_normal_array, reference_uniform_array
 
 
 def test_splitmix64_reference_vectors():
@@ -48,6 +54,9 @@ def test_below_is_in_range_and_rejects_bad_bound():
     assert all(0 <= rng.below(7) < 7 for _ in range(500))
     with pytest.raises(ValueError):
         rng.below(0)
+    assert 0 <= rng.below(2**64) < 2**64  # every draw is accepted
+    with pytest.raises(ValueError):
+        rng.below(2**64 + 1)  # no draw is below the rejection limit, 0
 
 
 def test_permutation_is_a_permutation():
@@ -119,6 +128,86 @@ def test_uniform_array_bounds():
     u = Xoshiro256PP(13).uniform_array(5000, -2.0, 3.0)
     assert u.min() >= -2.0
     assert u.max() < 3.0
+
+
+# Sizes: tiny ones, each side of the crossover to the lane path, each side
+# of a multiple of the lane count (every lane full at stride 64), and an odd
+# count that leaves the last lane part-used.
+ARRAY_SIZES = [
+    0, 1, 2, 3,
+    _LANE_MIN_DRAWS - 1, _LANE_MIN_DRAWS, _LANE_MIN_DRAWS + 1,
+    64 * _LANES - 1, 64 * _LANES + 1,
+    100001,
+]
+
+
+def assert_same_draws(fast: Xoshiro256PP, slow: Xoshiro256PP, got: np.ndarray, want: np.ndarray):
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    # The same state after the call: exactly as many draws were taken.
+    assert [fast.next_uint64() for _ in range(4)] == [slow.next_uint64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("n", ARRAY_SIZES)
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_uniform_array_matches_scalar_oracle(seed, n):
+    fast, slow = Xoshiro256PP(seed), Xoshiro256PP(seed)
+    got = fast.uniform_array(n, -0.75, 2.5)
+    assert_same_draws(fast, slow, got, reference_uniform_array(slow, n, -0.75, 2.5))
+
+
+@pytest.mark.parametrize("n", ARRAY_SIZES)
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_normal_array_matches_scalar_oracle(seed, n):
+    fast, slow = Xoshiro256PP(seed), Xoshiro256PP(seed)
+    got = fast.normal_array(n)
+    assert_same_draws(fast, slow, got, reference_normal_array(slow, n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(0, 3 * _LANE_MIN_DRAWS),
+    normal=st.booleans(),
+)
+def test_arrays_match_scalar_oracle_at_any_size(seed, n, normal):
+    fast, slow = Xoshiro256PP(seed), Xoshiro256PP(seed)
+    if normal:
+        got, want = fast.normal_array(n), reference_normal_array(slow, n)
+    else:
+        got, want = fast.uniform_array(n, 0.0, 1.0), reference_uniform_array(slow, n, 0.0, 1.0)
+    assert_same_draws(fast, slow, got, want)
+
+
+def state_bits(state: list[int]) -> int:
+    """The four state words as one 256-bit integer."""
+    return state[0] | state[1] << 64 | state[2] << 128 | state[3] << 192
+
+
+@pytest.mark.parametrize("k", [0, 1, 255, 256, 257, 100000])
+def test_jump_through_polynomial_equals_scalar_steps(k):
+    rng = Xoshiro256PP(2024)
+    start = np.array(rng._s, dtype=np.uint64).reshape(4, 1)
+    for _ in range(k):
+        rng.next_uint64()
+    assert _lane_jump(start, _xpow(k))[:, 0].tolist() == rng._s
+
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 1])
+def test_characteristic_polynomial_annihilates_the_state_sequence(seed):
+    # p(M) = 0: XOR-summing the states s_{t+i} over p's set bits i gives 0.
+    assert _CHARPOLY.bit_length() == 257  # degree 256
+    taps = [i for i in range(257) if _CHARPOLY >> i & 1]
+    rng = Xoshiro256PP(seed)
+    states = []
+    for _ in range(1000 + 256):
+        states.append(state_bits(rng._s))
+        rng.next_uint64()
+    for t in range(1000):
+        acc = 0
+        for i in taps:
+            acc ^= states[t + i]
+        assert acc == 0, t
 
 
 def reference_shuffle_order(seed: int, n: int) -> list[int]:
