@@ -3,8 +3,9 @@
 Verbs:
 
 * ``fedsim run <config.json>`` - run one experiment, write ``<name>.csv``
-  plus a ``<name>.json`` sidecar echoing the fully resolved config and the
-  version of the random streams the run drew from.
+  plus a ``<name>.json`` sidecar echoing the fully resolved config, the
+  version of the random streams the run drew from, and the environment
+  that decides the bits beyond them (Python, numpy, BLAS, thread counts).
 * ``fedsim compare <a.csv> <b.csv> [--epsilon E] [--target-acc X] [--json]``
   - discordance between two runs plus max-accuracy / rounds-to-target.
 * ``fedsim sweep <config.json> --set train.C=1,5,10 [--target-acc X]`` -
@@ -25,6 +26,8 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_from_dict, load_config, run_experiment
@@ -67,6 +70,30 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# Environment variables that choose OpenBLAS's kernel and thread counts, and
+# with them the summation order inside its matrix products.
+_BLAS_ENV = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What outside fedsim decides a run's bits: interpreter, numpy, BLAS, threads.
+
+    ``blas`` is the name and version numpy was built against, or null where
+    this numpy's ``show_config`` cannot return them; unset variables are null.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": blas,
+        **{name: os.environ.get(name) for name in _BLAS_ENV},
+    }
+
+
 def _write_artifacts(config: ExperimentConfig, log: MetricsLog) -> tuple[str, str]:
     csv_path = os.path.join(config.output_dir, config.run_name + ".csv")
     sidecar_path = os.path.join(config.output_dir, config.run_name + ".json")
@@ -75,6 +102,7 @@ def _write_artifacts(config: ExperimentConfig, log: MetricsLog) -> tuple[str, st
         "config": config.resolved,
         "metrics_csv": os.path.basename(csv_path),
         "stream_version": STREAM_VERSION,
+        "environment": _environment(),
     }
     _atomic_write(csv_path, log.to_csv_string())
     _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

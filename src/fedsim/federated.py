@@ -229,14 +229,17 @@ def aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
     result well inside the clients' coordinate range. A single row comes
     back unchanged (save that -0.0 becomes +0.0), which makes centralized
     training the one-client round. The result is a new array on every call;
-    the sum runs in place in it.
+    the sum runs in place in it. The sum starts at row 1: row 0's term,
+    ``n_0 (W_0 - W_0)``, is +0.0 for a finite anchor and would leave the
+    +0.0 accumulator as it is, and a non-finite anchor still makes the
+    result non-finite when it is added back.
     """
     if len(stack) == 0 or len(samples) != len(stack) or min(samples) < 1:
         raise ContractError("aggregate needs a non-empty stack and a positive count per row")
     anchor = stack[0]
     acc = np.zeros_like(anchor)
     scratch = np.empty_like(anchor)
-    for weights, n in zip(stack, samples):
+    for weights, n in zip(stack[1:], samples[1:]):
         np.subtract(weights, anchor, out=scratch)
         scratch *= float(n)
         acc += scratch

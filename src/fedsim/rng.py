@@ -14,6 +14,15 @@ that hashes each element's counter with the SplitMix64 mixer and sorts by
 the hashes. All of it is pure 64-bit integer arithmetic, so identical seeds
 give bit-identical streams on every platform and interpreter. The platform
 generators (``random``, ``numpy.random``) are deliberately never used.
+
+Normals add floating point, in ``_box_muller``. Its shifts, scaling,
+``sqrt`` and products are correctly rounded IEEE operations. Its ``log``
+goes through ``math``, element by element, because numpy's vectorized
+float64 ``log`` differs from the C library's in the last bit on some
+inputs. Its ``cos`` and ``sin`` go through numpy, whose float64 versions
+call the C library's per element and so equal ``math``'s bit for bit; a
+test pins that, since a numpy that vectorized them would change the
+stream. So the bits of the normals also rest on the platform's libm.
 """
 
 from __future__ import annotations
@@ -244,17 +253,20 @@ def _box_muller(d: np.ndarray) -> np.ndarray:
     """Normals from a block of draws whose rows pair up as ``(2i, 2i + 1)``.
 
     The IEEE operations (shift, scale, ``sqrt``, products) run in numpy,
-    which rounds each correctly as Python's floats do. ``log``, ``cos`` and
-    ``sin`` go through ``math``: numpy's SIMD versions differ from libm in
-    the last bit on some inputs.
+    which rounds each correctly as Python's floats do. ``log`` goes through
+    ``math``, one Python call per element: numpy's SIMD float64 ``log``
+    differs from libm in the last bit on some inputs. ``cos`` and ``sin``
+    run in numpy, whose float64 loops call libm per element: they equal
+    ``math.cos`` and ``math.sin`` bit for bit (``tests/test_rng.py`` pins
+    that on the installed numpy) without a Python call per element.
     """
     u1 = ((d[0::2] >> 11) + 1) * 2.0**-53  # in (0, 1], so log never sees zero
     u2 = (d[1::2] >> 11) * 2.0**-53
     r = np.sqrt(-2.0 * _libm(math.log, u1))
     angle = 2.0 * math.pi * u2
     out = np.empty(d.shape, dtype=np.float64)
-    out[0::2] = r * _libm(math.cos, angle)
-    out[1::2] = r * _libm(math.sin, angle)
+    out[0::2] = r * np.cos(angle)
+    out[1::2] = r * np.sin(angle)
     return out
 
 

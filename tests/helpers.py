@@ -105,6 +105,27 @@ def reference_normal_array(rng: Xoshiro256PP, n: int) -> np.ndarray:
     return out
 
 
+def reference_aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
+    """``aggregate`` with row 0's own term kept: the loop runs over every row.
+
+    Raises ``ContractError`` as ``aggregate`` does.
+    """
+    if len(stack) == 0 or len(samples) != len(stack) or min(samples) < 1:
+        raise fs.ContractError("aggregate needs a non-empty stack and a positive count per row")
+    anchor = stack[0]
+    acc = np.zeros_like(anchor)
+    scratch = np.empty_like(anchor)
+    for weights, n in zip(stack, samples):
+        np.subtract(weights, anchor, out=scratch)
+        scratch *= float(n)
+        acc += scratch
+    acc /= sum(samples)
+    acc += anchor
+    if not np.isfinite(acc).all():
+        raise fs.ContractError("aggregated weights are non-finite; training diverged")
+    return acc
+
+
 def write_idx_pair(directory: str, images: np.ndarray, labels: np.ndarray, stem: str) -> tuple[str, str]:
     """Write a uint8 image array [n, rows, cols] and labels [n] as IDX files."""
     n, rows, cols = images.shape

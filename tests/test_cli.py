@@ -1,7 +1,9 @@
 import copy
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
 import fedsim as fs
@@ -223,6 +225,33 @@ def test_sidecar_alone_reproduces_run(tmp_path):
     replay_path = write_config(tmp_path, document, "replay.json")
     assert main(["run", replay_path]) == 0
     assert (tmp_path / "replay" / "run.csv").read_bytes() == csv_first
+
+
+def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monkeypatch):
+    blas_vars = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    for name in blas_vars:
+        monkeypatch.delenv(name, raising=False)
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["run", path]) == 0
+    unset_csv = (tmp_path / "out" / "run.csv").read_bytes()
+    environment = json.loads((tmp_path / "out" / "run.json").read_text())["environment"]
+    assert set(environment) == {"python", "numpy", "blas", *blas_vars}
+    assert environment["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert environment["numpy"] == np.__version__
+    assert environment["blas"] is None or set(environment["blas"]) == {"name", "version"}
+    assert all(environment[name] is None for name in blas_vars)
+
+    # Set after numpy loaded, the variables change the stamp but not the BLAS.
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert main(["run", path]) == 0
+    environment = json.loads((tmp_path / "out" / "run.json").read_text())["environment"]
+    assert environment["OPENBLAS_CORETYPE"] == "Haswell"
+    assert environment["OPENBLAS_NUM_THREADS"] == "1"
+    assert environment["OMP_NUM_THREADS"] is None
+    csv = (tmp_path / "out" / "run.csv").read_bytes()
+    assert csv == unset_csv
+    assert csv.decode() == run_experiment(load_config(path)).to_csv_string()
 
 
 def test_output_name_cannot_leave_output_dir(tmp_path):

@@ -7,8 +7,9 @@ import fedsim as fs
 import fedsim.federated as federated
 from fedsim.data import synthetic_split
 from fedsim.federated import StepPlan
+from fedsim.rng import Xoshiro256PP
 
-from helpers import per_client_reference
+from helpers import per_client_reference, reference_aggregate
 
 
 SEEDS = fs.Seeds(init=1, shuffle=2, partition=3)
@@ -194,6 +195,46 @@ def test_aggregate_convexity_property(seed, counts):
     merged = fs.aggregate(stacked, counts)
     assert np.all(merged >= stacked.min(axis=0))
     assert np.all(merged <= stacked.max(axis=0))
+
+
+def tied_signed_zero_stack(seed: int, clients: int, width: int) -> np.ndarray:
+    """A random ``[clients, width]`` stack with exact ties and +0.0/-0.0 entries."""
+    values = Xoshiro256PP(seed).normal_array(clients * width).reshape(clients, width)
+    values[:, 0] = 0.0
+    values[:, 1] = -0.0
+    values[::2, 2] = -0.0  # signed zeros that differ between rows
+    values[:, 3] = values[0, 3]  # one coordinate tied across all rows
+    if clients > 1:
+        values[-1] = values[0]  # a whole row tied with the anchor
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    counts=st.lists(st.integers(1, 1000), min_size=1, max_size=8),
+)
+def test_aggregate_matches_the_all_rows_oracle_bit_for_bit(seed, counts):
+    stack = tied_signed_zero_stack(seed, len(counts), 6)
+    got = fs.aggregate(stack, counts)
+    want = reference_aggregate(stack, counts)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_aggregate_single_row_is_the_row_with_positive_zero():
+    row = np.array([1.5, -0.0, 0.0, -2.25])
+    merged = fs.aggregate(row[None, :], [7])
+    assert merged.tobytes() == np.array([1.5, 0.0, 0.0, -2.25]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("clients, row", [(1, 0), (3, 0), (3, 1)])
+def test_aggregate_non_finite_anchor_or_row_raises(bad, clients, row):
+    stack = tied_signed_zero_stack(5, clients, 6)
+    stack[row, 4] = bad
+    for average in (fs.aggregate, reference_aggregate):
+        with pytest.raises(fs.ContractError), np.errstate(invalid="ignore"):
+            average(stack, [3] * clients)
 
 
 # --- drivers ----------------------------------------------------------------

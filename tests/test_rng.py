@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,28 @@ def test_normal_array_matches_scalar_oracle(seed, n):
     fast, slow = Xoshiro256PP(seed), Xoshiro256PP(seed)
     got = fast.normal_array(n)
     assert_same_draws(fast, slow, got, reference_normal_array(slow, n))
+
+
+def test_numpy_cos_and_sin_equal_libm_on_box_muller_angles():
+    # Box-Muller's cos and sin run in numpy and its oracle's in math, so the
+    # normal_array oracle tests above rely on the two agreeing bit for bit.
+    # This checks it on 2**20 angles 2*pi*(d >> 11)*2**-53 from the raw draws
+    # of two seeds (uniform_array(n, 0, 1) is exactly (d >> 11)*2**-53), plus
+    # the end points d >> 11 = 0 and 2**53 - 1.
+    edges = np.array([0.0, (2**53 - 1) * 2.0**-53])
+    u = np.concatenate(
+        [Xoshiro256PP(seed).uniform_array(2**19, 0.0, 1.0) for seed in (3, 2**63 + 5)] + [edges]
+    )
+    angle = 2.0 * math.pi * u
+    for vectorized, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+        got = vectorized(angle)
+        want = np.fromiter(map(scalar, angle.tolist()), np.float64, angle.size)
+        differ = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+        assert differ == 0, (
+            f"np.{scalar.__name__} differs from math.{scalar.__name__} on {differ} of "
+            f"{angle.size} angles: this numpy {np.__version__} vectorizes float64 "
+            f"{scalar.__name__}, so normal_array would change the stream"
+        )
 
 
 @settings(max_examples=30, deadline=None)
