@@ -7,30 +7,24 @@ under severe label skew trades accuracy away instead - see
 fedavg_comparison.py for that side.
 """
 
-import fedsim as fs
-from fedsim.data import synthetic_split
+from fedsim.claims import DIAL_SEEDS, iid_dial
 
 
 def main() -> None:
-    train, test = synthetic_split(seed=1, n_train=2000, n_test=600, input_dim=20, num_classes=3)
-    spec = fs.NetworkSpec(20, (32,), 3)
-    seeds = fs.Seeds(init=3, shuffle=4, partition=5)
     target = 0.75
+    runs = iid_dial(DIAL_SEEDS)
+    cfg = runs[1].config
 
-    print("10 iid clients, batch size 10, learning rate 0.05, target accuracy 0.75")
+    print(f"{cfg.clients} iid clients, batch size {cfg.batch_size}, "
+          f"learning rate {cfg.learning_rate}, target accuracy {target}")
     print()
     print("batch count   rounds to target   max accuracy   bytes to target")
-    for batch_count in (1, 5, 20):
-        clients = fs.partition_iid(train, 10, seeds.partition)
-        cfg = fs.TrainingConfig(
-            mode="fedmmb", learning_rate=0.05, max_rounds=600, batch_size=10,
-            seeds=seeds, clients=10, batch_count=batch_count,
-        )
-        log = fs.run_fedmmb(cfg, spec, clients, test)
-        reached = log.first_round_reaching(target)
-        traffic = "-" if reached is None else f"{reached * fs.comm_cost(cfg, spec):,}"
+    for batch_count, run in runs.items():
+        first = next((row for row in run.log.rows if row.test_accuracy >= target), None)
+        reached = None if first is None else first.round
+        traffic = "-" if first is None else f"{first.cum_bytes:,}"
         print(
-            f"{batch_count:11d}   {str(reached):>16}   {log.max_accuracy():12.4f}   {traffic:>15}"
+            f"{batch_count:11d}   {str(reached):>16}   {run.log.max_accuracy():12.4f}   {traffic:>15}"
         )
     print()
     print("every batch-count step up cuts the communication needed for the")

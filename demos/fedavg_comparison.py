@@ -1,9 +1,10 @@
 """Windowed federated training vs federated averaging under label skew.
 
-Each of the 10 clients holds samples of just 2 of the 10 classes. Three
-runs share the learning rate and round budget:
+Acceptance criterion 6 (``fedsim.claims.versus_fedavg``): each of the 10
+clients holds 2 of the 10 classes, and three runs share the learning rate
+and round budget:
 
-* windowed training, batch size 10, batch count 20 (20 updates/round),
+* windowed training (``fedmmb``), batch size 10, batch count 20 (20 updates/round),
 * federated averaging at batch size 10 (one epoch = 100 updates/round),
 * federated averaging at batch size 50 (one epoch = 20 updates/round).
 
@@ -14,35 +15,18 @@ matching it by inflating the batch (third run): the batch size and the
 update count are worth controlling separately.
 """
 
-import fedsim as fs
-from fedsim.data import synthetic_split
+from fedsim.claims import DIAL_SEEDS, versus_fedavg
 
 
 def main() -> None:
-    train, test = synthetic_split(seed=31, n_train=10000, n_test=1000, input_dim=20, num_classes=10)
-    spec = fs.NetworkSpec(20, (32, 32), 10)
-    seeds = fs.Seeds(init=3, shuffle=4, partition=5)
-    eta, rounds = 0.05, 400
-
-    runs = (
-        ("windowed, B=10, count=20", "fedmmb", 10, 20, None),
-        ("fedavg,   B=10, 1 epoch ", "fedavg", 10, None, 1),
-        ("fedavg,   B=50, 1 epoch ", "fedavg", 50, None, 1),
-    )
-    print(f"10 clients, 2 labels each, eta={eta}, {rounds} rounds, 1000 samples/client")
+    runs = versus_fedavg(DIAL_SEEDS)
+    cfg = runs[0].config
+    print(f"{cfg.clients} clients, 2 labels each, eta={cfg.learning_rate}, {cfg.max_rounds} rounds")
     print()
-    print("run                         updates/round   max accuracy")
-    for name, mode, batch_size, batch_count, local_epochs in runs:
-        clients = fs.partition_noniid_l(train, 10, 2, seeds.partition)
-        cfg = fs.TrainingConfig(
-            mode=mode, learning_rate=eta, max_rounds=rounds, batch_size=batch_size,
-            seeds=seeds, clients=10, batch_count=batch_count, local_epochs=local_epochs,
-            eval_every=5,
-        )
-        driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
-        log = driver(cfg, spec, clients, test)
-        per_round = log.rows[-1].cum_local_updates // (rounds * 10)
-        print(f"{name}   {per_round:13d}   {log.max_accuracy():12.4f}")
+    print("mode     B   updates/round   max accuracy")
+    for cfg, log in runs:
+        per_round = log.rows[-1].cum_local_updates // (cfg.max_rounds * cfg.clients)
+        print(f"{cfg.mode}   {cfg.batch_size:2d}   {per_round:13d}   {log.max_accuracy():12.4f}")
     print()
     print("fewer, smaller local steps per round win under severe skew")
 

@@ -11,31 +11,11 @@ batch.
 
 import numpy as np
 
-import fedsim as fs
+from fedsim.claims import LOCKSTEP_SEEDS, lockstep
 
 
 def main() -> None:
-    train = fs.synthetic(seed=5, n=800, input_dim=20, num_classes=10)
-    test = fs.synthetic(seed=6, n=400, input_dim=20, num_classes=10)
-    spec = fs.NetworkSpec(20, (32,), 10)
-    seeds = fs.Seeds(init=1, shuffle=2, partition=55)
-    clients = fs.partition_iid(train, 4, seeds.partition)
-
-    fed_cfg = fs.TrainingConfig(
-        mode="fedmmb", learning_rate=0.05, max_rounds=100, batch_size=10,
-        seeds=seeds, clients=4, batch_count=1,
-    )
-    cent_cfg = fs.TrainingConfig(
-        mode="centralized", learning_rate=0.05, max_rounds=100, batch_size=40, seeds=seeds,
-    )
-
-    fed_weights, cent_weights = [], []
-    fs.run_fedmmb(fed_cfg, spec, clients, test, round_hook=lambda r, w: fed_weights.append(w))
-    fs.run_centralized(
-        cent_cfg, spec, None, test,
-        lockstep=fs.LockstepPlan(clients, batch_size=10),
-        round_hook=lambda r, w: cent_weights.append(w),
-    )
+    fed_weights, cent_weights = lockstep(LOCKSTEP_SEEDS)
 
     print("4 clients, batch size 10, one batch per round vs centralized batch 40 (lockstep)")
     print()

@@ -40,6 +40,12 @@ EXIT_DATA = 3
 EXIT_CONTRACT = 4
 
 
+def _check_target_accuracy(target: float | None) -> None:
+    """Reject a ``--target-acc`` outside (0, 1), NaN included; None means unset."""
+    if target is not None and not (0 < target < 1):
+        raise ConfigError("target accuracy must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class ComparisonSpec:
     """Inputs of a two-run comparison."""
@@ -52,8 +58,7 @@ class ComparisonSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.target_accuracy is not None and not (0 < self.target_accuracy < 1):
-            raise ConfigError("target accuracy must lie in (0, 1)")
+        _check_target_accuracy(self.target_accuracy)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -187,6 +192,7 @@ def _set_in(document: dict, path: list[str], value) -> None:
 
 
 def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = None) -> int:
+    _check_target_accuracy(target_accuracy)
     base = load_config(config_path)
     path, values = _parse_sweep_expr(set_expr)
     key_leaf = path[-1]

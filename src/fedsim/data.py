@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError
-from .nn import Batch
 from .rng import Xoshiro256PP, derive_seed, shuffle_order
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -340,7 +339,7 @@ class BatchSchedule:
     last. A window therefore never depends on which windows were taken
     before it, or in what order. The last permutation drawn is kept, keyed
     by its sweep, so taking the windows in order draws once per sweep.
-    Batches are gathered from ``source`` only when a window is taken.
+    A window names its rows of ``source`` only when it is asked for.
     """
 
     source: Dataset
@@ -381,17 +380,6 @@ class BatchSchedule:
         b = self.batch_size
         rows = self._order(index // self.window_span)[p * b : (q + 1) * b]
         return rows, (b,) * (q - p) + (rows.size - (q - p) * b,)
-
-    def take_window(self, index: int) -> list[Batch]:
-        """The batches of window ``index``, in training order.
-
-        The rows of all of them are copied out of ``source`` by one fancy
-        index (``window_rows``); the batches are views of that copy.
-        """
-        rows, sizes = self.window_rows(index)
-        features, labels = self.source.features[rows], self.source.labels[rows]
-        starts = np.cumsum((0,) + sizes[:-1])
-        return [Batch(features[o : o + z], labels[o : o + z]) for o, z in zip(starts, sizes)]
 
 
 def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed: int) -> BatchSchedule:

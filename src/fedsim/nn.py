@@ -267,8 +267,10 @@ def _descend(params: np.ndarray, grads: np.ndarray, eta: float, out: np.ndarray)
 def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
     """One gradient-descent update, ``params - eta * grads``, into a new array.
 
-    The round loop updates its stack in place with ``_descend``, which gives
-    the same bits.
+    Public as the engine's documented step: with ``compute_gradients`` it
+    trains a model one batch at a time. It is the checked counterpart of
+    ``_descend``, which the round loop uses to update its stack in place,
+    with the same bits.
     """
     if not (math.isfinite(eta) and eta >= 0):
         raise ContractError(f"learning rate must be finite and non-negative, got {eta}")

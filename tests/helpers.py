@@ -1,9 +1,9 @@
-"""Shared test utilities: scalar-loop oracles, IDX fixtures, image blobs.
+"""Shared test utilities: scalar-loop oracles and IDX fixtures.
 
 The oracles here recompute results with plain Python loops and math calls,
 independently of the vectorized implementation paths they check. The
-per-client reference run trains one client and one 2-D batch at a time, the
-way the stacked round loop must reproduce bit for bit.
+per-client reference run trains one client and one 2-D batch at a time
+(``window_batches``), as the stacked round loop must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 import fedsim as fs
 from fedsim import Batch, Dataset, NetworkSpec, layer_views
-from fedsim.rng import Xoshiro256PP, derive_seed
+from fedsim.rng import Xoshiro256PP
 
 
 def scalar_loss(spec: NetworkSpec, weights: np.ndarray, batch: Batch) -> float:
@@ -140,27 +140,6 @@ def write_idx_pair(directory: str, images: np.ndarray, labels: np.ndarray, stem:
     return images_path, labels_path
 
 
-def make_image_blobs(
-    seed: int, n: int, side: int = 28, num_classes: int = 10
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic uint8 image-classification data, one blob per class.
-
-    Class c is a fixed random template; samples add pixel noise and clip to
-    [0, 255]. Labels are round-robin, so any prefix whose length is a
-    multiple of ``num_classes`` is exactly balanced.
-    """
-    dim = side * side
-    rng = Xoshiro256PP(derive_seed(seed, 0x1D8))
-    templates = np.stack(
-        [rng.uniform_array(dim, 40.0, 215.0) for _ in range(num_classes)]
-    )
-    labels = np.arange(n, dtype=np.int64) % num_classes
-    noise = rng.normal_array(n * dim).reshape(n, dim) * 60.0
-    pixels = np.clip(templates[labels] + noise, 0.0, 255.0)
-    images = np.rint(pixels).astype(np.uint8).reshape(n, side, side)
-    return images, labels.astype(np.uint8)
-
-
 def mnist_idx_paths() -> dict[str, str] | None:
     """Locate real MNIST IDX files if present, via FEDSIM_MNIST_DIR or ./data/mnist."""
     candidates = []
@@ -181,20 +160,12 @@ def mnist_idx_paths() -> dict[str, str] | None:
     return None
 
 
-def balanced_subset(dataset: Dataset, per_class: int, seed: int) -> Dataset:
-    """Deterministically pick ``per_class`` samples of every class."""
-    rng = Xoshiro256PP(derive_seed(seed, 0xBA1))
-    chosen = []
-    for label in range(dataset.num_classes):
-        pool = np.flatnonzero(dataset.labels == label)
-        if pool.size < per_class:
-            raise ValueError(f"class {label} has only {pool.size} samples")
-        order = rng.permutation(pool.size)
-        chosen.append(pool[order[:per_class]])
-    idx = np.concatenate(chosen)
-    # Interleave classes so any prefix stays roughly balanced.
-    idx = idx.reshape(dataset.num_classes, per_class).T.reshape(-1)
-    return dataset.subset(idx)
+def window_batches(schedule: fs.BatchSchedule, index: int) -> list[Batch]:
+    """Window ``index`` as 2-D batches in training order, cut from its ``window_rows``."""
+    rows, sizes = schedule.window_rows(index)
+    source = schedule.source
+    runs = np.split(rows, np.cumsum(sizes)[:-1])
+    return [Batch(source.features[r], source.labels[r]) for r in runs]
 
 
 def per_client_reference(
@@ -231,7 +202,7 @@ def per_client_reference(
         for schedule in schedules:
             local, samples, steps = weights, 0, 0
             for k in range(windows):
-                for batch in schedule.take_window(i * windows + k):
+                for batch in window_batches(schedule, i * windows + k):
                     _, grads = fs.compute_gradients(spec, local, batch)
                     local = fs.sgd_step(local, grads, config.learning_rate)
                     samples += batch.size

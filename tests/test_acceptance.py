@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; criteria that need an image dataset use real MNIST IDX files when
-available (``FEDSIM_MNIST_DIR`` or ``data/mnist/``) and otherwise fall
-back to a deterministic image-blob surrogate served through the IDX
-loader, so the full suite runs self-contained.
+Criteria 2-6 run the experiments of ``fedsim.claims`` and hold only the
+bounds they check. Run with ``pytest -s tests/test_acceptance.py`` to see
+the per-criterion lines; criteria that need an image dataset use real
+MNIST IDX files when available (``FEDSIM_MNIST_DIR`` or ``data/mnist/``)
+and otherwise fall back to a deterministic image-blob surrogate served
+through the IDX loader, so the full suite runs self-contained.
 """
 
 import json
@@ -14,18 +15,12 @@ import numpy as np
 import pytest
 
 import fedsim as fs
+from fedsim import claims
 from fedsim.cli import main
 from fedsim.data import synthetic_split
 from fedsim.rng import Xoshiro256PP, derive_seed, shuffle_order
 
-from helpers import (
-    balanced_subset,
-    grad_rel_error,
-    make_image_blobs,
-    mnist_idx_paths,
-    per_client_reference,
-    write_idx_pair,
-)
+from helpers import grad_rel_error, mnist_idx_paths, per_client_reference, write_idx_pair
 
 
 def report_pass(number: int, name: str, detail: str = "") -> None:
@@ -70,26 +65,7 @@ def test_acceptance_1_gradient_correctness():
 
 def test_acceptance_2_lockstep_equivalence():
     started = time.perf_counter()
-    train = fs.synthetic(5, 800, 20, 10)
-    test = fs.synthetic(6, 400, 20, 10)
-    spec = fs.NetworkSpec(20, (32,), 10)
-    seeds = fs.Seeds(init=1, shuffle=2, partition=55)
-    clients = fs.partition_iid(train, 4, seeds.partition)
-    fed_cfg = fs.TrainingConfig(
-        mode="fedmmb", learning_rate=0.05, max_rounds=100, batch_size=10, seeds=seeds,
-        clients=4, batch_count=1,
-    )
-    cent_cfg = fs.TrainingConfig(
-        mode="centralized", learning_rate=0.05, max_rounds=100, batch_size=40, seeds=seeds,
-    )
-    fed_weights: list[np.ndarray] = []
-    cent_weights: list[np.ndarray] = []
-    fs.run_fedmmb(fed_cfg, spec, clients, test, round_hook=lambda r, w: fed_weights.append(w))
-    fs.run_centralized(
-        cent_cfg, spec, None, test,
-        lockstep=fs.LockstepPlan(clients, 10),
-        round_hook=lambda r, w: cent_weights.append(w),
-    )
+    fed_weights, cent_weights = claims.lockstep(claims.LOCKSTEP_SEEDS)
     gaps = [np.max(np.abs(a - b)) for a, b in zip(fed_weights, cent_weights)]
     elapsed = time.perf_counter() - started
     assert len(gaps) == 100
@@ -106,44 +82,22 @@ def _image_datasets(tmp_path) -> tuple[fs.Dataset, fs.Dataset, str]:
     if paths is not None:
         train_full = fs.load_idx(paths["train_images"], paths["train_labels"])
         test_full = fs.load_idx(paths["test_images"], paths["test_labels"])
-        source = "mnist"
-    else:
-        # Deterministic surrogate with MNIST's geometry, via the IDX loader.
-        train_images, train_labels = make_image_blobs(41, 4000)
-        test_images, test_labels = make_image_blobs(42, 1500)
-        ti, tl = write_idx_pair(str(tmp_path), train_images, train_labels, "train")
-        vi, vl = write_idx_pair(str(tmp_path), test_images, test_labels, "test")
-        train_full = fs.load_idx(ti, tl)
-        test_full = fs.load_idx(vi, vl)
-        source = "image-blob surrogate"
-    train = balanced_subset(train_full, 200, seed=7)
-    test = balanced_subset(test_full, 100, seed=8)
-    return train, test, source
+        return train_full, test_full, "mnist"
+    # Deterministic surrogate with MNIST's geometry, via the IDX loader.
+    (train_images, train_labels), (test_images, test_labels) = claims.image_surrogate()
+    train_full = fs.load_idx(*write_idx_pair(str(tmp_path), train_images, train_labels, "train"))
+    test_full = fs.load_idx(*write_idx_pair(str(tmp_path), test_images, test_labels, "test"))
+    return train_full, test_full, "image-blob surrogate"
 
 
 def test_acceptance_3_free_running_concordance(tmp_path):
     started = time.perf_counter()
-    train, test, source = _image_datasets(tmp_path)
+    train_full, test_full, source = _image_datasets(tmp_path)
+    train, test, cent, fed = claims.image_concordance(claims.IMAGE_SEEDS, train_full, test_full)
     assert train.n == 2000 and test.n == 1000 and train.input_dim == 784
-    spec = fs.NetworkSpec(784, (32, 32), 10)
-    seeds = fs.Seeds(init=101, shuffle=102, partition=103)
-    cent_cfg = fs.TrainingConfig(
-        mode="centralized", learning_rate=0.01, max_rounds=2000, batch_size=50, seeds=seeds,
-        eval_every=10,
-    )
-    cent_log = fs.run_centralized(cent_cfg, spec, train, test)
     deltas = {}
     for scenario in ("iid", "noniid_1"):
-        if scenario == "iid":
-            clients = fs.partition_iid(train, 10, seeds.partition)
-        else:
-            clients = fs.partition_noniid_l(train, 10, 1, seeds.partition)
-        fed_cfg = fs.TrainingConfig(
-            mode="fedmmb", learning_rate=0.01, max_rounds=2000, batch_size=5, seeds=seeds,
-            clients=10, batch_count=1, eval_every=10,
-        )
-        fed_log = fs.run_fedmmb(fed_cfg, spec, clients, test)
-        verdict = fs.discordance(fed_log, cent_log, epsilon=0.01)
+        verdict = fs.discordance(fed[scenario].log, cent.log, epsilon=0.01)
         deltas[scenario] = verdict.delta
         assert verdict.concordant, f"{scenario}: delta {verdict.delta} >= 0.01"
     elapsed = time.perf_counter() - started
@@ -160,22 +114,13 @@ def test_acceptance_3_free_running_concordance(tmp_path):
 
 def test_acceptance_4_iid_batch_count_efficiency():
     started = time.perf_counter()
-    train, test = synthetic_split(1, 2000, 600, 20, 3)
-    spec = fs.NetworkSpec(20, (32,), 3)
-    seeds = fs.Seeds(init=3, shuffle=4, partition=5)
     rounds_to_target = {}
     max_accuracy = {}
-    for batch_count in (1, 5, 20):
-        clients = fs.partition_iid(train, 10, seeds.partition)
-        cfg = fs.TrainingConfig(
-            mode="fedmmb", learning_rate=0.05, max_rounds=600, batch_size=10, seeds=seeds,
-            clients=10, batch_count=batch_count,
-        )
-        log = fs.run_fedmmb(cfg, spec, clients, test)
-        reached = log.first_round_reaching(0.75)
+    for batch_count, run in claims.iid_dial(claims.DIAL_SEEDS).items():
+        reached = run.log.first_round_reaching(0.75)
         assert reached is not None, f"C={batch_count} never reached 0.75"
         rounds_to_target[batch_count] = reached
-        max_accuracy[batch_count] = log.max_accuracy()
+        max_accuracy[batch_count] = run.log.max_accuracy()
     elapsed = time.perf_counter() - started
     assert rounds_to_target[1] > rounds_to_target[5] > rounds_to_target[20]
     assert max(max_accuracy.values()) - min(max_accuracy.values()) <= 0.03
@@ -193,18 +138,8 @@ def test_acceptance_4_iid_batch_count_efficiency():
 
 def test_acceptance_5_severe_skew_tradeoff():
     started = time.perf_counter()
-    train, test = synthetic_split(21, 2000, 500, 20, 10)
-    spec = fs.NetworkSpec(20, (32, 32), 10)
-    seeds = fs.Seeds(init=3, shuffle=4, partition=5)
-    max_accuracy = {}
-    for batch_count in (1, 20):
-        clients = fs.partition_noniid_l(train, 10, 2, seeds.partition)
-        cfg = fs.TrainingConfig(
-            mode="fedmmb", learning_rate=0.08, max_rounds=2000, batch_size=10, seeds=seeds,
-            clients=10, batch_count=batch_count, eval_every=10,
-        )
-        log = fs.run_fedmmb(cfg, spec, clients, test)
-        max_accuracy[batch_count] = log.max_accuracy()
+    runs = claims.severe_skew(claims.DIAL_SEEDS)
+    max_accuracy = {batch_count: run.log.max_accuracy() for batch_count, run in runs.items()}
     elapsed = time.perf_counter() - started
     margin = max_accuracy[1] - max_accuracy[20]
     assert margin >= 0.02, f"margin {margin:.4f} below 0.02 ({max_accuracy})"
@@ -221,32 +156,16 @@ def test_acceptance_5_severe_skew_tradeoff():
 
 def test_acceptance_6_beats_fedavg_under_skew():
     started = time.perf_counter()
-    train, test = synthetic_split(31, 10000, 1000, 20, 10)
-    spec = fs.NetworkSpec(20, (32, 32), 10)
-    seeds = fs.Seeds(init=3, shuffle=4, partition=5)
-    eta, max_rounds = 0.05, 600
+    mmb_run, avg_small_run, avg_large_run = claims.versus_fedavg(claims.DIAL_SEEDS)
+    max_rounds = mmb_run.config.max_rounds
 
-    def run(mode, batch_size, batch_count=None, local_epochs=None):
-        clients = fs.partition_noniid_l(train, 10, 2, seeds.partition)
-        cfg = fs.TrainingConfig(
-            mode=mode, learning_rate=eta, max_rounds=max_rounds, batch_size=batch_size,
-            seeds=seeds, clients=10, batch_count=batch_count, local_epochs=local_epochs,
-            eval_every=5,
-        )
-        driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
-        return driver(cfg, spec, clients, test)
+    assert avg_small_run.log.rows[-1].cum_local_updates == max_rounds * 10 * 100
+    assert avg_large_run.log.rows[-1].cum_local_updates == max_rounds * 10 * 20
+    assert mmb_run.log.rows[-1].cum_local_updates == max_rounds * 10 * 20
 
-    mmb_log = run("fedmmb", 10, batch_count=20)  # 20 updates of batch 10 per round
-    avg_small_log = run("fedavg", 10, local_epochs=1)  # 100 updates of batch 10
-    avg_large_log = run("fedavg", 50, local_epochs=1)  # 20 updates of batch 50
-
-    assert avg_small_log.rows[-1].cum_local_updates == max_rounds * 10 * 100
-    assert avg_large_log.rows[-1].cum_local_updates == max_rounds * 10 * 20
-    assert mmb_log.rows[-1].cum_local_updates == max_rounds * 10 * 20
-
-    mmb = mmb_log.max_accuracy()
-    avg_small = avg_small_log.max_accuracy()
-    avg_large = avg_large_log.max_accuracy()
+    mmb = mmb_run.log.max_accuracy()
+    avg_small = avg_small_run.log.max_accuracy()
+    avg_large = avg_large_run.log.max_accuracy()
     elapsed = time.perf_counter() - started
     assert mmb - avg_small >= 0.02, f"margin over FedAvg(B=10) {mmb - avg_small:.4f}"
     assert mmb > avg_large, f"decoupling: {mmb:.4f} vs FedAvg(B=50) {avg_large:.4f}"

@@ -195,7 +195,8 @@ def test_csv_source_with_split(tmp_path):
 
 
 def test_idx_source_config(tmp_path):
-    from helpers import make_image_blobs, write_idx_pair
+    from fedsim.claims import make_image_blobs
+    from helpers import write_idx_pair
 
     train_images, train_labels = make_image_blobs(1, 40, side=4, num_classes=4)
     test_images, test_labels = make_image_blobs(2, 16, side=4, num_classes=4)
@@ -450,6 +451,14 @@ def test_sweep_unknown_key_exits_2(tmp_path):
 def test_sweep_malformed_expression_exits_2(tmp_path):
     path = write_config(tmp_path, base_config(tmp_path))
     assert main(["sweep", path, "--set", "train.C"]) == 2
+
+
+@pytest.mark.parametrize("target", ["5", "nan", "-1", "0"])
+def test_sweep_rejects_target_accuracy_outside_unit_interval(tmp_path, capsys, target):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["sweep", path, "--set", "train.C=1,2", f"--target-acc={target}"]) == 2
+    assert "target accuracy" in capsys.readouterr().err
+    assert list(tmp_path.glob("out/**/*")) == []
 
 
 # --- config-level API -------------------------------------------------------

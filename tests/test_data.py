@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
+from fedsim.claims import balanced_subset, make_image_blobs
 from fedsim.data import synthetic_split
 from fedsim.rng import shuffle_order
 
-from helpers import make_image_blobs, mnist_idx_paths, write_idx_pair
+from helpers import mnist_idx_paths, window_batches, write_idx_pair
 
 
 def multiset(dataset: fs.Dataset) -> list[tuple]:
@@ -297,7 +298,7 @@ def make_client(n: int, seed: int = 0) -> fs.ClientDataset:
 def sweep_batches(schedule: fs.BatchSchedule, sweep: int) -> list[fs.Batch]:
     """The batches of every window of one sweep, in training order."""
     span = schedule.window_span
-    return [b for i in range(sweep * span, (sweep + 1) * span) for b in schedule.take_window(i)]
+    return [b for i in range(sweep * span, (sweep + 1) * span) for b in window_batches(schedule, i)]
 
 
 def test_make_schedule_counts():
@@ -410,8 +411,8 @@ def test_take_window_is_pure_in_its_index(n, batch_size, batch_count, indices):
     # Each index is taken again in reverse, so the sequence has repeats and
     # runs out of order.
     for i in indices + indices[::-1]:
-        got = schedule.take_window(i)
-        want = fs.make_schedule(client, batch_size, batch_count, 3).take_window(i)
+        got = window_batches(schedule, i)
+        want = window_batches(fs.make_schedule(client, batch_size, batch_count, 3), i)
         assert len(got) == len(want), i
         for a, b in zip(got, want):
             assert np.array_equal(a.features, b.features), i
@@ -427,6 +428,13 @@ def test_split_dataset_seeded():
     assert np.array_equal(test.features, again_test.features)
     with pytest.raises(fs.DataError):
         fs.split_dataset(ds, 0.0, 3)
+
+
+def test_balanced_subset_rejects_a_short_class():
+    ds = fs.Dataset(np.zeros((7, 2)), np.array([0, 0, 0, 0, 1, 1, 1]), 2)
+    assert balanced_subset(ds, 3, seed=1).labels.tolist() == [0, 1, 0, 1, 0, 1]
+    with pytest.raises(fs.DataError, match="class 1 has only 3 samples"):
+        balanced_subset(ds, 4, seed=1)
 
 
 def test_image_blob_fixture_roundtrips_through_idx(tmp_path):

@@ -1,13 +1,14 @@
-"""Smoke tests: the fast demos run to completion against the current API.
+"""Smoke tests: the demos load, and the fast ones run, against the current API.
 
-Each demo runs as a script in a fresh interpreter with ``src`` on
+Each fast demo runs as a script in a fresh interpreter with ``src`` on
 ``PYTHONPATH``, in a temporary working directory (``cli_workflow`` writes
-``./demo-runs``). The slow demos (``fedavg_comparison``, ``seed_robustness``,
-``blas_kernel_probe``) are left out.
+``./demo-runs``). The slow demos are only loaded, so their imports are
+checked but ``main`` does not run.
 """
 
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -40,3 +41,9 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("demo", ["fedavg_comparison", "seed_robustness", "blas_kernel_probe"])
+def test_slow_demo_imports(demo):
+    namespace = runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="not_main")
+    assert callable(namespace["main"])
