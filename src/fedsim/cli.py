@@ -12,8 +12,10 @@ Verbs:
   one run per value with otherwise identical seeds, plus an index CSV.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime contract
-violation. Metrics files are written atomically (temp file + rename), so
-an interrupted run never leaves a partial CSV at the final path.
+violation. ``output.dir`` is created before training, and one that
+cannot be is a config error. Metrics files are written atomically (temp
+file with mode 0666 less the umask, then rename), so an interrupted run
+never leaves a partial CSV at the final path.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import copy
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +63,23 @@ class ComparisonSpec:
         _check_target_accuracy(self.target_accuracy)
 
 
+def _make_output_dir(directory: str) -> None:
+    """Create ``output.dir`` (empty means the working directory) or raise a ConfigError.
+
+    Called before training, so a directory that cannot exist fails the run
+    at once instead of after its last round.
+    """
+    try:
+        os.makedirs(directory or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir {directory!r} cannot be created: {exc.strerror}") from exc
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename, mode 0666 less the umask."""
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -116,6 +131,7 @@ def _write_artifacts(config: ExperimentConfig, log: MetricsLog) -> tuple[str, st
 
 def cmd_run(config_path: str) -> int:
     config = load_config(config_path)
+    _make_output_dir(config.output_dir)
     log = run_experiment(config)
     csv_path, sidecar_path = _write_artifacts(config, log)
     print(f"wrote {csv_path} ({len(log.rows)} rows) and {sidecar_path}")
@@ -202,6 +218,8 @@ def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = N
         _set_in(document, path, value)
         document["output"]["name"] = f"{base.run_name}-{key_leaf}{value}"
         variants.append((value, config_from_dict(document)))
+    for directory in dict.fromkeys([base.output_dir, *(v.output_dir for _, v in variants)]):
+        _make_output_dir(directory)
     summary_rows = []
     for value, variant in variants:
         log = run_experiment(variant)

@@ -1,8 +1,10 @@
 """The round loop and the three training drivers.
 
 Every driver runs the same sequential loop: each round, every client's
-batch schedule trains from the broadcast global weights, all clients
-stacked along a leading axis in one batched computation; the stack's rows
+batch schedule trains from the global weights, all clients stacked along a
+leading axis in one batched computation. The round's first step reads the
+global weights in place, broadcast across the clients, and writes its
+result into the stack; later steps train in the stack. The stack's rows
 are combined by sample-weighted averaging in ascending client order, the
 model is evaluated on a fixed cadence, and the round hook sees the new
 weights.
@@ -114,7 +116,9 @@ class StepPlan:
 
     It holds the client stack (``[K, parameter_count]``, client ``j`` of
     ``schedules`` in row ``j``), one gradient buffer of the same shape, the
-    layer views of both, and gather buffers for a round's window rows. Each
+    layer views of both, and gather buffers for a round's window rows. Only
+    the steps after a round's first use the gradient buffer; a first step
+    of every client together backpropagates into the stack itself. Each
     round takes ``windows`` batch windows of every schedule at learning rate
     ``eta``. Building it checks ``windows``, ``eta`` and each schedule's
     source against the spec (feature width, label range), so no round or
@@ -154,27 +158,43 @@ class StepPlan:
             np.take(source.features, r, axis=0, out=self._x[j, : r.size], mode="clip")
             np.take(source.labels, r, axis=0, out=self._y[j, : r.size], mode="clip")
 
-    def step(self, members: list[int], starts: list[int], size: int) -> None:
+    def step(
+        self,
+        members: list[int],
+        starts: list[int],
+        size: int,
+        origin: tuple[np.ndarray, list] | None = None,
+    ) -> None:
         """One SGD step of clients ``members`` on batches of ``size`` gathered rows.
 
         Member ``i``'s batch starts at row ``starts[i]`` of its gather
-        buffers. When the group is every client at a common offset, it
-        trains in the stack itself on views of the gather buffers. Any other
-        group's rows and parameters are copied out, and its new parameters
-        written back.
+        buffers. The members train from their rows of the stack or, on a
+        round's first step, from ``origin``: the global weights and their
+        ``layer_views`` with a leading axis of 1, read in place. When the
+        group is every client at a common offset, it trains on views of the
+        gather buffers, its gradients in the gradient buffer or, on the first
+        step, in the stack itself. Any other group's rows are copied out,
+        and its new parameters written to its rows of the stack.
         """
         o = starts[0]
         if len(members) == len(self.schedules) and starts.count(o) == len(starts):
             x, y = self._x[:, o : o + size], self._y[:, o : o + size]
-            _gradients_into(self.layers, self.grad_layers, x, y)
-            _descend(self.stack, self.grads, self.eta, out=self.stack)
+            if origin is None:
+                _gradients_into(self.layers, self.grad_layers, x, y)
+                _descend(self.stack, self.grads, self.eta, out=self.stack)
+            else:
+                _gradients_into(origin[1], self.layers, x, y)
+                _descend(origin[0], self.stack, self.eta, out=self.stack)
             return
         picks = (np.array(members)[:, None], np.add.outer(starts, np.arange(size)))
-        local = self.stack[members]
-        grads = np.empty_like(local)
-        layers, grad_layers = layer_views(self.spec, local), layer_views(self.spec, grads)
-        _gradients_into(layers, grad_layers, self._x[picks], self._y[picks])
-        self.stack[members] = _descend(local, grads, self.eta, out=local)
+        if origin is None:
+            params = self.stack[members]
+            layers = layer_views(self.spec, params)
+        else:
+            params, layers = origin
+        grads = np.empty((len(members), self.spec.parameter_count))
+        _gradients_into(layers, layer_views(self.spec, grads), self._x[picks], self._y[picks])
+        self.stack[members] = _descend(params, grads, self.eta, out=grads)
 
 
 def client_update_mmb(
@@ -182,7 +202,7 @@ def client_update_mmb(
 ) -> tuple[list[int], list[int]]:
     """Every client's local training for round ``round_index``, in the plan's stack.
 
-    Each client starts from the broadcast global weights and takes one SGD
+    Each client starts from the global weights and takes one SGD
     step per batch of this round's ``plan.windows`` batch windows, in
     order: round ``i`` takes windows ``i * windows`` to
     ``i * windows + windows - 1`` of each schedule. A window is a pure
@@ -191,14 +211,23 @@ def client_update_mmb(
     runs ``windows`` local epochs, epoch k of round i on permutation
     ``i * windows + k`` of the client's seed stream.
 
-    Client ``j`` trains in row ``j`` of ``plan.stack``. The round's rows of
-    each client are copied out of its source once. At step ``s`` the
+    Client ``j`` trains in row ``j`` of ``plan.stack``. The first step
+    reads the global weights in place, through one set of layer views with
+    a leading axis of 1 that broadcasts across the clients, and writes
+    ``W - eta * g`` into every client's row. Nothing copies the weights
+    into the stack, and no step reads a row before the first step has
+    written it. The global weights therefore must not share memory with
+    the stack (``ContractError``): the first step writes the stack while
+    it still reads them. The round's rows of each client are copied out of
+    its source once. At step ``s`` the
     clients whose batch ``s`` has the same size train together, one
     gradient computation for the group; a client whose windows have no
     batch ``s`` sits the step out. Returns every client's sample count and
     step count, in row order.
     """
-    plan.stack[...] = global_weights
+    if np.shares_memory(global_weights, plan.stack):
+        raise ContractError("the global weights must not share memory with the client stack")
+    origin = (global_weights, layer_views(plan.spec, global_weights[None]))
     first = round_index * plan.windows
     rows, sizes = [], []
     for schedule in plan.schedules:
@@ -213,7 +242,7 @@ def client_update_mmb(
             if s < len(batches):
                 groups.setdefault(batches[s], []).append(j)
         for size, members in groups.items():
-            plan.step(members, [starts[j] for j in members], size)
+            plan.step(members, [starts[j] for j in members], size, origin if s == 0 else None)
             for j in members:
                 starts[j] += size
     return [r.size for r in rows], [len(z) for z in sizes]

@@ -1,12 +1,14 @@
 import copy
 import json
 import os
+import stat
 import sys
 
 import numpy as np
 import pytest
 
 import fedsim as fs
+import fedsim.cli as cli
 from fedsim.cli import ComparisonSpec, cmd_compare, main
 from fedsim.config import config_from_dict, load_config, run_experiment
 
@@ -61,6 +63,48 @@ def test_run_twice_byte_identical(tmp_path):
     first = (tmp_path / "out" / "run.csv").read_bytes()
     assert main(["run", path]) == 0
     assert (tmp_path / "out" / "run.csv").read_bytes() == first
+
+
+def test_output_dir_that_cannot_be_made_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(config):
+        raise AssertionError("trained before output.dir was made")
+
+    monkeypatch.setattr(cli, "run_experiment", no_training)
+    (tmp_path / "afile").write_text("")
+    document = base_config(tmp_path)
+    document["output"]["dir"] = str(tmp_path / "afile" / "sub")
+    path = write_config(tmp_path, document)
+    assert main(["run", path]) == 2
+    assert "output.dir" in capsys.readouterr().err
+    assert main(["sweep", path, "--set", "train.C=1,2"]) == 2
+    assert "output.dir" in capsys.readouterr().err
+    document["output"]["dir"] = str(tmp_path / "afile")  # the path is a regular file
+    assert main(["run", write_config(tmp_path, document)]) == 2
+    assert "output.dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_run_writes_its_files_with_the_umask_applied(tmp_path, umask, mode):
+    path = write_config(tmp_path, base_config(tmp_path))
+    previous = os.umask(umask)
+    try:
+        assert main(["run", path]) == 0
+    finally:
+        os.umask(previous)
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == ["run.csv", "run.json"]
+    for name in ("run.csv", "run.json"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == mode
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(str(tmp_path / "run.csv"), "text\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_rejects_conflicting_hyperparameters(tmp_path):

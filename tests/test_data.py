@@ -65,7 +65,8 @@ def test_load_idx_rejects_truncation_and_count_mismatch(tmp_path):
     images = np.zeros((4, 2, 2), dtype=np.uint8)
     labels = np.zeros(4, dtype=np.uint8)
     images_path, labels_path = write_idx_pair(str(tmp_path), images, labels, "trunc")
-    raw = open(images_path, "rb").read()
+    with open(images_path, "rb") as f:
+        raw = f.read()
     with open(images_path, "wb") as f:
         f.write(raw[:-3])
     with pytest.raises(fs.DataError):

@@ -154,6 +154,69 @@ def test_driver_matches_per_client_reference_on_unequal_clients(mode):
     assert all(np.array_equal(w, snapshot) for w, snapshot in seen)
 
 
+def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
+    # Each round fills the stack and the gradient buffer with NaN before it
+    # trains, so a client row that a round's first step did not write, or a
+    # gradient read before it was written, makes the run diverge.
+    spec, clients, test = unequal_clients()
+    cent_cfg = fs.TrainingConfig(
+        mode="centralized", learning_rate=0.1, max_rounds=8, batch_size=4, seeds=SEEDS,
+    )
+
+    def centralized():
+        seen = []
+        log = fs.run_centralized(
+            cent_cfg, spec, clients[2].data, test, round_hook=lambda i, w: seen.append(w)
+        )
+        return log.to_csv_string(), seen[-1]
+
+    clean_csv, clean_weights = centralized()
+    real_update, real_step = federated.client_update_mmb, StepPlan.step
+    first_steps = []  # per round: (batch size, members) of each first-step group
+
+    def poisoned_update(plan, round_index, weights):
+        plan.stack.fill(np.nan)
+        plan.grads.fill(np.nan)
+        first_steps.append([])
+        return real_update(plan, round_index, weights)
+
+    def recorded_step(plan, members, starts, size, origin=None):
+        if origin is not None:
+            first_steps[-1].append((size, members))
+        real_step(plan, members, starts, size, origin)
+
+    monkeypatch.setattr(federated, "client_update_mmb", poisoned_update)
+    monkeypatch.setattr(StepPlan, "step", recorded_step)
+    csv, weights = centralized()
+    assert csv == clean_csv
+    assert np.array_equal(weights, clean_weights)
+    for mode, knobs in (("fedmmb", {"batch_count": 3}), ("fedavg", {"local_epochs": 2})):
+        cfg = fs.TrainingConfig(
+            mode=mode, learning_rate=0.1, max_rounds=6, batch_size=4, seeds=SEEDS,
+            eval_every=2, clients=3, **knobs,
+        )
+        driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
+        first_steps.clear()
+        seen = []
+        log = driver(cfg, spec, clients, test, round_hook=lambda i, w: seen.append(w))
+        reference_log, reference_weights = per_client_reference(cfg, spec, clients, test)
+        assert log.to_csv_string() == reference_log.to_csv_string()
+        assert np.array_equal(seen[-1], reference_weights)
+        assert len(first_steps) == cfg.max_rounds
+        if mode == "fedmmb":
+            # Round 1 opens on client 0's short last batch of one sample, so
+            # its first step trains two gathered groups from the global weights.
+            assert first_steps[1] == [(1, [0]), (4, [1, 2])]
+
+
+def test_client_update_rejects_global_weights_that_share_the_stack():
+    spec = fs.NetworkSpec(4, (6,), 5)
+    plan = StepPlan(spec, [client_schedule(20, batch_size=5, batch_count=2)], 1, 0.05)
+    plan.stack[...] = fs.init_weights(spec, 1)
+    with pytest.raises(fs.ContractError):
+        fs.client_update_mmb(plan, 0, plan.stack[0])
+
+
 # --- aggregation ------------------------------------------------------------
 
 
