@@ -10,6 +10,9 @@ Verbs:
   - discordance between two runs plus max-accuracy / rounds-to-target.
 * ``fedsim sweep <config.json> --set train.C=1,5,10 [--target-acc X]`` -
   one run per value with otherwise identical seeds, plus an index CSV.
+  Each value's run is named ``<name>-<key leaf><value>``, with ``_`` for
+  every path separator; values whose runs would write the same files are
+  a config error, raised before any run.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime contract
 violation. ``output.dir`` is created before training, and one that
@@ -207,17 +210,36 @@ def _set_in(document: dict, path: list[str], value) -> None:
     node[path[-1]] = value
 
 
+def _variant_name(run_name: str, key_leaf: str, value) -> str:
+    """``<run name>-<key leaf><value>``, with ``_`` for every path separator in it."""
+    name = f"{run_name}-{key_leaf}{value}"
+    for sep in ("/", os.sep, os.altsep):
+        if sep:
+            name = name.replace(sep, "_")
+    return name
+
+
 def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = None) -> int:
     _check_target_accuracy(target_accuracy)
     base = load_config(config_path)
     path, values = _parse_sweep_expr(set_expr)
     key_leaf = path[-1]
     variants = []
-    for value in values:
+    outputs: dict[str, int] = {}
+    for i, value in enumerate(values, start=1):
         document = copy.deepcopy(base.resolved)
         _set_in(document, path, value)
-        document["output"]["name"] = f"{base.run_name}-{key_leaf}{value}"
-        variants.append((value, config_from_dict(document)))
+        config_from_dict(document)  # the value as given, before the run is renamed
+        document["output"]["name"] = _variant_name(base.run_name, key_leaf, value)
+        variant = config_from_dict(document)
+        output = os.path.abspath(os.path.join(variant.output_dir, variant.run_name))
+        if output in outputs:
+            raise ConfigError(
+                f"--set: values {outputs[output]} and {i} of {'.'.join(path)} would both"
+                f" write {output}.csv"
+            )
+        outputs[output] = i
+        variants.append((value, variant))
     for directory in dict.fromkeys([base.output_dir, *(v.output_dir for _, v in variants)]):
         _make_output_dir(directory)
     summary_rows = []

@@ -5,7 +5,9 @@ A config document has up to five sections: ``dataset``, ``model``,
 keys are rejected everywhere, so a config that parses today reproduces the
 same run tomorrow. The ``FEDSIM_SEED`` environment variable, when set,
 overrides every seed in the document with that single integer; the
-resolved values are what gets echoed to the run's JSON sidecar.
+resolved values are what gets echoed to the run's JSON sidecar. Every seed
+must lie in [0, 2**64): the streams take seeds modulo 2**64, so a seed
+outside that range would silently repeat another seed's run.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ def _str(section: dict, where: str, key: str) -> str:
     v = section[key]
     if not isinstance(v, str):
         raise ConfigError(f"{where}.{key}: expected a string, got {v!r}")
+    return v
+
+
+def _seed(section: dict, where: str, key: str) -> int:
+    # Seeds enter the streams modulo 2**64, so -1 would alias 2**64 - 1.
+    v = _int(section, where, key)
+    if not 0 <= v < 1 << 64:
+        raise ConfigError(f"{where}.{key}: expected a seed in [0, 2**64), got {v}")
     return v
 
 
@@ -133,9 +143,9 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     _apply_env_seed(resolved)
 
     seeds = Seeds(
-        init=_int(seeds_sec, "train.seeds", "init"),
-        shuffle=_int(seeds_sec, "train.seeds", "shuffle"),
-        partition=_int(seeds_sec, "train.seeds", "partition"),
+        init=_seed(seeds_sec, "train.seeds", "init"),
+        shuffle=_seed(seeds_sec, "train.seeds", "shuffle"),
+        partition=_seed(seeds_sec, "train.seeds", "partition"),
     )
     train = TrainingConfig(
         mode=_str(train_sec, "train", "mode"),
@@ -192,6 +202,8 @@ def _apply_env_seed(resolved: dict[str, Any]) -> None:
         seed = int(value)
     except ValueError as exc:
         raise ConfigError(f"{ENV_SEED} must be an integer, got {value!r}") from exc
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{ENV_SEED} must be a seed in [0, 2**64), got {value!r}")
     seeds = resolved["train"]["seeds"]
     for key in ("init", "shuffle", "partition"):
         seeds[key] = seed
@@ -236,7 +248,7 @@ def _validate_dataset_section(section: Any) -> None:
         if key in _DATASET_PATHS:
             _str(section, "dataset", key)
         elif key == "seed":
-            _int(section, "dataset", key)
+            _seed(section, "dataset", key)
         elif key == "header":
             if not isinstance(section[key], bool):
                 raise ConfigError(f"dataset.header: expected true or false, got {section[key]!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DataError
-from .rng import Xoshiro256PP, derive_seed, shuffle_order
+from .rng import Xoshiro256PP, derive_seed, shuffle_orders
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -339,7 +339,10 @@ class BatchSchedule:
     last. A window therefore never depends on which windows were taken
     before it, or in what order. The last permutation drawn is kept, keyed
     by its sweep, so taking the windows in order draws once per sweep.
-    A window names its rows of ``source`` only when it is asked for.
+    ``draw_windows`` takes one window of many schedules and draws all their
+    new sweeps of one size in one ``shuffle_orders`` call; ``window_rows``
+    is its one-schedule case. A window names its rows of ``source`` only
+    when it is asked for.
     """
 
     source: Dataset
@@ -363,12 +366,6 @@ class BatchSchedule:
     def window_span(self) -> int:
         return math.ceil(self.num_batches / self.batch_count)
 
-    def _order(self, sweep: int) -> np.ndarray:
-        if self._drawn is None or self._drawn[0] != sweep:
-            seed = derive_seed(self.base_seed, self.client_index, sweep)
-            self._drawn = (sweep, shuffle_order(seed, self.source.n))
-        return self._drawn[1]
-
     def window_rows(self, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """Window ``index`` (see ``batch_window``) as rows of ``source``.
 
@@ -376,10 +373,45 @@ class BatchSchedule:
         order, and the sizes of its batches, which take those rows in
         consecutive runs.
         """
+        _draw_sweeps([self], index)
         p, q = batch_window(self, index)
         b = self.batch_size
-        rows = self._order(index // self.window_span)[p * b : (q + 1) * b]
+        rows = self._drawn[1][p * b : (q + 1) * b]
         return rows, (b,) * (q - p) + (rows.size - (q - p) * b,)
+
+
+def _draw_sweeps(schedules: list[BatchSchedule], index: int) -> None:
+    """Give every schedule the permutation of the sweep that holds window ``index``.
+
+    Schedules that already hold it are left alone. The others are grouped
+    by source size, and each group draws its permutations in one
+    ``shuffle_orders`` call, whose row for a seed is that seed's own
+    ``shuffle_order``.
+    """
+    stale: dict[int, list[tuple[BatchSchedule, int]]] = {}
+    for schedule in schedules:
+        sweep = index // schedule.window_span
+        if schedule._drawn is None or schedule._drawn[0] != sweep:
+            stale.setdefault(schedule.source.n, []).append((schedule, sweep))
+    for n, group in stale.items():
+        seeds = [derive_seed(s.base_seed, s.client_index, sweep) for s, sweep in group]
+        for (schedule, sweep), order in zip(group, shuffle_orders(seeds, n)):
+            schedule._drawn = (sweep, order)
+
+
+def draw_windows(schedules: list, index: int) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Window ``index`` of every batch source in ``schedules``, as ``window_rows`` gives it.
+
+    The new sweeps of every ``BatchSchedule`` in the list are drawn first,
+    one ``shuffle_orders`` call per distinct source size, so a round
+    of K clients that all start a sweep draws once, not K times. Any other
+    batch source (the lockstep source, which draws over its own shadows)
+    gives its window through its ``window_rows``. Each window is a pure
+    function of ``index``, so neither the order of the list nor the order of
+    the calls changes what comes back.
+    """
+    _draw_sweeps([s for s in schedules if isinstance(s, BatchSchedule)], index)
+    return [s.window_rows(index) for s in schedules]
 
 
 def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed: int) -> BatchSchedule:

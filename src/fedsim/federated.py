@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BatchSchedule, ClientDataset, Dataset, make_schedule
+from .data import BatchSchedule, ClientDataset, Dataset, draw_windows, make_schedule
 from .errors import ConfigError, ContractError
 from .metrics import MetricsLog, MetricsRow, comm_cost
 from .nn import (
@@ -116,7 +116,9 @@ class StepPlan:
 
     It holds the client stack (``[K, parameter_count]``, client ``j`` of
     ``schedules`` in row ``j``), one gradient buffer of the same shape, the
-    layer views of both, and gather buffers for a round's window rows. Only
+    layer views of both, and gather buffers for a round's window rows: their
+    features, and their labels as one-hot float64 targets
+    (``[K, n, classes]``), built once per round by ``gather``. Only
     the steps after a round's first use the gradient buffer; a first step
     of every client together backpropagates into the stack itself. Each
     round takes ``windows`` batch windows of every schedule at learning rate
@@ -142,21 +144,29 @@ class StepPlan:
         self.layers = layer_views(spec, self.stack)
         self.grad_layers = layer_views(spec, self.grads)
         self._x = np.empty((k, 0, spec.input_dim))
-        self._y = np.empty((k, 0), dtype=np.int64)
+        self._targets = np.empty((k, 0, spec.output_dim))
+        self._one_hot = np.eye(spec.output_dim)
 
     def gather(self, rows: list[np.ndarray]) -> None:
-        """Copy rows ``rows[j]`` of schedule ``j``'s source to the front of its gather buffers."""
+        """Copy rows ``rows[j]`` of schedule ``j``'s source to the front of its gather buffers.
+
+        The features are copied as they are; each label becomes its one-hot
+        float64 target row, so a round builds all its targets here once and
+        no step picks labels. Only each client's own ``rows[j].size`` rows
+        are written, and no step reads past them.
+        """
         n = max(r.size for r in rows)
         if self._x.shape[1] < n:
             self._x = np.empty((len(rows), n, self.spec.input_dim))
-            self._y = np.empty((len(rows), n), dtype=np.int64)
+            self._targets = np.empty((len(rows), n, self.spec.output_dim))
         for j, (schedule, r) in enumerate(zip(self.schedules, rows)):
-            # The rows come from a permutation of this schedule's source, so
-            # they are in range; "clip" lets np.take write into ``out``
-            # without a buffer.
+            # The rows come from a permutation of this schedule's source, and
+            # its labels index the outputs, so both takes are in range;
+            # "clip" lets np.take write into ``out`` without a buffer.
             source = schedule.source
             np.take(source.features, r, axis=0, out=self._x[j, : r.size], mode="clip")
-            np.take(source.labels, r, axis=0, out=self._y[j, : r.size], mode="clip")
+            labels = source.labels[r]
+            np.take(self._one_hot, labels, axis=0, out=self._targets[j, : r.size], mode="clip")
 
     def step(
         self,
@@ -178,12 +188,12 @@ class StepPlan:
         """
         o = starts[0]
         if len(members) == len(self.schedules) and starts.count(o) == len(starts):
-            x, y = self._x[:, o : o + size], self._y[:, o : o + size]
+            x, t = self._x[:, o : o + size], self._targets[:, o : o + size]
             if origin is None:
-                _gradients_into(self.layers, self.grad_layers, x, y)
+                _gradients_into(self.layers, self.grad_layers, x, t)
                 _descend(self.stack, self.grads, self.eta, out=self.stack)
             else:
-                _gradients_into(origin[1], self.layers, x, y)
+                _gradients_into(origin[1], self.layers, x, t)
                 _descend(origin[0], self.stack, self.eta, out=self.stack)
             return
         picks = (np.array(members)[:, None], np.add.outer(starts, np.arange(size)))
@@ -193,7 +203,7 @@ class StepPlan:
         else:
             params, layers = origin
         grads = np.empty((len(members), self.spec.parameter_count))
-        _gradients_into(layers, layer_views(self.spec, grads), self._x[picks], self._y[picks])
+        _gradients_into(layers, layer_views(self.spec, grads), self._x[picks], self._targets[picks])
         self.stack[members] = _descend(params, grads, self.eta, out=grads)
 
 
@@ -218,21 +228,23 @@ def client_update_mmb(
     into the stack, and no step reads a row before the first step has
     written it. The global weights therefore must not share memory with
     the stack (``ContractError``): the first step writes the stack while
-    it still reads them. The round's rows of each client are copied out of
-    its source once. At step ``s`` the
-    clients whose batch ``s`` has the same size train together, one
-    gradient computation for the group; a client whose windows have no
-    batch ``s`` sits the step out. Returns every client's sample count and
-    step count, in row order.
+    it still reads them. Each window index of the round is drawn for every
+    client at once (``draw_windows``: one permutation draw per source size
+    for all the clients that start a sweep), and the round's rows of each
+    client, with their one-hot targets, are copied out of its source once.
+    At step ``s`` the clients whose batch ``s`` has the same size train
+    together, one gradient computation for the group; a client whose
+    windows have no batch ``s`` sits the step out. Returns every client's
+    sample count and step count, in row order.
     """
     if np.shares_memory(global_weights, plan.stack):
         raise ContractError("the global weights must not share memory with the client stack")
     origin = (global_weights, layer_views(plan.spec, global_weights[None]))
     first = round_index * plan.windows
+    windows = [draw_windows(plan.schedules, first + e) for e in range(plan.windows)]
     rows, sizes = [], []
-    for schedule in plan.schedules:
-        parts = [schedule.window_rows(first + e) for e in range(plan.windows)]
-        rows.append(np.concatenate([r for r, _ in parts]))
+    for parts in zip(*windows):
+        rows.append(parts[0][0] if len(parts) == 1 else np.concatenate([r for r, _ in parts]))
         sizes.append([z for _, zs in parts for z in zs])
     plan.gather(rows)
     starts = [0] * len(sizes)
@@ -415,9 +427,8 @@ class _LockstepSchedule:
         self._offsets = np.cumsum([0] + [d.n for d in sources[:-1]])
 
     def window_rows(self, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        rows = np.concatenate(
-            [s.window_rows(index)[0] + o for s, o in zip(self.shadows, self._offsets)]
-        )
+        parts = draw_windows(self.shadows, index)
+        rows = np.concatenate([r + o for (r, _), o in zip(parts, self._offsets)])
         return rows, (rows.size,)
 
 

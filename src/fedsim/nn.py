@@ -217,21 +217,22 @@ def _gradients_into(
     layers: list[tuple[np.ndarray, np.ndarray]],
     grad_layers: list[tuple[np.ndarray, np.ndarray]],
     features: np.ndarray,
-    labels: np.ndarray,
+    targets: np.ndarray,
 ) -> np.ndarray:
     """Backpropagation, unchecked: writes every layer's gradients into ``grad_layers``.
 
     ``layers`` and ``grad_layers`` are ``layer_views`` of the parameters and
-    of a gradient buffer; ``features`` is ``[..., b, d]`` and ``labels``
-    ``[..., b]``, integers in ``[0, classes)``. The inputs may be strided
+    of a gradient buffer; ``features`` is ``[..., b, d]`` and ``targets``
+    ``[..., b, classes]``, the one-hot float64 rows of the labels. The
+    output delta is ``(p - targets) / b``: subtracting a target's 0.0 leaves
+    a probability as it is, bit for bit, and its 1.0 gives ``fl(p - 1.0)``,
+    so this equals subtracting 1.0 at each label. The inputs may be strided
     views: every product acts on one client's rows. Returns the
     log-probabilities, from which callers that want the loss take it.
     """
     pre_acts, activations, log_probs = _forward_core(layers, features)
     delta = np.exp(log_probs)
-    # delta is a new C-contiguous array, so this reshape is a view of it.
-    flat_labels = labels.reshape(-1)
-    delta.reshape(-1, delta.shape[-1])[np.arange(flat_labels.size), flat_labels] -= 1.0
+    delta -= targets
     delta /= features.shape[-2]
     for l in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[l]
@@ -254,7 +255,8 @@ def compute_gradients(
     """
     layers = _check_batch(spec, params, batch)
     grads = np.empty_like(params)
-    log_probs = _gradients_into(layers, layer_views(spec, grads), batch.features, batch.labels)
+    targets = np.eye(spec.output_dim)[batch.labels]
+    log_probs = _gradients_into(layers, layer_views(spec, grads), batch.features, targets)
     return _loss(log_probs, batch.labels), grads
 
 

@@ -9,9 +9,9 @@ polynomial gives up to 1024 lane states a fixed stride of draws apart, and
 the lanes then step together in numpy ``uint64``. That is the same stream,
 bit for bit, as one ``next_uint64`` call per draw, and it leaves the
 generator in the same state. The per-client schedule shuffles use
-``shuffle_order``, a counter-based stream
-that hashes each element's counter with the SplitMix64 mixer and sorts by
-the hashes. All of it is pure 64-bit integer arithmetic, so identical seeds
+``shuffle_orders``, a counter-based stream that hashes each element's
+counter with the SplitMix64 mixer and sorts by the hashes, for many seeds
+in one call. All of it is pure 64-bit integer arithmetic, so identical seeds
 give bit-identical streams on every platform and interpreter. The platform
 generators (``random``, ``numpy.random``) are deliberately never used.
 
@@ -74,25 +74,33 @@ def derive_seed(seed: int, *path: int) -> int:
     return z
 
 
-def shuffle_order(seed: int, n: int) -> np.ndarray:
-    """A permutation of ``range(n)`` from a counter-based stream.
+def shuffle_orders(seeds, n: int) -> np.ndarray:
+    """One permutation of ``range(n)`` per seed, as the rows of an ``[m, n]`` array.
 
-    Element ``i`` gets the key ``derive_seed(seed, i)``, i.e.
-    ``_mix64(seed + GOLDEN * (i + 1))``, computed at once for all ``i`` on a
-    numpy ``uint64`` array, whose arithmetic wraps modulo 2**64 exactly as
-    the masked Python integers do. The permutation is the stable argsort of
-    the keys. The mixer is a bijection and the counters are distinct modulo
-    2**64, so the keys are distinct, and the order depends on the keys alone.
+    Element ``i`` of row ``r`` gets the key ``derive_seed(seeds[r], i)``,
+    i.e. ``_mix64(seeds[r] + GOLDEN * (i + 1))``, computed at once for every
+    row and element on a numpy ``uint64`` array, whose arithmetic wraps
+    modulo 2**64 exactly as the masked Python integers do. Row ``r`` is the
+    argsort of its keys. The mixer is a bijection and the counters of one
+    seed are distinct modulo 2**64, so a row's keys are distinct: every
+    sort, stable or not, orders them the same way, and the order depends on
+    the keys alone. One call for many seeds of one size therefore gives each
+    seed the row its own call gives.
     """
     z = np.arange(1, n + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK64)
+    z = z + np.array([s & _MASK64 for s in seeds], dtype=np.uint64)[:, None]
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return np.argsort(z, kind="stable")
+    return np.argsort(z, axis=-1)
+
+
+def shuffle_order(seed: int, n: int) -> np.ndarray:
+    """A permutation of ``range(n)``: the one-seed case of ``shuffle_orders``."""
+    return shuffle_orders([seed], n)[0]
 
 
 def _rotl(x: int, k: int) -> int:

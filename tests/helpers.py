@@ -16,7 +16,7 @@ import numpy as np
 
 import fedsim as fs
 from fedsim import Batch, Dataset, NetworkSpec, layer_views
-from fedsim.rng import Xoshiro256PP
+from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _mix64
 
 
 def scalar_loss(spec: NetworkSpec, weights: np.ndarray, batch: Batch) -> float:
@@ -79,6 +79,16 @@ def grad_rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     scale = float(np.max(np.abs(reference)))
     gap = float(np.max(np.abs(analytic - reference)))
     return gap / max(scale, 1e-12)
+
+
+def reference_shuffle_order(seed: int, n: int) -> list[int]:
+    """Python-int keys ``_mix64(seed + GOLDEN * (i + 1))``, argsorted stably.
+
+    ``sorted`` is a stable sort, so this is the order a stable argsort of
+    the keys gives, whether or not the keys are distinct.
+    """
+    keys = [_mix64((seed + _GOLDEN * (i + 1)) & _MASK64) for i in range(n)]
+    return sorted(range(n), key=keys.__getitem__)
 
 
 def reference_uniform_array(rng: Xoshiro256PP, n: int, low: float, high: float) -> np.ndarray:

@@ -541,3 +541,60 @@ def test_comparison_spec_validation():
         ComparisonSpec("a", "b", epsilon=0.0)
     with pytest.raises(fs.ConfigError):
         ComparisonSpec("a", "b", epsilon=0.01, target_accuracy=1.5)
+
+
+def test_sweep_over_absolute_output_dirs_names_plain_files(tmp_path, capsys):
+    document = base_config(tmp_path, name="dirs")
+    document["train"]["I_max"] = 2
+    path = write_config(tmp_path, document)
+    dirs = [tmp_path / "a", tmp_path / "nested" / "b"]
+    assert main(["sweep", path, "--set", "output.dir=" + ",".join(map(str, dirs))]) == 0
+    for directory in dirs:
+        [csv] = directory.glob("*.csv")
+        assert csv.name == "dirs-dir" + str(directory).replace(os.sep, "_") + ".csv"
+        assert csv.with_suffix(".json").exists()
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_sweep_values_that_share_an_output_path_exit_2_before_any_run(tmp_path, capsys):
+    # 0.1 and 0.10 parse to one float, so both runs would write etas-eta0.1.csv.
+    path = write_config(tmp_path, base_config(tmp_path, name="etas"))
+    assert main(["sweep", path, "--set", "train.eta=0.05,0.1,0.10"]) == 2
+    err = capsys.readouterr().err
+    assert "values 2 and 3 of train.eta" in err and "etas-eta0.1.csv" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("key", ["init", "shuffle", "partition", "dataset"])
+def test_run_rejects_seeds_outside_64_bits(tmp_path, capsys, key, seed):
+    # Seeds enter the streams modulo 2**64: -1 would repeat 2**64 - 1's run.
+    document = base_config(tmp_path)
+    if key == "dataset":
+        document["dataset"]["seed"] = seed
+    else:
+        document["train"]["seeds"][key] = seed
+    assert main(["run", write_config(tmp_path, document)]) == 2
+    name = "dataset.seed" if key == "dataset" else f"train.seeds.{key}"
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_env_seed_rejects_seeds_outside_64_bits(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setenv("FEDSIM_SEED", seed)
+    assert main(["run", write_config(tmp_path, base_config(tmp_path))]) == 2
+    assert "FEDSIM_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_at_the_ends_of_64_bits_run(tmp_path, monkeypatch, seed):
+    document = base_config(tmp_path)
+    document["train"]["I_max"] = 2
+    document["train"]["seeds"] = {"init": seed, "shuffle": seed, "partition": seed}
+    document["dataset"]["seed"] = seed
+    assert main(["run", write_config(tmp_path, document)]) == 0
+    monkeypatch.setenv("FEDSIM_SEED", str(seed))
+    assert main(["run", write_config(tmp_path, base_config(tmp_path, name="env"))]) == 0
+    sidecar = json.loads((tmp_path / "out" / "env.json").read_text())
+    assert sidecar["config"]["train"]["seeds"]["init"] == seed

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
+import fedsim.data as data
 import fedsim.federated as federated
-from fedsim.data import synthetic_split
+from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
 from fedsim.rng import Xoshiro256PP
 
@@ -134,6 +137,40 @@ def unequal_clients() -> tuple[fs.NetworkSpec, list[fs.ClientDataset], fs.Datase
         train, {0: list(range(13)), 1: list(range(13, 35)), 2: list(range(35, 60))}
     )
     return fs.NetworkSpec(4, (5,), 3), clients, test
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(16)), batch_count=st.sampled_from([1, 2, 3, 7]))
+def test_draw_windows_equals_fresh_single_schedules_in_any_order(order, batch_count):
+    # Two schedules on each of the 13-, 22- and 25-sample clients: mixed
+    # sizes, and two streams per size.
+    _, clients, _ = unequal_clients()
+    schedules = [fs.make_schedule(c, 4, batch_count, seed) for seed in (2, 7) for c in clients]
+    held = [None] * len(schedules)  # the sweep each schedule holds
+    calls = []
+
+    def counted(seeds, n):
+        calls.append((len(seeds), n))
+        return real_shuffle_orders(seeds, n)
+
+    real_shuffle_orders = data.shuffle_orders
+    for index in order:
+        sweeps = [index // s.window_span for s in schedules]
+        stale = [s.source.n for s, sweep, h in zip(schedules, sweeps, held) if sweep != h]
+        calls.clear()
+        with mock.patch.object(data, "shuffle_orders", counted):
+            got = draw_windows(schedules, index)
+        # One draw per distinct size among the schedules that start a sweep.
+        assert sorted(calls) == sorted((stale.count(n), n) for n in set(stale))
+        held = sweeps
+        for schedule, (rows, sizes) in zip(schedules, got):
+            fresh = fs.make_schedule(
+                fs.ClientDataset(schedule.client_index, schedule.source),
+                4, batch_count, schedule.base_seed,
+            )
+            want_rows, want_sizes = fresh.window_rows(index)
+            assert np.array_equal(rows, want_rows), index
+            assert sizes == want_sizes, index
 
 
 @pytest.mark.parametrize("mode", ["fedmmb", "fedavg"])

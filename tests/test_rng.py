@@ -2,24 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.rng import (
     _CHARPOLY,
-    _GOLDEN,
     _LANE_MIN_DRAWS,
     _LANES,
-    _MASK64,
     Xoshiro256PP,
     _lane_jump,
-    _mix64,
     _xpow,
     derive_seed,
     shuffle_order,
+    shuffle_orders,
     splitmix64,
 )
-from helpers import reference_normal_array, reference_uniform_array
+from helpers import reference_normal_array, reference_shuffle_order, reference_uniform_array
 
 
 def test_splitmix64_reference_vectors():
@@ -234,12 +232,6 @@ def test_characteristic_polynomial_annihilates_the_state_sequence(seed):
         assert acc == 0, t
 
 
-def reference_shuffle_order(seed: int, n: int) -> list[int]:
-    """Python-int keys ``_mix64(seed + GOLDEN * (i + 1))``, sorted stably."""
-    keys = [_mix64((seed + _GOLDEN * (i + 1)) & _MASK64) for i in range(n)]
-    return sorted(range(n), key=lambda i: keys[i])
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_shuffle_order_matches_scalar_oracle(seed, n):
@@ -253,3 +245,22 @@ def test_shuffle_order_matches_scalar_oracle(seed, n):
 def test_shuffle_order_is_a_permutation(seed, n):
     order = shuffle_order(seed, n)
     assert sorted(order.tolist()) == list(range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    n=st.sampled_from([0, 1, 2, 1000]) | st.integers(0, 60),
+)
+@example(seeds=[0, 2**64 - 1], n=0)
+@example(seeds=[2**64 - 1, 0], n=1)
+@example(seeds=[0, 0, 2**64 - 1], n=2)
+@example(seeds=[2**64 - 1, 12345, 0], n=1000)
+def test_shuffle_orders_rows_are_single_draws_and_stable_argsorts(seeds, n):
+    # A row's keys are distinct, so the default sort of the batched draw gives
+    # the permutation a stable argsort gives, seed by seed.
+    orders = shuffle_orders(seeds, n)
+    assert orders.shape == (len(seeds), n) and orders.dtype == np.int64
+    for seed, row in zip(seeds, orders):
+        assert np.array_equal(row, shuffle_order(seed, n))
+        assert row.tolist() == reference_shuffle_order(seed, n)
