@@ -148,12 +148,12 @@ def test_draw_windows_equals_fresh_single_schedules_in_any_order(order, batch_co
     schedules = [fs.make_schedule(c, 4, batch_count, seed) for seed in (2, 7) for c in clients]
     held = [None] * len(schedules)  # the sweep each schedule holds
     calls = []
+    real_shuffle_orders = data.shuffle_orders
 
     def counted(seeds, n):
         calls.append((len(seeds), n))
         return real_shuffle_orders(seeds, n)
 
-    real_shuffle_orders = data.shuffle_orders
     for index in order:
         sweeps = [index // s.window_span for s in schedules]
         stale = [s.source.n for s, sweep, h in zip(schedules, sweeps, held) if sweep != h]
