@@ -17,12 +17,11 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def main() -> None:
     spec = fs.NetworkSpec(input_dim=12, hidden=(16, 8), output_dim=5)
     weights = fs.init_weights(spec, seed=7)
-    data = fs.synthetic(seed=3, n=10, input_dim=12, num_classes=5)
-    batch = fs.Batch(data.features, data.labels)
+    batch = fs.synthetic(seed=3, n=10, input_dim=12, num_classes=5)
 
     loss, grads = fs.compute_gradients(spec, weights, batch)
     print(f"network: {spec.layer_dims}, {spec.parameter_count} parameters")
-    print(f"batch of {batch.size}, loss {loss:.6f}")
+    print(f"batch of {batch.n}, loss {loss:.6f}")
     print()
     print("probe step  max relative error vs finite differences")
     for eps in (1e-3, 1e-4, 1e-5):

@@ -10,14 +10,12 @@ to compare them (test-loss discordance, communication accounting).
 
 from .data import (
     BatchSchedule,
-    ClientDataset,
     Dataset,
     PartitionPlan,
     apply_partition,
     batch_window,
     load_csv,
     load_idx,
-    make_schedule,
     partition_iid,
     partition_manual,
     partition_noniid_l,
@@ -27,7 +25,6 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, DataError, FedsimError
 from .federated import (
-    LockstepPlan,
     Seeds,
     StepPlan,
     TrainingConfig,
@@ -46,7 +43,6 @@ from .metrics import (
     discordance,
 )
 from .nn import (
-    Batch,
     NetworkSpec,
     compute_gradients,
     evaluate,
@@ -61,17 +57,14 @@ from .rng import Xoshiro256PP, derive_seed
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
     "BatchSchedule",
     "CSV_HEADER",
-    "ClientDataset",
     "ConfigError",
     "ContractError",
     "DataError",
     "Dataset",
     "DiscordanceReport",
     "FedsimError",
-    "LockstepPlan",
     "MetricsLog",
     "MetricsRow",
     "NetworkSpec",
@@ -95,7 +88,6 @@ __all__ = [
     "layer_views",
     "load_csv",
     "load_idx",
-    "make_schedule",
     "partition_iid",
     "partition_manual",
     "partition_noniid_l",

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, partition_iid, partition_noniid_l, synthetic, synthetic_split
 from .errors import DataError
-from .federated import LockstepPlan, Seeds, TrainingConfig, run_centralized, run_fedavg, run_fedmmb
+from .federated import Seeds, TrainingConfig, run_centralized, run_fedavg, run_fedmmb
 from .metrics import MetricsLog
 from .nn import NetworkSpec
 from .rng import Xoshiro256PP, derive_seed
@@ -51,9 +51,7 @@ def lockstep(seeds: Seeds) -> tuple[list[np.ndarray], list[np.ndarray]]:
     cent_cfg = TrainingConfig(
         mode="centralized", learning_rate=0.05, max_rounds=100, batch_size=40, seeds=seeds,
     )
-    run_centralized(
-        cent_cfg, spec, None, test, LockstepPlan(clients, 10), lambda r, w: cent.append(w)
-    )
+    run_centralized(cent_cfg, spec, None, test, clients, lambda r, w: cent.append(w))
     return fed, cent
 
 

@@ -11,12 +11,14 @@ Verbs:
 * ``fedsim sweep <config.json> --set train.C=1,5,10 [--target-acc X]`` -
   one run per value with otherwise identical seeds, plus an index CSV.
   Each value's run is named ``<name>-<key leaf><value>``, with ``_`` for
-  every path separator; values whose runs would write the same files are
-  a config error, raised before any run.
+  every path separator, or by the value itself when the swept key is
+  ``output.name``; values whose runs would write the same files are a
+  config error, raised before any run.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime contract
 violation. ``output.dir`` is created before training, and one that
-cannot be is a config error. Metrics files are written atomically (temp
+cannot be is a config error, as is an output file path that is an
+existing directory. Metrics files are written atomically (temp
 file with mode 0666 less the umask, then rename), so an interrupted run
 never leaves a partial CSV at the final path.
 """
@@ -78,6 +80,17 @@ def _make_output_dir(directory: str) -> None:
         raise ConfigError(f"output.dir {directory!r} cannot be created: {exc.strerror}") from exc
 
 
+def _check_output_files(paths: list[str]) -> None:
+    """Raise a ConfigError if any path the command will write is an existing directory.
+
+    Called before training, as ``_make_output_dir`` is: the rename that
+    writes the file would fail only after the last round.
+    """
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"output file {path} is an existing directory")
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file and a rename, mode 0666 less the umask."""
     directory = os.path.dirname(path) or "."
@@ -117,9 +130,14 @@ def _environment() -> dict:
     }
 
 
+def _artifact_paths(config: ExperimentConfig) -> tuple[str, str]:
+    """The paths of a run's metrics CSV and its JSON sidecar."""
+    stem = os.path.join(config.output_dir, config.run_name)
+    return stem + ".csv", stem + ".json"
+
+
 def _write_artifacts(config: ExperimentConfig, log: MetricsLog) -> tuple[str, str]:
-    csv_path = os.path.join(config.output_dir, config.run_name + ".csv")
-    sidecar_path = os.path.join(config.output_dir, config.run_name + ".json")
+    csv_path, sidecar_path = _artifact_paths(config)
     sidecar = {
         "fedsim_version": __version__,
         "config": config.resolved,
@@ -135,6 +153,7 @@ def _write_artifacts(config: ExperimentConfig, log: MetricsLog) -> tuple[str, st
 def cmd_run(config_path: str) -> int:
     config = load_config(config_path)
     _make_output_dir(config.output_dir)
+    _check_output_files(list(_artifact_paths(config)))
     log = run_experiment(config)
     csv_path, sidecar_path = _write_artifacts(config, log)
     print(f"wrote {csv_path} ({len(log.rows)} rows) and {sidecar_path}")
@@ -224,15 +243,21 @@ def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = N
     base = load_config(config_path)
     path, values = _parse_sweep_expr(set_expr)
     key_leaf = path[-1]
+    index_path = os.path.join(base.output_dir, f"{base.run_name}-sweep.csv")
     variants = []
     outputs: dict[str, int] = {}
     for i, value in enumerate(values, start=1):
         document = copy.deepcopy(base.resolved)
         _set_in(document, path, value)
-        config_from_dict(document)  # the value as given, before the run is renamed
-        document["output"]["name"] = _variant_name(base.run_name, key_leaf, value)
-        variant = config_from_dict(document)
+        variant = config_from_dict(document)  # the value as given, before the run is renamed
+        if path != ["output", "name"]:
+            document["output"]["name"] = _variant_name(base.run_name, key_leaf, value)
+            variant = config_from_dict(document)
         output = os.path.abspath(os.path.join(variant.output_dir, variant.run_name))
+        if output + ".csv" == os.path.abspath(index_path):
+            raise ConfigError(
+                f"--set: value {i} of {'.'.join(path)} would write the index {output}.csv"
+            )
         if output in outputs:
             raise ConfigError(
                 f"--set: values {outputs[output]} and {i} of {'.'.join(path)} would both"
@@ -242,6 +267,7 @@ def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = N
         variants.append((value, variant))
     for directory in dict.fromkeys([base.output_dir, *(v.output_dir for _, v in variants)]):
         _make_output_dir(directory)
+    _check_output_files([index_path, *(p for _, v in variants for p in _artifact_paths(v))])
     summary_rows = []
     for value, variant in variants:
         log = run_experiment(variant)
@@ -249,7 +275,6 @@ def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = N
         reached = _rounds_to_target(log, target_accuracy)
         summary_rows.append((value, log.max_accuracy(), "" if reached is None else reached))
         print(f"{'.'.join(path)}={value}: max accuracy {log.max_accuracy():.4f} -> {csv_path}")
-    index_path = os.path.join(base.output_dir, f"{base.run_name}-sweep.csv")
     lines = ["value,max_accuracy,rounds_to_target"]
     lines += [f"{v},{acc!r},{reached}" for v, acc, reached in summary_rows]
     _atomic_write(index_path, "\n".join(lines) + "\n")

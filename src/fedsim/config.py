@@ -285,6 +285,14 @@ def _validate_partition_section(section: Any, train: TrainingConfig) -> None:
                 raise ConfigError(
                     f"partition.assignment[{client!r}]: expected a list of sample indices"
                 )
+        try:
+            keys = sorted(int(k) for k in assignment)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"partition.assignment: bad client map ({exc})") from exc
+        if keys != list(range(train.clients)):
+            raise ConfigError(
+                f"partition.assignment: client keys must be 0..{train.clients - 1}, got {keys}"
+            )
     else:
         raise ConfigError(f"partition.kind must be iid, noniid_l, or manual, got {kind!r}")
 
@@ -327,10 +335,7 @@ def build_partition_plan(config: ExperimentConfig) -> PartitionPlan:
     section = config.resolved["partition"]
     assignment = None
     if section["kind"] == "manual":
-        try:
-            assignment = {int(k): list(v) for k, v in section["assignment"].items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"partition.assignment: bad client map ({exc})") from exc
+        assignment = {int(k): list(v) for k, v in section["assignment"].items()}
     assert config.train.clients is not None
     return PartitionPlan(
         kind=section["kind"],

@@ -2,7 +2,8 @@
 
 Partitioners split one dataset across clients either homogeneously (iid)
 or with label skew (noniid_l: every client holds samples of exactly L
-distinct labels). A batch schedule maps a window index to the batches a
+distinct labels). They return one ``Dataset`` per client, client ``j`` at
+position ``j``. A batch schedule maps a window index to the batches a
 client trains on in that window, a pure function of the index and the
 client's seed. All functions are pure in (inputs, seed).
 """
@@ -53,14 +54,6 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
-
-
-@dataclass(frozen=True)
-class ClientDataset:
-    """One client's local training data."""
-
-    client_index: int
-    data: Dataset
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,7 @@ def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Da
     return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])
 
 
-def partition_iid(dataset: Dataset, clients: int, seed: int) -> list[ClientDataset]:
+def partition_iid(dataset: Dataset, clients: int, seed: int) -> list[Dataset]:
     """Shuffle and split into ``clients`` equal contiguous chunks."""
     if clients < 1:
         raise DataError("client count must be at least 1")
@@ -230,15 +223,12 @@ def partition_iid(dataset: Dataset, clients: int, seed: int) -> list[ClientDatas
         raise DataError(f"client count {clients} does not divide {dataset.n} samples")
     perm = Xoshiro256PP(derive_seed(seed, 0x11D)).permutation(dataset.n)
     per_client = dataset.n // clients
-    return [
-        ClientDataset(j, dataset.subset(perm[j * per_client : (j + 1) * per_client]))
-        for j in range(clients)
-    ]
+    return [dataset.subset(perm[j * per_client : (j + 1) * per_client]) for j in range(clients)]
 
 
 def partition_noniid_l(
     dataset: Dataset, clients: int, labels_per_client: int, seed: int
-) -> list[ClientDataset]:
+) -> list[Dataset]:
     """Label-skewed split: every client receives exactly ``labels_per_client`` labels.
 
     Samples are grouped by label, each group is split into
@@ -281,19 +271,21 @@ def partition_noniid_l(
 
     result = []
     for j in range(clients):
-        idx = np.concatenate(client_indices[j])
-        client = ClientDataset(j, dataset.subset(idx))
-        if len(np.unique(client.data.labels)) != lpc:
+        client = dataset.subset(np.concatenate(client_indices[j]))
+        if len(np.unique(client.labels)) != lpc:
             raise DataError("infeasible assignment: distinct-label constraint violated")
         result.append(client)
     return result
 
 
-def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list[ClientDataset]:
+def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list[Dataset]:
     """Explicit index map: client index -> list of sample indices.
 
-    The assignment must cover every sample exactly once.
+    The client indices must be 0..K-1, and the assignment must cover every
+    sample exactly once.
     """
+    if sorted(assignment) != list(range(len(assignment))):
+        raise DataError(f"client indices {sorted(assignment)} are not 0..K-1 without gaps")
     seen = np.zeros(dataset.n, dtype=bool)
     for j, idx in assignment.items():
         arr = np.asarray(idx, dtype=np.int64)
@@ -307,12 +299,11 @@ def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list
     if not seen.all():
         raise DataError("assignment does not cover every sample")
     return [
-        ClientDataset(j, dataset.subset(np.asarray(assignment[j], dtype=np.int64)))
-        for j in sorted(assignment)
+        dataset.subset(np.asarray(assignment[j], dtype=np.int64)) for j in range(len(assignment))
     ]
 
 
-def apply_partition(plan: PartitionPlan, dataset: Dataset) -> list[ClientDataset]:
+def apply_partition(plan: PartitionPlan, dataset: Dataset) -> list[Dataset]:
     if plan.kind == "iid":
         return partition_iid(dataset, plan.clients, plan.seed)
     if plan.kind == "noniid_l":
@@ -412,23 +403,6 @@ def draw_windows(schedules: list, index: int) -> list[tuple[np.ndarray, tuple[in
     """
     _draw_sweeps([s for s in schedules if isinstance(s, BatchSchedule)], index)
     return [s.window_rows(index) for s in schedules]
-
-
-def make_schedule(client: ClientDataset, batch_size: int, batch_count: int, seed: int) -> BatchSchedule:
-    """A client's schedule of shuffled batches of ``batch_size``.
-
-    All batches have exactly ``batch_size`` samples except possibly the
-    last of each sweep, which may be smaller.
-    """
-    if client.data.n < 1:
-        raise DataError("cannot schedule an empty client dataset")
-    return BatchSchedule(
-        source=client.data,
-        batch_size=batch_size,
-        batch_count=batch_count,
-        base_seed=seed,
-        client_index=client.client_index,
-    )
 
 
 def batch_window(schedule: BatchSchedule, round_index: int) -> tuple[int, int]:

@@ -14,7 +14,8 @@ count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
 client ``local_epochs`` windows that each cover its whole batch list.
 ``run_centralized`` is the one-client case: one schedule over the whole
 train set, or a lockstep source that concatenates the single batches of
-shadow clients, with zero bytes exchanged.
+shadow clients, with zero bytes exchanged. Clients are a list of
+``Dataset``s; client ``j`` is the one at position ``j``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BatchSchedule, ClientDataset, Dataset, draw_windows, make_schedule
+from .data import BatchSchedule, Dataset, draw_windows
 from .errors import ConfigError, ContractError
 from .metrics import MetricsLog, MetricsRow, comm_cost
 from .nn import (
@@ -45,11 +46,19 @@ RoundHook = Callable[[int, np.ndarray], None]
 
 @dataclass(frozen=True)
 class Seeds:
-    """The three independent seed roots of a run."""
+    """The three independent seed roots of a run, each in [0, 2**64).
+
+    The streams take seeds modulo 2**64: -1 would repeat 2**64 - 1's run.
+    """
 
     init: int
     shuffle: int
     partition: int
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not 0 <= value < 1 << 64:
+                raise ConfigError(f"seed {name} must lie in [0, 2**64), got {value}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +345,7 @@ def _run_rounds(
 def run_fedmmb(
     config: TrainingConfig,
     spec: NetworkSpec,
-    clients: list[ClientDataset],
+    clients: list[Dataset],
     test_set: Dataset,
     round_hook: RoundHook | None = None,
 ) -> MetricsLog:
@@ -348,9 +357,10 @@ def run_fedmmb(
     if config.mode != "fedmmb":
         raise ConfigError(f"run_fedmmb needs mode 'fedmmb', got {config.mode!r}")
     assert config.batch_count is not None
+    _check_clients(config, clients)
     schedules = [
-        make_schedule(c, config.batch_size, config.batch_count, config.seeds.shuffle)
-        for c in _ordered_clients(config, clients)
+        BatchSchedule(c, config.batch_size, config.batch_count, config.seeds.shuffle, j)
+        for j, c in enumerate(clients)
     ]
     return _run_rounds(config, spec, schedules, 1, test_set, round_hook)
 
@@ -358,7 +368,7 @@ def run_fedmmb(
 def run_fedavg(
     config: TrainingConfig,
     spec: NetworkSpec,
-    clients: list[ClientDataset],
+    clients: list[Dataset],
     test_set: Dataset,
     round_hook: RoundHook | None = None,
 ) -> MetricsLog:
@@ -370,37 +380,19 @@ def run_fedavg(
     if config.mode != "fedavg":
         raise ConfigError(f"run_fedavg needs mode 'fedavg', got {config.mode!r}")
     assert config.local_epochs is not None
+    _check_clients(config, clients)
     b = config.batch_size
     schedules = [
-        make_schedule(c, b, -(-c.data.n // b), config.seeds.shuffle)
-        for c in _ordered_clients(config, clients)
+        BatchSchedule(c, b, -(-c.n // b), config.seeds.shuffle, j) for j, c in enumerate(clients)
     ]
     return _run_rounds(config, spec, schedules, config.local_epochs, test_set, round_hook)
 
 
-def _ordered_clients(config: TrainingConfig, clients: list[ClientDataset]) -> list[ClientDataset]:
+def _check_clients(config: TrainingConfig, clients: list[Dataset]) -> None:
     if not clients:
         raise ConfigError("at least one client is required")
     if config.clients != len(clients):
         raise ConfigError(f"config names {config.clients} clients but {len(clients)} were given")
-    ordered = sorted(clients, key=lambda c: c.client_index)
-    if [c.client_index for c in ordered] != list(range(len(clients))):
-        raise ConfigError("client indices must be 0..K-1 without gaps")
-    return ordered
-
-
-@dataclass(frozen=True)
-class LockstepPlan:
-    """Test-only batch source for exact federated/centralized comparisons.
-
-    Each centralized iteration trains on the concatenation (ascending client
-    index) of the single batches the corresponding single-mini-batch
-    federated clients would consume that round, reproducing their seed
-    streams exactly.
-    """
-
-    clients: list[ClientDataset]
-    batch_size: int
 
 
 @dataclass
@@ -437,7 +429,7 @@ def run_centralized(
     spec: NetworkSpec,
     train_set: Dataset | None,
     test_set: Dataset,
-    lockstep: LockstepPlan | None = None,
+    lockstep: list[Dataset] | None = None,
     round_hook: RoundHook | None = None,
 ) -> MetricsLog:
     """Single-site mini-batch gradient descent, one update per iteration.
@@ -446,22 +438,30 @@ def run_centralized(
     round and no traffic; aggregating a single row returns its weights.
     In the default (free-running) mode the train set is shuffled and split
     into batches of ``config.batch_size``, consumed one per iteration, on a
-    fresh permutation each sweep. With a ``lockstep`` plan the batches
-    come from the plan's clients instead and ``train_set`` is ignored.
+    fresh permutation each sweep. With ``lockstep``, a non-empty list of K
+    clients, ``train_set`` is ignored and iteration ``i`` trains on the
+    concatenation, in client order, of the batches of
+    ``config.batch_size / K`` samples that batch-count-1 federated clients
+    take in round ``i``: a test-only oracle for exact federated/centralized
+    comparisons. K must divide the batch size (``ConfigError``).
     """
     if config.mode != "centralized":
         raise ConfigError(f"run_centralized needs mode 'centralized', got {config.mode!r}")
     if lockstep is not None:
+        k = len(lockstep)
+        if k == 0 or config.batch_size % k:
+            raise ConfigError(
+                f"lockstep needs a client count that divides batch size {config.batch_size},"
+                f" got {k}"
+            )
         shadows = [
-            make_schedule(c, lockstep.batch_size, 1, config.seeds.shuffle)
-            for c in sorted(lockstep.clients, key=lambda c: c.client_index)
+            BatchSchedule(c, config.batch_size // k, 1, config.seeds.shuffle, j)
+            for j, c in enumerate(lockstep)
         ]
         schedule = _LockstepSchedule(shadows)
     elif train_set is None:
         raise ConfigError("centralized training requires a train set")
     else:
-        schedule = make_schedule(
-            ClientDataset(0, train_set), config.batch_size, 1, config.seeds.shuffle
-        )
+        schedule = BatchSchedule(train_set, config.batch_size, 1, config.seeds.shuffle, 0)
     return _run_rounds(config, spec, [schedule], 1, test_set, round_hook)
 

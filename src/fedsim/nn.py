@@ -9,16 +9,18 @@ given.
 A model's parameters are one flat float64 vector of ``spec.parameter_count``
 entries, laid out layer by layer: the weight matrix ``[fan_in, fan_out]``
 row-major, then the bias ``[fan_out]``. ``layer_views`` reads the layers
-out of it as views. The forward pass and backpropagation also take a stack
-of K clients along a leading axis (parameters ``[K, parameter_count]``,
-features ``[K, b, input_dim]``, labels ``[K, b]``). Transposes swap the last
-two axes and reductions run along the class or batch axis, so each client
-of a stack gets the bits its own 1-D call gives.
+out of it as views. The checked functions (``forward``,
+``compute_gradients``, ``finite_diff_grad``, ``evaluate``) take one such
+vector and a ``Dataset``, whose rows are the batch.
 
 Backpropagation has one implementation, ``_gradients_into``, which writes
 into given gradient views and checks nothing. ``compute_gradients`` checks
 its inputs and allocates around it; the federated round loop, which checks
-its data once per run, calls it directly.
+its data once per run, calls it directly on a stack of K clients along a
+leading axis (parameters ``[K, parameter_count]``, features
+``[K, b, input_dim]``). Transposes swap the last two axes and reductions
+run along the class or batch axis, so each client of a stack gets the bits
+its own checked call gives.
 
 The loss is always computed through the fused log-softmax path with
 max-subtraction, which keeps it finite for arbitrary finite logits.
@@ -72,32 +74,6 @@ class NetworkSpec:
         return sum(fi * fo + fo for fi, fo in self.layer_dims)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A mini-batch: float64 features ``[b, input_dim]`` and integer class labels ``[b]``.
-
-    A stack of K equal-sized client batches has features ``[K, b, input_dim]``
-    and labels ``[K, b]``; ``size`` is then the per-client batch size ``b``.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.features.ndim not in (2, 3):
-            raise ContractError("batch features must be 2-D, or 3-D for a client stack")
-        if self.labels.shape != self.features.shape[:-1]:
-            raise ContractError("labels must match the batch size")
-        if self.size < 1:
-            raise ContractError("a batch must contain at least one sample")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[-2]
-
-
 def layer_views(spec: NetworkSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer ``(W [..., fan_in, fan_out], b [..., fan_out])`` views of ``params``.
 
@@ -145,15 +121,12 @@ def init_weights(spec: NetworkSpec, seed: int) -> np.ndarray:
 
 
 def _check_batch(
-    spec: NetworkSpec, params: np.ndarray, batch: Batch
+    spec: NetworkSpec, params: np.ndarray, batch: "Dataset"
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The layer views of ``params``, once ``batch`` is checked against them and the spec."""
+    """The layer views of flat ``params``, once ``batch`` is checked against the spec."""
+    if params.ndim != 1:
+        raise ContractError(f"parameters of shape {params.shape} are not one flat vector")
     layers = layer_views(spec, params)
-    if params.shape[:-1] != batch.features.shape[:-2]:
-        raise ContractError(
-            f"parameters of shape {params.shape} do not match"
-            f" a batch of shape {batch.features.shape}"
-        )
     _require_data(spec, batch.features, batch.labels)
     return layers
 
@@ -182,34 +155,27 @@ def _forward_core(
     return pre_acts, activations, log_probs
 
 
-def _loss(log_probs: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
-    picked = np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
-    losses = -picked.mean(axis=-1)
-    return float(losses) if losses.ndim == 0 else losses
+def _loss(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    picked = np.take_along_axis(log_probs, labels[:, None], axis=1)[:, 0]
+    return float(-picked.mean())
 
 
 def _forward_full(
-    spec: NetworkSpec, params: np.ndarray, batch: Batch
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float | np.ndarray]:
-    """Checked forward pass: (pre-activations, activations, log-probs, loss).
+    spec: NetworkSpec, params: np.ndarray, batch: "Dataset"
+) -> tuple[np.ndarray, float]:
+    """Checked forward pass: (log-probs, loss).
 
     ``forward`` and ``compute_gradients`` both report this exact loss value,
-    bit for bit, because they share ``_forward_core`` and ``_loss``. A client
-    stack gives one loss per client.
+    bit for bit, because they share ``_forward_core`` and ``_loss``.
     """
     layers = _check_batch(spec, params, batch)
-    pre_acts, activations, log_probs = _forward_core(layers, batch.features)
-    return pre_acts, activations, log_probs, _loss(log_probs, batch.labels)
+    _, _, log_probs = _forward_core(layers, batch.features)
+    return log_probs, _loss(log_probs, batch.labels)
 
 
-def forward(
-    spec: NetworkSpec, params: np.ndarray, batch: Batch
-) -> tuple[np.ndarray, float | np.ndarray]:
-    """Class probabilities ``[b, output_dim]`` and the mean cross-entropy loss.
-
-    A client stack gives probabilities ``[K, b, output_dim]`` and ``[K]`` losses.
-    """
-    _, _, log_probs, loss = _forward_full(spec, params, batch)
+def forward(spec: NetworkSpec, params: np.ndarray, batch: "Dataset") -> tuple[np.ndarray, float]:
+    """Class probabilities ``[b, output_dim]`` and the mean cross-entropy loss of ``batch``."""
+    log_probs, loss = _forward_full(spec, params, batch)
     return np.exp(log_probs), loss
 
 
@@ -245,13 +211,11 @@ def _gradients_into(
 
 
 def compute_gradients(
-    spec: NetworkSpec, params: np.ndarray, batch: Batch
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Analytic backpropagation of the mean-reduced cross-entropy.
+    spec: NetworkSpec, params: np.ndarray, batch: "Dataset"
+) -> tuple[float, np.ndarray]:
+    """Analytic backpropagation of the mean-reduced cross-entropy over ``batch``.
 
-    The gradients come back in a new array laid out like ``params``. On a
-    client stack each client's gradients equal, bit for bit, those of its
-    own 1-D call: every product, reduction and label pick acts per client.
+    The gradients come back in a new array laid out like ``params``.
     """
     layers = _check_batch(spec, params, batch)
     grads = np.empty_like(params)
@@ -282,7 +246,7 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
 
 
 def finite_diff_grad(
-    spec: NetworkSpec, params: np.ndarray, batch: Batch, eps_fd: float
+    spec: NetworkSpec, params: np.ndarray, batch: "Dataset", eps_fd: float
 ) -> np.ndarray:
     """Central-difference gradient oracle: ``(F(w+eps) - F(w-eps)) / (2 eps)``.
 
@@ -296,9 +260,9 @@ def finite_diff_grad(
     for i in range(work.size):
         orig = work[i]
         work[i] = orig + eps_fd
-        _, _, _, loss_plus = _forward_full(spec, work, batch)
+        _, loss_plus = _forward_full(spec, work, batch)
         work[i] = orig - eps_fd
-        _, _, _, loss_minus = _forward_full(spec, work, batch)
+        _, loss_minus = _forward_full(spec, work, batch)
         work[i] = orig
         out[i] = (loss_plus - loss_minus) / (2.0 * eps_fd)
     return out
@@ -311,14 +275,11 @@ def evaluate(spec: NetworkSpec, params: np.ndarray, dataset: "Dataset") -> tuple
     the lowest class index. Raises if the result is non-finite (the weights
     have diverged) so broken runs fail loudly instead of logging garbage.
     """
-    if dataset.features.shape[0] < 1:
-        raise ContractError("cannot evaluate on an empty dataset")
     if not np.isfinite(params).all():
         raise ContractError("weights are non-finite; training diverged")
-    batch = Batch(dataset.features, dataset.labels)
-    probs, loss = forward(spec, params, batch)
+    probs, loss = forward(spec, params, dataset)
     if not math.isfinite(loss):
         raise ContractError("evaluation produced a non-finite loss; weights have diverged")
     predictions = np.argmax(probs, axis=1)
-    accuracy = float(np.mean(predictions == batch.labels))
+    accuracy = float(np.mean(predictions == dataset.labels))
     return loss, accuracy

@@ -15,16 +15,16 @@ import struct
 import numpy as np
 
 import fedsim as fs
-from fedsim import Batch, Dataset, NetworkSpec, layer_views
+from fedsim import Dataset, NetworkSpec, layer_views
 from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _mix64
 
 
-def scalar_loss(spec: NetworkSpec, weights: np.ndarray, batch: Batch) -> float:
+def scalar_loss(spec: NetworkSpec, weights: np.ndarray, batch: Dataset) -> float:
     """Per-sample forward pass and cross-entropy, all in Python floats."""
     total = 0.0
     layers = layer_views(spec, weights)
     num_layers = len(layers)
-    for s in range(batch.size):
+    for s in range(batch.n):
         x = [float(v) for v in batch.features[s]]
         z: list[float] = []
         for l, (w, b) in enumerate(layers):
@@ -37,7 +37,7 @@ def scalar_loss(spec: NetworkSpec, weights: np.ndarray, batch: Batch) -> float:
         m = max(z)
         log_norm = m + math.log(sum(math.exp(v - m) for v in z))
         total += -(z[batch.labels[s]] - log_norm)
-    return total / batch.size
+    return total / batch.n
 
 
 def scalar_probabilities(spec: NetworkSpec, weights: np.ndarray, features_row) -> list[float]:
@@ -170,26 +170,24 @@ def mnist_idx_paths() -> dict[str, str] | None:
     return None
 
 
-def window_batches(schedule: fs.BatchSchedule, index: int) -> list[Batch]:
-    """Window ``index`` as 2-D batches in training order, cut from its ``window_rows``."""
+def window_batches(schedule: fs.BatchSchedule, index: int) -> list[Dataset]:
+    """Window ``index`` as batches in training order, cut from its ``window_rows``."""
     rows, sizes = schedule.window_rows(index)
-    source = schedule.source
-    runs = np.split(rows, np.cumsum(sizes)[:-1])
-    return [Batch(source.features[r], source.labels[r]) for r in runs]
+    return [schedule.source.subset(r) for r in np.split(rows, np.cumsum(sizes)[:-1])]
 
 
 def per_client_reference(
     config: fs.TrainingConfig,
     spec: NetworkSpec,
-    clients: list[fs.ClientDataset],
+    clients: list[Dataset],
     test_set: Dataset,
 ) -> tuple[fs.MetricsLog, np.ndarray]:
-    """A fedmmb or fedavg run trained client by client with 2-D batches.
+    """A fedmmb or fedavg run trained client by client, one batch at a time.
 
-    Each round every client, in ascending index order, takes its windows
+    Each round every client, in list order, takes its windows
     from its own schedule and runs ``compute_gradients`` and ``sgd_step``
     batch by batch; ``aggregate`` then combines the clients' local weights,
-    stacked in index order. Returns the metrics log and the final global
+    stacked in list order. Returns the metrics log and the final global
     weights.
     """
     b = config.batch_size
@@ -198,10 +196,10 @@ def per_client_reference(
         counts = [config.batch_count] * len(clients)
     else:
         windows = config.local_epochs
-        counts = [-(-c.data.n // b) for c in clients]
-    ordered = sorted(clients, key=lambda c: c.client_index)
+        counts = [-(-c.n // b) for c in clients]
     schedules = [
-        fs.make_schedule(c, b, count, config.seeds.shuffle) for c, count in zip(ordered, counts)
+        fs.BatchSchedule(c, b, count, config.seeds.shuffle, j)
+        for j, (c, count) in enumerate(zip(clients, counts))
     ]
     bytes_per_round = fs.comm_cost(config, spec)
     weights = fs.init_weights(spec, config.seeds.init)
@@ -215,7 +213,7 @@ def per_client_reference(
                 for batch in window_batches(schedule, i * windows + k):
                     _, grads = fs.compute_gradients(spec, local, batch)
                     local = fs.sgd_step(local, grads, config.learning_rate)
-                    samples += batch.size
+                    samples += batch.n
                     steps += 1
             trained.append(local)
             samples_used.append(samples)

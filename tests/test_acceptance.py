@@ -49,7 +49,7 @@ def test_acceptance_1_gradient_correctness():
         ds = fs.synthetic(
             derive_seed(7, case), max(batch_size, spec.output_dim), spec.input_dim, spec.output_dim
         )
-        batch = fs.Batch(ds.features[:batch_size], ds.labels[:batch_size])
+        batch = ds.subset(np.arange(batch_size))
         weights = fs.init_weights(spec, derive_seed(11, case))
         _, analytic = fs.compute_gradients(spec, weights, batch)
         numeric = fs.finite_diff_grad(spec, weights, batch, 1e-5)
@@ -188,7 +188,7 @@ def test_acceptance_7_accounting_identities():
     # permutation e of the client's shuffle stream (seed 2, client 0).
     for n, batch_size, epochs in ((100, 10, 1), (95, 10, 2), (7, 3, 4)):
         data = fs.synthetic(3, n, 4, 5)
-        schedule = fs.make_schedule(fs.ClientDataset(0, data), batch_size, -(-n // batch_size), 2)
+        schedule = fs.BatchSchedule(data, batch_size, -(-n // batch_size), 2, 0)
         plan = fs.StepPlan(spec, [schedule], epochs, 0.01)
         _, [steps] = fs.client_update_mmb(plan, 0, w)
         assert steps == epochs * -(-n // batch_size)
@@ -197,14 +197,13 @@ def test_acceptance_7_accounting_identities():
             order = shuffle_order(derive_seed(2, 0, e), n)
             for start in range(0, n, batch_size):
                 rows = order[start : start + batch_size]
-                batch = fs.Batch(data.features[rows], data.labels[rows])
+                batch = data.subset(rows)
                 _, grads = fs.compute_gradients(spec, local, batch)
                 local = fs.sgd_step(local, grads, 0.01)
         assert np.array_equal(plan.stack[0], local)
 
     # Windowed client: per-round update counts follow the window sizes.
-    client = fs.ClientDataset(0, fs.synthetic(3, 100, 4, 5))
-    schedule = fs.make_schedule(client, 10, 3, 2)  # T=10, C=3
+    schedule = fs.BatchSchedule(fs.synthetic(3, 100, 4, 5), 10, 3, 2, 0)  # T=10, C=3
     expected_windows = [(0, 2), (3, 5), (6, 8), (9, 9)]
     plan = fs.StepPlan(spec, [schedule], 1, 0.01)
     local_updates = 0

@@ -83,6 +83,30 @@ def test_output_dir_that_cannot_be_made_exits_2_before_training(tmp_path, capsys
     assert "output.dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, taken",
+    [
+        ("run", "run.csv"),
+        ("run", "run.json"),
+        ("sweep", "run-C2.csv"),
+        ("sweep", "run-C2.json"),
+        ("sweep", "run-sweep.csv"),
+    ],
+)
+def test_output_file_that_is_a_directory_exits_2_before_training(
+    tmp_path, capsys, monkeypatch, command, taken
+):
+    def no_training(config):
+        raise AssertionError("trained although an output file path is a directory")
+
+    monkeypatch.setattr(cli, "run_experiment", no_training)
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    path = write_config(tmp_path, base_config(tmp_path))
+    argv = ["run", path] if command == "run" else ["sweep", path, "--set", "train.C=1,2"]
+    assert main(argv) == 2
+    assert f"{tmp_path / 'out' / taken} is an existing directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_run_writes_its_files_with_the_umask_applied(tmp_path, umask, mode):
     path = write_config(tmp_path, base_config(tmp_path))
@@ -172,6 +196,21 @@ def test_run_rejects_malformed_manual_assignment(tmp_path, bad_indices):
 def test_manual_assignment_with_integer_indices_runs(tmp_path):
     document = manual_partition_config(tmp_path, [0, *range(80, 160)])
     assert main(["run", write_config(tmp_path, document)]) == 0
+
+
+@pytest.mark.parametrize(
+    "keys", [("0", "2"), ("1", "2"), ("0", "1", "2")], ids=["gap", "from-1", "more-than-K"]
+)
+def test_manual_assignment_keys_other_than_0_to_k_minus_1_exit_2(tmp_path, capsys, keys):
+    # Every sample is assigned once; only the client keys are wrong for K=2.
+    document = manual_partition_config(tmp_path, [])
+    n = len(keys)
+    document["partition"]["assignment"] = {
+        key: list(range(160 * j // n, 160 * (j + 1) // n)) for j, key in enumerate(keys)
+    }
+    assert main(["run", write_config(tmp_path, document)]) == 2
+    assert "partition.assignment: client keys must be 0..1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_data_file_exits_3_without_partial_csv(tmp_path):
@@ -563,6 +602,24 @@ def test_sweep_values_that_share_an_output_path_exit_2_before_any_run(tmp_path, 
     err = capsys.readouterr().err
     assert "values 2 and 3 of train.eta" in err and "etas-eta0.1.csv" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_over_output_name_names_each_run_by_its_value(tmp_path, capsys):
+    document = base_config(tmp_path, name="r")
+    document["train"]["I_max"] = 2
+    path = write_config(tmp_path, document)
+    assert main(["sweep", path, "--set", "output.name=alpha,beta"]) == 0
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == [
+        "alpha.csv", "alpha.json", "beta.csv", "beta.json", "r-sweep.csv"
+    ]
+    assert main(["sweep", path, "--set", "output.name=a,a"]) == 2
+    assert "values 1 and 2 of output.name" in capsys.readouterr().err
+    assert main(["sweep", path, "--set", "output.name=r-sweep"]) == 2  # the index's own path
+    assert not (out / "a.csv").exists()
+    assert sorted(os.listdir(out)) == [
+        "alpha.csv", "alpha.json", "beta.csv", "beta.json", "r-sweep.csv"
+    ]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

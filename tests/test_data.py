@@ -18,11 +18,8 @@ def multiset(dataset: fs.Dataset) -> list[tuple]:
     return sorted(map(tuple, rows.tolist()))
 
 
-def clients_multiset(clients: list[fs.ClientDataset]) -> list[tuple]:
-    rows = []
-    for c in clients:
-        rows.extend(multiset(c.data))
-    return sorted(rows)
+def clients_multiset(clients: list[fs.Dataset]) -> list[tuple]:
+    return sorted(row for c in clients for row in multiset(c))
 
 
 # --- dataset type -----------------------------------------------------------
@@ -195,16 +192,16 @@ def test_partition_iid_multiset_and_sizes():
     ds = fs.synthetic(2, 100, 5, 10)
     clients = fs.partition_iid(ds, 10, 3)
     assert len(clients) == 10
-    assert all(c.data.n == 10 for c in clients)
+    assert all(c.n == 10 for c in clients)
     assert clients_multiset(clients) == multiset(ds)
 
 
 def test_partition_iid_k1_is_shuffled_original():
     ds = fs.synthetic(2, 30, 4, 3)
     (client,) = fs.partition_iid(ds, 1, 5)
-    assert client.data.n == 30
-    assert multiset(client.data) == multiset(ds)
-    assert not np.array_equal(client.data.features, ds.features)  # actually shuffled
+    assert client.n == 30
+    assert multiset(client) == multiset(ds)
+    assert not np.array_equal(client.features, ds.features)  # actually shuffled
 
 
 def test_partition_iid_rejects_indivisible():
@@ -218,7 +215,7 @@ def test_partition_iid_spreads_classes():
     # should see every class (frozen sanity check, run once).
     ds = fs.synthetic(4, 60000, 2, 10)
     clients = fs.partition_iid(ds, 100, 7)
-    full_coverage = sum(1 for c in clients if len(np.unique(c.data.labels)) == 10)
+    full_coverage = sum(1 for c in clients if len(np.unique(c.labels)) == 10)
     assert full_coverage >= 95
 
 
@@ -227,10 +224,10 @@ def test_partition_noniid_l1_single_label_per_client():
     clients = fs.partition_noniid_l(ds, 10, 1, 11)
     labels_seen = set()
     for c in clients:
-        unique = np.unique(c.data.labels)
+        unique = np.unique(c.labels)
         assert len(unique) == 1
         # That client owns every sample of its label.
-        assert c.data.n == int(np.sum(ds.labels == unique[0]))
+        assert c.n == int(np.sum(ds.labels == unique[0]))
         labels_seen.add(int(unique[0]))
     assert labels_seen == set(range(10))
     assert clients_multiset(clients) == multiset(ds)
@@ -240,15 +237,15 @@ def test_partition_noniid_l_full_coverage_when_l_equals_classes():
     ds = fs.synthetic(5, 500, 4, 10)
     clients = fs.partition_noniid_l(ds, 10, 10, 2)
     for c in clients:
-        assert len(np.unique(c.data.labels)) == 10
+        assert len(np.unique(c.labels)) == 10
 
 
 def test_partition_noniid_l2_shard_structure():
     ds = fs.synthetic(6, 1000, 4, 10)
     clients = fs.partition_noniid_l(ds, 10, 2, 8)
     for c in clients:
-        assert len(np.unique(c.data.labels)) == 2
-        assert c.data.n == 100
+        assert len(np.unique(c.labels)) == 2
+        assert c.n == 100
     assert clients_multiset(clients) == multiset(ds)
 
 
@@ -272,12 +269,20 @@ def test_partition_manual_roundtrip_and_errors():
         assignment={0: list(range(5)), 1: list(range(5, 12))},
     )
     clients = fs.apply_partition(plan, ds)
-    assert [c.data.n for c in clients] == [5, 7]
+    assert [c.n for c in clients] == [5, 7]
     assert clients_multiset(clients) == multiset(ds)
     with pytest.raises(fs.DataError):
         fs.partition_manual(ds, {0: [0, 1], 1: [1, 2]})  # overlap
     with pytest.raises(fs.DataError):
         fs.partition_manual(ds, {0: list(range(11))})  # not covering
+
+
+@pytest.mark.parametrize("keys", [(1, 2), (0, 2), (-1, 0)])
+def test_partition_manual_rejects_keys_other_than_0_to_k_minus_1(keys):
+    # Client j is the j-th dataset returned, so the keys must be its positions.
+    ds = fs.synthetic(8, 12, 3, 3)
+    with pytest.raises(fs.DataError, match="0..K-1"):
+        fs.partition_manual(ds, {keys[0]: list(range(5)), keys[1]: list(range(5, 12))})
 
 
 def test_partition_plan_validation():
@@ -292,50 +297,54 @@ def test_partition_plan_validation():
 # --- batch schedules --------------------------------------------------------
 
 
-def make_client(n: int, seed: int = 0) -> fs.ClientDataset:
-    return fs.ClientDataset(0, fs.synthetic(seed, n, 3, 5))
+def make_client(n: int, seed: int = 0) -> fs.Dataset:
+    return fs.synthetic(seed, n, 3, 5)
 
 
-def sweep_batches(schedule: fs.BatchSchedule, sweep: int) -> list[fs.Batch]:
+def make_schedule(client: fs.Dataset, batch_size: int, batch_count: int, seed: int):
+    return fs.BatchSchedule(client, batch_size, batch_count, seed, 0)
+
+
+def sweep_batches(schedule: fs.BatchSchedule, sweep: int) -> list[fs.Dataset]:
     """The batches of every window of one sweep, in training order."""
     span = schedule.window_span
     return [b for i in range(sweep * span, (sweep + 1) * span) for b in window_batches(schedule, i)]
 
 
 def test_make_schedule_counts():
-    schedule = fs.make_schedule(make_client(100), 10, 3, 1)
+    schedule = make_schedule(make_client(100), 10, 3, 1)
     assert schedule.num_batches == 10
     assert schedule.window_span == 4  # ceil(10 / 3)
 
 
 def test_make_schedule_last_batch_smaller():
-    schedule = fs.make_schedule(make_client(95), 10, 1, 1)
-    sizes = [b.size for b in sweep_batches(schedule, 0)]
+    schedule = make_schedule(make_client(95), 10, 1, 1)
+    sizes = [b.n for b in sweep_batches(schedule, 0)]
     assert sizes == [10] * 9 + [5]
 
 
 def test_make_schedule_full_batch():
-    schedule = fs.make_schedule(make_client(8), 20, 1, 1)
+    schedule = make_schedule(make_client(8), 20, 1, 1)
     assert schedule.num_batches == 1
     assert schedule.window_span == 1
 
 
 def test_schedule_covers_client_exactly():
     client = make_client(23, seed=4)
-    schedule = fs.make_schedule(client, 5, 2, 9)
+    schedule = make_schedule(client, 5, 2, 9)
     for sweep in range(3):
         batches = sweep_batches(schedule, sweep)
-        assert sum(b.size for b in batches) == 23
+        assert sum(b.n for b in batches) == 23
         stacked = fs.Dataset(
             np.concatenate([b.features for b in batches]),
             np.concatenate([b.labels for b in batches]),
             5,
         )
-        assert multiset(stacked) == multiset(client.data)
+        assert multiset(stacked) == multiset(client)
 
 
 def test_batch_window_documented_sequence():
-    schedule = fs.make_schedule(make_client(100), 10, 3, 1)  # T=10, C=3, f=4
+    schedule = make_schedule(make_client(100), 10, 3, 1)  # T=10, C=3, f=4
     assert fs.batch_window(schedule, 0) == (0, 2)
     assert fs.batch_window(schedule, 1) == (3, 5)
     assert fs.batch_window(schedule, 2) == (6, 8)
@@ -344,14 +353,14 @@ def test_batch_window_documented_sequence():
 
 
 def test_batch_window_single_batch_mode():
-    schedule = fs.make_schedule(make_client(40), 10, 1, 1)  # T=4, C=1 -> f=4
+    schedule = make_schedule(make_client(40), 10, 1, 1)  # T=4, C=1 -> f=4
     for i in range(9):
         p, q = fs.batch_window(schedule, i)
         assert p == q == i % 4
 
 
 def test_batch_window_whole_epoch_mode():
-    schedule = fs.make_schedule(make_client(40), 10, 7, 1)  # C >= T -> one window
+    schedule = make_schedule(make_client(40), 10, 7, 1)  # C >= T -> one window
     for i in range(5):
         assert fs.batch_window(schedule, i) == (0, 3)
 
@@ -359,7 +368,7 @@ def test_batch_window_whole_epoch_mode():
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 60), batch_size=st.integers(1, 12), batch_count=st.integers(1, 12))
 def test_batch_window_tiles_every_sweep(n, batch_size, batch_count):
-    schedule = fs.make_schedule(make_client(max(n, 5)), batch_size, batch_count, 3)
+    schedule = make_schedule(make_client(max(n, 5)), batch_size, batch_count, 3)
     span = schedule.window_span
     covered = []
     for i in range(span):
@@ -370,7 +379,7 @@ def test_batch_window_tiles_every_sweep(n, batch_size, batch_count):
 
 def test_reshuffle_changes_order_preserves_content():
     client = make_client(30, seed=2)
-    schedule = fs.make_schedule(client, 5, 1, 7)
+    schedule = make_schedule(client, 5, 1, 7)
     before = np.concatenate([b.features for b in sweep_batches(schedule, 0)])
     after = np.concatenate([b.features for b in sweep_batches(schedule, 1)])
     assert not np.array_equal(before, after)
@@ -378,10 +387,10 @@ def test_reshuffle_changes_order_preserves_content():
 
 
 def test_schedule_orders_do_not_depend_on_call_order():
-    clients = [fs.ClientDataset(j, fs.synthetic(j, 17 + j, 3, 5)) for j in range(3)]
+    clients = [fs.synthetic(j, 17 + j, 3, 5) for j in range(3)]
 
     def sweeps(sequence):
-        schedules = [fs.make_schedule(c, 4, 1, 11) for c in clients]
+        schedules = [fs.BatchSchedule(c, 4, 1, 11, j) for j, c in enumerate(clients)]
         return {
             (j, sweep): np.concatenate([b.features for b in sweep_batches(schedules[j], sweep)])
             for j, sweep in sequence
@@ -395,8 +404,8 @@ def test_schedule_orders_do_not_depend_on_call_order():
     for (j, sweep), features in one_by_one.items():
         assert np.array_equal(features, interleaved[(j, sweep)]), (j, sweep)
         # Sweep s of client j is permutation s of the client's counter stream.
-        order = shuffle_order(fs.derive_seed(11, j, sweep), clients[j].data.n)
-        assert np.array_equal(features, clients[j].data.features[order]), (j, sweep)
+        order = shuffle_order(fs.derive_seed(11, j, sweep), clients[j].n)
+        assert np.array_equal(features, clients[j].features[order]), (j, sweep)
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,12 +417,12 @@ def test_schedule_orders_do_not_depend_on_call_order():
 )
 def test_take_window_is_pure_in_its_index(n, batch_size, batch_count, indices):
     client = make_client(n)
-    schedule = fs.make_schedule(client, batch_size, batch_count, 3)
+    schedule = make_schedule(client, batch_size, batch_count, 3)
     # Each index is taken again in reverse, so the sequence has repeats and
     # runs out of order.
     for i in indices + indices[::-1]:
         got = window_batches(schedule, i)
-        want = window_batches(fs.make_schedule(client, batch_size, batch_count, 3), i)
+        want = window_batches(make_schedule(client, batch_size, batch_count, 3), i)
         assert len(got) == len(want), i
         for a, b in zip(got, want):
             assert np.array_equal(a.features, b.features), i

@@ -18,12 +18,12 @@ from helpers import per_client_reference, reference_aggregate
 SEEDS = fs.Seeds(init=1, shuffle=2, partition=3)
 
 
-def make_client(n: int, input_dim: int = 4, classes: int = 5, seed: int = 0, index: int = 0):
-    return fs.ClientDataset(index, fs.synthetic(seed, n, input_dim, classes))
+def make_client(n: int, input_dim: int = 4, classes: int = 5, seed: int = 0) -> fs.Dataset:
+    return fs.synthetic(seed, n, input_dim, classes)
 
 
-def client_schedule(n: int, batch_size: int, batch_count: int, seed: int = 2, index: int = 0):
-    return fs.make_schedule(make_client(n, index=index), batch_size, batch_count, seed)
+def client_schedule(n: int, batch_size: int, batch_count: int, seed: int = 2):
+    return fs.BatchSchedule(make_client(n), batch_size, batch_count, seed, 0)
 
 
 # --- training config --------------------------------------------------------
@@ -53,6 +53,15 @@ def test_config_mode_exclusivity():
             mode="fedmmb", learning_rate=0.0, max_rounds=2, batch_size=4, seeds=SEEDS,
             clients=2, batch_count=1,
         )
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("field", ["init", "shuffle", "partition"])
+def test_seeds_outside_64_bits_raise(field, seed):
+    # The streams take seeds modulo 2**64: -1 would repeat 2**64 - 1's run.
+    with pytest.raises(fs.ConfigError, match=f"seed {field}"):
+        fs.Seeds(**{"init": 0, "shuffle": 0, "partition": 0, field: seed})
+    fs.Seeds(**{"init": 0, "shuffle": 0, "partition": 0, field: 2**64 - 1})
 
 
 # --- client updates ---------------------------------------------------------
@@ -128,7 +137,7 @@ def test_step_plan_rejects_bad_windows_or_learning_rates(windows, eta):
         StepPlan(spec, [client_schedule(20, 5, 2)], windows, eta)
 
 
-def unequal_clients() -> tuple[fs.NetworkSpec, list[fs.ClientDataset], fs.Dataset]:
+def unequal_clients() -> tuple[fs.NetworkSpec, list[fs.Dataset], fs.Dataset]:
     # 13, 22 and 25 samples: at B=4 the clients have 4, 6 and 7 batches and
     # end on batches of 1, 2 and 1, so steps group clients by batch size and
     # clients with shorter windows sit steps out.
@@ -145,7 +154,9 @@ def test_draw_windows_equals_fresh_single_schedules_in_any_order(order, batch_co
     # Two schedules on each of the 13-, 22- and 25-sample clients: mixed
     # sizes, and two streams per size.
     _, clients, _ = unequal_clients()
-    schedules = [fs.make_schedule(c, 4, batch_count, seed) for seed in (2, 7) for c in clients]
+    schedules = [
+        fs.BatchSchedule(c, 4, batch_count, seed, j) for seed in (2, 7) for j, c in enumerate(clients)
+    ]
     held = [None] * len(schedules)  # the sweep each schedule holds
     calls = []
     real_shuffle_orders = data.shuffle_orders
@@ -164,9 +175,8 @@ def test_draw_windows_equals_fresh_single_schedules_in_any_order(order, batch_co
         assert sorted(calls) == sorted((stale.count(n), n) for n in set(stale))
         held = sweeps
         for schedule, (rows, sizes) in zip(schedules, got):
-            fresh = fs.make_schedule(
-                fs.ClientDataset(schedule.client_index, schedule.source),
-                4, batch_count, schedule.base_seed,
+            fresh = fs.BatchSchedule(
+                schedule.source, 4, batch_count, schedule.base_seed, schedule.client_index
             )
             want_rows, want_sizes = fresh.window_rows(index)
             assert np.array_equal(rows, want_rows), index
@@ -203,7 +213,7 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
     def centralized():
         seen = []
         log = fs.run_centralized(
-            cent_cfg, spec, clients[2].data, test, round_hook=lambda i, w: seen.append(w)
+            cent_cfg, spec, clients[2], test, round_hook=lambda i, w: seen.append(w)
         )
         return log.to_csv_string(), seen[-1]
 
@@ -381,11 +391,10 @@ def test_drivers_check_client_data_against_the_spec_before_training(driver, faul
     spec = fs.NetworkSpec(4, (6,), 3)
     test = fs.synthetic(3, 12, 4, 3)
     if fault == "feature_width":
-        clients = [make_client(20, input_dim=5, classes=3, seed=j, index=j) for j in range(2)]
+        clients = [make_client(20, input_dim=5, classes=3, seed=j) for j in range(2)]
     else:
-        clients = [make_client(20, classes=3, seed=0, index=0)]
-        wide = fs.synthetic(1, 20, 4, 4)  # labels 0..3; label 3 is past the spec's 3 classes
-        clients.append(fs.ClientDataset(1, wide))
+        clients = [make_client(20, classes=3, seed=0)]
+        clients.append(fs.synthetic(1, 20, 4, 4))  # label 3 is past the spec's 3 classes
     hooked = []
     knobs = {
         "fedmmb": {"clients": 2, "batch_count": 2},
@@ -403,7 +412,7 @@ def test_drivers_check_client_data_against_the_spec_before_training(driver, faul
         elif driver == "fedavg":
             fs.run_fedavg(cfg, spec, clients, test, round_hook=hook)
         else:
-            fs.run_centralized(cfg, spec, None, test, fs.LockstepPlan(clients, 10), hook)
+            fs.run_centralized(cfg, spec, None, test, clients, hook)
     assert hooked == []
 
 
@@ -429,29 +438,37 @@ def test_round_loop_calls_its_hooks_once_a_round(driver, monkeypatch):
     }.get(driver, {})
     cfg = fs.TrainingConfig(
         mode=driver if driver in ("fedmmb", "fedavg") else "centralized", learning_rate=0.05,
-        max_rounds=3, batch_size=5, seeds=SEEDS, **knobs,
+        max_rounds=3, batch_size=20 if driver == "lockstep" else 5, seeds=SEEDS, **knobs,
     )
     if driver == "fedmmb":
         fs.run_fedmmb(cfg, spec, clients, test)
     elif driver == "fedavg":
         fs.run_fedavg(cfg, spec, clients, test)
     elif driver == "centralized":
-        fs.run_centralized(cfg, spec, clients[0].data, test)
+        fs.run_centralized(cfg, spec, clients[0], test)
     else:
-        fs.run_centralized(cfg, spec, None, test, fs.LockstepPlan(clients, 5))
+        fs.run_centralized(cfg, spec, None, test, clients)  # 4 clients, batches of 5
     assert calls == ["init_weights"] + ["client_update_mmb", "aggregate"] * cfg.max_rounds
 
 
 def test_lockstep_rejects_clients_of_different_feature_widths():
-    clients = [make_client(20, input_dim=4, index=0), make_client(20, input_dim=5, index=1)]
+    clients = [make_client(20, input_dim=4), make_client(20, input_dim=5)]
     cfg = fs.TrainingConfig(
         mode="centralized", learning_rate=0.05, max_rounds=2, batch_size=10, seeds=SEEDS,
     )
     with pytest.raises(fs.ContractError):
-        fs.run_centralized(
-            cfg, fs.NetworkSpec(4, (6,), 5), None, make_client(10).data,
-            fs.LockstepPlan(clients, 5),
-        )
+        fs.run_centralized(cfg, fs.NetworkSpec(4, (6,), 5), None, make_client(10), clients)
+
+
+@pytest.mark.parametrize("batch_size, clients", [(10, 3), (10, 0)], ids=["indivisible", "empty"])
+def test_lockstep_rejects_a_client_count_that_does_not_divide_the_batch_size(batch_size, clients):
+    # Each client's lockstep batch is batch_size / K samples, so K must divide it.
+    cfg = fs.TrainingConfig(
+        mode="centralized", learning_rate=0.05, max_rounds=2, batch_size=batch_size, seeds=SEEDS,
+    )
+    lockstep = [make_client(20, seed=j) for j in range(clients)]
+    with pytest.raises(fs.ConfigError, match="lockstep"):
+        fs.run_centralized(cfg, fs.NetworkSpec(4, (6,), 5), None, make_client(10), lockstep)
 
 
 def test_single_client_full_window_equals_centralized_steps():
@@ -460,7 +477,7 @@ def test_single_client_full_window_equals_centralized_steps():
     # the evaluated metrics coincide at matched cadence.
     train, test = synthetic_split(13, 100, 40, 4, 5)
     spec = fs.NetworkSpec(4, (8,), 5)
-    client = [fs.ClientDataset(0, train)]
+    client = [train]
     fed_cfg = fs.TrainingConfig(
         mode="fedmmb", learning_rate=0.05, max_rounds=5, batch_size=10, seeds=SEEDS,
         clients=1, batch_count=10,
@@ -506,7 +523,7 @@ def test_lockstep_single_batch_equals_centralized_union():
     fs.run_fedmmb(fed_cfg, spec, clients, test, round_hook=lambda r, w: fed_weights.append(w))
     fs.run_centralized(
         cent_cfg, spec, None, test,
-        lockstep=fs.LockstepPlan(clients, 5),
+        lockstep=clients,
         round_hook=lambda r, w: cent_weights.append(w),
     )
     gaps = [np.max(np.abs(a - b)) for a, b in zip(fed_weights, cent_weights)]

@@ -29,11 +29,11 @@ SPEC = fs.NetworkSpec(5, (6,), 3)
 TRAIN, TEST = synthetic_split(21, 100, 30, 5, 3)
 
 
-def iid_clients() -> list[fs.ClientDataset]:
+def iid_clients() -> list[fs.Dataset]:
     return fs.partition_iid(TRAIN, 4, SEEDS.partition)  # 25 samples each
 
 
-def unequal_clients() -> list[fs.ClientDataset]:
+def unequal_clients() -> list[fs.Dataset]:
     # 23, 37 and 40 samples: at B=5 the first two end on a short batch, and
     # at C=3 every client's last window is short (T = 5, 8, 8).
     return fs.partition_manual(
@@ -74,7 +74,7 @@ CASES = {
     "fedavg_e2_unequal": fedavg(unequal_clients(), 12, 3, local_epochs=2),
     "centralized_short_batch": centralized(120, 10, batch_size=7),  # 100 = 14 * 7 + 2
     "centralized_lockstep": centralized(
-        60, 5, batch_size=15, lockstep=fs.LockstepPlan(unequal_clients(), 5)
+        60, 5, batch_size=15, lockstep=unequal_clients()  # 3 clients, batches of 5
     ),
 }
 

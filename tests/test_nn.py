@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
-from fedsim import Batch, NetworkSpec
-from fedsim.nn import _descend
+from fedsim import Dataset, NetworkSpec
+from fedsim.nn import _descend, _gradients_into
 
 from helpers import grad_rel_error, scalar_evaluate, scalar_loss
 
 
-def small_batch(spec: NetworkSpec, seed: int, size: int) -> Batch:
+def small_batch(spec: NetworkSpec, seed: int, size: int) -> Dataset:
     ds = fs.synthetic(seed, max(size, spec.output_dim), spec.input_dim, spec.output_dim)
-    return Batch(ds.features[:size], ds.labels[:size])
+    return ds.subset(np.arange(size))
 
 
 # --- network spec -----------------------------------------------------------
@@ -100,7 +100,7 @@ def test_forward_zero_weights_uniform():
 def test_forward_saturated_true_class_zero_loss():
     spec = NetworkSpec(2, (), 3)
     w = np.concatenate([np.zeros(2 * 3), [1000.0, 0.0, 0.0]])
-    batch = Batch(np.array([[0.3, -0.2]]), np.array([0]))
+    batch = Dataset(np.array([[0.3, -0.2]]), np.array([0]), 3)
     probs, loss = fs.forward(spec, w, batch)
     assert probs[0, 0] == 1.0
     assert loss == 0.0
@@ -120,7 +120,7 @@ def test_forward_probability_rows_sum_to_one_with_huge_logits():
         [800.0, -900.0, 50.0, 0.0, 0.0, 1000.0, -1000.0, 3.0, 1.0, 2.0, 3.0, 4.0]  # W row-major
         + [5.0, -5.0, 0.0, 1000.0]  # b
     )
-    batch = Batch(np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]]), np.array([0, 3]))
+    batch = Dataset(np.array([[1.0, 1.0, 1.0], [-1.0, 0.5, 2.0]]), np.array([0, 3]), 4)
     probs, loss = fs.forward(spec, w, batch)
     assert np.all(np.isfinite(probs))
     assert math.isfinite(loss)
@@ -130,7 +130,7 @@ def test_forward_probability_rows_sum_to_one_with_huge_logits():
 def test_forward_shape_mismatch_raises():
     spec = NetworkSpec(5, (4,), 3)
     w = fs.init_weights(spec, 1)
-    bad = Batch(np.zeros((2, 6)), np.array([0, 1]))
+    bad = Dataset(np.zeros((2, 6)), np.array([0, 1]), 3)
     with pytest.raises(fs.ContractError):
         fs.forward(spec, w, bad)
     other = fs.init_weights(NetworkSpec(5, (9,), 3), 1)
@@ -142,7 +142,7 @@ def test_forward_label_out_of_range_raises():
     spec = NetworkSpec(4, (), 3)
     w = fs.init_weights(spec, 1)
     with pytest.raises(fs.ContractError):
-        fs.forward(spec, w, Batch(np.zeros((1, 4)), np.array([3])))
+        fs.forward(spec, w, Dataset(np.zeros((1, 4)), np.array([3]), 4))
 
 
 # --- gradients --------------------------------------------------------------
@@ -170,10 +170,7 @@ def test_duplicated_batch_same_gradients():
     spec = NetworkSpec(5, (6,), 3)
     w = fs.init_weights(spec, 4)
     batch = small_batch(spec, 3, 6)
-    doubled = Batch(
-        np.concatenate([batch.features, batch.features]),
-        np.concatenate([batch.labels, batch.labels]),
-    )
+    doubled = batch.subset(np.tile(np.arange(batch.n), 2))
     _, g1 = fs.compute_gradients(spec, w, batch)
     _, g2 = fs.compute_gradients(spec, w, doubled)
     np.testing.assert_allclose(g1, g2, rtol=1e-13, atol=1e-16)
@@ -192,9 +189,9 @@ def test_gradient_linearity_property(seed, n1, n2, input_dim, classes):
     spec = NetworkSpec(input_dim, (5,), classes)
     w = fs.init_weights(spec, seed)
     ds = fs.synthetic(seed + 1, max(n1 + n2, classes), input_dim, classes)
-    b1 = Batch(ds.features[:n1], ds.labels[:n1])
-    b2 = Batch(ds.features[n1 : n1 + n2], ds.labels[n1 : n1 + n2])
-    union = Batch(ds.features[: n1 + n2], ds.labels[: n1 + n2])
+    b1 = ds.subset(np.arange(n1))
+    b2 = ds.subset(np.arange(n1, n1 + n2))
+    union = ds.subset(np.arange(n1 + n2))
     _, g1 = fs.compute_gradients(spec, w, b1)
     _, g2 = fs.compute_gradients(spec, w, b2)
     _, gu = fs.compute_gradients(spec, w, union)
@@ -211,45 +208,49 @@ def test_gradient_linearity_property(seed, n1, n2, input_dim, classes):
     hidden=st.sampled_from([(), (7,), (5, 4)]),
 )
 def test_stacked_gradients_equal_per_client_calls(seed, clients, size, input_dim, classes, hidden):
-    # A [K, b, d] batch on [K, P] parameters gives each client exactly the
-    # loss and gradients of its own 1-D call.
+    # The round loop's core on layer views of a [K, P] stack and a [K, b, d]
+    # batch gives each client exactly the loss and gradients of its own
+    # checked call.
     spec = NetworkSpec(input_dim, hidden, classes)
     per_client = [fs.init_weights(spec, seed + k) for k in range(clients)]
     for k, w in enumerate(per_client):
         for _, b in fs.layer_views(spec, w):
             b[:] = np.linspace(-0.5, 0.5, b.size) * (k + 1)  # non-zero, distinct per client
     stacked = np.stack(per_client)
+    grads = np.empty_like(stacked)
     ds = fs.synthetic(seed, max(clients * size, classes), input_dim, classes)
     features = ds.features[: clients * size].reshape(clients, size, input_dim)
     labels = ds.labels[: clients * size].reshape(clients, size)
-    losses, grads = fs.compute_gradients(spec, stacked, Batch(features, labels))
-    assert losses.shape == (clients,)
+    log_probs = _gradients_into(
+        fs.layer_views(spec, stacked), fs.layer_views(spec, grads), features,
+        np.eye(classes)[labels],
+    )
+    picked = np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
+    losses = -picked.mean(axis=-1)
     for k, w in enumerate(per_client):
-        loss, own = fs.compute_gradients(spec, w, Batch(features[k], labels[k]))
+        loss, own = fs.compute_gradients(spec, w, ds.subset(np.arange(k * size, (k + 1) * size)))
         assert losses[k] == loss
         assert np.array_equal(grads[k], own)
 
 
 def test_stacked_shapes_are_checked():
+    # The checked engine takes one flat vector and a 2-D dataset, never a stack.
     spec = NetworkSpec(4, (5,), 3)
     w = fs.init_weights(spec, 1)
     stacked = np.stack([w, w])
-    features, labels = np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64)
+    batch = small_batch(spec, 2, 3)
+    for call in (fs.forward, fs.compute_gradients):
+        with pytest.raises(fs.ContractError):
+            call(spec, stacked, batch)  # a [K, P] stack is not one flat vector
     with pytest.raises(fs.ContractError):
-        fs.compute_gradients(spec, w, Batch(features, labels))  # 1-D parameters, 3-D batch
-    with pytest.raises(fs.ContractError):
-        fs.compute_gradients(spec, stacked, Batch(features[0], labels[0]))
-    with pytest.raises(fs.ContractError):
-        fs.compute_gradients(spec, stacked, Batch(np.zeros((3, 3, 4)), np.zeros((3, 3))))
-    with pytest.raises(fs.ContractError):
-        Batch(features, labels[0])
+        fs.finite_diff_grad(spec, stacked, batch, 1e-5)
+    with pytest.raises(fs.DataError):
+        Dataset(np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64), 3)  # 3-D features
     for wrong in (w[:-1], np.append(w, 0.0), stacked[:, 1:], np.float64(0.0)):
         with pytest.raises(fs.ContractError):
             fs.layer_views(spec, wrong)  # wrong parameter count
     with pytest.raises(fs.ContractError):
-        fs.compute_gradients(spec, w[1:], Batch(features[0], labels[0]))
-    with pytest.raises(fs.ContractError):
-        Batch(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3)))
+        fs.compute_gradients(spec, w[1:], batch)
 
 
 # --- sgd_step ---------------------------------------------------------------
@@ -320,7 +321,7 @@ def test_finite_diff_matches_hand_derived_softmax_regression():
     w = np.concatenate([weight.reshape(-1), bias])
     x = np.array([[1.0, 2.0, -1.0], [0.5, -0.5, 0.25]])
     y = np.array([0, 1])
-    batch = Batch(x, y)
+    batch = Dataset(x, y, 2)
     logits = x @ weight + bias
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = shifted / shifted.sum(axis=1, keepdims=True)
