@@ -9,7 +9,13 @@ The digests in ``tests/test_golden.py`` pin fedsim's bits, but the matrix
 products inside them are summed by whichever OpenBLAS kernel the CPU gets.
 This probe reruns that test file in one child process per case, with
 ``OPENBLAS_CORETYPE`` set to each kernel below and 1 or 2 BLAS threads, and
-prints which golden cases pass. Only the children's environment changes.
+prints which golden cases pass. Its own column shows whether
+``test_lane_path_digests`` passes. The jump-ahead lanes start through
+float32 products of 0/1 bit matrices, which are exact under every kernel,
+so its uniform, normal and init draws keep their bits everywhere; but its
+``synthetic`` features scale the class centers by ``np.linalg.norm``, a
+BLAS dot product, so that digest can fail under a kernel that sums it in
+another order. Only the children's environment changes.
 
     python demos/blas_kernel_probe.py
 
@@ -31,7 +37,10 @@ from fedsim.rng import Xoshiro256PP
 KERNELS = ("Prescott", "Sandybridge", "Haswell", "Zen", "SkylakeX")
 THREADS = (1, 2)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) tests/test_golden\.py::test_golden_digests\[(\w+)\]")
+LANE_CASE = "test_lane_path_digests"
+OUTCOME = re.compile(
+    rf"^(PASSED|FAILED|ERROR) tests/test_golden\.py::(?:test_golden_digests\[(\w+)\]|({LANE_CASE}))"
+)
 
 
 LIBM_INPUTS = 400_000
@@ -62,7 +71,10 @@ def print_libm_mismatches() -> None:
 
 
 def run_case(kernel: str, threads: int) -> dict[str, str]:
-    """Golden case name -> PASSED, FAILED or ERROR, under one kernel and thread count."""
+    """Case name -> PASSED, FAILED or ERROR, under one kernel and thread count.
+
+    A golden case goes by its parameter, the lane path by ``LANE_CASE``.
+    """
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -71,24 +83,28 @@ def run_case(kernel: str, threads: int) -> dict[str, str]:
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     outcomes = dict(
-        (m.group(2), m.group(1))
+        (m.group(2) or m.group(3), m.group(1))
         for m in map(OUTCOME.match, result.stdout.splitlines())
         if m
     )
-    if not outcomes:
+    if LANE_CASE not in outcomes or len(outcomes) < 2:
         sys.exit(f"no golden results under {kernel}/{threads}:\n{result.stdout}{result.stderr}")
     return outcomes
 
 
 def main() -> None:
     print_libm_mismatches()
-    print(f"{'kernel':<12} {'threads':>7} {'passed':>7}  failing cases")
+    print(f"{'kernel':<12} {'threads':>7} {'passed':>7} {'lane path':>9}  failing cases")
     for kernel in KERNELS:
         for threads in THREADS:
             outcomes = run_case(kernel, threads)
+            lane_path = outcomes.pop(LANE_CASE)
             failing = sorted(name for name, outcome in outcomes.items() if outcome != "PASSED")
             passed = f"{len(outcomes) - len(failing)}/{len(outcomes)}"
-            print(f"{kernel:<12} {threads:>7} {passed:>7}  {', '.join(failing) or '-'}", flush=True)
+            print(
+                f"{kernel:<12} {threads:>7} {passed:>7} {lane_path:>9}  {', '.join(failing) or '-'}",
+                flush=True,
+            )
 
 
 if __name__ == "__main__":

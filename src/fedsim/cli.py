@@ -197,28 +197,38 @@ def cmd_compare(spec: ComparisonSpec, as_json: bool = False) -> int:
     return 0
 
 
-def _parse_sweep_expr(expr: str) -> tuple[list[str], list]:
+def _parse_sweep_expr(expr: str, document: dict) -> tuple[list[str], list]:
+    """The key path and values of ``key=value,value,...`` over a config ``document``.
+
+    A value is kept as its text when the key's value in ``document`` is a
+    string, so a run name such as ``1`` stays a name; otherwise it is
+    decoded as JSON where it parses, and kept as text where it does not.
+    """
     if "=" not in expr:
         raise ConfigError(f"--set expects key=value,value,..., got {expr!r}")
     key, _, values_text = expr.partition("=")
     path = key.strip().split(".")
     if not all(path):
         raise ConfigError(f"--set: empty key component in {key!r}")
+    keep_text = isinstance(_parent(document, path)[path[-1]], str)
     values = []
     for part in values_text.split(","):
         part = part.strip()
         if not part:
             raise ConfigError(f"--set: empty value in {values_text!r}")
-        try:
-            values.append(json.loads(part))
-        except json.JSONDecodeError:
-            values.append(part)
+        if not keep_text:
+            try:
+                part = json.loads(part)
+            except json.JSONDecodeError:
+                pass
+        values.append(part)
     if not values:
         raise ConfigError("--set: at least one value is required")
     return path, values
 
 
-def _set_in(document: dict, path: list[str], value) -> None:
+def _parent(document: dict, path: list[str]) -> dict:
+    """The dict in ``document`` that holds the key at ``path``; the key must exist."""
     node = document
     for key in path[:-1]:
         if not isinstance(node, dict) or key not in node:
@@ -226,7 +236,7 @@ def _set_in(document: dict, path: list[str], value) -> None:
         node = node[key]
     if not isinstance(node, dict) or path[-1] not in node:
         raise ConfigError(f"--set: unknown config key {'.'.join(path)!r}")
-    node[path[-1]] = value
+    return node
 
 
 def _variant_name(run_name: str, key_leaf: str, value) -> str:
@@ -241,14 +251,14 @@ def _variant_name(run_name: str, key_leaf: str, value) -> str:
 def cmd_sweep(config_path: str, set_expr: str, target_accuracy: float | None = None) -> int:
     _check_target_accuracy(target_accuracy)
     base = load_config(config_path)
-    path, values = _parse_sweep_expr(set_expr)
+    path, values = _parse_sweep_expr(set_expr, base.resolved)
     key_leaf = path[-1]
     index_path = os.path.join(base.output_dir, f"{base.run_name}-sweep.csv")
     variants = []
     outputs: dict[str, int] = {}
     for i, value in enumerate(values, start=1):
         document = copy.deepcopy(base.resolved)
-        _set_in(document, path, value)
+        _parent(document, path)[path[-1]] = value
         variant = config_from_dict(document)  # the value as given, before the run is renamed
         if path != ["output", "name"]:
             document["output"]["name"] = _variant_name(base.run_name, key_leaf, value)

@@ -3,10 +3,15 @@
 Every stochastic choice in the package flows through this module. Weight
 init, synthetic data, the train/test split and the client partitions use
 the xoshiro256++ generator implemented here, seeded via SplitMix64. Its
-``uniform_array`` and ``normal_array`` draw large arrays in lanes:
-xoshiro256++ is linear over GF(2), so a jump through its characteristic
-polynomial gives up to 1024 lane states a fixed stride of draws apart, and
-the lanes then step together in numpy ``uint64``. That is the same stream,
+``uniform_array`` and ``normal_array`` draw large arrays in lanes, up to
+1024 states a fixed stride of draws apart that then step together in numpy
+``uint64``. xoshiro256++ is linear over GF(2), so a jump of ``k`` steps is
+one 256x256 bit matrix ``M**k``. The lanes start from two of them,
+``J = M**stride`` and ``G = M**(32 * stride)``: ``J`` gives lanes 1 to 31
+one at a time, and ``G`` each later block of 32 lanes from the block
+before. Each product runs as a float32 matrix product of 0/1 entries and
+keeps the low bit; its sums are whole numbers of at most 256, exact in any
+order, so every BLAS kernel gives the same lanes. That is the same stream,
 bit for bit, as one ``next_uint64`` call per draw, and it leaves the
 generator in the same state. The per-client schedule shuffles use
 ``shuffle_orders``, a counter-based stream that hashes each element's
@@ -352,15 +357,68 @@ def _lane_jump(s: np.ndarray, q: int) -> np.ndarray:
     return acc
 
 
+def _state_bits(s: np.ndarray) -> np.ndarray:
+    """``[4, n]`` uint64 lane states as ``[n, 256]`` uint8 rows of 0/1 bits.
+
+    Entry ``64 * w + b`` of row ``l`` is bit ``b`` of word ``w`` of lane
+    ``l``: the words are laid out little-endian (``'<u8'``) and unpacked low
+    bit first (``bitorder="little"``), so every host gets the same order.
+    """
+    words = np.ascontiguousarray(s.T, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+
+def _bits_state(bits: np.ndarray) -> np.ndarray:
+    """The inverse of ``_state_bits``: ``[n, 256]`` 0/1 rows as ``[4, n]`` uint64."""
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return np.ascontiguousarray(words.T, dtype=np.uint64)
+
+
+def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over GF(2) for 0/1 matrices, as float32 0/1.
+
+    Each entry of the float32 product sums at most 256 products of 0 and 1,
+    so every partial sum is a whole number below 2**24 and exact: any order,
+    blocking or fused multiply-add a BLAS kernel picks gives the same
+    integer, and its low bit is the sum over GF(2).
+    """
+    return (np.matmul(a, b, dtype=np.float32).astype(np.int32) & 1).astype(np.float32)
+
+
+def _jump_matrix(k: int) -> np.ndarray:
+    """``M**k`` as a float32 0/1 matrix, transposed to act on ``_state_bits`` rows.
+
+    Row ``i`` holds the bits of unit state ``i`` (bit ``i`` alone set) after
+    ``k`` steps, found by one ``_lane_jump`` of the 256 unit states. The step
+    is linear, so a state's bit row times this matrix over GF(2), the XOR of
+    the rows of its set bits, is the state ``k`` steps on.
+    """
+    units = _bits_state(np.eye(256, dtype=np.uint8))
+    return _state_bits(_lane_jump(units, _xpow(k))).astype(np.float32)
+
+
 def _lane_starts(state: list[int], lanes: int, stride: int) -> np.ndarray:
     """``[4, lanes]`` states; lane ``l`` is ``state`` after ``l * stride`` steps.
 
-    Doubling: the first ``c`` lanes jumped by ``c * stride`` give the next
-    ``c``, so ``lanes`` starts take about ``log2(lanes)`` jump passes.
+    Lane ``l``'s bits are row ``l`` of a ``[lanes, 256]`` 0/1 matrix, and two
+    jump matrices act on such rows: ``J = M**stride`` from ``_jump_matrix``
+    and ``G = M**(32 * stride)``, ``J`` squared five times. Lanes 1 to 31 are
+    the lane before times ``J``, one at a time; every later block of 32 lanes
+    is the block before times ``G``, as one product. Each product is a
+    float32 matrix product of 0/1 entries whose sums are whole numbers of at
+    most 256, exact in any summation order, so every BLAS kernel gives the
+    same lanes (``_gf2_matmul``).
     """
-    s = np.array(state, dtype=np.uint64).reshape(4, 1)
-    q = _xpow(stride)
-    while s.shape[1] < lanes:
-        s = np.concatenate([s, _lane_jump(s[:, : lanes - s.shape[1]], q)], axis=1)
-        q = _polymulmod(q, q)
-    return s
+    j = _jump_matrix(stride)
+    bits = np.empty((lanes, 256), dtype=np.uint8)
+    bits[0] = _state_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
+    for l in range(1, min(lanes, 32)):
+        bits[l] = _gf2_matmul(bits[l - 1], j)
+    if lanes > 32:
+        g = j
+        for _ in range(5):
+            g = _gf2_matmul(g, g)
+        for l in range(32, lanes, 32):
+            n = min(32, lanes - l)
+            bits[l : l + n] = _gf2_matmul(bits[l - 32 : l - 32 + n], g)
+    return _bits_state(bits)

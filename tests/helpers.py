@@ -16,7 +16,7 @@ import numpy as np
 
 import fedsim as fs
 from fedsim import Dataset, NetworkSpec, layer_views
-from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _mix64
+from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _lane_jump, _mix64, _polymulmod, _xpow
 
 
 def scalar_loss(spec: NetworkSpec, weights: np.ndarray, batch: Dataset) -> float:
@@ -113,6 +113,21 @@ def reference_normal_array(rng: Xoshiro256PP, n: int) -> np.ndarray:
             out[i + 1] = r * math.sin(2.0 * math.pi * u2)
         i += 2
     return out
+
+
+def reference_lane_starts(state: list[int], lanes: int, stride: int) -> np.ndarray:
+    """``rng._lane_starts`` by doubling: ``[4, lanes]`` states ``stride`` steps apart.
+
+    The first ``c`` lanes jumped by ``c * stride`` through the polynomial
+    ``x**(c * stride)`` give the next ``c``, so ``lanes`` starts take about
+    ``log2(lanes)`` passes of ``_lane_jump``. No bit matrix is involved.
+    """
+    s = np.array(state, dtype=np.uint64).reshape(4, 1)
+    q = _xpow(stride)
+    while s.shape[1] < lanes:
+        s = np.concatenate([s, _lane_jump(s[:, : lanes - s.shape[1]], q)], axis=1)
+        q = _polymulmod(q, q)
+    return s
 
 
 def reference_aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:

@@ -622,6 +622,25 @@ def test_sweep_over_output_name_names_each_run_by_its_value(tmp_path, capsys):
     ]
 
 
+def test_sweep_keeps_the_text_of_values_for_string_keys(tmp_path, capsys):
+    # output.name is a string in the config, so 1 and 2 stay names; train.eta
+    # is a number, so its values are still decoded; text for a number exits 2.
+    document = base_config(tmp_path, name="r")
+    document["train"]["I_max"] = 2
+    path = write_config(tmp_path, document)
+    assert main(["sweep", path, "--set", "output.name=1,2"]) == 0
+    out = tmp_path / "out"
+    assert sorted(os.listdir(out)) == ["1.csv", "1.json", "2.csv", "2.json", "r-sweep.csv"]
+    assert json.loads((out / "1.json").read_text())["config"]["output"]["name"] == "1"
+    assert main(["sweep", path, "--set", "train.eta=0.1,0.2"]) == 0
+    for eta in (0.1, 0.2):
+        assert json.loads((out / f"r-eta{eta}.json").read_text())["config"]["train"]["eta"] == eta
+    capsys.readouterr()
+    assert main(["sweep", path, "--set", "train.C=two"]) == 2
+    assert "train.C" in capsys.readouterr().err
+    assert not list(out.glob("r-C*"))
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize("key", ["init", "shuffle", "partition", "dataset"])
 def test_run_rejects_seeds_outside_64_bits(tmp_path, capsys, key, seed):

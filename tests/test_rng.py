@@ -9,15 +9,24 @@ from fedsim.rng import (
     _CHARPOLY,
     _LANE_MIN_DRAWS,
     _LANES,
+    _MASK64,
     Xoshiro256PP,
+    _bits_state,
     _lane_jump,
+    _lane_starts,
+    _state_bits,
     _xpow,
     derive_seed,
     shuffle_order,
     shuffle_orders,
     splitmix64,
 )
-from helpers import reference_normal_array, reference_shuffle_order, reference_uniform_array
+from helpers import (
+    reference_lane_starts,
+    reference_normal_array,
+    reference_shuffle_order,
+    reference_uniform_array,
+)
 
 
 def test_splitmix64_reference_vectors():
@@ -213,6 +222,61 @@ def test_jump_through_polynomial_equals_scalar_steps(k):
     for _ in range(k):
         rng.next_uint64()
     assert _lane_jump(start, _xpow(k))[:, 0].tolist() == rng._s
+
+
+def test_state_bits_put_bit_b_of_word_w_at_64_w_plus_b():
+    # One word pattern per column: the top bit alone (a sign slip shows),
+    # alternating bits either way round and all ones, plus a column whose
+    # four words differ (a word or byte order slip shows).
+    top, odd, even, ones = 1 << 63, 0xAAAAAAAAAAAAAAAA, 0x5555555555555555, _MASK64
+    columns = [[w] * 4 for w in (top, odd, even, ones)] + [[top, odd, even, 0x0123456789ABCDEF]]
+    s = np.array(columns, dtype=np.uint64).T
+    bits = _state_bits(s)
+    assert bits.dtype == np.uint8 and bits.shape == (len(columns), 256)
+    for lane, words in enumerate(columns):
+        want = [words[i // 64] >> (i % 64) & 1 for i in range(256)]
+        assert bits[lane].tolist() == want
+    back = _bits_state(bits)
+    assert back.dtype == np.uint64 and back.flags.c_contiguous
+    assert back.tolist() == s.tolist()
+
+
+def scalar_lane_starts(state: list[int], lanes: int, stride: int) -> np.ndarray:
+    """Lane ``l`` as the state after ``l * stride`` calls to ``next_uint64``."""
+    rng = Xoshiro256PP(0)
+    rng._s = list(state)
+    starts = []
+    for _ in range(lanes):
+        starts.append(rng._s)
+        for _ in range(stride):
+            rng.next_uint64()
+    return np.array(starts, dtype=np.uint64).T
+
+
+LANE_STATE = [0x0123456789ABCDEF, _MASK64, 5, 1 << 63]
+
+
+# Strides 2 and 50 make x**stride sparse; 216 and 2298 give a dense jump
+# polynomial. Lane counts sit on each side of the 32-lane blocks.
+@pytest.mark.parametrize("stride", [2, 50, 216, 2298])
+@pytest.mark.parametrize("lanes", [1, 2, 31, 32, 33, 965, 1019, 1024])
+def test_lane_starts_equal_the_doubling_oracle(lanes, stride):
+    got = _lane_starts(LANE_STATE, lanes, stride)
+    assert got.dtype == np.uint64 and got.shape == (4, lanes)
+    assert got.tobytes() == reference_lane_starts(LANE_STATE, lanes, stride).tobytes()
+    if stride <= 50:
+        assert got.tobytes() == scalar_lane_starts(LANE_STATE, lanes, stride).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    state=st.lists(st.integers(0, _MASK64), min_size=4, max_size=4),
+    lanes=st.integers(1, 100),
+    stride=st.integers(1, 3000),
+)
+def test_lane_starts_equal_the_doubling_oracle_from_any_state(state, lanes, stride):
+    got = _lane_starts(state, lanes, stride)
+    assert got.tobytes() == reference_lane_starts(state, lanes, stride).tobytes()
 
 
 @pytest.mark.parametrize("seed", [5, 2**64 - 1])
