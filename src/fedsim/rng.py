@@ -380,9 +380,15 @@ def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each entry of the float32 product sums at most 256 products of 0 and 1,
     so every partial sum is a whole number below 2**24 and exact: any order,
     blocking or fused multiply-add a BLAS kernel picks gives the same
-    integer, and its low bit is the sum over GF(2).
+    integer ``p``. Its parity ``p - 2 * floor(p / 2)`` is exact too, and it
+    is the sum over GF(2).
     """
-    return (np.matmul(a, b, dtype=np.float32).astype(np.int32) & 1).astype(np.float32)
+    product = np.matmul(a, b, dtype=np.float32)
+    half = product * 0.5
+    np.floor(half, out=half)
+    half *= 2.0
+    product -= half
+    return product
 
 
 def _jump_matrix(k: int) -> np.ndarray:
@@ -409,16 +415,15 @@ def _lane_starts(state: list[int], lanes: int, stride: int) -> np.ndarray:
     most 256, exact in any summation order, so every BLAS kernel gives the
     same lanes (``_gf2_matmul``).
     """
-    j = _jump_matrix(stride)
+    jump = _jump_matrix(stride)
     bits = np.empty((lanes, 256), dtype=np.uint8)
     bits[0] = _state_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
     for l in range(1, min(lanes, 32)):
-        bits[l] = _gf2_matmul(bits[l - 1], j)
+        bits[l] = _gf2_matmul(bits[l - 1], jump)
     if lanes > 32:
-        g = j
-        for _ in range(5):
-            g = _gf2_matmul(g, g)
+        for _ in range(5):  # J becomes G = J**32
+            jump = _gf2_matmul(jump, jump)
         for l in range(32, lanes, 32):
             n = min(32, lanes - l)
-            bits[l : l + n] = _gf2_matmul(bits[l - 32 : l - 32 + n], g)
+            bits[l : l + n] = _gf2_matmul(bits[l - 32 : l - 32 + n], jump)
     return _bits_state(bits)
