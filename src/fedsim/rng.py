@@ -406,24 +406,26 @@ def _jump_matrix(k: int) -> np.ndarray:
 def _lane_starts(state: list[int], lanes: int, stride: int) -> np.ndarray:
     """``[4, lanes]`` states; lane ``l`` is ``state`` after ``l * stride`` steps.
 
-    Lane ``l``'s bits are row ``l`` of a ``[lanes, 256]`` 0/1 matrix, and two
-    jump matrices act on such rows: ``J = M**stride`` from ``_jump_matrix``
-    and ``G = M**(32 * stride)``, ``J`` squared five times. Lanes 1 to 31 are
-    the lane before times ``J``, one at a time; every later block of 32 lanes
-    is the block before times ``G``, as one product. Each product is a
-    float32 matrix product of 0/1 entries whose sums are whole numbers of at
-    most 256, exact in any summation order, so every BLAS kernel gives the
-    same lanes (``_gf2_matmul``).
+    Lanes are handled as ``_state_bits`` rows, and two jump matrices act on
+    them: ``J = M**stride`` from ``_jump_matrix`` and ``G = M**(32 * stride)``,
+    ``J`` squared five times. Lanes 1 to 31 are the lane before times ``J``,
+    one at a time; every later block of 32 lanes is the block before times
+    ``G``, as one product, and goes back to words as soon as it is made.
+    Each product is a float32 matrix product of 0/1 entries whose sums are
+    whole numbers of at most 256, exact in any summation order, so every
+    BLAS kernel gives the same lanes (``_gf2_matmul``).
     """
     jump = _jump_matrix(stride)
-    bits = np.empty((lanes, 256), dtype=np.uint8)
-    bits[0] = _state_bits(np.array(state, dtype=np.uint64).reshape(4, 1))
-    for l in range(1, min(lanes, 32)):
-        bits[l] = _gf2_matmul(bits[l - 1], jump)
+    block = np.empty((min(lanes, 32), 256), dtype=np.float32)
+    block[0] = _state_bits(np.array(state, dtype=np.uint64).reshape(4, 1))[0]
+    for l in range(1, len(block)):
+        block[l] = _gf2_matmul(block[l - 1], jump)
+    starts = np.empty((4, lanes), dtype=np.uint64)
+    starts[:, :32] = _bits_state(block.astype(np.uint8))
     if lanes > 32:
         for _ in range(5):  # J becomes G = J**32
             jump = _gf2_matmul(jump, jump)
         for l in range(32, lanes, 32):
-            n = min(32, lanes - l)
-            bits[l : l + n] = _gf2_matmul(bits[l - 32 : l - 32 + n], jump)
-    return _bits_state(bits)
+            block = _gf2_matmul(block[: lanes - l], jump)
+            starts[:, l : l + len(block)] = _bits_state(block.astype(np.uint8))
+    return starts
