@@ -313,14 +313,16 @@ def apply_partition(plan: PartitionPlan, dataset: Dataset) -> list[Dataset]:
     return partition_manual(dataset, plan.assignment)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchSchedule:
     """A client's batch windows, each a pure function of its index.
 
     The batch total T (``num_batches``) is ``ceil(N / batch_size)``, and the
     window span f (``window_span``) is ``ceil(T / batch_count)``, the number
-    of windows that sweep the whole batch list once. Window ``i`` is window
-    ``i % f`` of sweep ``i // f`` (``batch_window`` gives its batch range).
+    of windows that sweep the whole batch list once. Both are computed once,
+    when the schedule is built; the schedule is frozen, so the fields they
+    derive from cannot change under them. Window ``i`` is window ``i % f``
+    of sweep ``i // f`` (``batch_window`` gives its batch range).
     Sweep ``s`` orders the client's samples by the permutation
     ``shuffle_order(derive_seed(base_seed, client_index, s), N)``, which
     sorts sample ``j`` by the SplitMix64 hash of the counter
@@ -341,6 +343,8 @@ class BatchSchedule:
     batch_count: int
     base_seed: int
     client_index: int
+    num_batches: int = field(init=False)
+    window_span: int = field(init=False)
     _drawn: tuple[int, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -348,14 +352,9 @@ class BatchSchedule:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.batch_count < 1:
             raise ContractError("batch size and batch count must be positive")
-
-    @property
-    def num_batches(self) -> int:
-        return -(-self.source.n // self.batch_size)
-
-    @property
-    def window_span(self) -> int:
-        return math.ceil(self.num_batches / self.batch_count)
+        num_batches = -(-self.source.n // self.batch_size)
+        object.__setattr__(self, "num_batches", num_batches)
+        object.__setattr__(self, "window_span", -(-num_batches // self.batch_count))
 
     def window_rows(self, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
         """Window ``index`` (see ``batch_window``) as rows of ``source``.
@@ -364,45 +363,47 @@ class BatchSchedule:
         order, and the sizes of its batches, which take those rows in
         consecutive runs.
         """
-        _draw_sweeps([self], index)
+        return draw_windows([self], index)[0]
+
+    def _cut(self, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
+        """``window_rows(index)``, cut from the permutation already drawn for its sweep."""
         p, q = batch_window(self, index)
         b = self.batch_size
         rows = self._drawn[1][p * b : (q + 1) * b]
         return rows, (b,) * (q - p) + (rows.size - (q - p) * b,)
 
 
-def _draw_sweeps(schedules: list[BatchSchedule], index: int) -> None:
-    """Give every schedule the permutation of the sweep that holds window ``index``.
-
-    Schedules that already hold it are left alone. The others are grouped
-    by source size, and each group draws its permutations in one
-    ``shuffle_orders`` call, whose row for a seed is that seed's own
-    ``shuffle_order``.
-    """
-    stale: dict[int, list[tuple[BatchSchedule, int]]] = {}
-    for schedule in schedules:
-        sweep = index // schedule.window_span
-        if schedule._drawn is None or schedule._drawn[0] != sweep:
-            stale.setdefault(schedule.source.n, []).append((schedule, sweep))
-    for n, group in stale.items():
-        seeds = [derive_seed(s.base_seed, s.client_index, sweep) for s, sweep in group]
-        for (schedule, sweep), order in zip(group, shuffle_orders(seeds, n)):
-            schedule._drawn = (sweep, order)
-
-
 def draw_windows(schedules: list, index: int) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     """Window ``index`` of every batch source in ``schedules``, as ``window_rows`` gives it.
 
-    The new sweeps of every ``BatchSchedule`` in the list are drawn first,
-    one ``shuffle_orders`` call per distinct source size, so a round
-    of K clients that all start a sweep draws once, not K times. Any other
-    batch source (the lockstep source, which draws over its own shadows)
-    gives its window through its ``window_rows``. Each window is a pure
-    function of ``index``, so neither the order of the list nor the order of
-    the calls changes what comes back.
+    One pass over the list finds every ``BatchSchedule`` that does not hold
+    the sweep of window ``index`` yet. Those are grouped by source size, and
+    each group draws its permutations in one ``shuffle_orders`` call, whose
+    row for a seed is that seed's own ``shuffle_order``; so a round of K
+    clients that all start a sweep draws once, not K times. Each window is
+    then cut from the permutation its schedule holds. Any other batch source
+    (the lockstep source, which draws over its own shadows) gives its window
+    through its ``window_rows``. Each window is a pure function of
+    ``index``, so neither the order of the list nor the order of the calls
+    changes what comes back.
     """
-    _draw_sweeps([s for s in schedules if isinstance(s, BatchSchedule)], index)
-    return [s.window_rows(index) for s in schedules]
+    stale: dict[int, list[tuple[BatchSchedule, int]]] = {}
+    for schedule in schedules:
+        if isinstance(schedule, BatchSchedule):
+            sweep = index // schedule.window_span
+            drawn = schedule._drawn
+            if drawn is None or drawn[0] != sweep:
+                stale.setdefault(schedule.source.n, []).append((schedule, sweep))
+    for n, group in stale.items():
+        seeds = [derive_seed(s.base_seed, s.client_index, sweep) for s, sweep in group]
+        for (schedule, sweep), order in zip(group, shuffle_orders(seeds, n)):
+            # The kept permutation is a cache of a pure function of the frozen
+            # fields, so it may change on a frozen schedule.
+            object.__setattr__(schedule, "_drawn", (sweep, order))
+    return [
+        s._cut(index) if isinstance(s, BatchSchedule) else s.window_rows(index)
+        for s in schedules
+    ]
 
 
 def batch_window(schedule: BatchSchedule, round_index: int) -> tuple[int, int]:

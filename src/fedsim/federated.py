@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -171,11 +172,12 @@ class StepPlan:
         for j, (schedule, r) in enumerate(zip(self.schedules, rows)):
             # The rows come from a permutation of this schedule's source, and
             # its labels index the outputs, so both takes are in range;
-            # "clip" lets np.take write into ``out`` without a buffer.
+            # "clip" lets ``take`` write into ``out`` without a buffer.
             source = schedule.source
-            np.take(source.features, r, axis=0, out=self._x[j, : r.size], mode="clip")
-            labels = source.labels[r]
-            np.take(self._one_hot, labels, axis=0, out=self._targets[j, : r.size], mode="clip")
+            source.features.take(r, axis=0, out=self._x[j, : r.size], mode="clip")
+            self._one_hot.take(
+                source.labels[r], axis=0, out=self._targets[j, : r.size], mode="clip"
+            )
 
     def step(
         self,
@@ -242,9 +244,12 @@ def client_update_mmb(
     for all the clients that start a sweep), and the round's rows of each
     client, with their one-hot targets, are copied out of its source once.
     At step ``s`` the clients whose batch ``s`` has the same size train
-    together, one gradient computation for the group; a client whose
-    windows have no batch ``s`` sits the step out. Returns every client's
-    sample count and step count, in row order.
+    together, one gradient computation for the group, members in ascending
+    order; a client whose windows have no batch ``s`` sits the step out.
+    The clients are grouped once per round, by their list of batch sizes,
+    and each step merges the groups whose batch ``s`` has one size, so equal
+    clients make one group and no step loops over them. Returns every
+    client's sample count and step count, in row order.
     """
     if np.shares_memory(global_weights, plan.stack):
         raise ContractError("the global weights must not share memory with the client stack")
@@ -254,18 +259,28 @@ def client_update_mmb(
     rows, sizes = [], []
     for parts in zip(*windows):
         rows.append(parts[0][0] if len(parts) == 1 else np.concatenate([r for r, _ in parts]))
-        sizes.append([z for _, zs in parts for z in zs])
+        sizes.append(sum((zs for _, zs in parts), ()))
     plan.gather(rows)
-    starts = [0] * len(sizes)
-    for s in range(max(map(len, sizes))):
-        groups: dict[int, list[int]] = {}
-        for j, batches in enumerate(sizes):
+    # Clients with the same batch sizes step together all round, at the same
+    # offsets. A group's members ascend, and groups go by their first member.
+    by_sizes: dict[tuple[int, ...], list[int]] = {}
+    for j, batches in enumerate(sizes):
+        by_sizes.setdefault(batches, []).append(j)
+    groups = [(z, list(accumulate(z, initial=0)), members) for z, members in by_sizes.items()]
+    for s in range(max(map(len, by_sizes))):
+        # The groups whose batch s has one size take that step as one group.
+        merged: dict[int, list[tuple[int, list[int]]]] = {}
+        for batches, offsets, members in groups:
             if s < len(batches):
-                groups.setdefault(batches[s], []).append(j)
-        for size, members in groups.items():
-            plan.step(members, [starts[j] for j in members], size, origin if s == 0 else None)
-            for j in members:
-                starts[j] += size
+                merged.setdefault(batches[s], []).append((offsets[s], members))
+        for size, parts in merged.items():
+            if len(parts) == 1:
+                [(start, members)] = parts
+                starts = [start] * len(members)
+            else:
+                picks = sorted((j, start) for start, members in parts for j in members)
+                members, starts = [j for j, _ in picks], [o for _, o in picks]
+            plan.step(members, starts, size, origin if s == 0 else None)
     return [r.size for r in rows], [len(z) for z in sizes]
 
 

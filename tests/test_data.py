@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -315,6 +317,30 @@ def test_make_schedule_counts():
     schedule = make_schedule(make_client(100), 10, 3, 1)
     assert schedule.num_batches == 10
     assert schedule.window_span == 4  # ceil(10 / 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(5, 60),
+    batch_size=st.integers(1, 70),
+    batch_count=st.integers(1, 70),
+    other=st.integers(1, 70),
+)
+def test_schedule_shape_is_fixed_when_it_is_built(n, batch_size, batch_count, other):
+    # num_batches and window_span are computed once, so the fields they
+    # derive from must not change under them.
+    schedule = make_schedule(make_client(n), batch_size, batch_count, 1)
+    for name, value in (
+        ("batch_size", other),
+        ("batch_count", other),
+        ("source", make_client(other + 4)),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(schedule, name, value)
+    assert schedule.source.n == n
+    assert (schedule.batch_size, schedule.batch_count) == (batch_size, batch_count)
+    assert schedule.num_batches == math.ceil(n / batch_size)
+    assert schedule.window_span == math.ceil(schedule.num_batches / batch_count)
 
 
 def test_make_schedule_last_batch_smaller():

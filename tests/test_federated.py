@@ -183,6 +183,110 @@ def test_draw_windows_equals_fresh_single_schedules_in_any_order(order, batch_co
             assert sizes == want_sizes, index
 
 
+def test_a_round_draws_once_per_distinct_size_of_the_clients_that_start_a_sweep(monkeypatch):
+    # Three clients of 12 samples (T = 3 at B=4, C=1) and two of 20 (T = 5):
+    # the 12s start a sweep every third round and the 20s every fifth, so
+    # rounds 0 and 15 draw once for each size, rounds such as 3 and 5 once
+    # for one size, and rounds inside every client's sweep draw nothing. The
+    # lockstep source over the same clients draws the same way.
+    clients = [make_client(n, seed=j) for j, n in enumerate((12, 12, 12, 20, 20))]
+    spec = fs.NetworkSpec(4, (6,), 5)
+    calls = []
+    real_shuffle_orders = data.shuffle_orders
+
+    def counted(seeds, n):
+        calls.append((len(seeds), n))
+        return real_shuffle_orders(seeds, n)
+
+    monkeypatch.setattr(data, "shuffle_orders", counted)
+
+    def schedules():
+        return [fs.BatchSchedule(c, 4, 1, 2, j) for j, c in enumerate(clients)]
+
+    federated_plan = StepPlan(spec, schedules(), 1, 0.1)
+    lockstep_plan = StepPlan(spec, [federated._LockstepSchedule(schedules())], 1, 0.1)
+    w = fs.init_weights(spec, 1)
+    for plan in (federated_plan, lockstep_plan):
+        for i in range(16):
+            calls.clear()
+            fs.client_update_mmb(plan, i, w)
+            assert calls == [(3, 12)] * (i % 3 == 0) + [(2, 20)] * (i % 5 == 0), i
+
+
+def per_step_groups(sizes: list[tuple[int, ...]]) -> list[tuple[list[int], list[int], int, bool]]:
+    """Each step's ``(members, starts, size, first)`` calls, grouped client by client."""
+    calls, starts = [], [0] * len(sizes)
+    for s in range(max(map(len, sizes))):
+        groups: dict[int, list[int]] = {}
+        for j, batches in enumerate(sizes):
+            if s < len(batches):
+                groups.setdefault(batches[s], []).append(j)
+        for size, members in groups.items():
+            calls.append((members, [starts[j] for j in members], size, s == 0))
+            for j in members:
+                starts[j] += size
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ns=st.lists(st.integers(1, 14), min_size=1, max_size=6),
+    batch_size=st.integers(1, 5),
+    batch_count=st.integers(1, 4),
+    windows=st.integers(1, 3),
+)
+def test_step_calls_equal_a_client_by_client_grouping(ns, batch_size, batch_count, windows):
+    # Clients whose batch sizes agree all round step as one group, and groups
+    # merge where their batch sizes meet; the calls must be those of grouping
+    # the clients one by one at every step, members ascending.
+    spec = fs.NetworkSpec(4, (3,), 5)
+    clients = [make_client(n + 5, seed=j) for j, n in enumerate(ns)]
+
+    def schedules():
+        return [fs.BatchSchedule(c, batch_size, batch_count, 2, j) for j, c in enumerate(clients)]
+
+    plan = StepPlan(spec, schedules(), windows, 0.1)
+    reference = schedules()
+    w = fs.init_weights(spec, 1)
+    calls = []
+    real_step = StepPlan.step
+
+    def recorded_step(plan, members, starts, size, origin=None):
+        calls.append((list(members), list(starts), size, origin is not None))
+        real_step(plan, members, starts, size, origin)
+
+    with mock.patch.object(StepPlan, "step", recorded_step):
+        for i in range(4):
+            calls.clear()
+            fs.client_update_mmb(plan, i, w)
+            sizes = [
+                tuple(z for e in range(windows) for z in s.window_rows(i * windows + e)[1])
+                for s in reference
+            ]
+            assert calls == per_step_groups(sizes), i
+
+
+def test_gather_copies_source_rows_and_identity_rows_byte_for_byte():
+    spec, clients, _ = unequal_clients()
+    shadows = [fs.BatchSchedule(c, 2, 1, 2, j) for j, c in enumerate(clients)]
+    lockstep = federated._LockstepSchedule(shadows)
+    federated_schedules = [fs.BatchSchedule(c, 4, 3, 2, j) for j, c in enumerate(clients)]
+    for schedules in (federated_schedules, [lockstep]):
+        plan = StepPlan(spec, schedules, 1, 0.1)
+        # The 13-sample client's even windows hold 12 rows and its odd ones
+        # 1 row, so its buffers are written short after they were written long.
+        for index in (2, 1, 2, 0, 5):
+            rows = [r for r, _ in draw_windows(plan.schedules, index)]
+            plan.gather(rows)
+            for j, (schedule, r) in enumerate(zip(plan.schedules, rows)):
+                source = schedule.source
+                x = plan._x[j, : r.size]
+                targets = plan._targets[j, : r.size]
+                assert x.tobytes() == source.features[r].tobytes(), (index, j)
+                one_hot = np.eye(spec.output_dim)[source.labels[r]]
+                assert targets.tobytes() == one_hot.tobytes(), (index, j)
+
+
 @pytest.mark.parametrize("mode", ["fedmmb", "fedavg"])
 def test_driver_matches_per_client_reference_on_unequal_clients(mode):
     spec, clients, test = unequal_clients()
