@@ -11,8 +11,13 @@ The digests were taken with numpy 2.4.6 linked against OpenBLAS 0.3.31
 (scipy-openblas, DYNAMIC_ARCH) under Python 3.11 on an x86_64 CPU with
 AVX512, where DYNAMIC_ARCH picks the SkylakeX kernels. Other kernels may
 round matrix products differently and fail these tests with no change to
-fedsim: under ``OPENBLAS_CORETYPE=Haswell``, ``centralized_lockstep``
-fails and the other six cases pass.
+fedsim. On that CPU, under ``OPENBLAS_CORETYPE`` Haswell or Zen (which
+runs the Haswell kernels), ``centralized_lockstep`` and
+``test_lane_path_digests`` fail and the other six of the eight pass; under
+Sandybridge or Prescott, all eight fail. ``test_lane_path_digests`` fails
+through ``synthetic``'s ``np.linalg.norm``, a BLAS dot product; its
+draws keep their bits under every kernel (``tests/test_blas_kernels.py``).
+``demos/blas_kernel_probe.py`` prints this table.
 """
 
 import hashlib
