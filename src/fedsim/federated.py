@@ -7,7 +7,9 @@ global weights in place, broadcast across the clients, and writes its
 result into the stack; later steps train in the stack. The stack's rows
 are combined by sample-weighted averaging in ascending client order, the
 model is evaluated on a fixed cadence, and the round hook sees the new
-weights.
+weights. An evaluation of a large test set runs on one worker thread
+while the next rounds train; it reads the aggregated weights, which
+nothing writes again, so its numbers are those of an inline evaluation.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
@@ -21,6 +23,7 @@ shadow clients, with zero bytes exchanged. Clients are a list of
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
@@ -42,7 +45,24 @@ from .nn import (
 
 MODES = ("fedmmb", "fedavg", "centralized")
 
+# ``round_hook(r, w)`` runs after round ``r`` with its aggregated weights. It
+# may run before round ``r``'s evaluation ends, which may still be reading
+# ``w``, so it must not write ``w``.
 RoundHook = Callable[[int, np.ndarray], None]
+
+# An evaluation whose first-layer product, test rows x input width x first
+# hidden width, has at least this many multiply-adds runs on a worker thread
+# while training goes on; a smaller one runs inline. Small evaluations hold
+# the GIL in short numpy calls and stall the training thread more than they
+# save. Measured on 2 vCPUs at one BLAS thread, a 784-32-32-10 network,
+# 10 clients of batch 5 plus a centralized arm, 600 rounds, an evaluation
+# every 10; the run's time with the worker over its time inline, median of
+# 6 or 10 alternating pairs: 1.3M multiply-adds 1.13, 3.8M 1.09 and 0.98,
+# 6.3M 0.98 and 1.04, 8.4M 0.98 and 0.97, 10.0M 1.00, 12.5M 0.95, 15.1M
+# 0.97, 16.8M 0.92, 25.1M 0.89 (6 of 6 pairs won). The rule sends the
+# image-shaped runs (25.1M) to the worker and the 20-d ones (at most 0.64M)
+# inline.
+EVAL_ASIDE_MACS = 2**23
 
 
 @dataclass(frozen=True)
@@ -327,34 +347,67 @@ def _run_rounds(
 
     ``schedules`` holds one batch source per client, in ascending client
     order; each needs a ``source`` dataset and a ``window_rows`` method.
+    The test set is checked against the spec here, before the first round.
     The clients train in the stack of one step plan built here, once per
     run, before the first round; ``aggregate`` returns a new array, so the
     weights the hook sees never alias the stack.
+
+    When the test set is large (``EVAL_ASIDE_MACS``), each evaluation runs
+    on one worker thread, at most one at a time, and its row is logged at
+    the next evaluation round or at the end of the run; rows stay in round
+    order, and an evaluation that raises raises there. The hook may
+    therefore run before its round's evaluation ends: it must not write
+    the weights it is given. The worker lives only inside this call.
     """
+    _require_data(spec, test_set.features, test_set.labels)
+    aside = _evaluates_aside(spec, test_set)
     plan = StepPlan(spec, schedules, windows, config.learning_rate)
     weights = init_weights(spec, config.seeds.init)
     bytes_per_round = comm_cost(config, spec)
     log = MetricsLog()
     local_updates = 0
-    for i in range(config.max_rounds):
-        samples, steps = client_update_mmb(plan, i, weights)
-        local_updates += sum(steps)
-        weights = aggregate(plan.stack, samples)
-        if (i + 1) % config.eval_every == 0:
-            loss, accuracy = evaluate(spec, weights, test_set)
-            log.append(
-                MetricsRow(
-                    round=i + 1,
-                    test_loss=loss,
-                    test_accuracy=accuracy,
-                    train_loss=None,
-                    cum_local_updates=local_updates,
-                    cum_bytes=(i + 1) * bytes_per_round,
-                )
-            )
-        if round_hook is not None:
-            round_hook(i + 1, weights)
+    pending = None  # the last evaluation: its round, its update count, its future
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for i in range(config.max_rounds):
+            samples, steps = client_update_mmb(plan, i, weights)
+            local_updates += sum(steps)
+            weights = aggregate(plan.stack, samples)
+            if (i + 1) % config.eval_every == 0:
+                if pending is not None:
+                    log.append(_evaluated_row(*pending, bytes_per_round))
+                run = pool.submit if aside else _done
+                pending = (i + 1, local_updates, run(evaluate, spec, weights, test_set))
+            if round_hook is not None:
+                round_hook(i + 1, weights)
+        # eval_every divides max_rounds, so the last round was evaluated.
+        log.append(_evaluated_row(*pending, bytes_per_round))
     return log
+
+
+def _evaluates_aside(spec: NetworkSpec, test_set: Dataset) -> bool:
+    """Whether the round loop evaluates on ``test_set`` on its worker thread."""
+    return test_set.n * spec.input_dim * spec.layer_dims[0][1] >= EVAL_ASIDE_MACS
+
+
+def _done(fn: Callable, *args) -> Future:
+    """A future that already holds ``fn(*args)``; ``fn`` raises here, like a plain call."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _evaluated_row(
+    round_number: int, local_updates: int, evaluation: Future, bytes_per_round: int
+) -> MetricsRow:
+    loss, accuracy = evaluation.result()
+    return MetricsRow(
+        round=round_number,
+        test_loss=loss,
+        test_accuracy=accuracy,
+        train_loss=None,
+        cum_local_updates=local_updates,
+        cum_bytes=round_number * bytes_per_round,
+    )
 
 
 def run_fedmmb(
@@ -367,7 +420,8 @@ def run_fedmmb(
     """Federated training on a window of ``batch_count`` batches per round.
 
     All clients participate every round. ``batch_count=1`` trains each
-    client on a single mini-batch per round.
+    client on a single mini-batch per round. ``round_hook`` must not write
+    the weights it is given (``RoundHook``).
     """
     if config.mode != "fedmmb":
         raise ConfigError(f"run_fedmmb needs mode 'fedmmb', got {config.mode!r}")
@@ -390,7 +444,8 @@ def run_fedavg(
     """Federated averaging: every client runs ``local_epochs`` epochs per round.
 
     An epoch is one window of a schedule whose window covers the client's
-    whole batch list (``batch_count = ceil(N_j / B)``).
+    whole batch list (``batch_count = ceil(N_j / B)``). ``round_hook``
+    must not write the weights it is given (``RoundHook``).
     """
     if config.mode != "fedavg":
         raise ConfigError(f"run_fedavg needs mode 'fedavg', got {config.mode!r}")
@@ -459,6 +514,7 @@ def run_centralized(
     ``config.batch_size / K`` samples that batch-count-1 federated clients
     take in round ``i``: a test-only oracle for exact federated/centralized
     comparisons. K must divide the batch size (``ConfigError``).
+    ``round_hook`` must not write the weights it is given (``RoundHook``).
     """
     if config.mode != "centralized":
         raise ConfigError(f"run_centralized needs mode 'centralized', got {config.mode!r}")

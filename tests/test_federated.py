@@ -1,3 +1,4 @@
+import threading
 from unittest import mock
 
 import numpy as np
@@ -553,6 +554,141 @@ def test_round_loop_calls_its_hooks_once_a_round(driver, monkeypatch):
     else:
         fs.run_centralized(cfg, spec, None, test, clients)  # 4 clients, batches of 5
     assert calls == ["init_weights"] + ["client_update_mmb", "aggregate"] * cfg.max_rounds
+
+
+@pytest.mark.parametrize("fault", ["feature_width", "label_range"])
+@pytest.mark.parametrize("driver", ["fedmmb", "centralized"])
+def test_drivers_check_the_test_set_before_the_first_round(driver, fault):
+    # A test set that does not fit the network fails before any round
+    # trains, not at the first evaluation eval_every rounds later.
+    spec, clients, test = small_fed_setup()
+    if fault == "feature_width":
+        test = fs.synthetic(3, 12, spec.input_dim + 1, spec.output_dim)
+    else:
+        test = fs.synthetic(3, 12, spec.input_dim, spec.output_dim + 1)
+    mode = {"clients": 4, "batch_count": 1} if driver == "fedmmb" else {}
+    cfg = fs.TrainingConfig(
+        mode=driver, learning_rate=0.05, max_rounds=10, batch_size=5, seeds=SEEDS,
+        eval_every=5, **mode,
+    )
+    hooked = []
+    hook = lambda r, w: hooked.append(r)  # noqa: E731
+    with pytest.raises(fs.ContractError):
+        if driver == "fedmmb":
+            fs.run_fedmmb(cfg, spec, clients, test, round_hook=hook)
+        else:
+            fs.run_centralized(cfg, spec, clients[0], test, round_hook=hook)
+    assert hooked == []
+
+
+# --- evaluation on the worker thread ------------------------------------------
+
+
+def image_shaped_setup() -> tuple[fs.NetworkSpec, list[fs.Dataset], fs.Dataset]:
+    """784-wide clients and a test set just large enough to be evaluated on the worker."""
+    spec = fs.NetworkSpec(784, (32,), 10)
+    n_test = -(-federated.EVAL_ASIDE_MACS // (784 * 32))
+    train, test = synthetic_split(17, 80, n_test, 784, 10)
+    assert federated._evaluates_aside(spec, test)
+    assert not federated._evaluates_aside(spec, test.subset(np.arange(n_test - 1)))
+    return spec, fs.partition_iid(train, 4, SEEDS.partition), test
+
+
+def image_shaped_run(driver: str, spec, clients, test, round_hook=None) -> fs.MetricsLog:
+    if driver == "fedmmb":
+        cfg = fs.TrainingConfig(
+            mode="fedmmb", learning_rate=0.05, max_rounds=6, batch_size=5, seeds=SEEDS,
+            clients=4, batch_count=1, eval_every=2,
+        )
+        return fs.run_fedmmb(cfg, spec, clients, test, round_hook=round_hook)
+    cfg = fs.TrainingConfig(
+        mode="centralized", learning_rate=0.05, max_rounds=6, batch_size=20, seeds=SEEDS,
+        eval_every=2,
+    )
+    train = fs.Dataset(
+        np.concatenate([c.features for c in clients]),
+        np.concatenate([c.labels for c in clients]),
+        10,
+    )
+    return fs.run_centralized(cfg, spec, train, test, round_hook=round_hook)
+
+
+@pytest.mark.parametrize("driver", ["fedmmb", "centralized"])
+def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch):
+    # GOLDEN's small test sets are evaluated inline, so this is the check
+    # that the worker path logs exactly what evaluate gives on the hooked
+    # weights, in round order, the last row included.
+    spec, clients, test = image_shaped_setup()
+    threads = []
+    real = federated.evaluate
+
+    def on_thread(*args):
+        threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(federated, "evaluate", on_thread)
+    hooked = {}
+    log = image_shaped_run(driver, spec, clients, test, lambda r, w: hooked.setdefault(r, w))
+    assert threads and threading.main_thread() not in threads
+    assert [row.round for row in log.rows] == [2, 4, 6]
+    for row in log.rows:
+        loss, accuracy = fs.evaluate(spec, hooked[row.round], test)
+        assert (row.test_loss, row.test_accuracy) == (loss, accuracy)
+
+
+def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkeypatch):
+    # The image-shaped experiment (criterion 3) evaluates on the worker;
+    # the 20-d ones (criteria 2, 4, 5, 6) evaluate inline.
+    from fedsim import claims
+
+    seen = []
+
+    def driver(config, spec, data, test_set, *rest, **hook):
+        seen.append(federated._evaluates_aside(spec, test_set))
+        return fs.MetricsLog()
+
+    for name in ("run_fedmmb", "run_fedavg", "run_centralized"):
+        monkeypatch.setattr(claims, name, driver)
+
+    def images(n: int) -> fs.Dataset:
+        return fs.Dataset(np.zeros((n, 784)), np.arange(n) % 10, 10)
+
+    sides = {}
+    for name, experiment in [
+        ("A2", lambda: claims.lockstep(SEEDS)),
+        ("A3", lambda: claims.image_concordance(SEEDS, images(2000), images(1000))),
+        ("A4", lambda: claims.iid_dial(SEEDS)),
+        ("A5", lambda: claims.severe_skew(SEEDS)),
+        ("A6", lambda: claims.versus_fedavg(SEEDS)),
+    ]:
+        seen.clear()
+        experiment()
+        sides[name] = set(seen)
+    assert sides == {"A2": {False}, "A3": {True}, "A4": {False}, "A5": {False}, "A6": {False}}
+
+
+@pytest.mark.parametrize("failing", [1, 3], ids=["first", "last"])
+def test_a_worker_evaluation_that_raises_raises_from_the_driver(failing, monkeypatch):
+    # The first evaluation's error surfaces at the next evaluation round,
+    # the last one's at the end of the run; either way no log comes back,
+    # and the worker thread is gone when the driver returns or raises.
+    spec, clients, test = image_shaped_setup()
+    before = threading.active_count()
+    image_shaped_run("fedmmb", spec, clients, test)
+    assert threading.active_count() == before
+    real = federated.evaluate
+    calls = []
+
+    def evaluate(*args):
+        calls.append(None)
+        if len(calls) == failing:
+            raise fs.ContractError("evaluation produced a non-finite loss")
+        return real(*args)
+
+    monkeypatch.setattr(federated, "evaluate", evaluate)
+    with pytest.raises(fs.ContractError, match="non-finite loss"):
+        image_shaped_run("fedmmb", spec, clients, test)
+    assert threading.active_count() == before
 
 
 def test_lockstep_rejects_clients_of_different_feature_widths():
