@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -617,7 +621,8 @@ def image_shaped_run(driver: str, spec, clients, test, round_hook=None) -> fs.Me
 def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch):
     # GOLDEN's small test sets are evaluated inline, so this is the check
     # that the worker path logs exactly what evaluate gives on the hooked
-    # weights, in round order, the last row included.
+    # weights, in round order, the last row included. A short switch
+    # interval interleaves the worker and the training thread finely.
     spec, clients, test = image_shaped_setup()
     threads = []
     real = federated.evaluate
@@ -628,7 +633,12 @@ def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch)
 
     monkeypatch.setattr(federated, "evaluate", on_thread)
     hooked = {}
-    log = image_shaped_run(driver, spec, clients, test, lambda r, w: hooked.setdefault(r, w))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        log = image_shaped_run(driver, spec, clients, test, lambda r, w: hooked.setdefault(r, w))
+    finally:
+        sys.setswitchinterval(interval)
     assert threads and threading.main_thread() not in threads
     assert [row.round for row in log.rows] == [2, 4, 6]
     for row in log.rows:
@@ -665,6 +675,27 @@ def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkey
         experiment()
         sides[name] = set(seen)
     assert sides == {"A2": {False}, "A3": {True}, "A4": {False}, "A5": {False}, "A6": {False}}
+
+
+def test_an_inline_run_does_not_load_the_worker_modules():
+    # concurrent.futures (with logging) adds about 0.6 MB to a process's peak
+    # RSS, so only a run that evaluates on the worker imports it.
+    child = (
+        "import sys\n"
+        "import fedsim as fs\n"
+        "train, test = fs.synthetic_split(1, 40, 20, 4, 3)\n"
+        "cfg = fs.TrainingConfig(mode='centralized', learning_rate=0.1, max_rounds=2,"
+        " batch_size=10, seeds=fs.Seeds(1, 2, 3))\n"
+        "fs.run_centralized(cfg, fs.NetworkSpec(4, (5,), 3), train, test)\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    src = str(Path(federated.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("failing", [1, 3], ids=["first", "last"])
