@@ -1,6 +1,6 @@
 """The round loop and the three training drivers.
 
-Every driver runs the same sequential loop: each round, every client's
+Every driver runs the same round loop: each round, every client's
 batch schedule trains from the global weights, all clients stacked along a
 leading axis in one batched computation. The round's first step reads the
 global weights in place, broadcast across the clients, and writes its
@@ -10,6 +10,8 @@ model is evaluated on a fixed cadence, and the round hook sees the new
 weights. An evaluation of a large test set runs on one worker thread
 while the next rounds train; it reads the aggregated weights, which
 nothing writes again, so its numbers are those of an inline evaluation.
+The round hook may run before its round's evaluation ends, so it must not
+write the weights it is given.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
