@@ -588,31 +588,27 @@ def test_drivers_check_the_test_set_before_the_first_round(driver, fault):
 # --- evaluation on the worker thread ------------------------------------------
 
 
-def image_shaped_setup() -> tuple[fs.NetworkSpec, list[fs.Dataset], fs.Dataset]:
-    """784-wide clients and a test set just large enough to be evaluated on the worker."""
+def image_shaped_setup() -> tuple[fs.NetworkSpec, fs.Dataset, fs.Dataset]:
+    """784-wide training data and a test set just large enough to be evaluated on the worker."""
     spec = fs.NetworkSpec(784, (32,), 10)
     n_test = -(-federated.EVAL_ASIDE_MACS // (784 * 32))
     train, test = synthetic_split(17, 80, n_test, 784, 10)
     assert federated._evaluates_aside(spec, test)
     assert not federated._evaluates_aside(spec, test.subset(np.arange(n_test - 1)))
-    return spec, fs.partition_iid(train, 4, SEEDS.partition), test
+    return spec, train, test
 
 
-def image_shaped_run(driver: str, spec, clients, test, round_hook=None) -> fs.MetricsLog:
+def image_shaped_run(driver: str, spec, train, test, round_hook=None) -> fs.MetricsLog:
     if driver == "fedmmb":
         cfg = fs.TrainingConfig(
             mode="fedmmb", learning_rate=0.05, max_rounds=6, batch_size=5, seeds=SEEDS,
             clients=4, batch_count=1, eval_every=2,
         )
+        clients = fs.partition_iid(train, 4, SEEDS.partition)
         return fs.run_fedmmb(cfg, spec, clients, test, round_hook=round_hook)
     cfg = fs.TrainingConfig(
         mode="centralized", learning_rate=0.05, max_rounds=6, batch_size=20, seeds=SEEDS,
         eval_every=2,
-    )
-    train = fs.Dataset(
-        np.concatenate([c.features for c in clients]),
-        np.concatenate([c.labels for c in clients]),
-        10,
     )
     return fs.run_centralized(cfg, spec, train, test, round_hook=round_hook)
 
@@ -623,7 +619,7 @@ def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch)
     # that the worker path logs exactly what evaluate gives on the hooked
     # weights, in round order, the last row included. A short switch
     # interval interleaves the worker and the training thread finely.
-    spec, clients, test = image_shaped_setup()
+    spec, train, test = image_shaped_setup()
     threads = []
     real = federated.evaluate
 
@@ -636,7 +632,7 @@ def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        log = image_shaped_run(driver, spec, clients, test, lambda r, w: hooked.setdefault(r, w))
+        log = image_shaped_run(driver, spec, train, test, lambda r, w: hooked.setdefault(r, w))
     finally:
         sys.setswitchinterval(interval)
     assert threads and threading.main_thread() not in threads
@@ -703,9 +699,9 @@ def test_a_worker_evaluation_that_raises_raises_from_the_driver(failing, monkeyp
     # The first evaluation's error surfaces at the next evaluation round,
     # the last one's at the end of the run; either way no log comes back,
     # and the worker thread is gone when the driver returns or raises.
-    spec, clients, test = image_shaped_setup()
+    spec, train, test = image_shaped_setup()
     before = threading.active_count()
-    image_shaped_run("fedmmb", spec, clients, test)
+    image_shaped_run("fedmmb", spec, train, test)
     assert threading.active_count() == before
     real = federated.evaluate
     calls = []
@@ -718,7 +714,7 @@ def test_a_worker_evaluation_that_raises_raises_from_the_driver(failing, monkeyp
 
     monkeypatch.setattr(federated, "evaluate", evaluate)
     with pytest.raises(fs.ContractError, match="non-finite loss"):
-        image_shaped_run("fedmmb", spec, clients, test)
+        image_shaped_run("fedmmb", spec, train, test)
     assert threading.active_count() == before
 
 
