@@ -92,12 +92,16 @@ def _check_output_files(paths: list[str]) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and a rename, mode 0666 less the umask."""
+    """Write ``text`` to ``path`` through a temp file and a rename, mode 0666 less the umask.
+
+    Newlines are written as ``\\n`` on every OS, so the bytes do not depend on
+    ``os.linesep`` and ``MetricsLog.from_csv`` reads back what was written.
+    """
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.part")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

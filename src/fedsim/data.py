@@ -295,6 +295,9 @@ def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list
             raise DataError(f"client {j}: sample index out of range")
         if seen[arr].any():
             raise DataError(f"client {j}: overlapping assignment")
+        values, counts = np.unique(arr, return_counts=True)
+        if counts.max() > 1:
+            raise DataError(f"client {j}: sample {values[counts.argmax()]} assigned more than once")
         seen[arr] = True
     if not seen.all():
         raise DataError("assignment does not cover every sample")

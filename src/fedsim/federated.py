@@ -5,9 +5,11 @@ batch schedule trains from the global weights, all clients stacked along a
 leading axis in one batched computation. The round's first step reads the
 global weights in place, broadcast across the clients, and writes its
 result into the stack; later steps train in the stack. The stack's rows
-are combined by sample-weighted averaging in ascending client order, the
-model is evaluated on a fixed cadence, and the round hook sees the new
-weights. An evaluation of a large test set runs on one worker thread
+are combined by sample-weighted averaging in ascending client order into
+a new array, with rows 1.. of the stack as the sum's scratch; that is safe
+because nothing reads the stack again before the next round's first
+step, which writes every row. The model is evaluated on a fixed cadence,
+and the round hook sees the new weights. An evaluation of a large test set runs on one worker thread
 while the next rounds train; it reads the aggregated weights, which
 nothing writes again, so its numbers are those of an inline evaluation.
 The round hook may run before its round's evaluation ends, so it must not
@@ -307,7 +309,7 @@ def client_update_mmb(
 
 
 def aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
-    """Sample-weighted average of the rows of a client stack.
+    """Sample-weighted average of the rows of a client stack, using rows 1.. as scratch.
 
     Row ``j`` holds client ``j``'s local weights, trained on ``samples[j]``
     samples. Accumulation runs in row order, anchored at row 0
@@ -315,23 +317,32 @@ def aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
     plain weighted average but keeps the all-identical case exact and the
     result well inside the clients' coordinate range. A single row comes
     back unchanged (save that -0.0 becomes +0.0), which makes centralized
-    training the one-client round. The result is a new array on every call;
-    the sum runs in place in it. The sum starts at row 1: row 0's term,
-    ``n_0 (W_0 - W_0)``, is +0.0 for a finite anchor and would leave the
-    +0.0 accumulator as it is, and a non-finite anchor still makes the
-    result non-finite when it is added back.
+    training the one-client round. The result is a new array on every call.
+
+    Row 0 is never written; rows 1.. are overwritten with their terms
+    ``n_j (W_j - W_0)``, so a caller that needs its rows afterwards passes a
+    copy. The sum starts as row 1's term in the result's own array, and each
+    later term is added to it in row order. Row 0's term,
+    ``n_0 (W_0 - W_0)``, is +0.0 for a finite anchor and is left out. That
+    gives every element the roundings of a sum that starts at +0.0: the
+    first term differs from ``+0.0 + term`` only when it is -0.0, which
+    needs an anchor of +0.0, and adding the anchor back then gives +0.0
+    either way. A non-finite anchor still makes the result non-finite.
     """
     if len(stack) == 0 or len(samples) != len(stack) or min(samples) < 1:
         raise ContractError("aggregate needs a non-empty stack and a positive count per row")
     anchor = stack[0]
-    acc = np.zeros_like(anchor)
-    scratch = np.empty_like(anchor)
-    for weights, n in zip(stack[1:], samples[1:]):
-        np.subtract(weights, anchor, out=scratch)
-        scratch *= float(n)
-        acc += scratch
-    acc /= sum(samples)
-    acc += anchor
+    if len(stack) == 1:
+        acc = anchor + 0.0
+    else:
+        acc = np.subtract(stack[1], anchor)
+        acc *= float(samples[1])
+        for term, n in zip(stack[2:], samples[2:]):
+            np.subtract(term, anchor, out=term)
+            term *= float(n)
+            acc += term
+        acc /= sum(samples)
+        acc += anchor
     if not np.isfinite(acc).all():
         raise ContractError("aggregated weights are non-finite; training diverged")
     return acc
@@ -352,7 +363,10 @@ def _run_rounds(
     The test set is checked against the spec here, before the first round.
     The clients train in the stack of one step plan built here, once per
     run, before the first round; ``aggregate`` returns a new array, so the
-    weights the hook sees never alias the stack.
+    weights the hook sees never alias the stack. ``aggregate`` overwrites
+    rows 1.. of the stack. Nothing reads them afterwards: the next round's
+    first step reads only the global weights and writes every row before
+    any later step reads one.
 
     When the test set is large (``EVAL_ASIDE_MACS``), each evaluation runs
     on one worker thread, at most one at a time, and its row is logged at

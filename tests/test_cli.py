@@ -65,6 +65,29 @@ def test_run_twice_byte_identical(tmp_path):
     assert (tmp_path / "out" / "run.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("linesep", ["native", "crlf"])
+def test_run_writes_the_same_csv_and_sidecar_bytes_on_every_os(tmp_path, monkeypatch, linesep):
+    if linesep == "crlf":
+        # A text file opened with newline=None writes "\n" as os.linesep,
+        # which is "\r\n" on Windows; this makes every such file do that here.
+        real_fdopen = os.fdopen
+
+        def crlf_fdopen(fd, mode="r", *args, newline=None, **kwargs):
+            newline = "\r\n" if newline is None else newline
+            return real_fdopen(fd, mode, *args, newline=newline, **kwargs)
+
+        monkeypatch.setattr(os, "fdopen", crlf_fdopen)
+    document = base_config(tmp_path)
+    assert main(["run", write_config(tmp_path, document)]) == 0
+    log = run_experiment(config_from_dict(copy.deepcopy(document)))
+    csv_path = tmp_path / "out" / "run.csv"
+    assert csv_path.read_bytes() == log.to_csv_string().encode()
+    assert fs.MetricsLog.from_csv(str(csv_path)).rows == log.rows
+    sidecar = (tmp_path / "out" / "run.json").read_bytes()
+    text = json.dumps(json.loads(sidecar), indent=2, sort_keys=True) + "\n"
+    assert sidecar == text.encode()
+
+
 def test_output_dir_that_cannot_be_made_exits_2_before_training(tmp_path, capsys, monkeypatch):
     def no_training(config):
         raise AssertionError("trained before output.dir was made")
@@ -196,6 +219,14 @@ def test_run_rejects_malformed_manual_assignment(tmp_path, bad_indices):
 def test_manual_assignment_with_integer_indices_runs(tmp_path):
     document = manual_partition_config(tmp_path, [0, *range(80, 160)])
     assert main(["run", write_config(tmp_path, document)]) == 0
+
+
+def test_manual_assignment_with_a_sample_repeated_in_one_client_exits_3(tmp_path, capsys):
+    # Every sample is covered, but client 1 lists sample 80 twice.
+    document = manual_partition_config(tmp_path, [0, 80, *range(80, 160)])
+    assert main(["run", write_config(tmp_path, document)]) == 3
+    assert "client 1: sample 80 " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.csv").exists()
 
 
 @pytest.mark.parametrize(

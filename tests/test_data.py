@@ -279,6 +279,14 @@ def test_partition_manual_roundtrip_and_errors():
         fs.partition_manual(ds, {0: list(range(11))})  # not covering
 
 
+def test_partition_manual_rejects_a_sample_repeated_within_one_client():
+    ds = fs.synthetic(8, 3, 3, 3)
+    with pytest.raises(fs.DataError, match="client 0: sample 0 "):
+        fs.partition_manual(ds, {0: [0, 0, 1], 1: [2]})
+    with pytest.raises(fs.DataError, match="client 1: sample 2 "):
+        fs.partition_manual(ds, {0: [0], 1: [1, 2, 2]})
+
+
 @pytest.mark.parametrize("keys", [(1, 2), (0, 2), (-1, 0)])
 def test_partition_manual_rejects_keys_other_than_0_to_k_minus_1(keys):
     # Client j is the j-th dataset returned, so the keys must be its positions.

@@ -365,6 +365,61 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
             assert first_steps[1] == [(1, [0]), (4, [1, 2])]
 
 
+def stack_runs() -> dict:
+    """Small runs of every driver, each returning its CSV and its final weights' bytes."""
+    spec, clients, test = small_fed_setup()
+    train = synthetic_split(11, 80, 40, 4, 5)[0]
+    uneven_spec, uneven, uneven_test = unequal_clients()
+
+    def config(mode, **knobs):
+        return fs.TrainingConfig(
+            mode=mode, learning_rate=0.1, max_rounds=6, batch_size=4, seeds=SEEDS,
+            eval_every=2, **knobs,
+        )
+
+    def run(driver, *args, **kwargs):
+        seen = []
+        log = driver(*args, round_hook=lambda i, w: seen.append(w), **kwargs)
+        return log.to_csv_string(), seen[-1].tobytes()
+
+    mmb = config("fedmmb", clients=4, batch_count=2)
+    avg = config("fedavg", clients=4, local_epochs=2)
+    cent = config("centralized")
+    # The unequal clients' round 1 opens with two first-step groups, so the
+    # first step takes StepPlan.step's general path.
+    uneven_mmb = config("fedmmb", clients=3, batch_count=3)
+    uneven_avg = config("fedavg", clients=3, local_epochs=2)
+    return {
+        "fedmmb": lambda: run(fs.run_fedmmb, mmb, spec, clients, test),
+        "fedavg": lambda: run(fs.run_fedavg, avg, spec, clients, test),
+        "centralized": lambda: run(fs.run_centralized, cent, spec, train, test),
+        "lockstep": lambda: run(fs.run_centralized, cent, spec, None, test, lockstep=clients),
+        "unequal-fedmmb": lambda: run(fs.run_fedmmb, uneven_mmb, uneven_spec, uneven, uneven_test),
+        "unequal-fedavg": lambda: run(fs.run_fedavg, uneven_avg, uneven_spec, uneven, uneven_test),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fedmmb", "fedavg", "centralized", "lockstep", "unequal-fedmmb", "unequal-fedavg"],
+)
+def test_nothing_reads_the_stack_between_aggregate_and_the_next_round(name, monkeypatch):
+    # aggregate overwrites rows 1.. of the stack. Filling the whole stack with
+    # NaN after each call shows that nothing reads it before the next round's
+    # first step writes every row.
+    run = stack_runs()[name]
+    clean = run()
+    real_aggregate = federated.aggregate
+
+    def poisoned_aggregate(stack, samples):
+        weights = real_aggregate(stack, samples)
+        stack.fill(np.nan)
+        return weights
+
+    monkeypatch.setattr(federated, "aggregate", poisoned_aggregate)
+    assert run() == clean
+
+
 def test_client_update_rejects_global_weights_that_share_the_stack():
     spec = fs.NetworkSpec(4, (6,), 5)
     plan = StepPlan(spec, [client_schedule(20, batch_size=5, batch_count=2)], 1, 0.05)
@@ -411,7 +466,7 @@ def test_aggregate_convexity_property(seed, counts):
     spec = fs.NetworkSpec(2, (), 2)
     ws = [fs.init_weights(spec, seed + j) for j in range(len(counts))]
     stacked = np.stack(ws)
-    merged = fs.aggregate(stacked, counts)
+    merged = fs.aggregate(stacked.copy(), counts)
     assert np.all(merged >= stacked.min(axis=0))
     assert np.all(merged <= stacked.max(axis=0))
 
@@ -435,9 +490,21 @@ def tied_signed_zero_stack(seed: int, clients: int, width: int) -> np.ndarray:
 )
 def test_aggregate_matches_the_all_rows_oracle_bit_for_bit(seed, counts):
     stack = tied_signed_zero_stack(seed, len(counts), 6)
-    got = fs.aggregate(stack, counts)
+    got = fs.aggregate(stack.copy(), counts)
     want = reference_aggregate(stack, counts)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("clients", range(1, 9))
+def test_aggregate_keeps_row_0_and_returns_a_new_array(clients):
+    # Rows 1.. are aggregate's scratch; row 0, the anchor, is never written.
+    stack = tied_signed_zero_stack(clients, clients, 6)
+    counts = [1 + 7 * j for j in range(clients)]
+    before = stack.copy()
+    got = fs.aggregate(stack, counts)
+    assert got.tobytes() == reference_aggregate(before.copy(), counts).tobytes()
+    assert stack[0].tobytes() == before[0].tobytes()
+    assert not np.shares_memory(got, stack)
 
 
 def test_aggregate_single_row_is_the_row_with_positive_zero():
@@ -453,7 +520,7 @@ def test_aggregate_non_finite_anchor_or_row_raises(bad, clients, row):
     stack[row, 4] = bad
     for average in (fs.aggregate, reference_aggregate):
         with pytest.raises(fs.ContractError), np.errstate(invalid="ignore"):
-            average(stack, [3] * clients)
+            average(stack.copy(), [3] * clients)
 
 
 # --- drivers ----------------------------------------------------------------
