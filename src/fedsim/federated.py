@@ -9,11 +9,11 @@ are combined by sample-weighted averaging in ascending client order into
 a new array, with rows 1.. of the stack as the sum's scratch; that is safe
 because nothing reads the stack again before the next round's first
 step, which writes every row. The model is evaluated on a fixed cadence,
-and the round hook sees the new weights. An evaluation of a large test set runs on one worker thread
-while the next rounds train; it reads the aggregated weights, which
-nothing writes again, so its numbers are those of an inline evaluation.
-The round hook may run before its round's evaluation ends, so it must not
-write the weights it is given.
+and the round hook sees the new weights. An evaluation of a large test
+set runs on one worker thread while the next rounds train; it reads the
+aggregated weights, which nothing writes again, so its numbers are those
+of an inline evaluation. The round hook may run before its round's
+evaluation ends, so it must not write the weights it is given.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
