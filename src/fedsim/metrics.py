@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import DataError
 from .nn import NetworkSpec
 
 CSV_HEADER = "round,test_loss,test_accuracy,train_loss,cum_local_updates,cum_bytes"
+
+# The cells ``int`` and ``float`` read, as plain ASCII decimal literals: the
+# two also take padding, digit-group underscores and other scripts' digits,
+# so ``1_0`` would read as round 10.
+_INT_CELL = re.compile(r"-?[0-9]+")
+_FLOAT_CELL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,12 @@ class MetricsLog:
 
     @classmethod
     def from_csv_string(cls, text: str) -> "MetricsLog":
-        lines = [ln for ln in text.split("\n") if ln]
+        """Parse a metrics CSV; lines may end in ``\\n`` or ``\\r\\n``.
+
+        Every cell must be a plain decimal literal (``DataError``), as
+        ``to_csv_string`` writes it; ``train_loss`` may be empty.
+        """
+        lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln]
         if not lines or lines[0] != CSV_HEADER:
             raise DataError(f"metrics CSV must start with header {CSV_HEADER!r}")
         log = cls()
@@ -84,17 +96,21 @@ class MetricsLog:
             cells = ln.split(",")
             if len(cells) != 6:
                 raise DataError(f"malformed metrics row: {ln!r}")
-            try:
-                row = MetricsRow(
-                    round=int(cells[0]),
-                    test_loss=float(cells[1]),
-                    test_accuracy=float(cells[2]),
-                    train_loss=None if cells[3] == "" else float(cells[3]),
-                    cum_local_updates=int(cells[4]),
-                    cum_bytes=int(cells[5]),
-                )
-            except ValueError as exc:
-                raise DataError(f"malformed metrics row: {ln!r} ({exc})") from exc
+            r, loss, accuracy, train_loss, updates, sent = cells
+            floats = [loss, accuracy] + ([train_loss] if train_loss else [])
+            if not (
+                all(map(_INT_CELL.fullmatch, (r, updates, sent)))
+                and all(map(_FLOAT_CELL.fullmatch, floats))
+            ):
+                raise DataError(f"malformed metrics row: {ln!r} (a cell is not a decimal literal)")
+            row = MetricsRow(
+                round=int(r),
+                test_loss=float(loss),
+                test_accuracy=float(accuracy),
+                train_loss=float(train_loss) if train_loss else None,
+                cum_local_updates=int(updates),
+                cum_bytes=int(sent),
+            )
             _check_row(row, ln)
             log.append(row)
         return log

@@ -1,4 +1,4 @@
-"""Shared test utilities: scalar-loop oracles and IDX fixtures.
+"""Shared test utilities: scalar-loop oracles, IDX fixtures and a forced split.
 
 The oracles here recompute results with plain Python loops and math calls,
 independently of the vectorized implementation paths they check. The
@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 
 import numpy as np
+import pytest
 
 import fedsim as fs
+import fedsim.federated as federated
 from fedsim import Dataset, NetworkSpec, layer_views
 from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _lane_jump, _mix64, _polymulmod, _xpow
 
@@ -240,3 +243,26 @@ def per_client_reference(
                 fs.MetricsRow(i + 1, loss, accuracy, None, updates, (i + 1) * bytes_per_round)
             )
     return log, weights
+
+
+# A run trains in two processes only on Linux (``federated._splits``).
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="runs split only on Linux")
+
+
+def force_split(monkeypatch) -> list:
+    """Split every federated run of two or more clients; returns the list of its workers.
+
+    It sets the split rule's inputs, the CPU count and ``SPLIT_MIN_STEPS``,
+    and records each ``_Worker`` that the runs start, in the parent only.
+    """
+    workers = []
+
+    class Recorded(federated._Worker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workers.append(self)
+
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(federated, "_Worker", Recorded)
+    return workers

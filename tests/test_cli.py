@@ -509,6 +509,8 @@ GOOD_ROW = {"round": "1", "test_loss": "0.5", "test_accuracy": "0.75", "train_lo
         ("cum_local_updates", "-4"),
         ("cum_bytes", "-1"),
         ("round", "-1"),
+        ("round", "1_0"),
+        ("cum_bytes", " 1024"),
     ],
 )
 def test_compare_rejects_corrupt_metrics_cells(tmp_path, capsys, column, cell):
@@ -525,6 +527,15 @@ def test_compare_rejects_corrupt_metrics_cells(tmp_path, capsys, column, cell):
     capsys.readouterr()
     assert main(["compare", bad, bad, "--json"]) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_compare_reads_crlf_metrics_csvs(tmp_path, capsys):
+    # A git autocrlf checkout ends every line of a committed CSV in CRLF.
+    path = tmp_path / "crlf.csv"
+    row = ",".join(GOOD_ROW.values())
+    path.write_bytes(f"{fs.CSV_HEADER}\r\n{row}\r\n".encode())
+    assert main(["compare", str(path), str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rounds_compared"] == 1
 
 
 # --- sweep ------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -17,7 +19,7 @@ from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
 from fedsim.rng import Xoshiro256PP
 
-from helpers import per_client_reference, reference_aggregate
+from helpers import force_split, linux_only, per_client_reference, reference_aggregate
 
 
 SEEDS = fs.Seeds(init=1, shuffle=2, partition=3)
@@ -313,7 +315,10 @@ def test_driver_matches_per_client_reference_on_unequal_clients(mode):
 def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
     # Each round fills the stack and the gradient buffer with NaN before it
     # trains, so a client row that a round's first step did not write, or a
-    # gradient read before it was written, makes the run diverge.
+    # gradient read before it was written, makes the run diverge. The runs
+    # stay in one process, where first_steps sees every group, until the
+    # last one, which splits its clients 1 | 2 and poisons both plans.
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
     spec, clients, test = unequal_clients()
     cent_cfg = fs.TrainingConfig(
         mode="centralized", learning_rate=0.1, max_rounds=8, batch_size=4, seeds=SEEDS,
@@ -363,6 +368,11 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
             # Round 1 opens on client 0's short last batch of one sample, so
             # its first step trains two gathered groups from the global weights.
             assert first_steps[1] == [(1, [0]), (4, [1, 2])]
+    if sys.platform == "linux":
+        workers = force_split(monkeypatch)
+        log = fs.run_fedavg(cfg, spec, clients, test)
+        assert log.to_csv_string() == reference_log.to_csv_string()
+        assert len(workers) == 1
 
 
 def stack_runs() -> dict:
@@ -785,6 +795,216 @@ def test_a_worker_evaluation_that_raises_raises_from_the_driver(failing, monkeyp
     assert threading.active_count() == before
 
 
+# --- clients split across two processes -------------------------------------
+
+
+def four_client_run(round_hook=None, eta: float = 0.05, rounds: int = 6) -> fs.MetricsLog:
+    """Four clients of two steps a round: a forced split trains clients 2 and 3 in the worker."""
+    spec, clients, test = small_fed_setup()
+    cfg = fs.TrainingConfig(
+        mode="fedmmb", learning_rate=eta, max_rounds=rounds, batch_size=5, seeds=SEEDS,
+        clients=4, batch_count=2, eval_every=2,
+    )
+    return fs.run_fedmmb(cfg, spec, clients, test, round_hook=round_hook)
+
+
+def two_client_run(round_hook=None) -> fs.MetricsLog:
+    spec, clients, test = small_fed_setup(clients=2)
+    cfg = fs.TrainingConfig(
+        mode="fedavg", learning_rate=0.05, max_rounds=6, batch_size=7, seeds=SEEDS,
+        clients=2, local_epochs=2, eval_every=3,
+    )
+    return fs.run_fedavg(cfg, spec, clients, test, round_hook=round_hook)
+
+
+def a6_shaped_run(mode: str, round_hook=None) -> fs.MetricsLog:
+    """Ten rounds of criterion 6's windowed arm or its FedAvg B=50 arm, on its data."""
+    train, test = synthetic_split(31, 10000, 1000, 20, 10)
+    clients = fs.partition_noniid_l(train, 10, 2, SEEDS.partition)
+    knobs = {"batch_size": 10, "batch_count": 20} if mode == "fedmmb" else {
+        "batch_size": 50, "local_epochs": 1}
+    cfg = fs.TrainingConfig(
+        mode=mode, learning_rate=0.05, max_rounds=10, seeds=SEEDS, clients=10, eval_every=5,
+        **knobs,
+    )
+    driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
+    return driver(cfg, fs.NetworkSpec(20, (32, 32), 10), clients, test, round_hook=round_hook)
+
+
+def csv_and_final_weights(run) -> tuple[str, bytes]:
+    final = []
+    log = run(lambda r, w: final.append(w))
+    return log.to_csv_string(), final[-1].tobytes()
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "run",
+    [two_client_run, lambda hook: a6_shaped_run("fedmmb", hook),
+     lambda hook: a6_shaped_run("fedavg", hook)],
+    ids=["two_clients", "a6_windowed", "a6_fedavg_b50"],
+)
+def test_a_split_run_gives_the_serial_runs_bytes(run, monkeypatch):
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
+    serial = csv_and_final_weights(run)
+    workers = force_split(monkeypatch)
+    assert csv_and_final_weights(run) == serial
+    assert len(workers) == 1
+
+
+def test_the_split_rule_reads_platform_cpus_clients_steps_and_threads(monkeypatch):
+    schedules = [client_schedule(40, batch_size=5, batch_count=c) for c in (1, 3)]  # T = 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert federated.SPLIT_MIN_STEPS == 3
+    assert federated._splits(schedules, 1)  # client 1 takes 3 batches a round
+    assert not federated._splits(schedules[:1], 2)  # one client
+    assert not federated._splits(schedules[:1] * 2, 2)  # 2 steps a round
+    assert federated._splits(schedules[:1] * 2, 3)  # 3 windows of 1 batch
+    assert federated._splits([client_schedule(10, 5, 20)] * 2, 2)  # T = 2 caps each window
+    assert not federated._splits([client_schedule(10, 5, 20)] * 2, 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not federated._splits(schedules, 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert not federated._splits(schedules, 1)  # a fork copies only its own thread
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert not federated._splits(schedules, 1)
+
+
+@linux_only
+def test_an_exception_in_the_workers_half_raises_a_contract_error_naming_it(
+    monkeypatch, tmp_path, capsys
+):
+    real_step = StepPlan.step
+
+    def step(self, members, *args):
+        if any(self.schedules[j].client_index == 3 for j in members):
+            raise RuntimeError("no step for client 3")
+        return real_step(self, members, *args)
+
+    monkeypatch.setattr(StepPlan, "step", step)
+    workers = force_split(monkeypatch)
+    with pytest.raises(fs.ContractError, match="worker raised RuntimeError: no step for client 3"):
+        four_client_run()
+    assert len(workers) == 1
+    assert_no_child_left()
+    document = {
+        "dataset": {"source": "synthetic", "seed": 5, "n_train": 160, "n_test": 80,
+                    "input_dim": 8, "num_classes": 4},
+        "model": {"hidden": [16]},
+        "partition": {"kind": "iid"},
+        "train": {"mode": "fedmmb", "K": 4, "B": 8, "C": 2, "eta": 0.05, "I_max": 4,
+                  "eval_every": 1, "seeds": {"init": 1, "shuffle": 2, "partition": 3}},
+        "output": {"dir": str(tmp_path / "out"), "name": "run"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    from fedsim.cli import main
+
+    assert main(["run", str(path)]) == 4
+    assert "RuntimeError: no step for client 3" in capsys.readouterr().err
+    assert len(workers) == 2
+
+
+@linux_only
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging run overflows
+@pytest.mark.parametrize("fault", ["aggregate", "hook", "interrupt"])
+def test_a_split_run_that_raises_leaves_no_process_behind(fault, monkeypatch):
+    workers = force_split(monkeypatch)
+
+    def hook(r, w):
+        if r == 2 and fault == "hook":
+            raise ValueError("hook failed")
+        if r == 2 and fault == "interrupt":
+            os.kill(os.getpid(), signal.SIGINT)
+
+    expected = {"aggregate": fs.ContractError, "hook": ValueError, "interrupt": KeyboardInterrupt}
+    with pytest.raises(expected[fault]):
+        four_client_run(hook, eta=1e300 if fault == "aggregate" else 0.05)
+    assert len(workers) == 1
+    assert_no_child_left()
+
+
+@linux_only
+def test_the_worker_ignores_sigint(monkeypatch):
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
+    serial = csv_and_final_weights(four_client_run)
+    workers = force_split(monkeypatch)
+
+    def interrupt_the_worker(hook):
+        def round_hook(r, w):
+            if r == 2:
+                os.kill(workers[0].pid, signal.SIGINT)
+            hook(r, w)
+
+        return four_client_run(round_hook)
+
+    assert csv_and_final_weights(interrupt_the_worker) == serial
+
+
+@linux_only
+def test_a_killed_worker_makes_the_run_raise_not_hang(monkeypatch):
+    workers = force_split(monkeypatch)
+
+    def kill_the_worker(r, w):
+        if r == 2:
+            os.kill(workers[0].pid, signal.SIGKILL)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the run hung after its worker was killed")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        with pytest.raises(fs.ContractError, match="training worker"):
+            four_client_run(kill_the_worker)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("split", [False, pytest.param(True, marks=linux_only)],
+                         ids=["serial", "split"])
+def test_only_a_split_run_loads_mmap_and_no_run_loads_multiprocessing(split):
+    # A serial run (one step a round, below SPLIT_MIN_STEPS) loads no mmap; a
+    # forced split loads mmap, and neither loads a process or thread pool.
+    force = "federated.SPLIT_MIN_STEPS = 1\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+    child = (
+        "import os, sys\n"
+        "import fedsim as fs\n"
+        "import fedsim.federated as federated\n"
+        + (force if split else "")
+        + "train, test = fs.synthetic_split(1, 40, 20, 4, 3)\n"
+        "cfg = fs.TrainingConfig(mode='fedmmb', learning_rate=0.1, max_rounds=2,"
+        " batch_size=10, seeds=fs.Seeds(1, 2, 3), clients=2, batch_count=1)\n"
+        "clients = fs.partition_iid(train, 2, 3)\n"
+        "fs.run_fedmmb(cfg, fs.NetworkSpec(4, (5,), 3), clients, test)\n"
+        "print(sorted({'mmap', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = str(Path(federated.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ("['mmap']" if split else "[]")
+
+
 def test_lockstep_rejects_clients_of_different_feature_widths():
     clients = [make_client(20, input_dim=4), make_client(20, input_dim=5)]
     cfg = fs.TrainingConfig(
@@ -1037,3 +1257,34 @@ def test_metrics_csv_roundtrip():
 def test_metrics_csv_rejects_bad_header():
     with pytest.raises(fs.DataError):
         fs.MetricsLog.from_csv_string("round,loss\n1,2.0\n")
+
+
+def test_metrics_csv_reads_crlf_line_ends():
+    # As a git autocrlf checkout writes them.
+    spec, clients, test = small_fed_setup()
+    cfg = fs.TrainingConfig(
+        mode="fedmmb", learning_rate=0.05, max_rounds=4, batch_size=5, seeds=SEEDS,
+        clients=4, batch_count=1,
+    )
+    log = fs.run_fedmmb(cfg, spec, clients, test)
+    crlf = log.to_csv_string().replace("\n", "\r\n")
+    assert fs.MetricsLog.from_csv_string(crlf).rows == log.rows
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [
+        ("round", "1_0"), ("round", " 1"), ("round", "+1"), ("round", "\u0661"),
+        ("cum_bytes", "1_024"), ("cum_local_updates", "4 "), ("test_loss", "0_5"),
+        ("test_loss", " 0.5"), ("test_accuracy", "0.7_5"), ("train_loss", "1e1_0"),
+        ("train_loss", "Infinity"), ("test_loss", "1\r"),
+    ],
+)
+def test_metrics_csv_refuses_cells_that_are_not_plain_decimal_literals(column, cell):
+    # int() and float() take these, so 1_0 once read as round 10.
+    row = {"round": "1", "test_loss": "0.5", "test_accuracy": "0.75", "train_loss": "0.25",
+           "cum_local_updates": "4", "cum_bytes": "1024"}
+    good = fs.CSV_HEADER + "\n" + ",".join(row.values()) + "\n"
+    assert fs.MetricsLog.from_csv_string(good).rows[0].round == 1
+    with pytest.raises(fs.DataError, match="malformed metrics row"):
+        fs.MetricsLog.from_csv_string(good.replace(row[column], cell, 1))

@@ -18,6 +18,9 @@ Sandybridge or Prescott, all eight fail. ``test_lane_path_digests`` fails
 through ``synthetic``'s ``np.linalg.norm``, a BLAS dot product; its
 draws keep their bits under every kernel (``tests/test_blas_kernels.py``).
 ``demos/blas_kernel_probe.py`` prints this table.
+
+The five federated cases run a second time with their clients split across
+two processes (``force_split``), and must give the same digests.
 """
 
 import hashlib
@@ -28,6 +31,8 @@ import pytest
 import fedsim as fs
 from fedsim.data import synthetic, synthetic_split
 from fedsim.rng import Xoshiro256PP
+
+from helpers import force_split, linux_only
 
 SEEDS = fs.Seeds(init=3, shuffle=4, partition=5)
 SPEC = fs.NetworkSpec(5, (6,), 3)
@@ -129,6 +134,16 @@ def run_case(name: str) -> tuple[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name):
     assert run_case(name) == GOLDEN[name]
+
+
+@linux_only
+@pytest.mark.parametrize("name", sorted(n for n in CASES if not n.startswith("centralized")))
+def test_golden_digests_with_the_clients_split_across_two_processes(name, monkeypatch):
+    # The unequal cases split 1 | 2: their clients end on short batches, and
+    # at C=3 their step groups merge across the split point in a serial run.
+    workers = force_split(monkeypatch)
+    assert run_case(name) == GOLDEN[name]
+    assert len(workers) == 1
 
 
 # The runs above draw 650 normals, too few for the lane path of
