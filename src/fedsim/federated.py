@@ -13,15 +13,10 @@ and the round hook sees the new weights. An evaluation of a large test
 set runs on one worker thread while the next rounds train; it reads the
 aggregated weights, which nothing writes again, so its numbers are those
 of an inline evaluation. The round hook may run before its round's
-evaluation ends, so it must not write the weights it is given. On Linux
-with two CPUs, a run of at least two clients whose rounds take at least
-``SPLIT_MIN_STEPS`` steps trains in two processes: a worker forked before
-the first round trains clients ``K // 2`` to ``K - 1`` of every round in
-their rows of a stack that both processes map, while the run's own
-process trains the rest and then aggregates the whole stack. A client's
-arithmetic does not depend on which clients share its stack, so the bits
-are those of a run in one process; the round hook runs in the run's own
-process, as before.
+evaluation ends, so it must not write the weights it is given. A run
+with long rounds trains half its clients in a forked worker process
+(``_splits``, ``fedsim.split``); a client's arithmetic does not depend on
+which clients share its stack, so the bits are those of one process.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
@@ -34,7 +29,6 @@ shadow clients, with zero bytes exchanged. Clients are a list of
 
 from __future__ import annotations
 
-import gc
 import math
 import os
 import sys
@@ -82,15 +76,16 @@ EVAL_ASIDE_MACS = 2**23
 
 # A run whose rounds take at least this many stacked steps (the most batches
 # any client takes in a round) trains half its clients in a worker process,
-# on Linux with two CPUs or more (``_splits``); shorter rounds do not pay
-# for the round trip. Measured on 2 vCPUs at one BLAS thread, 10 clients of
-# a 784-32-32-10 network at batch 5 and of a 20-32-32-10 one at batch 10;
-# the median round split over serial, 6 or 10 alternating pairs: 1 step
-# 0.97 (784-d) and 0.99 (20-d), both mixed; 2 steps 0.76, 20-d 1.03 (3 of
-# 6 won) and 0.90; 3 steps 0.71, 20-d 0.95 and 0.85 (8 of 10); 4 steps
-# 0.64, 20-d 0.91 and 0.94; 6 steps 0.61 and 0.79; 20 steps 0.55 and 0.74
-# (6 of 6 won). The rule splits the 20-step rounds of the A5 and A6 arms
-# and keeps the 1-step image-shaped concordance runs serial.
+# on Linux with two CPUs or more and no other thread (``_splits``); shorter
+# rounds do not pay for the round trip. Measured on 2 vCPUs at one BLAS
+# thread, 10 clients of a 784-32-32-10 network at batch 5 and of a
+# 20-32-32-10 one at batch 10; the median round split over serial, 6 or 10
+# alternating pairs: 1 step 0.97 (784-d) and 0.99 (20-d), both mixed; 2
+# steps 0.76, 20-d 1.03 (3 of 6 won) and 0.90; 3 steps 0.71, 20-d 0.95 and
+# 0.85 (8 of 10); 4 steps 0.64, 20-d 0.91 and 0.94; 6 steps 0.61 and 0.79;
+# 20 steps 0.55 and 0.74 (6 of 6 won). The rule splits the 20-step rounds
+# of the A5 and A6 arms and keeps the 1-step image-shaped concordance runs
+# serial.
 SPLIT_MIN_STEPS = 3
 
 
@@ -401,7 +396,7 @@ def _run_rounds(
     reads one.
 
     When the rounds are long (``_splits``), clients ``K // 2 ..`` train in
-    a worker process (``_Worker``) while this one trains the rest, each
+    a worker process (``split.Worker``) while this one trains the rest, each
     half on its own step plan over its rows of a shared stack; every
     client's arithmetic is that of a serial round. The worker is forked
     before the first round, and before the evaluation thread starts, and
@@ -417,14 +412,22 @@ def _run_rounds(
     _require_data(spec, test_set.features, test_set.labels)
     aside = _evaluates_aside(spec, test_set)
     eta = config.learning_rate
+    worker_round = None  # the worker's half of a round, in a run that splits
     if _splits(schedules, windows):
+        # Only a run that splits loads the worker's module, and mmap with it.
+        from .split import Worker, shared_stack
+
         h = len(schedules) // 2
-        stack, shared_weights = _shared_stack(len(schedules), spec.parameter_count)
+        stack, shared_weights = shared_stack(len(schedules), spec.parameter_count)
         plan = StepPlan(spec, schedules[:h], windows, eta, stack[:h])
-        worker_plan = StepPlan(spec, schedules[h:], windows, eta, stack[h:])
+        rest = StepPlan(spec, schedules[h:], windows, eta, stack[h:])
+
+        def worker_round(i: int) -> tuple[list[int], list[int]]:
+            return client_update_mmb(rest, i, shared_weights)
+
     else:
         plan = StepPlan(spec, schedules, windows, eta)
-        stack, worker_plan = plan.stack, None
+        stack = plan.stack
     weights = init_weights(spec, config.seeds.init)
     bytes_per_round = comm_cost(config, spec)
     log = MetricsLog()
@@ -432,7 +435,7 @@ def _run_rounds(
     pending = None  # the evaluation on the worker thread: its row's counts and its future
     # The fork comes last before the first round, and before the thread starts.
     with (
-        _Worker(worker_plan, shared_weights) if worker_plan else nullcontext() as worker,
+        Worker(worker_round, shared_weights) if worker_round else nullcontext() as worker,
         _thread() if aside else nullcontext() as pool,
     ):
         for i in range(config.max_rounds):
@@ -473,124 +476,6 @@ def _splits(schedules: list, windows: int) -> bool:
         and len(os.sched_getaffinity(0)) >= 2
         and threading.active_count() == 1
     )
-
-
-def _shared_stack(k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """A ``[k, p]`` stack and a ``[p]`` vector in one anonymous shared mapping.
-
-    A forked process shares the mapping, so each side sees what the other
-    writes there. ``mmap`` is imported only for a run that splits.
-    """
-    import mmap
-
-    flat = np.frombuffer(mmap.mmap(-1, 8 * (k + 1) * p), dtype=np.float64)
-    return flat[: k * p].reshape(k, p), flat[k * p :]
-
-
-class _Worker:
-    """A forked process that trains the clients of ``plan`` each round.
-
-    ``plan``'s stack and ``weights``, the worker's copy of the global
-    weights, lie in a shared mapping (``_shared_stack``). Each round the
-    parent copies the global weights in and sends the round index
-    (``start``); the worker runs ``client_update_mmb`` on its plan and
-    sends back its clients' sample and step counts, or the type and
-    message of the exception it hit, which ``finish`` raises as
-    ``ContractError``, as it does when the worker has died. The worker
-    ignores SIGINT, closes the pipe ends it does not use, and exits with
-    ``os._exit`` when it reads the end of its pipe, so it never runs the
-    parent's cleanup. Leaving the ``with`` block closes the parent's pipe
-    ends and reaps the worker, after at most the round it is training.
-    """
-
-    def __init__(self, plan: StepPlan, weights: np.ndarray):
-        import signal
-
-        self._weights = weights
-        commands, self._commands = os.pipe()
-        self._replies, replies = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (commands, self._commands, self._replies, replies):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                # The parent's objects are left alone: no finalizer of theirs
-                # runs here, and no collection copies their pages.
-                gc.freeze()
-                os.close(self._commands)
-                os.close(self._replies)
-                _serve(plan, weights, commands, replies)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(commands)
-        os.close(replies)
-
-    def start(self, round_index: int, weights: np.ndarray) -> None:
-        """Copy in the global weights and have the worker train round ``round_index``."""
-        self._weights[:] = weights
-        try:
-            _send(self._commands, round_index.to_bytes(8, "little"))
-        except BrokenPipeError:
-            raise ContractError("the training worker has exited") from None
-
-    def finish(self, round_index: int) -> tuple[list[int], list[int]]:
-        """The worker's sample and step counts for the round, once it has trained it."""
-        reply = _receive(self._replies)
-        if reply is None:
-            raise ContractError(f"the training worker exited during round {round_index + 1}")
-        if reply[:1] != b"+":
-            raise ContractError(f"the training worker raised {reply[1:].decode()}")
-        counts = np.frombuffer(reply, dtype=np.int64, offset=1).tolist()
-        return counts[: len(counts) // 2], counts[len(counts) // 2 :]
-
-    def __enter__(self) -> "_Worker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        os.close(self._commands)
-        os.close(self._replies)
-        os.waitpid(self.pid, 0)
-
-
-def _serve(plan: StepPlan, weights: np.ndarray, commands: int, replies: int) -> None:
-    """The worker's loop: train each round it is sent, until its pipe ends."""
-    while (message := _receive(commands)) is not None:
-        try:
-            samples, steps = client_update_mmb(plan, int.from_bytes(message, "little"), weights)
-            reply = b"+" + np.array(samples + steps, dtype=np.int64).tobytes()
-        except Exception as exc:
-            reply = f"-{type(exc).__name__}: {exc}".encode()
-        _send(replies, reply)
-
-
-def _send(fd: int, payload: bytes) -> None:
-    """Write ``payload`` to ``fd`` as one message: its length, then its bytes."""
-    data = len(payload).to_bytes(8, "little") + payload
-    while data:
-        data = data[os.write(fd, data) :]
-
-
-def _receive(fd: int) -> bytes | None:
-    """The next message on ``fd`` (``_send``), or None if its writer closed it first."""
-    head = _read(fd, 8)
-    return None if head is None else _read(fd, int.from_bytes(head, "little"))
-
-
-def _read(fd: int, n: int) -> bytes | None:
-    """Exactly ``n`` bytes from ``fd``, or None if it ends first."""
-    data = b""
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
 
 
 def _evaluates_aside(spec: NetworkSpec, test_set: Dataset) -> bool:

@@ -103,14 +103,17 @@ class MetricsLog:
                 and all(map(_FLOAT_CELL.fullmatch, floats))
             ):
                 raise DataError(f"malformed metrics row: {ln!r} (a cell is not a decimal literal)")
-            row = MetricsRow(
-                round=int(r),
-                test_loss=float(loss),
-                test_accuracy=float(accuracy),
-                train_loss=float(train_loss) if train_loss else None,
-                cum_local_updates=int(updates),
-                cum_bytes=int(sent),
-            )
+            try:
+                row = MetricsRow(
+                    round=int(r),
+                    test_loss=float(loss),
+                    test_accuracy=float(accuracy),
+                    train_loss=float(train_loss) if train_loss else None,
+                    cum_local_updates=int(updates),
+                    cum_bytes=int(sent),
+                )
+            except ValueError as exc:  # an integer past int()'s digit limit
+                raise DataError(f"malformed metrics row: {ln!r} ({exc})") from exc
             _check_row(row, ln)
             log.append(row)
         return log

@@ -18,6 +18,7 @@ import pytest
 
 import fedsim as fs
 import fedsim.federated as federated
+import fedsim.split as split
 from fedsim import Dataset, NetworkSpec, layer_views
 from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _lane_jump, _mix64, _polymulmod, _xpow
 
@@ -253,16 +254,16 @@ def force_split(monkeypatch) -> list:
     """Split every federated run of two or more clients; returns the list of its workers.
 
     It sets the split rule's inputs, the CPU count and ``SPLIT_MIN_STEPS``,
-    and records each ``_Worker`` that the runs start, in the parent only.
+    and records each ``split.Worker`` that the runs start, in the parent only.
     """
     workers = []
 
-    class Recorded(federated._Worker):
+    class Recorded(split.Worker):
         def __init__(self, *args):
             super().__init__(*args)
             workers.append(self)
 
     monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(federated, "_Worker", Recorded)
+    monkeypatch.setattr(split, "Worker", Recorded)
     return workers

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import fedsim as fs
 import fedsim.data as data
 import fedsim.federated as federated
+from fedsim.cli import main as cli_main
 from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
 from fedsim.rng import Xoshiro256PP
@@ -809,6 +810,7 @@ def four_client_run(round_hook=None, eta: float = 0.05, rounds: int = 6) -> fs.M
 
 
 def two_client_run(round_hook=None) -> fs.MetricsLog:
+    """Two clients of 40 samples at B=7, two epochs a round: a split of 1 | 1."""
     spec, clients, test = small_fed_setup(clients=2)
     cfg = fs.TrainingConfig(
         mode="fedavg", learning_rate=0.05, max_rounds=6, batch_size=7, seeds=SEEDS,
@@ -880,7 +882,6 @@ def test_the_split_rule_reads_platform_cpus_clients_steps_and_threads(monkeypatc
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sys, "platform", "darwin")
     assert not federated._splits(schedules, 1)
 
@@ -913,9 +914,7 @@ def test_an_exception_in_the_workers_half_raises_a_contract_error_naming_it(
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(document))
-    from fedsim.cli import main
-
-    assert main(["run", str(path)]) == 4
+    assert cli_main(["run", str(path)]) == 4
     assert "RuntimeError: no step for client 3" in capsys.readouterr().err
     assert len(workers) == 2
 
@@ -980,9 +979,10 @@ def test_a_killed_worker_makes_the_run_raise_not_hang(monkeypatch):
 
 @pytest.mark.parametrize("split", [False, pytest.param(True, marks=linux_only)],
                          ids=["serial", "split"])
-def test_only_a_split_run_loads_mmap_and_no_run_loads_multiprocessing(split):
-    # A serial run (one step a round, below SPLIT_MIN_STEPS) loads no mmap; a
-    # forced split loads mmap, and neither loads a process or thread pool.
+def test_only_a_split_run_loads_the_worker_module_and_no_run_loads_a_pool(split):
+    # A serial run (one step a round, below SPLIT_MIN_STEPS) loads neither
+    # the worker's module nor mmap; a forced split loads both, and neither
+    # run loads a process or thread pool.
     force = "federated.SPLIT_MIN_STEPS = 1\nos.sched_getaffinity = lambda pid: {0, 1}\n"
     child = (
         "import os, sys\n"
@@ -994,7 +994,8 @@ def test_only_a_split_run_loads_mmap_and_no_run_loads_multiprocessing(split):
         " batch_size=10, seeds=fs.Seeds(1, 2, 3), clients=2, batch_count=1)\n"
         "clients = fs.partition_iid(train, 2, 3)\n"
         "fs.run_fedmmb(cfg, fs.NetworkSpec(4, (5,), 3), clients, test)\n"
-        "print(sorted({'mmap', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        "loaded = {'fedsim.split', 'mmap', 'multiprocessing', 'concurrent.futures'}\n"
+        "print(sorted(loaded & set(sys.modules)))\n"
     )
     src = str(Path(federated.__file__).resolve().parent.parent)
     result = subprocess.run(
@@ -1002,7 +1003,7 @@ def test_only_a_split_run_loads_mmap_and_no_run_loads_multiprocessing(split):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == ("['mmap']" if split else "[]")
+    assert result.stdout.strip() == ("['fedsim.split', 'mmap']" if split else "[]")
 
 
 def test_lockstep_rejects_clients_of_different_feature_widths():
@@ -1278,10 +1279,12 @@ def test_metrics_csv_reads_crlf_line_ends():
         ("cum_bytes", "1_024"), ("cum_local_updates", "4 "), ("test_loss", "0_5"),
         ("test_loss", " 0.5"), ("test_accuracy", "0.7_5"), ("train_loss", "1e1_0"),
         ("train_loss", "Infinity"), ("test_loss", "1\r"),
+        pytest.param("cum_bytes", "1" * 5000, id="cum_bytes-past_the_digit_limit"),
     ],
 )
 def test_metrics_csv_refuses_cells_that_are_not_plain_decimal_literals(column, cell):
-    # int() and float() take these, so 1_0 once read as round 10.
+    # int() and float() take most of these (1_0 once read as round 10); a
+    # 5000-digit integer is a decimal literal past int()'s digit limit.
     row = {"round": "1", "test_loss": "0.5", "test_accuracy": "0.75", "train_loss": "0.25",
            "cum_local_updates": "4", "cum_bytes": "1024"}
     good = fs.CSV_HEADER + "\n" + ",".join(row.values()) + "\n"
