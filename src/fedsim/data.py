@@ -177,6 +177,10 @@ def synthetic(seed: int, n: int, input_dim: int, num_classes: int) -> Dataset:
     2.0, with isotropic unit noise. Labels are assigned round-robin, so
     class counts are balanced to within one sample.
     """
+    if num_classes < 1:
+        raise DataError("class count must be at least 1")
+    if input_dim < 1:
+        raise DataError("input dimension must be at least 1")
     if n < num_classes:
         raise DataError("need at least one sample per class")
     rng = Xoshiro256PP(derive_seed(seed, 0xDA7A))
@@ -236,6 +240,8 @@ def partition_noniid_l(
     dealt round-robin to clients with the label groups visited in a seeded
     order. Contiguous dealing guarantees no client sees the same label twice.
     """
+    if clients < 1:
+        raise DataError("client count must be at least 1")
     num_classes = dataset.num_classes
     lpc = labels_per_client
     if not (1 <= lpc <= num_classes):

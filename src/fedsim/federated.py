@@ -10,13 +10,13 @@ a new array, with rows 1.. of the stack as the sum's scratch; that is safe
 because nothing reads the stack again before the next round's first
 step, which writes every row. The model is evaluated on a fixed cadence,
 and the round hook sees the new weights. An evaluation of a large test
-set runs on one worker thread while the next rounds train; it reads the
-aggregated weights, which nothing writes again, so its numbers are those
-of an inline evaluation. The round hook may run before its round's
-evaluation ends, so it must not write the weights it is given. A run
-with long rounds trains half its clients in a forked worker process
-(``_splits``, ``fedsim.split``); a client's arithmetic does not depend on
-which clients share its stack, so the bits are those of one process.
+set runs on one worker thread while the next rounds train; it reads its
+own copy of the aggregated weights, so its numbers are those of an
+inline evaluation, and the round hook may write the weights it is given:
+the next round starts from what it wrote. A run with long rounds trains
+half its clients in a forked worker process (``_splits``,
+``fedsim.split``); a client's arithmetic does not depend on which
+clients share its stack, so the bits are those of one process.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
@@ -56,8 +56,7 @@ from .nn import (
 MODES = ("fedmmb", "fedavg", "centralized")
 
 # ``round_hook(r, w)`` runs after round ``r`` with its aggregated weights. It
-# may run before round ``r``'s evaluation ends, which may still be reading
-# ``w``, so it must not write ``w``.
+# may write ``w``; round ``r + 1`` starts from what it wrote.
 RoundHook = Callable[[int, np.ndarray], None]
 
 # An evaluation whose first-layer product, test rows x input width x first
@@ -173,12 +172,13 @@ class StepPlan:
     gradient buffer of the same shape, the layer views of both, and gather
     buffers for a round's window rows: their features, and their labels as
     one-hot float64 targets (``[K, n, classes]``), built once per round by
-    ``gather``. Only the steps after a round's first use the gradient
-    buffer; a first step of every client together backpropagates into the
-    stack itself. Each round takes ``windows`` batch windows of every
-    schedule at learning rate ``eta``. Building it checks ``windows``,
-    ``eta`` and each schedule's source against the spec (feature width,
-    label range), so no round or step checks them again.
+    ``gather``. Each ``step`` trains a contiguous range of clients on views
+    of their rows. Only the steps after a round's first use the gradient
+    buffer; a first step backpropagates into the stack itself. Each round
+    takes ``windows`` batch windows of every schedule at learning rate
+    ``eta``. Building it checks ``windows``, ``eta`` and each schedule's
+    source against the spec (feature width, label range), so no round or
+    step checks them again.
     """
 
     def __init__(
@@ -232,41 +232,33 @@ class StepPlan:
 
     def step(
         self,
-        members: list[int],
-        starts: list[int],
+        a: int,
+        b: int,
+        offset: int,
         size: int,
         origin: tuple[np.ndarray, list] | None = None,
     ) -> None:
-        """One SGD step of clients ``members`` on batches of ``size`` gathered rows.
+        """One SGD step of clients ``a..b-1`` on gathered rows ``offset..offset+size-1``.
 
-        Member ``i``'s batch starts at row ``starts[i]`` of its gather
-        buffers. The members train from their rows of the stack or, on a
-        round's first step, from ``origin``: the global weights and their
-        ``layer_views`` with a leading axis of 1, read in place. When the
-        group is every client at a common offset, it trains on views of the
-        gather buffers, its gradients in the gradient buffer or, on the first
-        step, in the stack itself. Any other group's rows are copied out,
-        and its new parameters written to its rows of the stack.
+        The clients train on views of their gather buffers, from their rows
+        of the stack or, on a round's first step, from ``origin``: the
+        global weights and their ``layer_views`` with a leading axis of 1,
+        read in place. Their gradients go to their rows of the gradient
+        buffer or, on the first step, of the stack itself, and the new
+        parameters to their rows of the stack. A range of every client uses
+        the plan's layer views; any other takes views of its rows.
         """
-        o = starts[0]
-        if len(members) == len(self.schedules) and starts.count(o) == len(starts):
-            x, t = self._x[:, o : o + size], self._targets[:, o : o + size]
-            if origin is None:
-                _gradients_into(self.layers, self.grad_layers, x, t)
-                _descend(self.stack, self.grads, self.eta, out=self.stack)
-            else:
-                _gradients_into(origin[1], self.layers, x, t)
-                _descend(origin[0], self.stack, self.eta, out=self.stack)
-            return
-        picks = (np.array(members)[:, None], np.add.outer(starts, np.arange(size)))
+        params, grads = self.stack[a:b], self.grads[a:b]
+        whole = b - a == len(self.schedules)
+        layers = self.layers if whole else layer_views(self.spec, params)
+        x, t = self._x[a:b, offset : offset + size], self._targets[a:b, offset : offset + size]
         if origin is None:
-            params = self.stack[members]
-            layers = layer_views(self.spec, params)
+            grad_layers = self.grad_layers if whole else layer_views(self.spec, grads)
+            _gradients_into(layers, grad_layers, x, t)
+            _descend(params, grads, self.eta, out=params)
         else:
-            params, layers = origin
-        grads = np.empty((len(members), self.spec.parameter_count))
-        _gradients_into(layers, layer_views(self.spec, grads), self._x[picks], self._targets[picks])
-        self.stack[members] = _descend(params, grads, self.eta, out=grads)
+            _gradients_into(origin[1], layers, x, t)
+            _descend(origin[0], params, self.eta, out=params)
 
 
 def client_update_mmb(
@@ -294,13 +286,14 @@ def client_update_mmb(
     client at once (``draw_windows``: one permutation draw per source size
     for all the clients that start a sweep), and the round's rows of each
     client, with their one-hot targets, are copied out of its source once.
-    At step ``s`` the clients whose batch ``s`` has the same size train
-    together, one gradient computation for the group, members in ascending
-    order; a client whose windows have no batch ``s`` sits the step out.
-    The clients are grouped once per round, by their list of batch sizes,
-    and each step merges the groups whose batch ``s`` has one size, so equal
-    clients make one group and no step loops over them. Returns every
-    client's sample count and step count, in row order.
+    The clients are cut once per round into runs of neighbours with one
+    list of batch sizes. At step ``s``, neighbouring runs whose batch ``s``
+    has one offset and size join one range, and each range is one
+    ``plan.step``; a client whose windows have no batch ``s`` sits the
+    step out. Equal clients make one range, so no step loops over them.
+    Clients of two sizes in alternation take one range each at a step
+    where their batches differ, or that some of them sit out. Returns
+    every client's sample count and step count, in row order.
     """
     if np.shares_memory(global_weights, plan.stack):
         raise ContractError("the global weights must not share memory with the client stack")
@@ -312,26 +305,25 @@ def client_update_mmb(
         rows.append(parts[0][0] if len(parts) == 1 else np.concatenate([r for r, _ in parts]))
         sizes.append(sum((zs for _, zs in parts), ()))
     plan.gather(rows)
-    # Clients with the same batch sizes step together all round, at the same
-    # offsets. A group's members ascend, and groups go by their first member.
-    by_sizes: dict[tuple[int, ...], list[int]] = {}
+    # Runs of consecutive clients with one list of batch sizes this round:
+    # [first client, end, batch sizes, batch offsets].
+    runs: list[list] = []
     for j, batches in enumerate(sizes):
-        by_sizes.setdefault(batches, []).append(j)
-    groups = [(z, list(accumulate(z, initial=0)), members) for z, members in by_sizes.items()]
-    for s in range(max(map(len, by_sizes))):
-        # The groups whose batch s has one size take that step as one group.
-        merged: dict[int, list[tuple[int, list[int]]]] = {}
-        for batches, offsets, members in groups:
+        if runs and runs[-1][2] == batches:
+            runs[-1][1] = j + 1
+        else:
+            runs.append([j, j + 1, batches, list(accumulate(batches, initial=0))])
+    for s in range(max(map(len, sizes))):
+        # Neighbouring runs whose batch s has one offset and size join one range.
+        ranges: list[list[int]] = []
+        for a, b, batches, offsets in runs:
             if s < len(batches):
-                merged.setdefault(batches[s], []).append((offsets[s], members))
-        for size, parts in merged.items():
-            if len(parts) == 1:
-                [(start, members)] = parts
-                starts = [start] * len(members)
-            else:
-                picks = sorted((j, start) for start, members in parts for j in members)
-                members, starts = [j for j, _ in picks], [o for _, o in picks]
-            plan.step(members, starts, size, origin if s == 0 else None)
+                if ranges and ranges[-1][1:] == [a, offsets[s], batches[s]]:
+                    ranges[-1][1] = b
+                else:
+                    ranges.append([a, b, offsets[s], batches[s]])
+        for a, b, offset, size in ranges:
+            plan.step(a, b, offset, size, origin if s == 0 else None)
     return [r.size for r in rows], [len(z) for z in sizes]
 
 
@@ -403,11 +395,12 @@ def _run_rounds(
     is reaped when this call returns or raises.
 
     When the test set is large (``EVAL_ASIDE_MACS``), each evaluation runs
-    on one worker thread, at most one at a time, and its row is logged at
-    the next evaluation round or at the end of the run; rows stay in round
-    order, and an evaluation that raises raises there. The hook may
-    therefore run before its round's evaluation ends: it must not write
-    the weights it is given. The thread lives only inside this call.
+    on one worker thread, at most one at a time, on its own copy of the
+    weights, and its row is logged at the next evaluation round or at the
+    end of the run; rows stay in round order, and an evaluation that
+    raises raises there. The hook may run before its round's evaluation
+    ends, and may write the weights it is given. The thread lives only
+    inside this call.
     """
     _require_data(spec, test_set.features, test_set.labels)
     aside = _evaluates_aside(spec, test_set)
@@ -451,7 +444,7 @@ def _run_rounds(
                 counts = (i + 1, local_updates, (i + 1) * bytes_per_round)
                 if aside:
                     _log_pending(log, pending)
-                    pending = (counts, pool.submit(evaluate, spec, weights, test_set))
+                    pending = (counts, pool.submit(evaluate, spec, weights.copy(), test_set))
                 else:
                     log.append(_metrics_row(*counts, *evaluate(spec, weights, test_set)))
             if round_hook is not None:
@@ -524,8 +517,7 @@ def run_fedmmb(
     """Federated training on a window of ``batch_count`` batches per round.
 
     All clients participate every round. ``batch_count=1`` trains each
-    client on a single mini-batch per round. ``round_hook`` must not write
-    the weights it is given (``RoundHook``).
+    client on a single mini-batch per round.
     """
     if config.mode != "fedmmb":
         raise ConfigError(f"run_fedmmb needs mode 'fedmmb', got {config.mode!r}")
@@ -548,8 +540,7 @@ def run_fedavg(
     """Federated averaging: every client runs ``local_epochs`` epochs per round.
 
     An epoch is one window of a schedule whose window covers the client's
-    whole batch list (``batch_count = ceil(N_j / B)``). ``round_hook``
-    must not write the weights it is given (``RoundHook``).
+    whole batch list (``batch_count = ceil(N_j / B)``).
     """
     if config.mode != "fedavg":
         raise ConfigError(f"run_fedavg needs mode 'fedavg', got {config.mode!r}")
@@ -618,7 +609,6 @@ def run_centralized(
     ``config.batch_size / K`` samples that batch-count-1 federated clients
     take in round ``i``: a test-only oracle for exact federated/centralized
     comparisons. K must divide the batch size (``ConfigError``).
-    ``round_hook`` must not write the weights it is given (``RoundHook``).
     """
     if config.mode != "centralized":
         raise ConfigError(f"run_centralized needs mode 'centralized', got {config.mode!r}")

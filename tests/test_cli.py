@@ -586,6 +586,88 @@ def test_sweep_rejects_target_accuracy_outside_unit_interval(tmp_path, capsys, t
     assert list(tmp_path.glob("out/**/*")) == []
 
 
+def csv_dataset(**keys) -> dict:
+    return {"dataset": {"source": "csv", "train_path": "train.csv", "num_classes": 4, **keys}}
+
+
+def manual_partition(assignment) -> dict:
+    return {"partition": {"kind": "manual", "assignment": assignment}}
+
+
+# id -> (an edit of the base config, its raw text, or None for no file;
+#        the message printed). ``run`` and ``sweep`` both refuse these.
+CONFIG_REFUSALS = {
+    "missing_top_level_key": (lambda d: d.pop("train"), "config: missing keys ['train']"),
+    "non_number": (lambda d: d["train"].update(eta="fast"),
+                   "train.eta: expected a number, got 'fast'"),
+    "unreadable_file": (None, "cannot read config"),
+    "not_an_object": ("[1, 2]", "config document must be a JSON object"),
+    "train_not_an_object": (lambda d: d.update(train=[]), "train: expected an object"),
+    "seeds_not_an_object": (lambda d: d["train"].update(seeds=7),
+                            "train.seeds: expected an object"),
+    "model_not_an_object": (lambda d: d.update(model="mlp"), "model: expected an object"),
+    "output_not_an_object": (lambda d: d.update(output="out"), "output: expected an object"),
+    "csv_with_test_path_and_split": (
+        lambda d: d.update(csv_dataset(test_path="test.csv", test_split=0.2, seed=1)),
+        "dataset: csv needs exactly one of test_path or test_split",
+    ),
+    "csv_with_neither_test_source": (
+        lambda d: d.update(csv_dataset()),
+        "dataset: csv needs exactly one of test_path or test_split",
+    ),
+    "test_split_without_seed": (
+        lambda d: d.update(csv_dataset(test_split=0.2)),
+        "dataset: csv with test_split needs a seed for the shuffle",
+    ),
+    "header_not_a_boolean": (
+        lambda d: d.update(csv_dataset(test_path="test.csv", header="yes")),
+        "dataset.header: expected true or false, got 'yes'",
+    ),
+    "test_split_outside_unit_interval": (
+        lambda d: d.update(csv_dataset(test_split=1.5, seed=1)),
+        "dataset.test_split: expected a number in (0, 1), got 1.5",
+    ),
+    "federated_without_partition": (lambda d: d.pop("partition"),
+                                    "partition: required for federated runs"),
+    "assignment_not_an_object": (lambda d: d.update(manual_partition([[0, 1]])),
+                                 "partition.assignment: expected an object"),
+    "client_keys_not_integers": (lambda d: d.update(manual_partition({"a": [0], "b": [1]})),
+                                 "partition.assignment: bad client map"),
+}
+
+# id -> (the --set expression ``sweep`` refuses, the message printed)
+SET_REFUSALS = {
+    "empty_key_component": ("train..C=1,2", "--set: empty key component in 'train..C'"),
+    "empty_value": ("train.C=1,,2", "--set: empty value in '1,,2'"),
+    "unknown_key": ("trian.C=1,2", "--set: unknown config key 'trian.C'"),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, case",
+    [(verb, case) for case in CONFIG_REFUSALS for verb in ("run", "sweep")]
+    + [("sweep", case) for case in SET_REFUSALS],
+)
+def test_config_and_set_refusals_exit_2_with_their_message(tmp_path, capsys, verb, case):
+    path = str(tmp_path / "config.json")
+    if case in SET_REFUSALS:
+        set_expr, message = SET_REFUSALS[case]
+        write_config(tmp_path, base_config(tmp_path))
+    else:
+        set_expr = "train.eta=0.05,0.1"
+        edit, message = CONFIG_REFUSALS[case]
+        if isinstance(edit, str):
+            (tmp_path / "config.json").write_text(edit)
+        elif edit is not None:
+            document = base_config(tmp_path)
+            edit(document)
+            write_config(tmp_path, document)
+    argv = ["run", path] if verb == "run" else ["sweep", path, "--set", set_expr]
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- config-level API -------------------------------------------------------
 
 

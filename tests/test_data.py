@@ -160,6 +160,17 @@ def test_synthetic_rejects_too_few_samples():
         fs.synthetic(1, 3, 4, 5)
 
 
+@pytest.mark.parametrize(
+    "input_dim, num_classes, message",
+    [(4, 0, "class count"), (4, -2, "class count"), (0, 3, "input dimension")],
+)
+def test_synthetic_rejects_sizes_below_one(input_dim, num_classes, message):
+    # Without its own check, each of these fails deep in numpy, or returns
+    # a Dataset with no feature columns.
+    with pytest.raises(fs.DataError, match=f"{message} must be at least 1"):
+        fs.synthetic(1, 12, input_dim, num_classes)
+
+
 def test_synthetic_linear_classifier_regression_target():
     # Frozen regression check: centralized softmax regression on a held-out
     # split of the 2-class generator reaches 0.834 (> 0.8) with this config.
@@ -260,6 +271,15 @@ def test_partition_noniid_rejects_bad_divisibility():
     unbalanced = fs.Dataset(np.zeros((11, 2)), np.array([0] * 6 + [1] * 5), 2)
     with pytest.raises(fs.DataError):
         fs.partition_noniid_l(unbalanced, 4, 1, 1)  # group of 5, 2 shards each
+
+
+@pytest.mark.parametrize("clients", [0, -5])
+def test_partition_noniid_rejects_client_counts_below_one(clients):
+    # Without its own check, zero clients divide by zero shards per label,
+    # and -5 clients are refused as "more shards per label than clients".
+    ds = fs.synthetic(7, 1000, 4, 10)
+    with pytest.raises(fs.DataError, match="client count must be at least 1"):
+        fs.partition_noniid_l(ds, clients, 2, 1)
 
 
 def test_partition_manual_roundtrip_and_errors():

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
@@ -147,8 +147,8 @@ def test_step_plan_rejects_bad_windows_or_learning_rates(windows, eta):
 
 def unequal_clients() -> tuple[fs.NetworkSpec, list[fs.Dataset], fs.Dataset]:
     # 13, 22 and 25 samples: at B=4 the clients have 4, 6 and 7 batches and
-    # end on batches of 1, 2 and 1, so steps group clients by batch size and
-    # clients with shorter windows sit steps out.
+    # end on batches of 1, 2 and 1, so a step can train the clients as more
+    # than one range, and clients with shorter windows sit steps out.
     train, test = synthetic_split(12, 60, 20, 4, 3)
     clients = fs.partition_manual(
         train, {0: list(range(13)), 1: list(range(13, 35)), 2: list(range(35, 60))}
@@ -221,57 +221,75 @@ def test_a_round_draws_once_per_distinct_size_of_the_clients_that_start_a_sweep(
             assert calls == [(3, 12)] * (i % 3 == 0) + [(2, 20)] * (i % 5 == 0), i
 
 
-def per_step_groups(sizes: list[tuple[int, ...]]) -> list[tuple[list[int], list[int], int, bool]]:
-    """Each step's ``(members, starts, size, first)`` calls, grouped client by client."""
-    calls, starts = [], [0] * len(sizes)
-    for s in range(max(map(len, sizes))):
-        groups: dict[int, list[int]] = {}
-        for j, batches in enumerate(sizes):
-            if s < len(batches):
-                groups.setdefault(batches[s], []).append(j)
-        for size, members in groups.items():
-            calls.append((members, [starts[j] for j in members], size, s == 0))
-            for j in members:
-                starts[j] += size
-    return calls
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    ns=st.lists(st.integers(1, 14), min_size=1, max_size=6),
-    batch_size=st.integers(1, 5),
-    batch_count=st.integers(1, 4),
-    windows=st.integers(1, 3),
-)
-def test_step_calls_equal_a_client_by_client_grouping(ns, batch_size, batch_count, windows):
-    # Clients whose batch sizes agree all round step as one group, and groups
-    # merge where their batch sizes meet; the calls must be those of grouping
-    # the clients one by one at every step, members ascending.
+def test_equal_clients_make_one_step_call_per_step_over_every_row():
+    # 22 samples at B=5 make batches 5, 5, 5, 5, 2; C=3 cuts them into the
+    # windows (5, 5, 5) and (5, 2). Every step trains rows 0..K-1 at once.
     spec = fs.NetworkSpec(4, (3,), 5)
-    clients = [make_client(n + 5, seed=j) for j, n in enumerate(ns)]
-
-    def schedules():
-        return [fs.BatchSchedule(c, batch_size, batch_count, 2, j) for j, c in enumerate(clients)]
-
-    plan = StepPlan(spec, schedules(), windows, 0.1)
-    reference = schedules()
+    schedules = [fs.BatchSchedule(make_client(22, seed=j), 5, 3, 2, j) for j in range(4)]
+    plan = StepPlan(spec, schedules, 1, 0.1)
     w = fs.init_weights(spec, 1)
     calls = []
     real_step = StepPlan.step
 
-    def recorded_step(plan, members, starts, size, origin=None):
-        calls.append((list(members), list(starts), size, origin is not None))
-        real_step(plan, members, starts, size, origin)
+    def recorded_step(plan, a, b, offset, size, origin=None):
+        calls.append((a, b, offset, size, origin is not None))
+        real_step(plan, a, b, offset, size, origin)
 
     with mock.patch.object(StepPlan, "step", recorded_step):
-        for i in range(4):
+        for i, batches in enumerate([(5, 5, 5), (5, 2), (5, 5, 5)]):
             calls.clear()
             fs.client_update_mmb(plan, i, w)
-            sizes = [
-                tuple(z for e in range(windows) for z in s.window_rows(i * windows + e)[1])
-                for s in reference
-            ]
-            assert calls == per_step_groups(sizes), i
+            assert calls == [(0, 4, sum(batches[:s]), z, s == 0) for s, z in enumerate(batches)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.lists(st.integers(5, 18), min_size=1, max_size=3, unique=True),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    in_order=st.booleans(),
+    mode=st.sampled_from(["fedmmb", "fedavg"]),
+    batch_size=st.integers(1, 5),
+    count=st.integers(1, 3),
+)
+@example(sizes=[9, 14], picks=[0, 0, 0, 1, 1, 1], in_order=False, mode="fedmmb",
+         batch_size=4, count=3)  # two sizes, sorted
+@example(sizes=[9, 14], picks=[0, 1, 0, 1, 0, 1], in_order=False, mode="fedavg",
+         batch_size=4, count=2)  # two sizes, interleaved
+@example(sizes=[16, 7], picks=[0, 0, 1, 0, 0], in_order=False, mode="fedmmb",
+         batch_size=5, count=2)  # one odd-sized client
+def test_any_client_sizes_give_the_per_client_references_bytes(
+    sizes, picks, in_order, mode, batch_size, count
+):
+    # Runs of equal neighbours train as one range and a client that sits a
+    # step out, or trains at another offset, splits its range; whatever the
+    # client sizes and their order, the CSV and the final weights must be
+    # those of training each client alone, in one process and in two.
+    ns = [sizes[p % len(sizes)] for p in picks]
+    if in_order:
+        ns.sort()
+    spec = fs.NetworkSpec(4, (3,), 5)
+    clients = [make_client(n, seed=j) for j, n in enumerate(ns)]
+    test = make_client(20, seed=99)
+    knobs = {"batch_count": count} if mode == "fedmmb" else {"local_epochs": count}
+    cfg = fs.TrainingConfig(
+        mode=mode, learning_rate=0.1, max_rounds=3, batch_size=batch_size, seeds=SEEDS,
+        clients=len(clients), **knobs,
+    )
+    driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
+    reference_log, reference_weights = per_client_reference(cfg, spec, clients, test)
+    expected = (reference_log.to_csv_string(), reference_weights.tobytes())
+
+    def run(hook):
+        return driver(cfg, spec, clients, test, hook)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
+        assert csv_and_final_weights(run) == expected
+    if sys.platform == "linux":
+        with pytest.MonkeyPatch.context() as patch:
+            workers = force_split(patch)
+            assert csv_and_final_weights(run) == expected
+        assert len(workers) == (len(clients) >= 2)
 
 
 def test_gather_copies_source_rows_and_identity_rows_byte_for_byte():
@@ -317,7 +335,7 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
     # Each round fills the stack and the gradient buffer with NaN before it
     # trains, so a client row that a round's first step did not write, or a
     # gradient read before it was written, makes the run diverge. The runs
-    # stay in one process, where first_steps sees every group, until the
+    # stay in one process, where first_steps sees every range, until the
     # last one, which splits its clients 1 | 2 and poisons both plans.
     monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
     spec, clients, test = unequal_clients()
@@ -334,7 +352,7 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
 
     clean_csv, clean_weights = centralized()
     real_update, real_step = federated.client_update_mmb, StepPlan.step
-    first_steps = []  # per round: (batch size, members) of each first-step group
+    first_steps = []  # per round: the (a, b, offset, size) of each first-step range
 
     def poisoned_update(plan, round_index, weights):
         plan.stack.fill(np.nan)
@@ -342,10 +360,10 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
         first_steps.append([])
         return real_update(plan, round_index, weights)
 
-    def recorded_step(plan, members, starts, size, origin=None):
+    def recorded_step(plan, a, b, offset, size, origin=None):
         if origin is not None:
-            first_steps[-1].append((size, members))
-        real_step(plan, members, starts, size, origin)
+            first_steps[-1].append((a, b, offset, size))
+        real_step(plan, a, b, offset, size, origin)
 
     monkeypatch.setattr(federated, "client_update_mmb", poisoned_update)
     monkeypatch.setattr(StepPlan, "step", recorded_step)
@@ -367,8 +385,8 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
         assert len(first_steps) == cfg.max_rounds
         if mode == "fedmmb":
             # Round 1 opens on client 0's short last batch of one sample, so
-            # its first step trains two gathered groups from the global weights.
-            assert first_steps[1] == [(1, [0]), (4, [1, 2])]
+            # its first step trains two ranges from the global weights.
+            assert first_steps[1] == [(0, 1, 0, 1), (1, 3, 0, 4)]
     if sys.platform == "linux":
         workers = force_split(monkeypatch)
         log = fs.run_fedavg(cfg, spec, clients, test)
@@ -396,8 +414,8 @@ def stack_runs() -> dict:
     mmb = config("fedmmb", clients=4, batch_count=2)
     avg = config("fedavg", clients=4, local_epochs=2)
     cent = config("centralized")
-    # The unequal clients' round 1 opens with two first-step groups, so the
-    # first step takes StepPlan.step's general path.
+    # The unequal clients' round 1 opens with two first-step ranges, so the
+    # first step trains ranges short of every client, on views of their rows.
     uneven_mmb = config("fedmmb", clients=3, batch_count=3)
     uneven_avg = config("fedavg", clients=3, local_epochs=2)
     return {
@@ -720,6 +738,37 @@ def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch)
         assert (row.test_loss, row.test_accuracy) == (loss, accuracy)
 
 
+@pytest.mark.parametrize("driver", ["fedmmb", "centralized"])
+def test_a_hook_that_writes_its_weights_logs_what_an_inline_evaluation_logs(driver, monkeypatch):
+    # The evaluation on the thread reads its own copy of the weights, so a
+    # hook that halves them after its round does not change that round's
+    # row; on both paths the next round starts from what the hook wrote.
+    spec, train, test = image_shaped_setup()
+
+    def run(halve: bool) -> tuple[str, bytes]:
+        final = []
+
+        def hook(r, w):
+            if halve:
+                w *= 0.5
+            final.append(w.copy())
+
+        log = image_shaped_run(driver, spec, train, test, hook)
+        return log.to_csv_string(), final[-1].tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        aside = run(halve=True)
+        monkeypatch.setattr(federated, "EVAL_ASIDE_MACS", 10**18)
+        inline = run(halve=True)
+        unhooked = run(halve=False)
+    finally:
+        sys.setswitchinterval(interval)
+    assert aside == inline
+    assert inline[0] != unhooked[0]
+
+
 def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkeypatch):
     # The image-shaped experiment (criterion 3) evaluates on the worker;
     # the 20-d ones (criteria 2, 4, 5, 6) evaluate inline.
@@ -892,10 +941,10 @@ def test_an_exception_in_the_workers_half_raises_a_contract_error_naming_it(
 ):
     real_step = StepPlan.step
 
-    def step(self, members, *args):
-        if any(self.schedules[j].client_index == 3 for j in members):
+    def step(self, a, b, *args):
+        if any(self.schedules[j].client_index == 3 for j in range(a, b)):
             raise RuntimeError("no step for client 3")
-        return real_step(self, members, *args)
+        return real_step(self, a, b, *args)
 
     monkeypatch.setattr(StepPlan, "step", step)
     workers = force_split(monkeypatch)

@@ -140,7 +140,7 @@ def test_golden_digests(name):
 @pytest.mark.parametrize("name", sorted(n for n in CASES if not n.startswith("centralized")))
 def test_golden_digests_with_the_clients_split_across_two_processes(name, monkeypatch):
     # The unequal cases split 1 | 2: their clients end on short batches, and
-    # at C=3 their step groups merge across the split point in a serial run.
+    # at C=3 a serial run's step ranges span the split point.
     workers = force_split(monkeypatch)
     assert run_case(name) == GOLDEN[name]
     assert len(workers) == 1
