@@ -41,6 +41,7 @@ from .config import ExperimentConfig, config_from_dict, load_config, run_experim
 from .errors import ConfigError, ContractError, DataError, FedsimError
 from .metrics import MetricsLog, discordance
 from .rng import STREAM_VERSION
+from .split import _openblas
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -120,16 +121,22 @@ def _environment() -> dict:
 
     ``blas`` is the name and version numpy was built against, or null where
     this numpy's ``show_config`` cannot return them; unset variables are null.
+    ``blas_core`` and ``blas_threads`` are the kernel and thread count the
+    loaded OpenBLAS reports at the end of the run, or null where its runtime
+    API is not found (``split._openblas``).
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):
         blas = None
+    api = _openblas()
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "blas": blas,
+        "blas_core": None if api is None else api.get_corename().decode(),
+        "blas_threads": None if api is None else api.get_num_threads(),
         **{name: os.environ.get(name) for name in _BLAS_ENV},
     }
 
@@ -226,8 +233,6 @@ def _parse_sweep_expr(expr: str, document: dict) -> tuple[list[str], list]:
             except json.JSONDecodeError:
                 pass
         values.append(part)
-    if not values:
-        raise ConfigError("--set: at least one value is required")
     return path, values
 
 

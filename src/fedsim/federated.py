@@ -30,9 +30,6 @@ shadow clients, with zero bytes exchanged. Clients are a list of
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -390,9 +387,12 @@ def _run_rounds(
     When the rounds are long (``_splits``), clients ``K // 2 ..`` train in
     a worker process (``split.Worker``) while this one trains the rest, each
     half on its own step plan over its rows of a shared stack; every
-    client's arithmetic is that of a serial round. The worker is forked
-    before the first round, and before the evaluation thread starts, and
-    is reaped when this call returns or raises.
+    client's arithmetic is that of a serial round. Each round this process
+    copies the global weights into the shared mapping, and the worker
+    replies with its clients' sample and step counts. The worker is forked
+    before the first round, at one BLAS thread (``split.one_blas_thread``),
+    and before the evaluation thread starts. It is reaped when this call
+    returns or raises, and the caller's BLAS thread count is restored then.
 
     When the test set is large (``EVAL_ASIDE_MACS``), each evaluation runs
     on one worker thread, at most one at a time, on its own copy of the
@@ -407,16 +407,17 @@ def _run_rounds(
     eta = config.learning_rate
     worker_round = None  # the worker's half of a round, in a run that splits
     if _splits(schedules, windows):
-        # Only a run that splits loads the worker's module, and mmap with it.
-        from .split import Worker, shared_stack
+        from .split import Worker, one_blas_thread, shared_array
 
-        h = len(schedules) // 2
-        stack, shared_weights = shared_stack(len(schedules), spec.parameter_count)
-        plan = StepPlan(spec, schedules[:h], windows, eta, stack[:h])
-        rest = StepPlan(spec, schedules[h:], windows, eta, stack[h:])
+        k, p = len(schedules), spec.parameter_count
+        shared = shared_array((k + 1) * p)
+        stack, shared_weights = shared[: k * p].reshape(k, p), shared[k * p :]
+        plan = StepPlan(spec, schedules[: k // 2], windows, eta, stack[: k // 2])
+        rest = StepPlan(spec, schedules[k // 2 :], windows, eta, stack[k // 2 :])
 
-        def worker_round(i: int) -> tuple[list[int], list[int]]:
-            return client_update_mmb(rest, i, shared_weights)
+        def worker_round(i: int) -> bytes:
+            samples, steps = client_update_mmb(rest, i, shared_weights)
+            return np.array(samples + steps, dtype=np.int64).tobytes()
 
     else:
         plan = StepPlan(spec, schedules, windows, eta)
@@ -426,18 +427,22 @@ def _run_rounds(
     log = MetricsLog()
     local_updates = 0
     pending = None  # the evaluation on the worker thread: its row's counts and its future
-    # The fork comes last before the first round, and before the thread starts.
+    # The fork comes last before the first round, at one BLAS thread, and
+    # before the thread starts.
     with (
-        Worker(worker_round, shared_weights) if worker_round else nullcontext() as worker,
+        one_blas_thread() if worker_round else nullcontext(),
+        Worker(worker_round, "training worker") if worker_round else nullcontext() as worker,
         _thread() if aside else nullcontext() as pool,
     ):
         for i in range(config.max_rounds):
             if worker is not None:
-                worker.start(i, weights)
+                shared_weights[:] = weights
+                worker.start(i)
             samples, steps = client_update_mmb(plan, i, weights)
             if worker is not None:
-                more_samples, more_steps = worker.finish(i)
-                samples, steps = samples + more_samples, steps + more_steps
+                counts = np.frombuffer(worker.finish(), dtype=np.int64).tolist()
+                samples += counts[: len(counts) // 2]
+                steps += counts[len(counts) // 2 :]
             local_updates += sum(steps)
             weights = aggregate(stack, samples)
             if (i + 1) % config.eval_every == 0:
@@ -456,19 +461,22 @@ def _run_rounds(
 def _splits(schedules: list, windows: int) -> bool:
     """Whether a run trains half its clients in a worker process.
 
-    It does on Linux, with at least two CPUs to run on, at least two
-    clients, and rounds of at least ``SPLIT_MIN_STEPS`` stacked steps: the
-    most batches any client takes in a round. A process that runs other
-    threads does not fork: the worker would hold copies of locks that only
-    those threads could release.
+    It does with at least two clients and rounds of at least
+    ``SPLIT_MIN_STEPS`` stacked steps, the most batches any client takes in
+    a round, when this process may fork (``split.can_fork``: Linux, two
+    CPUs, no other thread) and can hold BLAS at one thread while it trains
+    (``split.blas_holds_one_thread``). At more threads the parent's
+    products wake a second BLAS thread, which competes with the worker for
+    the CPUs.
     """
-    return (
-        sys.platform == "linux"
-        and len(schedules) >= 2
-        and windows * max(min(s.batch_count, s.num_batches) for s in schedules) >= SPLIT_MIN_STEPS
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
+    if len(schedules) < 2:
+        return False
+    if windows * max(min(s.batch_count, s.num_batches) for s in schedules) < SPLIT_MIN_STEPS:
+        return False
+    # Only a run that may split loads the worker's module, and mmap with it.
+    from . import split
+
+    return split.can_fork() and split.blas_holds_one_thread()
 
 
 def _evaluates_aside(spec: NetworkSpec, test_set: Dataset) -> bool:

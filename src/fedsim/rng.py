@@ -13,7 +13,10 @@ before. Each product runs as a float32 matrix product of 0/1 entries and
 keeps the low bit; its sums are whole numbers of at most 256, exact in any
 order, so every BLAS kernel gives the same lanes. That is the same stream,
 bit for bit, as one ``next_uint64`` call per draw, and it leaves the
-generator in the same state. The per-client schedule shuffles use
+generator in the same state. Each lane's draws depend on its start alone,
+so a large ``normal_array`` (``SPLIT_MIN_DRAWS``) fills half its lanes in a
+forked worker (``fedsim.split``) with the same bits; this module imports
+that one only for such a draw. The per-client schedule shuffles use
 ``shuffle_orders``, a counter-based stream that hashes each element's
 counter with the SplitMix64 mixer and sorts by the hashes, for many seeds
 in one call. All of it is pure 64-bit integer arithmetic, so identical seeds
@@ -45,11 +48,23 @@ _GOLDEN = 0x9E3779B97F4A7C15
 STREAM_VERSION = 2
 
 # The lane path of ``uniform_array`` and ``normal_array`` (see
-# ``Xoshiro256PP._raw_blocks``): the lane count, the steps per block, and the
+# ``Xoshiro256PP._fill``): the lane count, the steps per block, and the
 # draw count from which the lanes beat the scalar loop, all set by timing.
 _LANES = 1024
 _BLOCK_STEPS = 64
 _LANE_MIN_DRAWS = 16_000
+
+# A ``normal_array`` of at least this many draws fills the second half of
+# its lanes in a forked worker (``fedsim.split``) while this process fills
+# the first, when ``split.can_fork`` holds; a smaller one does not pay for
+# the fork. Measured on 2 vCPUs at one BLAS thread, in a process of about
+# 40 MB; the median time split over serial of 10 alternating pairs: 50K
+# normals 1.06 (7.0 ms serial, 0 of 10 won), 220K 0.78 (19.8 ms), 524K
+# 0.70, 1M 0.64 (79 ms, 9 of 10 won), 2.35M 0.61 (172 -> 105 ms). The rule
+# splits the 784-d data sets and keeps the 20-d ones (at most 220K normals)
+# call for call as they were. ``uniform_array`` stays serial: at 2**20
+# draws a split took 1.05 of its 20 ms (3 of 10 won).
+SPLIT_MIN_DRAWS = 2**20
 
 
 def _mix64(z: int) -> int:
@@ -194,59 +209,88 @@ class Xoshiro256PP:
 
         Pair ``i`` is draws ``2i`` and ``2i + 1``; it gives normal ``2i``
         (cosine) and ``2i + 1`` (sine). An odd ``n`` drops the last sine but
-        still takes its draw.
+        still takes its draw. From ``SPLIT_MIN_DRAWS`` draws, half the lanes
+        may be drawn in a second process (``_fill``).
         """
-        return self._fill(n, n + (n & 1), _box_muller)
+        return self._fill(n, n + (n & 1), _box_muller, split=True)
 
-    def _fill(self, n: int, draws: int, convert) -> np.ndarray:
+    def _fill(self, n: int, draws: int, convert, split: bool = False) -> np.ndarray:
         """``n`` floats; float ``j`` comes from draw ``j`` of the next ``draws``.
 
         ``convert`` maps a block of raw draws to floats of the same shape.
-        Draw ``j`` lies in lane ``j // stride``, row ``j % stride``, so the
-        first ``lanes - 1`` lanes fill ``out`` as a ``[lanes - 1, stride]``
-        array and the last lane fills the rest.
-        """
-        out = np.empty(n, dtype=np.float64)
-        stride, lanes = _grid(draws)
-        head = out[: (lanes - 1) * stride].reshape(lanes - 1, stride)
-        tail = out[(lanes - 1) * stride :]
-        for row, block in self._raw_blocks(draws):
-            values = convert(block)
-            head[:, row : row + len(block)] = values[:, :-1].T
-            part = tail[row : row + len(block)]
-            part[:] = values[: len(part), -1]
-        return out
-
-    def _raw_blocks(self, draws: int):
-        """The next ``draws`` raw draws, as ``(row, block)`` pieces of a grid.
-
-        ``block[i, l]`` is draw ``l * stride + row + i``, for the
-        ``(stride, lanes)`` of ``_grid(draws)``. Below ``_LANE_MIN_DRAWS``
-        that is one lane and one block, drawn by ``next_uint64``. Otherwise
-        the lanes start ``stride`` draws apart, found by jumping ahead, and
-        step together in numpy, ``_BLOCK_STEPS`` rows a block. ``stride`` and
-        ``_BLOCK_STEPS`` are even, so a draw pair never spans two blocks or
-        two lanes. Either way the generator ends in its state after exactly
-        ``draws`` draws, once the blocks are consumed. The last lane may step
-        on past the last draw; those draws go unused.
+        Below ``_LANE_MIN_DRAWS`` the draws come from ``next_uint64``, as one
+        block. Otherwise they come from the lanes of ``_grid(draws)``, which
+        start ``stride`` draws apart, found by jumping ahead (``_fill_lanes``).
+        With ``split``, from ``SPLIT_MIN_DRAWS`` draws, a forked worker fills
+        lanes ``lanes // 2 ..`` into a shared ``out`` while this process fills
+        the rest, if ``split.can_fork`` holds. Every lane's floats are those
+        of its own serial run, so the bits are the same either way. The
+        generator ends in its state after exactly ``draws`` draws: the state
+        of the last lane after its last draw, sent back by the worker when
+        it fills that lane.
         """
         stride, lanes = _grid(draws)
         if lanes == 1:
             nxt = self.next_uint64
-            if draws:
-                yield 0, np.fromiter((nxt() for _ in range(draws)), np.uint64, draws)[:, None]
-            return
-        s = _lane_starts(self._s, lanes, stride)
-        last = draws - (lanes - 1) * stride  # draws taken by the last lane
-        block = np.empty((_BLOCK_STEPS, lanes), dtype=np.uint64)
-        for row in range(0, stride, _BLOCK_STEPS):
-            rows = min(_BLOCK_STEPS, stride - row)
-            for i in range(rows):
-                _lane_output(s, block[i])
-                _lane_step(s)
-                if row + i + 1 == last:
-                    self._s = s[:, -1].tolist()
-            yield row, block[:rows]
+            raw = np.fromiter((nxt() for _ in range(draws)), np.uint64, draws)
+            out = np.empty(n, dtype=np.float64)
+            out[:] = convert(raw[:, None])[:n, 0]
+            return out
+        starts = _lane_starts(self._s, lanes, stride)
+        if split and draws >= SPLIT_MIN_DRAWS:
+            from .split import Worker, can_fork, shared_array
+
+            if can_fork():
+                out = shared_array(n)
+                half = lanes // 2
+
+                def fill_second_half(_: int) -> bytes:
+                    return _fill_lanes(out, starts[:, half:], half, stride, draws, convert).tobytes()
+
+                with Worker(fill_second_half, "set-up worker") as worker:
+                    worker.start(0)
+                    _fill_lanes(out, starts[:, :half], 0, stride, draws, convert)
+                    self._s = np.frombuffer(worker.finish(), dtype=np.uint64).tolist()
+                return out
+        out = np.empty(n, dtype=np.float64)
+        self._s = _fill_lanes(out, starts, 0, stride, draws, convert).tolist()
+        return out
+
+
+def _fill_lanes(out: np.ndarray, starts: np.ndarray, first: int, stride: int, draws: int,
+                convert) -> np.ndarray:
+    """Write the floats of lanes ``first ..`` of the grid of ``draws`` into ``out``.
+
+    ``starts`` holds the lanes' start states, ``[4, count]``. Draw ``j``
+    lies in lane ``j // stride``, row ``j % stride``: every lane but the
+    grid's last fills ``stride`` floats of ``out``, and the last fills the
+    rest. The lanes step together in numpy, ``_BLOCK_STEPS`` rows a block.
+    ``stride`` and ``_BLOCK_STEPS`` are even, so a draw pair never spans two
+    blocks or two lanes. Returns the state of the range's last lane after
+    ``draws - (lanes - 1) * stride`` draws: when that lane is the grid's
+    last, the generator's state after all ``draws``. The last lane may step
+    on past its last draw; those draws go unused.
+    """
+    lanes = -(-draws // stride)
+    s = np.array(starts)  # a copy: the lanes step in place
+    count = s.shape[1]
+    whole = min(count, lanes - 1 - first)  # the lanes that fill ``stride`` floats
+    body = out[first * stride : (first + whole) * stride].reshape(whole, stride)
+    tail = out[(lanes - 1) * stride :] if whole < count else out[:0]
+    last = draws - (lanes - 1) * stride  # draws taken by the grid's last lane
+    block = np.empty((_BLOCK_STEPS, count), dtype=np.uint64)
+    for row in range(0, stride, _BLOCK_STEPS):
+        rows = min(_BLOCK_STEPS, stride - row)
+        for i in range(rows):
+            _lane_output(s, block[i])
+            _lane_step(s)
+            if row + i + 1 == last:
+                end = s[:, -1].copy()
+        values = convert(block[:rows])
+        body[:, row : row + rows] = values[:, :whole].T
+        part = tail[row : row + rows]
+        part[:] = values[: len(part), -1]
+    return end
 
 
 def _grid(draws: int) -> tuple[int, int]:

@@ -1,14 +1,26 @@
-"""The worker process of a run that trains in two processes.
+"""Work in two processes: the package's one fork runner.
 
-A run whose rounds are long (``federated._splits``) forks one worker
-before its first round. Each round, the worker trains half the clients in
-its rows of a client stack that both processes map, while the run's own
-process trains the other half. Only such a run imports this module.
+``Worker`` forks one process that runs ``task(i)`` for each task index
+``i`` it is sent and sends back the bytes the task returns. Two jobs use
+it, each only when it is large enough to pay for the fork:
 
-The two processes talk over two pipes. The parent sends a round index;
-the worker answers with its clients' sample and step counts, or with the
-type and message of the exception it hit. Each message is its length in
-8 bytes, then its bytes.
+- a run whose rounds are long (``federated._splits``) trains half its
+  clients in the worker, every round;
+- a large ``normal_array`` (``rng.SPLIT_MIN_DRAWS``) draws half its lanes
+  there, once.
+
+Both write their results into an anonymous shared mapping
+(``shared_array``) that both processes see, so only short replies cross
+the pipe. Both fork only when ``can_fork`` holds. A run that trains in two
+processes also holds BLAS at one thread while it does (``one_blas_thread``).
+
+The two processes talk over two pipes. The parent sends a task index; the
+worker answers with ``+`` and the task's bytes, or with ``-`` and the type
+and message of the exception it hit. Each message is its length in 8
+bytes, then its bytes.
+
+``_openblas`` finds the runtime API of the loaded OpenBLAS, which gives the
+thread count and the kernel; ``fedsim run``'s sidecar records both.
 """
 
 from __future__ import annotations
@@ -17,43 +29,62 @@ import gc
 import mmap
 import os
 import signal
-from typing import Callable
+import sys
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ContractError
 
-# A worker's round: its clients' sample counts and step counts, in row order.
-WorkerRound = Callable[[int], tuple[list[int], list[int]]]
+# A worker's task: its index in, its reply out.
+Task = Callable[[int], bytes]
+
+# Environment variables that set the BLAS thread count at start-up.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def shared_stack(k: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """A ``[k, p]`` stack and a ``[p]`` vector in one anonymous shared mapping.
+def can_fork() -> bool:
+    """Whether this process may fork a worker.
+
+    It may on Linux, with at least two CPUs to run on, and with no other
+    Python thread: the worker would hold copies of locks that only those
+    threads could release.
+    """
+    return (
+        sys.platform == "linux"
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def shared_array(n: int) -> np.ndarray:
+    """``n`` float64 values in an anonymous shared mapping.
 
     A forked process shares the mapping, so each side sees what the other
-    writes there.
+    writes there. The mapping is freed with the last array that views it.
     """
-    flat = np.frombuffer(mmap.mmap(-1, 8 * (k + 1) * p), dtype=np.float64)
-    return flat[: k * p].reshape(k, p), flat[k * p :]
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
 
 
 class Worker:
-    """A forked process that runs ``train(i)`` for each round ``i`` it is sent.
+    """A forked process that runs ``task(i)`` for each task index ``i`` it is sent.
 
-    ``train`` reads the global weights from ``weights``, a vector in a
-    shared mapping (``shared_stack``), and writes its clients' rows of the
-    shared stack. Each round the parent copies the global weights in and
-    sends the round index (``start``); ``finish`` returns the counts the
-    worker sends back, and raises ``ContractError`` when the worker sends
-    an exception or has died. The worker ignores SIGINT, closes the pipe
-    ends it does not use, and exits with ``os._exit`` when it reads the
-    end of its pipe, so it never runs the parent's cleanup. Leaving the
-    ``with`` block closes the parent's pipe ends and reaps the worker,
-    after at most the round it is training.
+    ``start(i)`` sends the index; ``finish`` returns the bytes the task
+    returned, and raises ``ContractError``, naming the worker by ``name``,
+    when the worker sends an exception or has died. The task sees the
+    parent's memory as it was at the fork, plus whatever either side writes
+    to a shared mapping (``shared_array``). The worker ignores SIGINT,
+    closes the pipe ends it does not use, and exits with ``os._exit`` when
+    it reads the end of its pipe, so it never runs the parent's cleanup.
+    Leaving the ``with`` block closes the parent's pipe ends and reaps the
+    worker, after at most the task it is running.
     """
 
-    def __init__(self, train: WorkerRound, weights: np.ndarray):
-        self._weights = weights
+    def __init__(self, task: Task, name: str):
+        self.name = name
+        self._index = None  # the task last started
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
         try:
@@ -71,30 +102,29 @@ class Worker:
                 gc.freeze()
                 os.close(self._commands)
                 os.close(self._replies)
-                _serve(train, commands, replies)
+                _serve(task, commands, replies)
                 code = 0
             finally:
                 os._exit(code)
         os.close(commands)
         os.close(replies)
 
-    def start(self, round_index: int, weights: np.ndarray) -> None:
-        """Copy in the global weights and have the worker train round ``round_index``."""
-        self._weights[:] = weights
+    def start(self, index: int) -> None:
+        """Have the worker run task ``index``."""
+        self._index = index
         try:
-            _send(self._commands, round_index.to_bytes(8, "little"))
+            _send(self._commands, index.to_bytes(8, "little"))
         except BrokenPipeError:
-            raise ContractError("the training worker has exited") from None
+            raise ContractError(f"the {self.name} has exited") from None
 
-    def finish(self, round_index: int) -> tuple[list[int], list[int]]:
-        """The worker's sample and step counts for the round, once it has trained it."""
+    def finish(self) -> bytes:
+        """The bytes the last task started returned, once the worker has run it."""
         reply = _receive(self._replies)
         if reply is None:
-            raise ContractError(f"the training worker exited during round {round_index + 1}")
+            raise ContractError(f"the {self.name} exited during task {self._index}")
         if reply[:1] != b"+":
-            raise ContractError(f"the training worker raised {reply[1:].decode()}")
-        counts = np.frombuffer(reply, dtype=np.int64, offset=1).tolist()
-        return counts[: len(counts) // 2], counts[len(counts) // 2 :]
+            raise ContractError(f"the {self.name} raised {reply[1:].decode()}")
+        return reply[1:]
 
     def __enter__(self) -> "Worker":
         return self
@@ -105,12 +135,11 @@ class Worker:
         os.waitpid(self.pid, 0)
 
 
-def _serve(train: WorkerRound, commands: int, replies: int) -> None:
-    """The worker's loop: train each round it is sent, until its pipe ends."""
+def _serve(task: Task, commands: int, replies: int) -> None:
+    """The worker's loop: run each task it is sent, until its pipe ends."""
     while (message := _receive(commands)) is not None:
         try:
-            samples, steps = train(int.from_bytes(message, "little"))
-            reply = b"+" + np.array(samples + steps, dtype=np.int64).tobytes()
+            reply = b"+" + task(int.from_bytes(message, "little"))
         except Exception as exc:  # sent to the parent, which raises it
             reply = f"-{type(exc).__name__}: {exc}".encode()
         _send(replies, reply)
@@ -138,3 +167,76 @@ def _read(fd: int, n: int) -> bytes | None:
             return None
         data += chunk
     return data
+
+
+class OpenBLAS(NamedTuple):
+    """The runtime API of the OpenBLAS that numpy loaded, as ctypes functions."""
+
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+    get_corename: Callable[[], bytes]
+
+
+def _openblas() -> OpenBLAS | None:
+    """The loaded OpenBLAS's thread and kernel functions, or None where none is found.
+
+    It looks, on Linux, in every mapped file whose name contains "blas", for
+    ``<prefix>_get_num_threads<suffix>``, ``_set_num_threads`` and
+    ``_get_corename``. numpy's bundled build uses the prefix
+    ``scipy_openblas`` and the suffix ``64_``; other builds export plain
+    ``openblas_*`` names. Opening a library that is already loaded gives
+    the loaded copy, whose settings numpy's products use.
+    """
+    if sys.platform != "linux":
+        return None
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        fields = (line.split(None, 5) for line in maps)
+        paths = {f[5].strip() for f in fields if len(f) == 6}
+    for path in sorted(p for p in paths if "blas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                names = [f"{prefix}_{f}{suffix}" for f in OpenBLAS._fields]
+                if all(hasattr(lib, name) for name in names):
+                    get, set_, core = (getattr(lib, name) for name in names)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    core.argtypes, core.restype = [], ctypes.c_char_p
+                    return OpenBLAS(get, set_, core)
+    return None
+
+
+def blas_holds_one_thread() -> bool:
+    """Whether a run can hold BLAS at one thread: the API is found, or the environment pins it.
+
+    The environment pins it when at least one of ``_BLAS_THREAD_VARS`` is
+    set and every one that is set reads 1.
+    """
+    if _openblas() is not None:
+        return True
+    values = [os.environ[name].strip() for name in _BLAS_THREAD_VARS if name in os.environ]
+    return bool(values) and all(value == "1" for value in values)
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block at one OpenBLAS thread, then restore the caller's count.
+
+    A process forked inside the block starts at one thread too. Where the
+    API is not found, the block runs as it is (``blas_holds_one_thread``).
+    """
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    threads = api.get_num_threads()
+    api.set_num_threads(1)
+    try:
+        yield
+    finally:
+        api.set_num_threads(threads)

@@ -1,4 +1,4 @@
-"""Shared test utilities: scalar-loop oracles, IDX fixtures and a forced split.
+"""Shared test utilities: scalar-loop oracles, IDX fixtures and forced splits.
 
 The oracles here recompute results with plain Python loops and math calls,
 independently of the vectorized implementation paths they check. The
@@ -18,6 +18,7 @@ import pytest
 
 import fedsim as fs
 import fedsim.federated as federated
+import fedsim.rng as rng
 import fedsim.split as split
 from fedsim import Dataset, NetworkSpec, layer_views
 from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _lane_jump, _mix64, _polymulmod, _xpow
@@ -246,15 +247,14 @@ def per_client_reference(
     return log, weights
 
 
-# A run trains in two processes only on Linux (``federated._splits``).
+# Work runs in two processes only on Linux (``split.can_fork``).
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="runs split only on Linux")
 
 
-def force_split(monkeypatch) -> list:
-    """Split every federated run of two or more clients; returns the list of its workers.
+def record_workers(monkeypatch) -> list:
+    """Two CPUs to run on, and the list of each ``split.Worker`` started from now on.
 
-    It sets the split rule's inputs, the CPU count and ``SPLIT_MIN_STEPS``,
-    and records each ``split.Worker`` that the runs start, in the parent only.
+    Workers are recorded in the parent only.
     """
     workers = []
 
@@ -263,7 +263,25 @@ def force_split(monkeypatch) -> list:
             super().__init__(*args)
             workers.append(self)
 
-    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(split, "Worker", Recorded)
     return workers
+
+
+def force_split(monkeypatch) -> list:
+    """Split every federated run of two or more clients; returns the list of its workers.
+
+    It sets the split rule's inputs, the CPU count and ``SPLIT_MIN_STEPS``.
+    """
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 1)
+    return record_workers(monkeypatch)
+
+
+def force_setup_split(monkeypatch, min_draws: int) -> list:
+    """Split every ``normal_array`` of at least ``min_draws`` lane-path draws.
+
+    It sets the CPU count and ``rng.SPLIT_MIN_DRAWS``, and returns the list
+    of the workers started.
+    """
+    monkeypatch.setattr(rng, "SPLIT_MIN_DRAWS", min_draws)
+    return record_workers(monkeypatch)

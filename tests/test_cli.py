@@ -11,6 +11,7 @@ import fedsim as fs
 import fedsim.cli as cli
 from fedsim.cli import ComparisonSpec, cmd_compare, main
 from fedsim.config import config_from_dict, load_config, run_experiment
+from fedsim.split import _openblas
 
 
 def base_config(tmp_path, name="run"):
@@ -350,11 +351,15 @@ def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monke
     assert main(["run", path]) == 0
     unset_csv = (tmp_path / "out" / "run.csv").read_bytes()
     environment = json.loads((tmp_path / "out" / "run.json").read_text())["environment"]
-    assert set(environment) == {"python", "numpy", "blas", *blas_vars}
+    assert set(environment) == {"python", "numpy", "blas", "blas_core", "blas_threads", *blas_vars}
     assert environment["python"] == "%d.%d.%d" % sys.version_info[:3]
     assert environment["numpy"] == np.__version__
     assert environment["blas"] is None or set(environment["blas"]) == {"name", "version"}
     assert all(environment[name] is None for name in blas_vars)
+    api = _openblas()
+    assert (environment["blas_core"], environment["blas_threads"]) == (
+        (None, None) if api is None else (api.get_corename().decode(), api.get_num_threads())
+    )
 
     # Set after numpy loaded, the variables change the stamp but not the BLAS.
     monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
@@ -367,6 +372,19 @@ def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monke
     csv = (tmp_path / "out" / "run.csv").read_bytes()
     assert csv == unset_csv
     assert csv.decode() == run_experiment(load_config(path)).to_csv_string()
+
+
+def test_sidecar_records_null_blas_kernel_and_threads_where_the_api_is_not_found(
+    tmp_path, monkeypatch
+):
+    path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["run", path]) == 0
+    csv = (tmp_path / "out" / "run.csv").read_bytes()
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert main(["run", path]) == 0
+    environment = json.loads((tmp_path / "out" / "run.json").read_text())["environment"]
+    assert environment["blas_core"] is None and environment["blas_threads"] is None
+    assert (tmp_path / "out" / "run.csv").read_bytes() == csv
 
 
 def test_output_name_cannot_leave_output_dir(tmp_path):
@@ -639,6 +657,7 @@ CONFIG_REFUSALS = {
 SET_REFUSALS = {
     "empty_key_component": ("train..C=1,2", "--set: empty key component in 'train..C'"),
     "empty_value": ("train.C=1,,2", "--set: empty value in '1,,2'"),
+    "no_value": ("train.C=", "--set: empty value in ''"),
     "unknown_key": ("trian.C=1,2", "--set: unknown config key 'trian.C'"),
 }
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import fedsim as fs
 import fedsim.data as data
 import fedsim.federated as federated
+import fedsim.split as split
 from fedsim.cli import main as cli_main
 from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
@@ -933,6 +934,65 @@ def test_the_split_rule_reads_platform_cpus_clients_steps_and_threads(monkeypatc
     assert not other.is_alive()
     monkeypatch.setattr(sys, "platform", "darwin")
     assert not federated._splits(schedules, 1)
+
+
+def test_without_the_blas_api_a_run_splits_only_where_the_environment_pins_one_thread(
+    monkeypatch,
+):
+    schedules = [client_schedule(40, batch_size=5, batch_count=3)] * 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+    for name in split._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(split, "_openblas", lambda: None)
+    assert not federated._splits(schedules, 1)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert federated._splits(schedules, 1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert not federated._splits(schedules, 1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert federated._splits(schedules, 1)
+
+
+@linux_only
+@pytest.mark.skipif(split._openblas() is None, reason="needs the OpenBLAS runtime API")
+@pytest.mark.parametrize("fault", [None, "hook"], ids=["returns", "raises"])
+def test_a_split_run_trains_at_one_blas_thread_and_restores_the_callers_count(
+    fault, monkeypatch
+):
+    api = split._openblas()
+    caller = api.get_num_threads()
+    workers = force_split(monkeypatch)
+    seen = []
+
+    def hook(r, w):
+        seen.append(api.get_num_threads())
+        if fault and r == 2:
+            raise ValueError("hook failed")
+
+    api.set_num_threads(2)
+    try:
+        if fault:
+            with pytest.raises(ValueError):
+                four_client_run(hook)
+        else:
+            four_client_run(hook)
+        assert api.get_num_threads() == 2
+    finally:
+        api.set_num_threads(caller)
+    assert seen and set(seen) == {1}
+    assert len(workers) == 1
+
+
+@linux_only
+def test_a_split_run_without_the_blas_api_gives_the_serial_bytes(monkeypatch):
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
+    serial = csv_and_final_weights(four_client_run)
+    workers = force_split(monkeypatch)
+    monkeypatch.setattr(split, "_openblas", lambda: None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert csv_and_final_weights(four_client_run) == serial
+    assert len(workers) == 1
 
 
 @linux_only

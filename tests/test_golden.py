@@ -20,7 +20,9 @@ draws keep their bits under every kernel (``tests/test_blas_kernels.py``).
 ``demos/blas_kernel_probe.py`` prints this table.
 
 The five federated cases run a second time with their clients split across
-two processes (``force_split``), and must give the same digests.
+two processes (``force_split``), and must give the same digests. So do the
+lane-path draws, with their normals drawn in one process and in two
+(``force_setup_split``).
 """
 
 import hashlib
@@ -32,7 +34,7 @@ import fedsim as fs
 from fedsim.data import synthetic, synthetic_split
 from fedsim.rng import Xoshiro256PP
 
-from helpers import force_split, linux_only
+from helpers import force_setup_split, force_split, linux_only
 
 SEEDS = fs.Seeds(init=3, shuffle=4, partition=5)
 SPEC = fs.NetworkSpec(5, (6,), 3)
@@ -151,6 +153,19 @@ def test_golden_digests_with_the_clients_split_across_two_processes(name, monkey
 # (SHA-256 of the float64 bytes) were taken with the scalar loops that the
 # lane path replaced.
 def test_lane_path_digests():
+    assert_lane_path_digests()
+
+
+@linux_only
+@pytest.mark.parametrize("processes", [1, 2])
+def test_lane_path_digests_with_the_normals_drawn_in_one_or_two_processes(processes, monkeypatch):
+    # Two processes split synthetic's 2.35M normals and the 100,001.
+    workers = force_setup_split(monkeypatch, 40_000 if processes == 2 else 2**62)
+    assert_lane_path_digests()
+    assert len(workers) == 2 * (processes - 1)
+
+
+def assert_lane_path_digests() -> None:
     assert float64_digest(synthetic(1, 3000, 784, 10).features) == (
         "92badcd596e0c1e445c0a3f94ec7f59cb2b3e85bb3f486cfac510ffc503b6a2b"
     )

@@ -1,10 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedsim.rng as rng
+from fedsim.errors import ContractError
 from fedsim.rng import (
     _CHARPOLY,
     _LANE_MIN_DRAWS,
@@ -12,6 +15,7 @@ from fedsim.rng import (
     _MASK64,
     Xoshiro256PP,
     _bits_state,
+    _grid,
     _lane_jump,
     _lane_starts,
     _state_bits,
@@ -22,6 +26,8 @@ from fedsim.rng import (
     splitmix64,
 )
 from helpers import (
+    force_setup_split,
+    linux_only,
     reference_lane_starts,
     reference_normal_array,
     reference_shuffle_order,
@@ -328,3 +334,55 @@ def test_shuffle_orders_rows_are_single_draws_and_stable_argsorts(seeds, n):
     for seed, row in zip(seeds, orders):
         assert np.array_equal(row, shuffle_order(seed, n))
         assert row.tolist() == reference_shuffle_order(seed, n)
+
+
+# --- large normal arrays drawn in two processes -----------------------------
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "n, min_draws, splits",
+    [(100_001, 40_000, True), (16_001, 16_000, True), (39_999, 40_000, True),
+     (39_998, 40_000, False)],
+    ids=["odd_n", "odd_lane_count", "at_the_rule", "below_the_rule"],
+)
+def test_a_split_normal_array_gives_the_serial_bits_and_end_state(n, min_draws, splits,
+                                                                   monkeypatch):
+    assert _grid(16_002)[1] == 1001  # the worker fills lanes 500..1000, the tail among them
+    serial = Xoshiro256PP(23)
+    want = serial.normal_array(n)  # below SPLIT_MIN_DRAWS: one process
+    workers = force_setup_split(monkeypatch, min_draws)
+    forked = Xoshiro256PP(23)
+    got = forked.normal_array(n)
+    assert got.tobytes() == want.tobytes()
+    assert forked.next_uint64() == serial.next_uint64()
+    assert len(workers) == splits
+
+
+@linux_only
+def test_uniform_array_stays_in_one_process(monkeypatch):
+    workers = force_setup_split(monkeypatch, 40_000)
+    Xoshiro256PP(1).uniform_array(50_000, 0.0, 1.0)
+    assert workers == []
+
+
+@linux_only
+def test_a_set_up_worker_that_raises_raises_a_contract_error_and_is_reaped(monkeypatch):
+    parent, real = os.getpid(), rng._box_muller
+
+    def box_muller(d):
+        if os.getpid() != parent:
+            raise RuntimeError("no normals in the worker")
+        return real(d)
+
+    monkeypatch.setattr(rng, "_box_muller", box_muller)
+    workers = force_setup_split(monkeypatch, 40_000)
+    generator = Xoshiro256PP(3)
+    state = list(generator._s)
+    with pytest.raises(ContractError,
+                       match="set-up worker raised RuntimeError: no normals in the worker"):
+        generator.normal_array(40_000)
+    assert len(workers) == 1
+    assert generator._s == state  # a failed draw leaves the generator where it was
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
