@@ -62,18 +62,21 @@ def make_image_blobs(
 
     Class c is a fixed random template; samples add pixel noise and clip to
     [0, 255]. Labels are round-robin, so any prefix whose length is a
-    multiple of ``num_classes`` is exactly balanced.
+    multiple of ``num_classes`` is exactly balanced. The pixels are built in
+    place in the array the noise is drawn into.
     """
     dim = side * side
     rng = Xoshiro256PP(derive_seed(seed, 0x1D8))
-    templates = np.stack(
-        [rng.uniform_array(dim, 40.0, 215.0) for _ in range(num_classes)]
-    )
-    labels = np.arange(n, dtype=np.int64) % num_classes
-    noise = rng.normal_array(n * dim).reshape(n, dim) * 60.0
-    pixels = np.clip(templates[labels] + noise, 0.0, 255.0)
-    images = np.rint(pixels).astype(np.uint8).reshape(n, side, side)
-    return images, labels.astype(np.uint8)
+    templates = [rng.uniform_array(dim, 40.0, 215.0) for _ in range(num_classes)]
+    labels = (np.arange(n, dtype=np.int64) % num_classes).astype(np.uint8)
+    pixels = rng.normal_array(n * dim).reshape(n, dim)
+    pixels *= 60.0
+    for c, template in enumerate(templates):
+        rows = pixels[c::num_classes]
+        np.add(rows, template, out=rows)
+    np.clip(pixels, 0.0, 255.0, out=pixels)
+    np.rint(pixels, out=pixels)
+    return pixels.astype(np.uint8).reshape(n, side, side), labels
 
 
 def image_surrogate() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:

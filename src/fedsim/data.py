@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +132,15 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
 
 
 def load_csv(path: str, num_classes: int, header: bool = False) -> Dataset:
-    """Load a label-first CSV: each row is ``label, feature_1, ..., feature_d``."""
-    rows: list[list[float]] = []
+    """Load a label-first CSV: each row is ``label, feature_1, ..., feature_d``.
+
+    The features are parsed row by row into one flat ``array("d")`` that the
+    returned matrix views, so a load holds about the size of its data, not
+    a Python float per value.
+    """
+    values = array("d")
     labels: list[int] = []
+    width = 0
     try:
         f = open(path, newline="")
     except OSError as exc:
@@ -149,25 +156,26 @@ def load_csv(path: str, num_classes: int, header: bool = False) -> Dataset:
                     raise DataError(f"{path}:{lineno}: need a label and at least one feature")
                 try:
                     label = int(cells[0])
-                    values = [float(c) for c in cells[1:]]
+                    row = [float(c) for c in cells[1:]]
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
-                if not all(math.isfinite(v) for v in values):
+                if not all(math.isfinite(v) for v in row):
                     raise DataError(f"{path}:{lineno}: non-finite feature (nan or inf)")
                 if not (0 <= label < num_classes):
                     raise DataError(f"{path}:{lineno}: label {label} out of range")
-                if rows and len(values) != len(rows[0]):
+                if labels and len(row) != width:
                     raise DataError(
-                        f"{path}:{lineno}: ragged row"
-                        f" ({len(values)} features, expected {len(rows[0])})"
+                        f"{path}:{lineno}: ragged row ({len(row)} features, expected {width})"
                     )
-                rows.append(values)
+                width = len(row)
+                values.extend(row)
                 labels.append(label)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot parse CSV {path}: {exc}") from exc
-    if not rows:
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), num_classes)
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width)
+    return Dataset(features, np.array(labels, dtype=np.int64), num_classes)
 
 
 def synthetic(seed: int, n: int, input_dim: int, num_classes: int) -> Dataset:
@@ -176,6 +184,13 @@ def synthetic(seed: int, n: int, input_dim: int, num_classes: int) -> Dataset:
     Class ``c`` is centered at a seeded random unit-norm direction scaled by
     2.0, with isotropic unit noise. Labels are assigned round-robin, so
     class counts are balanced to within one sample.
+
+    One ``normal_array`` call draws everything: first one block of
+    ``input_dim`` normals per class, rounded up to an even count, whose
+    first ``input_dim`` are the class's direction, then the noise. That is
+    the stream of one call per direction and one for the noise. Each class
+    center is then added to its own rows of the noise in place, so the
+    features live in the array the normals were drawn into.
     """
     if num_classes < 1:
         raise DataError("class count must be at least 1")
@@ -184,13 +199,15 @@ def synthetic(seed: int, n: int, input_dim: int, num_classes: int) -> Dataset:
     if n < num_classes:
         raise DataError("need at least one sample per class")
     rng = Xoshiro256PP(derive_seed(seed, 0xDA7A))
-    centers = np.empty((num_classes, input_dim), dtype=np.float64)
+    block = input_dim + (input_dim & 1)
+    normals = rng.normal_array(num_classes * block + n * input_dim)
+    features = normals[num_classes * block :].reshape(n, input_dim)
     for c in range(num_classes):
-        direction = rng.normal_array(input_dim)
-        centers[c] = 2.0 * direction / np.linalg.norm(direction)
+        # A contiguous copy: the norm's BLAS dot product sees a fresh array.
+        direction = normals[c * block : c * block + input_dim].copy()
+        rows = features[c::num_classes]
+        np.add(rows, 2.0 * direction / np.linalg.norm(direction), out=rows)
     labels = np.arange(n, dtype=np.int64) % num_classes
-    noise = rng.normal_array(n * input_dim).reshape(n, input_dim)
-    features = centers[labels] + noise
     return Dataset(features, labels, num_classes)
 
 
@@ -202,10 +219,14 @@ def synthetic_split(
     Both sides share the same class centers (one draw of ``n_train + n_test``
     samples, sliced), and both stay label-balanced whenever each size is a
     multiple of ``num_classes``, which the label-skew partitioner needs.
+    Train is rows ``[:n_train]`` and test rows ``[n_train:]``, as views of
+    one array.
     """
     full = synthetic(seed, n_train + n_test, input_dim, num_classes)
-    idx = np.arange(full.n)
-    return full.subset(idx[:n_train]), full.subset(idx[n_train:])
+    return (
+        Dataset(full.features[:n_train], full.labels[:n_train], num_classes),
+        Dataset(full.features[n_train:], full.labels[n_train:], num_classes),
+    )
 
 
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -400,14 +400,16 @@ def _run_rounds(
     end of the run; rows stay in round order, and an evaluation that
     raises raises there. The hook may run before its round's evaluation
     ends, and may write the weights it is given. The thread lives only
-    inside this call.
+    inside this call. Such a run also trains at one BLAS thread: on two
+    CPUs the evaluation's products and this thread's would otherwise wake
+    a second BLAS thread each, which compete for the CPUs.
     """
     _require_data(spec, test_set.features, test_set.labels)
     aside = _evaluates_aside(spec, test_set)
     eta = config.learning_rate
     worker_round = None  # the worker's half of a round, in a run that splits
     if _splits(schedules, windows):
-        from .split import Worker, one_blas_thread, shared_array
+        from .split import Worker, shared_array
 
         k, p = len(schedules), spec.parameter_count
         shared = shared_array((k + 1) * p)
@@ -427,10 +429,15 @@ def _run_rounds(
     log = MetricsLog()
     local_updates = 0
     pending = None  # the evaluation on the worker thread: its row's counts and its future
+    blas_threads = nullcontext()
+    if worker_round or aside:
+        from .split import one_blas_thread
+
+        blas_threads = one_blas_thread()
     # The fork comes last before the first round, at one BLAS thread, and
     # before the thread starts.
     with (
-        one_blas_thread() if worker_round else nullcontext(),
+        blas_threads,
         Worker(worker_round, "training worker") if worker_round else nullcontext() as worker,
         _thread() if aside else nullcontext() as pool,
     ):

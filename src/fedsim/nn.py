@@ -133,26 +133,24 @@ def _check_batch(
 
 def _forward_core(
     layers: list[tuple[np.ndarray, np.ndarray]], features: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Unchecked forward pass: (pre-activations, activations, log-probs).
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Unchecked forward pass: (each layer's input, log-probs).
 
-    A client stack (layers ``[K, ...]``, features ``[K, b, d]``) runs
+    The inputs are ``features`` and then each hidden layer's activation.
+    The ReLU overwrites its pre-activation, so each hidden layer holds one
+    array. A client stack (layers ``[K, ...]``, features ``[K, b, d]``) runs
     through the same operations, one matrix product per client.
     """
     activations = [features]
-    pre_acts: list[np.ndarray] = []
-    a = features
     for l, (w, b) in enumerate(layers):
-        z = a @ w
+        z = activations[l] @ w
         z += b[..., None, :]
-        pre_acts.append(z)
         if l < len(layers) - 1:
-            a = np.maximum(z, 0.0)
-            activations.append(a)
-    logits = pre_acts[-1]
+            activations.append(np.maximum(z, 0.0, out=z))
+    logits = z
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return pre_acts, activations, log_probs
+    return activations, log_probs
 
 
 def _loss(log_probs: np.ndarray, labels: np.ndarray) -> float:
@@ -169,7 +167,7 @@ def _forward_full(
     bit for bit, because they share ``_forward_core`` and ``_loss``.
     """
     layers = _check_batch(spec, params, batch)
-    _, _, log_probs = _forward_core(layers, batch.features)
+    _, log_probs = _forward_core(layers, batch.features)
     return log_probs, _loss(log_probs, batch.labels)
 
 
@@ -192,11 +190,13 @@ def _gradients_into(
     ``[..., b, classes]``, the one-hot float64 rows of the labels. The
     output delta is ``(p - targets) / b``: subtracting a target's 0.0 leaves
     a probability as it is, bit for bit, and its 1.0 gives ``fl(p - 1.0)``,
-    so this equals subtracting 1.0 at each label. The inputs may be strided
-    views: every product acts on one client's rows. Returns the
-    log-probabilities, from which callers that want the loss take it.
+    so this equals subtracting 1.0 at each label. The ReLU's mask comes
+    from its activation: ``max(z, 0) > 0`` is ``z > 0`` for every float,
+    NaN and signed zero included. The inputs may be strided views: every
+    product acts on one client's rows. Returns the log-probabilities, from
+    which callers that want the loss take it.
     """
-    pre_acts, activations, log_probs = _forward_core(layers, features)
+    activations, log_probs = _forward_core(layers, features)
     delta = np.exp(log_probs)
     delta -= targets
     delta /= features.shape[-2]
@@ -206,7 +206,7 @@ def _gradients_into(
         delta.sum(axis=-2, out=gb)
         if l > 0:
             delta = delta @ layers[l][0].swapaxes(-1, -2)
-            delta *= pre_acts[l - 1] > 0.0
+            delta *= activations[l] > 0.0
     return log_probs
 
 

@@ -210,7 +210,9 @@ class Xoshiro256PP:
         Pair ``i`` is draws ``2i`` and ``2i + 1``; it gives normal ``2i``
         (cosine) and ``2i + 1`` (sine). An odd ``n`` drops the last sine but
         still takes its draw. From ``SPLIT_MIN_DRAWS`` draws, half the lanes
-        may be drawn in a second process (``_fill``).
+        may be drawn in a second process (``_fill``); their floats pass
+        through a shared buffer into the returned array, which is the
+        caller's private memory either way.
         """
         return self._fill(n, n + (n & 1), _box_muller, split=True)
 
@@ -222,12 +224,14 @@ class Xoshiro256PP:
         block. Otherwise they come from the lanes of ``_grid(draws)``, which
         start ``stride`` draws apart, found by jumping ahead (``_fill_lanes``).
         With ``split``, from ``SPLIT_MIN_DRAWS`` draws, a forked worker fills
-        lanes ``lanes // 2 ..`` into a shared ``out`` while this process fills
-        the rest, if ``split.can_fork`` holds. Every lane's floats are those
-        of its own serial run, so the bits are the same either way. The
-        generator ends in its state after exactly ``draws`` draws: the state
-        of the last lane after its last draw, sent back by the worker when
-        it fills that lane.
+        lanes ``lanes // 2 ..`` into an anonymous shared mapping while this
+        process fills the rest straight into ``out``, if ``split.can_fork``
+        holds; then this process copies the worker's floats into ``out``
+        and drops the mapping, so the array it returns is private memory.
+        Every lane's floats are those of its own serial run, so the bits are
+        the same either way. The generator ends in its state after exactly
+        ``draws`` draws: the state of the last lane after its last draw,
+        sent back by the worker when it fills that lane.
         """
         stride, lanes = _grid(draws)
         if lanes == 1:
@@ -241,16 +245,19 @@ class Xoshiro256PP:
             from .split import Worker, can_fork, shared_array
 
             if can_fork():
-                out = shared_array(n)
                 half = lanes // 2
+                second = shared_array(n - half * stride)
 
                 def fill_second_half(_: int) -> bytes:
-                    return _fill_lanes(out, starts[:, half:], half, stride, draws, convert).tobytes()
+                    end = _fill_lanes(second, starts[:, half:], half, stride, draws, convert)
+                    return end.tobytes()
 
                 with Worker(fill_second_half, "set-up worker") as worker:
                     worker.start(0)
+                    out = np.empty(n, dtype=np.float64)
                     _fill_lanes(out, starts[:, :half], 0, stride, draws, convert)
                     self._s = np.frombuffer(worker.finish(), dtype=np.uint64).tolist()
+                out[half * stride :] = second
                 return out
         out = np.empty(n, dtype=np.float64)
         self._s = _fill_lanes(out, starts, 0, stride, draws, convert).tolist()
@@ -263,8 +270,9 @@ def _fill_lanes(out: np.ndarray, starts: np.ndarray, first: int, stride: int, dr
 
     ``starts`` holds the lanes' start states, ``[4, count]``. Draw ``j``
     lies in lane ``j // stride``, row ``j % stride``: every lane but the
-    grid's last fills ``stride`` floats of ``out``, and the last fills the
-    rest. The lanes step together in numpy, ``_BLOCK_STEPS`` rows a block.
+    grid's last fills ``stride`` floats, and the last fills the rest.
+    ``out`` starts at lane ``first``'s first float. The lanes step together
+    in numpy, ``_BLOCK_STEPS`` rows a block.
     ``stride`` and ``_BLOCK_STEPS`` are even, so a draw pair never spans two
     blocks or two lanes. Returns the state of the range's last lane after
     ``draws - (lanes - 1) * stride`` draws: when that lane is the grid's
@@ -275,8 +283,8 @@ def _fill_lanes(out: np.ndarray, starts: np.ndarray, first: int, stride: int, dr
     s = np.array(starts)  # a copy: the lanes step in place
     count = s.shape[1]
     whole = min(count, lanes - 1 - first)  # the lanes that fill ``stride`` floats
-    body = out[first * stride : (first + whole) * stride].reshape(whole, stride)
-    tail = out[(lanes - 1) * stride :] if whole < count else out[:0]
+    body = out[: whole * stride].reshape(whole, stride)
+    tail = out[whole * stride :] if whole < count else out[:0]
     last = draws - (lanes - 1) * stride  # draws taken by the grid's last lane
     block = np.empty((_BLOCK_STEPS, count), dtype=np.uint64)
     for row in range(0, stride, _BLOCK_STEPS):

@@ -9,10 +9,11 @@ it, each only when it is large enough to pay for the fork:
 - a large ``normal_array`` (``rng.SPLIT_MIN_DRAWS``) draws half its lanes
   there, once.
 
-Both write their results into an anonymous shared mapping
+Both pass their results through an anonymous shared mapping
 (``shared_array``) that both processes see, so only short replies cross
 the pipe. Both fork only when ``can_fork`` holds. A run that trains in two
-processes also holds BLAS at one thread while it does (``one_blas_thread``).
+processes, or evaluates on a worker thread, also holds BLAS at one thread
+while it does (``one_blas_thread``).
 
 The two processes talk over two pipes. The parent sends a task index; the
 worker answers with ``+`` and the task's bytes, or with ``-`` and the type
@@ -25,6 +26,7 @@ thread count and the kernel; ``fedsim run``'s sidecar records both.
 
 from __future__ import annotations
 
+import functools
 import gc
 import mmap
 import os
@@ -177,6 +179,7 @@ class OpenBLAS(NamedTuple):
     get_corename: Callable[[], bytes]
 
 
+@functools.cache
 def _openblas() -> OpenBLAS | None:
     """The loaded OpenBLAS's thread and kernel functions, or None where none is found.
 
@@ -185,7 +188,8 @@ def _openblas() -> OpenBLAS | None:
     ``_get_corename``. numpy's bundled build uses the prefix
     ``scipy_openblas`` and the suffix ``64_``; other builds export plain
     ``openblas_*`` names. Opening a library that is already loaded gives
-    the loaded copy, whose settings numpy's products use.
+    the loaded copy, whose settings numpy's products use. The lookup runs
+    once per process.
     """
     if sys.platform != "linux":
         return None

@@ -1,6 +1,9 @@
+import csv
 import dataclasses
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
-from fedsim.claims import balanced_subset, make_image_blobs
+import fedsim.rng as rng
+from fedsim.claims import balanced_subset, image_surrogate, make_image_blobs
 from fedsim.data import synthetic_split
-from fedsim.rng import shuffle_order
+from fedsim.rng import Xoshiro256PP, derive_seed, shuffle_order
 
 from helpers import mnist_idx_paths, window_batches, write_idx_pair
 
@@ -22,6 +26,21 @@ def multiset(dataset: fs.Dataset) -> list[tuple]:
 
 def clients_multiset(clients: list[fs.Dataset]) -> list[tuple]:
     return sorted(row for c in clients for row in multiset(c))
+
+
+def traced_peak(make):
+    """What ``make()`` returns, and the peak bytes it held above what was held before it.
+
+    ``tracemalloc`` sees numpy's buffers and ``array``'s as well as Python
+    objects.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 # --- dataset type -----------------------------------------------------------
@@ -139,6 +158,36 @@ def test_load_csv_errors(tmp_path):
         fs.load_csv(str(bad_label), 2)
 
 
+def test_load_csv_gives_the_bytes_of_a_row_list(tmp_path):
+    # The reader parses into one flat buffer; a list of rows through
+    # np.array is the oracle. A header, CRLF line ends, blank lines and
+    # several spellings of a float.
+    path = tmp_path / "data.csv"
+    path.write_bytes(
+        b"label,a,b,c\r\n2,0.1,-3e-5,7\r\n\r\n0,1e308,-0.0, 4.5\r\n"
+        b"1,5e-324,.25,1_0\r\n\r\n2,-1,2.5E2,0.3333333333333333\r\n"
+    )
+    ds = fs.load_csv(str(path), 3, header=True)
+    with open(path, newline="") as f:
+        rows = [cells for cells in list(csv.reader(f))[1:] if cells]
+    oracle = np.array([[float(c) for c in cells[1:]] for cells in rows], dtype=np.float64)
+    assert ds.features.shape == oracle.shape == (4, 3)
+    assert ds.features.tobytes() == oracle.tobytes()
+    assert ds.labels.tolist() == [int(cells[0]) for cells in rows]
+
+
+def test_load_csv_holds_about_the_size_of_its_data(tmp_path):
+    # A Python float per value would hold about 5x the returned matrix.
+    n, d = 400, 300
+    values = Xoshiro256PP(3).uniform_array(n * d, -1.0, 1.0).reshape(n, d)
+    path = tmp_path / "wide.csv"
+    lines = [f"{i % 3}," + ",".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    ds, peak = traced_peak(lambda: fs.load_csv(str(path), 3))
+    assert ds.features.tobytes() == values.tobytes()
+    assert peak <= 1.5 * ds.features.nbytes
+
+
 # --- synthetic generator ----------------------------------------------------
 
 
@@ -186,6 +235,41 @@ def test_synthetic_linear_classifier_regression_target():
     )
     log = fs.run_centralized(cfg, spec, train, test)
     assert log.rows[-1].test_accuracy > 0.8
+
+
+def per_class_synthetic(seed: int, n: int, input_dim: int, num_classes: int) -> np.ndarray:
+    """``synthetic``'s features drawn as one ``normal_array`` call per class direction."""
+    generator = Xoshiro256PP(derive_seed(seed, 0xDA7A))
+    centers = np.empty((num_classes, input_dim))
+    for c in range(num_classes):
+        direction = generator.normal_array(input_dim)
+        centers[c] = 2.0 * direction / np.linalg.norm(direction)
+    noise = generator.normal_array(n * input_dim).reshape(n, input_dim)
+    return centers[np.arange(n) % num_classes] + noise
+
+
+@pytest.mark.parametrize(
+    "n, input_dim, num_classes",
+    [(7, 3, 2), (30, 4, 5), (31, 5, 3), (1001, 17, 10), (1999, 9, 4), (26, 784, 10)],
+)
+def test_synthetic_draws_what_one_call_per_class_direction_draws(n, input_dim, num_classes):
+    # One normal_array call draws every direction and the noise; an odd width
+    # leaves one unused normal after each direction, as the per-class call's
+    # dropped sine. The two largest cases take the lane path.
+    ds = fs.synthetic(11, n, input_dim, num_classes)
+    assert ds.features.tobytes() == per_class_synthetic(11, n, input_dim, num_classes).tobytes()
+
+
+def test_synthetic_split_builds_its_data_in_one_array(monkeypatch):
+    # In one process (no set-up split), so that tracemalloc sees every
+    # buffer. Building the features from a gathered center matrix and
+    # copying both sides out held about twice the data.
+    monkeypatch.setattr(rng, "SPLIT_MIN_DRAWS", 10**12)
+    (train, test), peak = traced_peak(lambda: synthetic_split(1, 2000, 1000, 784, 10))
+    assert peak <= 1.3 * (train.features.nbytes + test.features.nbytes)
+    for a, b in [(train.features, test.features), (train.labels, test.labels)]:
+        assert a.base is not None and a.base is b.base
+        assert not np.shares_memory(a, b)
 
 
 def test_synthetic_split_shares_centers_and_balance():
@@ -507,3 +591,17 @@ def test_image_blob_fixture_roundtrips_through_idx(tmp_path):
     ds = fs.load_idx(images_path, labels_path)
     assert ds.n == 40 and ds.input_dim == 16 and ds.num_classes == 10
     np.testing.assert_array_equal(np.bincount(ds.labels), np.full(10, 4))
+
+
+# SHA-256 of image_surrogate(): each array's dtype and shape, then its bytes.
+IMAGE_SURROGATE_SHA256 = "eeaab3a54202937363e34ce477922da2c077f5d7c10ad18d506e1e41643b6a43"
+
+
+def test_the_image_surrogate_keeps_its_bytes():
+    # Criterion 3's data, built in place in the array its noise is drawn into.
+    digest = hashlib.sha256()
+    for images, labels in image_surrogate():
+        for part in (images, labels):
+            digest.update(f"{part.dtype.str}{part.shape}".encode())
+            digest.update(part.tobytes())
+    assert digest.hexdigest() == IMAGE_SURROGATE_SHA256

@@ -715,7 +715,9 @@ def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch)
     # GOLDEN's small test sets are evaluated inline, so this is the check
     # that the worker path logs exactly what evaluate gives on the hooked
     # weights, in round order, the last row included. A short switch
-    # interval interleaves the worker and the training thread finely.
+    # interval interleaves the worker and the training thread finely. Such
+    # a run evaluates at one BLAS thread, whose products may differ in the
+    # last bit from those at more, so the reference evaluates at one too.
     spec, train, test = image_shaped_setup()
     threads = []
     real = federated.evaluate
@@ -735,7 +737,8 @@ def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch)
     assert threads and threading.main_thread() not in threads
     assert [row.round for row in log.rows] == [2, 4, 6]
     for row in log.rows:
-        loss, accuracy = fs.evaluate(spec, hooked[row.round], test)
+        with split.one_blas_thread():
+            loss, accuracy = fs.evaluate(spec, hooked[row.round], test)
         assert (row.test_loss, row.test_accuracy) == (loss, accuracy)
 
 
@@ -982,6 +985,47 @@ def test_a_split_run_trains_at_one_blas_thread_and_restores_the_callers_count(
         api.set_num_threads(caller)
     assert seen and set(seen) == {1}
     assert len(workers) == 1
+
+
+@pytest.mark.skipif(split._openblas() is None, reason="needs the OpenBLAS runtime API")
+@pytest.mark.parametrize("fault", [None, "hook"], ids=["returns", "raises"])
+def test_a_run_that_evaluates_aside_runs_at_one_blas_thread_and_restores_the_callers_count(
+    fault, monkeypatch
+):
+    # The evaluation thread's products and the training thread's would each
+    # wake a second BLAS thread on two CPUs; the run holds one throughout.
+    spec, train, test = image_shaped_setup()
+    api = split._openblas()
+    caller = api.get_num_threads()
+    seen, evaluated = [], []
+    real = federated.evaluate
+
+    def on_thread(*args):
+        evaluated.append(api.get_num_threads())
+        return real(*args)
+
+    def hook(r, w):
+        seen.append(api.get_num_threads())
+        if fault and r == 4:
+            raise ValueError("hook failed")
+
+    monkeypatch.setattr(federated, "evaluate", on_thread)
+    api.set_num_threads(2)
+    try:
+        if fault:
+            with pytest.raises(ValueError):
+                image_shaped_run("fedmmb", spec, train, test, hook)
+        else:
+            image_shaped_run("fedmmb", spec, train, test, hook)
+        assert api.get_num_threads() == 2
+    finally:
+        api.set_num_threads(caller)
+    assert seen and set(seen) == {1}
+    assert evaluated and set(evaluated) == {1}
+
+
+def test_the_openblas_api_is_looked_up_once_per_process():
+    assert split._openblas() is split._openblas()
 
 
 @linux_only

@@ -233,6 +233,18 @@ def test_stacked_gradients_equal_per_client_calls(seed, clients, size, input_dim
         assert np.array_equal(grads[k], own)
 
 
+def test_the_relu_mask_of_an_activation_is_the_mask_of_its_pre_activation():
+    # _forward_core overwrites each hidden pre-activation z with max(z, 0),
+    # and _gradients_into masks with that activation: a > 0 must be z > 0
+    # for every float, signed zeros, NaNs, infinities and subnormals included.
+    info = np.finfo(np.float64)
+    edges = [0.0, np.nan, np.inf, info.smallest_subnormal, info.tiny, 1.0, info.max]
+    z = np.array(edges + [-v for v in edges])
+    a = z.copy()
+    np.maximum(a, 0.0, out=a)
+    assert np.array_equal(a > 0.0, z > 0.0)
+
+
 def test_stacked_shapes_are_checked():
     # The checked engine takes one flat vector and a 2-D dataset, never a stack.
     spec = NetworkSpec(4, (5,), 3)

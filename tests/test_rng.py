@@ -360,6 +360,16 @@ def test_a_split_normal_array_gives_the_serial_bits_and_end_state(n, min_draws, 
 
 
 @linux_only
+def test_a_split_normal_array_returns_private_memory(monkeypatch):
+    # The worker's floats pass through a shared mapping into an array of
+    # the caller's own, so data built on it never lives in the mapping.
+    workers = force_setup_split(monkeypatch, 40_000)
+    out = Xoshiro256PP(5).normal_array(40_001)
+    assert len(workers) == 1
+    assert out.base is None and out.flags.writeable
+
+
+@linux_only
 def test_uniform_array_stays_in_one_process(monkeypatch):
     workers = force_setup_split(monkeypatch, 40_000)
     Xoshiro256PP(1).uniform_array(50_000, 0.0, 1.0)
