@@ -11,6 +11,7 @@ to compare them (test-loss discordance, communication accounting).
 from .data import (
     BatchSchedule,
     Dataset,
+    DatasetView,
     PartitionPlan,
     apply_partition,
     batch_window,
@@ -63,6 +64,7 @@ __all__ = [
     "ContractError",
     "DataError",
     "Dataset",
+    "DatasetView",
     "DiscordanceReport",
     "FedsimError",
     "MetricsLog",

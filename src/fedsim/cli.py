@@ -41,7 +41,7 @@ from .config import ExperimentConfig, config_from_dict, load_config, run_experim
 from .errors import ConfigError, ContractError, DataError, FedsimError
 from .metrics import MetricsLog, discordance
 from .rng import STREAM_VERSION
-from .split import _openblas
+from .blas import _openblas, one_blas_thread
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -121,9 +121,10 @@ def _environment() -> dict:
 
     ``blas`` is the name and version numpy was built against, or null where
     this numpy's ``show_config`` cannot return them; unset variables are null.
-    ``blas_core`` and ``blas_threads`` are the kernel and thread count the
-    loaded OpenBLAS reports at the end of the run, or null where its runtime
-    API is not found (``split._openblas``).
+    ``blas_core`` and ``blas_threads`` are the kernel the loaded OpenBLAS
+    reports and the thread count every run trains at
+    (``blas.one_blas_thread``), or null where its runtime API is not found
+    (``blas._openblas``).
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -131,12 +132,14 @@ def _environment() -> dict:
     except (TypeError, KeyError):
         blas = None
     api = _openblas()
+    with one_blas_thread():
+        threads = None if api is None else api.get_num_threads()
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "blas": blas,
         "blas_core": None if api is None else api.get_corename().decode(),
-        "blas_threads": None if api is None else api.get_num_threads(),
+        "blas_threads": threads,
         **{name: os.environ.get(name) for name in _BLAS_ENV},
     }
 

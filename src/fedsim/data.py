@@ -2,10 +2,13 @@
 
 Partitioners split one dataset across clients either homogeneously (iid)
 or with label skew (noniid_l: every client holds samples of exactly L
-distinct labels). They return one ``Dataset`` per client, client ``j`` at
-position ``j``. A batch schedule maps a window index to the batches a
-client trains on in that window, a pure function of the index and the
-client's seed. All functions are pure in (inputs, seed).
+distinct labels). They return one ``DatasetView`` per client, client ``j``
+at position ``j``: the client's rows of the dataset it was split from, with
+no copy of their features, so a run holds its train set once. A batch
+schedule maps a window index to the batches a client trains on in that
+window, a pure function of the index and the client's seed; ``base_rows``
+maps a client's rows to rows of the array that holds them. All functions
+are pure in (inputs, seed).
 """
 
 from __future__ import annotations
@@ -54,7 +57,67 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
+        """Rows ``indices``, in that order, as a new ``Dataset`` that copies them."""
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
+
+
+@dataclass(frozen=True)
+class DatasetView:
+    """Rows ``rows`` of ``base``, in that order: a client's share of the dataset it was split from.
+
+    It reads like a ``Dataset`` (``n``, ``input_dim``, ``num_classes``,
+    ``labels``, ``subset``) but holds only the row numbers and its own copy
+    of their labels, not their features. ``features`` is a new copy of the
+    rows on every access; the round loop never reads it, but takes each
+    round's rows straight from ``base`` (``base_rows``). A view of a view
+    is a view of the first one's base.
+    """
+
+    base: Dataset
+    rows: np.ndarray
+    labels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        base, rows = self.base, np.asarray(self.rows, dtype=np.int64)
+        if isinstance(base, DatasetView):
+            base, rows = base.base, base.rows[rows]
+        if rows.ndim != 1 or rows.size < 1 or rows.min() < 0 or rows.max() >= base.n:
+            raise DataError("a view needs a non-empty vector of rows of its base")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", base.labels[rows])
+
+    @property
+    def n(self) -> int:
+        return self.rows.size
+
+    @property
+    def input_dim(self) -> int:
+        return self.base.input_dim
+
+    @property
+    def num_classes(self) -> int:
+        return self.base.num_classes
+
+    @property
+    def features(self) -> np.ndarray:
+        """The view's feature rows, copied out of ``base`` on every access."""
+        return self.base.features[self.rows]
+
+    def subset(self, indices: np.ndarray) -> Dataset:
+        """The view's rows ``indices`` as a new ``Dataset``, as ``Dataset.subset`` gives them."""
+        return self.base.subset(self.rows[indices])
+
+
+def base_rows(source: Dataset | DatasetView) -> tuple[np.ndarray, np.ndarray | None]:
+    """The feature array that holds ``source``'s rows, and ``source``'s row numbers in it.
+
+    A view's rows live in its base, at ``rows``; a ``Dataset``'s are its
+    own, and the row numbers are None for the identity.
+    """
+    if isinstance(source, DatasetView):
+        return source.base.features, source.rows
+    return source.features, None
 
 
 @dataclass(frozen=True)
@@ -240,26 +303,26 @@ def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Da
     return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])
 
 
-def partition_iid(dataset: Dataset, clients: int, seed: int) -> list[Dataset]:
-    """Shuffle and split into ``clients`` equal contiguous chunks."""
+def partition_iid(dataset: Dataset, clients: int, seed: int) -> list[DatasetView]:
+    """Shuffle and split into ``clients`` equal contiguous chunks, as views of ``dataset``."""
     if clients < 1:
         raise DataError("client count must be at least 1")
     if dataset.n % clients != 0:
         raise DataError(f"client count {clients} does not divide {dataset.n} samples")
     perm = Xoshiro256PP(derive_seed(seed, 0x11D)).permutation(dataset.n)
-    per_client = dataset.n // clients
-    return [dataset.subset(perm[j * per_client : (j + 1) * per_client]) for j in range(clients)]
+    return [DatasetView(dataset, chunk) for chunk in np.split(perm, clients)]
 
 
 def partition_noniid_l(
     dataset: Dataset, clients: int, labels_per_client: int, seed: int
-) -> list[Dataset]:
+) -> list[DatasetView]:
     """Label-skewed split: every client receives exactly ``labels_per_client`` labels.
 
     Samples are grouped by label, each group is split into
     ``clients * labels_per_client / num_classes`` shards, and shards are
     dealt round-robin to clients with the label groups visited in a seeded
     order. Contiguous dealing guarantees no client sees the same label twice.
+    Each client is a view of its shards' rows of ``dataset``.
     """
     if clients < 1:
         raise DataError("client count must be at least 1")
@@ -298,18 +361,19 @@ def partition_noniid_l(
 
     result = []
     for j in range(clients):
-        client = dataset.subset(np.concatenate(client_indices[j]))
+        client = DatasetView(dataset, np.concatenate(client_indices[j]))
         if len(np.unique(client.labels)) != lpc:
             raise DataError("infeasible assignment: distinct-label constraint violated")
         result.append(client)
     return result
 
 
-def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list[Dataset]:
+def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list[DatasetView]:
     """Explicit index map: client index -> list of sample indices.
 
     The client indices must be 0..K-1, and the assignment must cover every
-    sample exactly once.
+    sample exactly once. Client ``j`` is a view of its samples' rows of
+    ``dataset``, in the order given.
     """
     if sorted(assignment) != list(range(len(assignment))):
         raise DataError(f"client indices {sorted(assignment)} are not 0..K-1 without gaps")
@@ -328,12 +392,10 @@ def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list
         seen[arr] = True
     if not seen.all():
         raise DataError("assignment does not cover every sample")
-    return [
-        dataset.subset(np.asarray(assignment[j], dtype=np.int64)) for j in range(len(assignment))
-    ]
+    return [DatasetView(dataset, assignment[j]) for j in range(len(assignment))]
 
 
-def apply_partition(plan: PartitionPlan, dataset: Dataset) -> list[Dataset]:
+def apply_partition(plan: PartitionPlan, dataset: Dataset) -> list[DatasetView]:
     if plan.kind == "iid":
         return partition_iid(dataset, plan.clients, plan.seed)
     if plan.kind == "noniid_l":
@@ -368,7 +430,7 @@ class BatchSchedule:
     when it is asked for.
     """
 
-    source: Dataset
+    source: Dataset | DatasetView
     batch_size: int
     batch_count: int
     base_seed: int

@@ -24,7 +24,11 @@ client ``local_epochs`` windows that each cover its whole batch list.
 ``run_centralized`` is the one-client case: one schedule over the whole
 train set, or a lockstep source that concatenates the single batches of
 shadow clients, with zero bytes exchanged. Clients are a list of
-``Dataset``s; client ``j`` is the one at position ``j``.
+``Dataset``s or ``DatasetView``s; client ``j`` is the one at position
+``j``. Each round's rows are copied straight from the array that holds
+them (``data.base_rows``), so a view's features are never copied whole.
+Every run trains at one BLAS thread (``blas.one_blas_thread``), whatever
+the caller's count, so its bits do not depend on it.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BatchSchedule, Dataset, draw_windows
+from .blas import blas_holds_one_thread, one_blas_thread
+from .data import BatchSchedule, Dataset, base_rows, draw_windows
 from .errors import ConfigError, ContractError
 from .metrics import MetricsLog, MetricsRow, comm_cost
 from .nn import (
@@ -175,7 +180,8 @@ class StepPlan:
     takes ``windows`` batch windows of every schedule at learning rate
     ``eta``. Building it checks ``windows``, ``eta`` and each schedule's
     source against the spec (feature width, label range), so no round or
-    step checks them again.
+    step checks them again, and finds the array that holds each source's
+    rows (``base_rows``).
     """
 
     def __init__(
@@ -191,7 +197,8 @@ class StepPlan:
         if not (math.isfinite(eta) and eta >= 0):
             raise ContractError(f"learning rate must be finite and non-negative, got {eta}")
         for schedule in schedules:
-            _require_data(spec, schedule.source.features, schedule.source.labels)
+            _require_data(spec, schedule.source.input_dim, schedule.source.labels)
+        self._bases = [base_rows(schedule.source) for schedule in schedules]
         self.spec = spec
         self.schedules = tuple(schedules)
         self.windows = windows
@@ -208,23 +215,29 @@ class StepPlan:
     def gather(self, rows: list[np.ndarray]) -> None:
         """Copy rows ``rows[j]`` of schedule ``j``'s source to the front of its gather buffers.
 
-        The features are copied as they are; each label becomes its one-hot
-        float64 target row, so a round builds all its targets here once and
-        no step picks labels. Only each client's own ``rows[j].size`` rows
-        are written, and no step reads past them.
+        The features are copied as they are, from the array that holds them:
+        a view's rows are first mapped to rows of its base, with one
+        ``take``. Each label becomes its one-hot float64 target row, so a
+        round builds all its targets here once and no step picks labels.
+        Only each client's own ``rows[j].size`` rows are written, and no
+        step reads past them.
         """
         n = max(r.size for r in rows)
         if self._x.shape[1] < n:
             self._x = np.empty((len(rows), n, self.spec.input_dim))
             self._targets = np.empty((len(rows), n, self.spec.output_dim))
-        for j, (schedule, r) in enumerate(zip(self.schedules, rows)):
+        for j, (schedule, (features, index), r) in enumerate(
+            zip(self.schedules, self._bases, rows)
+        ):
             # The rows come from a permutation of this schedule's source, and
             # its labels index the outputs, so both takes are in range;
             # "clip" lets ``take`` write into ``out`` without a buffer.
-            source = schedule.source
-            source.features.take(r, axis=0, out=self._x[j, : r.size], mode="clip")
+            features.take(
+                r if index is None else index.take(r), axis=0, out=self._x[j, : r.size],
+                mode="clip",
+            )
             self._one_hot.take(
-                source.labels[r], axis=0, out=self._targets[j, : r.size], mode="clip"
+                schedule.source.labels[r], axis=0, out=self._targets[j, : r.size], mode="clip"
             )
 
     def step(
@@ -390,9 +403,8 @@ def _run_rounds(
     client's arithmetic is that of a serial round. Each round this process
     copies the global weights into the shared mapping, and the worker
     replies with its clients' sample and step counts. The worker is forked
-    before the first round, at one BLAS thread (``split.one_blas_thread``),
-    and before the evaluation thread starts. It is reaped when this call
-    returns or raises, and the caller's BLAS thread count is restored then.
+    before the first round and before the evaluation thread starts. It is
+    reaped when this call returns or raises.
 
     When the test set is large (``EVAL_ASIDE_MACS``), each evaluation runs
     on one worker thread, at most one at a time, on its own copy of the
@@ -400,11 +412,14 @@ def _run_rounds(
     end of the run; rows stay in round order, and an evaluation that
     raises raises there. The hook may run before its round's evaluation
     ends, and may write the weights it is given. The thread lives only
-    inside this call. Such a run also trains at one BLAS thread: on two
-    CPUs the evaluation's products and this thread's would otherwise wake
-    a second BLAS thread each, which compete for the CPUs.
+    inside this call.
+
+    Every run trains and evaluates at one BLAS thread
+    (``blas.one_blas_thread``), so its bits do not depend on the caller's
+    count; the worker process is forked at one thread too. The caller's
+    count is restored when this call returns or raises.
     """
-    _require_data(spec, test_set.features, test_set.labels)
+    _require_data(spec, test_set.input_dim, test_set.labels)
     aside = _evaluates_aside(spec, test_set)
     eta = config.learning_rate
     worker_round = None  # the worker's half of a round, in a run that splits
@@ -429,15 +444,10 @@ def _run_rounds(
     log = MetricsLog()
     local_updates = 0
     pending = None  # the evaluation on the worker thread: its row's counts and its future
-    blas_threads = nullcontext()
-    if worker_round or aside:
-        from .split import one_blas_thread
-
-        blas_threads = one_blas_thread()
     # The fork comes last before the first round, at one BLAS thread, and
     # before the thread starts.
     with (
-        blas_threads,
+        one_blas_thread(),
         Worker(worker_round, "training worker") if worker_round else nullcontext() as worker,
         _thread() if aside else nullcontext() as pool,
     ):
@@ -472,7 +482,7 @@ def _splits(schedules: list, windows: int) -> bool:
     ``SPLIT_MIN_STEPS`` stacked steps, the most batches any client takes in
     a round, when this process may fork (``split.can_fork``: Linux, two
     CPUs, no other thread) and can hold BLAS at one thread while it trains
-    (``split.blas_holds_one_thread``). At more threads the parent's
+    (``blas.blas_holds_one_thread``). At more threads the parent's
     products wake a second BLAS thread, which competes with the worker for
     the CPUs.
     """
@@ -481,9 +491,9 @@ def _splits(schedules: list, windows: int) -> bool:
     if windows * max(min(s.batch_count, s.num_batches) for s in schedules) < SPLIT_MIN_STEPS:
         return False
     # Only a run that may split loads the worker's module, and mmap with it.
-    from . import split
+    from .split import can_fork
 
-    return split.can_fork() and split.blas_holds_one_thread()
+    return can_fork() and blas_holds_one_thread()
 
 
 def _evaluates_aside(spec: NetworkSpec, test_set: Dataset) -> bool:

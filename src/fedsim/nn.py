@@ -97,10 +97,10 @@ def layer_views(spec: NetworkSpec, params: np.ndarray) -> list[tuple[np.ndarray,
     return views
 
 
-def _require_data(spec: NetworkSpec, features: np.ndarray, labels: np.ndarray) -> None:
+def _require_data(spec: NetworkSpec, width: int, labels: np.ndarray) -> None:
     """Raise unless the features are ``input_dim`` wide and the labels index the outputs."""
-    if features.shape[-1] != spec.input_dim:
-        raise ContractError(f"feature dim {features.shape[-1]} != input_dim {spec.input_dim}")
+    if width != spec.input_dim:
+        raise ContractError(f"feature dim {width} != input_dim {spec.input_dim}")
     if labels.min() < 0 or labels.max() >= spec.output_dim:
         raise ContractError("labels out of range for the network output")
 
@@ -127,7 +127,7 @@ def _check_batch(
     if params.ndim != 1:
         raise ContractError(f"parameters of shape {params.shape} are not one flat vector")
     layers = layer_views(spec, params)
-    _require_data(spec, batch.features, batch.labels)
+    _require_data(spec, batch.input_dim, batch.labels)
     return layers
 
 

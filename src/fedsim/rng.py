@@ -211,8 +211,8 @@ class Xoshiro256PP:
         (cosine) and ``2i + 1`` (sine). An odd ``n`` drops the last sine but
         still takes its draw. From ``SPLIT_MIN_DRAWS`` draws, half the lanes
         may be drawn in a second process (``_fill``); their floats pass
-        through a shared buffer into the returned array, which is the
-        caller's private memory either way.
+        through a shared buffer, freed as it is copied, into the returned
+        array, which is the caller's private memory either way.
         """
         return self._fill(n, n + (n & 1), _box_muller, split=True)
 
@@ -227,7 +227,9 @@ class Xoshiro256PP:
         lanes ``lanes // 2 ..`` into an anonymous shared mapping while this
         process fills the rest straight into ``out``, if ``split.can_fork``
         holds; then this process copies the worker's floats into ``out``
-        and drops the mapping, so the array it returns is private memory.
+        chunk by chunk, freeing each chunk of the mapping as it goes
+        (``split.drain``), so the array it returns is private memory and
+        the worker's half is never held twice.
         Every lane's floats are those of its own serial run, so the bits are
         the same either way. The generator ends in its state after exactly
         ``draws`` draws: the state of the last lane after its last draw,
@@ -242,7 +244,7 @@ class Xoshiro256PP:
             return out
         starts = _lane_starts(self._s, lanes, stride)
         if split and draws >= SPLIT_MIN_DRAWS:
-            from .split import Worker, can_fork, shared_array
+            from .split import Worker, can_fork, drain, shared_array
 
             if can_fork():
                 half = lanes // 2
@@ -257,7 +259,7 @@ class Xoshiro256PP:
                     out = np.empty(n, dtype=np.float64)
                     _fill_lanes(out, starts[:, :half], 0, stride, draws, convert)
                     self._s = np.frombuffer(worker.finish(), dtype=np.uint64).tolist()
-                out[half * stride :] = second
+                drain(second, out[half * stride :])
                 return out
         out = np.empty(n, dtype=np.float64)
         self._s = _fill_lanes(out, starts, 0, stride, draws, convert).tolist()

@@ -11,30 +11,27 @@ it, each only when it is large enough to pay for the fork:
 
 Both pass their results through an anonymous shared mapping
 (``shared_array``) that both processes see, so only short replies cross
-the pipe. Both fork only when ``can_fork`` holds. A run that trains in two
-processes, or evaluates on a worker thread, also holds BLAS at one thread
-while it does (``one_blas_thread``).
+the pipe. Both fork only when ``can_fork`` holds. The set-up draw copies
+the worker's floats out of the mapping chunk by chunk and frees each chunk
+as it goes (``drain``), so the two copies are never whole at once. A run
+that trains in two processes holds BLAS at one thread, as every run does
+(``blas.one_blas_thread``), so the worker starts at one thread too.
 
 The two processes talk over two pipes. The parent sends a task index; the
 worker answers with ``+`` and the task's bytes, or with ``-`` and the type
 and message of the exception it hit. Each message is its length in 8
 bytes, then its bytes.
-
-``_openblas`` finds the runtime API of the loaded OpenBLAS, which gives the
-thread count and the kernel; ``fedsim run``'s sidecar records both.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
 import mmap
 import os
 import signal
 import sys
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +40,8 @@ from .errors import ContractError
 # A worker's task: its index in, its reply out.
 Task = Callable[[int], bytes]
 
-# Environment variables that set the BLAS thread count at start-up.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# ``drain`` copies and frees a shared mapping this many floats (1 MB) at a time.
+_DRAIN_FLOATS = 2**17
 
 
 def can_fork() -> bool:
@@ -68,6 +65,21 @@ def shared_array(n: int) -> np.ndarray:
     writes there. The mapping is freed with the last array that views it.
     """
     return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
+def drain(shared: np.ndarray, out: np.ndarray) -> None:
+    """Copy a whole ``shared_array`` into ``out``, freeing its pages as they are copied.
+
+    Each 1 MB chunk is copied, then removed from the mapping
+    (``MADV_REMOVE``), which frees the shared pages themselves, not only
+    this process's view of them; so the copy never holds both arrays
+    whole. The mapping reads as zeros afterwards.
+    """
+    mapping = shared.base.obj
+    for start in range(0, shared.size, _DRAIN_FLOATS):
+        end = min(start + _DRAIN_FLOATS, shared.size)
+        out[start:end] = shared[start:end]
+        mapping.madvise(mmap.MADV_REMOVE, 8 * start, 8 * (end - start))
 
 
 class Worker:
@@ -169,78 +181,3 @@ def _read(fd: int, n: int) -> bytes | None:
             return None
         data += chunk
     return data
-
-
-class OpenBLAS(NamedTuple):
-    """The runtime API of the OpenBLAS that numpy loaded, as ctypes functions."""
-
-    get_num_threads: Callable[[], int]
-    set_num_threads: Callable[[int], None]
-    get_corename: Callable[[], bytes]
-
-
-@functools.cache
-def _openblas() -> OpenBLAS | None:
-    """The loaded OpenBLAS's thread and kernel functions, or None where none is found.
-
-    It looks, on Linux, in every mapped file whose name contains "blas", for
-    ``<prefix>_get_num_threads<suffix>``, ``_set_num_threads`` and
-    ``_get_corename``. numpy's bundled build uses the prefix
-    ``scipy_openblas`` and the suffix ``64_``; other builds export plain
-    ``openblas_*`` names. Opening a library that is already loaded gives
-    the loaded copy, whose settings numpy's products use. The lookup runs
-    once per process.
-    """
-    if sys.platform != "linux":
-        return None
-    import ctypes
-
-    with open("/proc/self/maps") as maps:
-        fields = (line.split(None, 5) for line in maps)
-        paths = {f[5].strip() for f in fields if len(f) == 6}
-    for path in sorted(p for p in paths if "blas" in os.path.basename(p).lower()):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                names = [f"{prefix}_{f}{suffix}" for f in OpenBLAS._fields]
-                if all(hasattr(lib, name) for name in names):
-                    get, set_, core = (getattr(lib, name) for name in names)
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    core.argtypes, core.restype = [], ctypes.c_char_p
-                    return OpenBLAS(get, set_, core)
-    return None
-
-
-def blas_holds_one_thread() -> bool:
-    """Whether a run can hold BLAS at one thread: the API is found, or the environment pins it.
-
-    The environment pins it when at least one of ``_BLAS_THREAD_VARS`` is
-    set and every one that is set reads 1.
-    """
-    if _openblas() is not None:
-        return True
-    values = [os.environ[name].strip() for name in _BLAS_THREAD_VARS if name in os.environ]
-    return bool(values) and all(value == "1" for value in values)
-
-
-@contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Run the block at one OpenBLAS thread, then restore the caller's count.
-
-    A process forked inside the block starts at one thread too. Where the
-    API is not found, the block runs as it is (``blas_holds_one_thread``).
-    """
-    api = _openblas()
-    if api is None:
-        yield
-        return
-    threads = api.get_num_threads()
-    api.set_num_threads(1)
-    try:
-        yield
-    finally:
-        api.set_num_threads(threads)

@@ -11,7 +11,7 @@ import fedsim as fs
 import fedsim.cli as cli
 from fedsim.cli import ComparisonSpec, cmd_compare, main
 from fedsim.config import config_from_dict, load_config, run_experiment
-from fedsim.split import _openblas
+from fedsim.blas import _openblas
 
 
 def base_config(tmp_path, name="run"):
@@ -358,7 +358,7 @@ def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monke
     assert all(environment[name] is None for name in blas_vars)
     api = _openblas()
     assert (environment["blas_core"], environment["blas_threads"]) == (
-        (None, None) if api is None else (api.get_corename().decode(), api.get_num_threads())
+        (None, None) if api is None else (api.get_corename().decode(), 1)
     )
 
     # Set after numpy loaded, the variables change the stamp but not the BLAS.
@@ -372,6 +372,23 @@ def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monke
     csv = (tmp_path / "out" / "run.csv").read_bytes()
     assert csv == unset_csv
     assert csv.decode() == run_experiment(load_config(path)).to_csv_string()
+
+
+@pytest.mark.skipif(_openblas() is None, reason="needs the OpenBLAS runtime API")
+def test_sidecar_records_the_one_blas_thread_the_run_trained_at(tmp_path):
+    # Every run trains at one thread; the sidecar says so, not the caller's
+    # count that is restored after the run.
+    path = write_config(tmp_path, base_config(tmp_path))
+    api = _openblas()
+    caller = api.get_num_threads()
+    api.set_num_threads(2)
+    try:
+        assert main(["run", path]) == 0
+        assert api.get_num_threads() == 2
+    finally:
+        api.set_num_threads(caller)
+    environment = json.loads((tmp_path / "out" / "run.json").read_text())["environment"]
+    assert environment["blas_threads"] == 1
 
 
 def test_sidecar_records_null_blas_kernel_and_threads_where_the_api_is_not_found(

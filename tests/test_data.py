@@ -399,6 +399,64 @@ def test_partition_manual_rejects_keys_other_than_0_to_k_minus_1(keys):
         fs.partition_manual(ds, {keys[0]: list(range(5)), keys[1]: list(range(5, 12))})
 
 
+PLANS = [
+    fs.PartitionPlan("iid", 4, 3),
+    fs.PartitionPlan("noniid_l", 3, 3, labels_per_client=2),
+    fs.PartitionPlan(
+        "manual", 3, 0, assignment={0: [5, 0, 9], 1: [1, 2, 3, 4], 2: [6, 7, 8, 10, 11]}
+    ),
+]
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=["iid", "noniid_l", "manual"])
+def test_a_partition_view_reads_as_the_copy_it_replaces(plan):
+    # Each client was a Dataset.subset copy of its rows; a view gives the
+    # same features, labels and subsets, and copies only its labels.
+    ds = fs.synthetic(8, 12, 3, 2)
+    for view in fs.apply_partition(plan, ds):
+        copy = ds.subset(view.rows)
+        assert isinstance(view, fs.DatasetView) and view.base is ds
+        assert (view.n, view.input_dim, view.num_classes) == (copy.n, copy.input_dim, 2)
+        assert view.features.tobytes() == copy.features.tobytes()
+        assert view.labels.tobytes() == copy.labels.tobytes()
+        for i in (np.arange(view.n)[::-1], np.array([view.n - 1, 0])):
+            part = view.subset(i)
+            assert isinstance(part, fs.Dataset)
+            assert part.features.tobytes() == copy.subset(i).features.tobytes()
+            assert part.labels.tobytes() == copy.subset(i).labels.tobytes()
+        assert not np.shares_memory(view.features, ds.features)
+        assert not np.shares_memory(view.labels, ds.labels)
+
+
+def test_a_view_of_a_view_is_a_view_of_its_base():
+    ds = fs.synthetic(8, 12, 3, 2)
+    outer = fs.DatasetView(ds, [7, 3, 11, 0])
+    inner = fs.DatasetView(outer, [2, 0])
+    assert inner.base is ds and inner.rows.tolist() == [11, 7]
+    assert inner.features.tobytes() == outer.subset([2, 0]).features.tobytes()
+
+
+@pytest.mark.parametrize("rows", [[], [0, 12], [-1], [[0, 1]]],
+                         ids=["empty", "past_the_end", "negative", "matrix"])
+def test_a_view_rejects_rows_that_are_not_a_vector_of_its_bases_rows(rows):
+    with pytest.raises(fs.DataError):
+        fs.DatasetView(fs.synthetic(8, 12, 3, 2), rows)
+
+
+@pytest.mark.parametrize("plan", PLANS[:2], ids=["iid", "noniid_l"])
+def test_a_partition_holds_its_clients_rows_not_their_features(plan, monkeypatch):
+    # In one process (no set-up split), so that tracemalloc sees every
+    # buffer. Copying every client's rows held the train set a second time.
+    monkeypatch.setattr(rng, "SPLIT_MIN_DRAWS", 10**12)
+    train, _ = synthetic_split(1, 2000, 1000, 784, 10)
+    plan = dataclasses.replace(plan, clients=10)
+    if plan.kind == "noniid_l":
+        plan = dataclasses.replace(plan, labels_per_client=1)
+    clients, peak = traced_peak(lambda: fs.apply_partition(plan, train))
+    assert sum(c.n for c in clients) == train.n
+    assert peak <= 0.15 * train.features.nbytes
+
+
 def test_partition_plan_validation():
     with pytest.raises(fs.DataError):
         fs.PartitionPlan(kind="bogus", clients=2, seed=0)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import signal
@@ -13,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim as fs
+import fedsim.blas as blas
 import fedsim.data as data
 import fedsim.federated as federated
-import fedsim.split as split
 from fedsim.cli import main as cli_main
 from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
@@ -251,25 +252,34 @@ def test_equal_clients_make_one_step_call_per_step_over_every_row():
     mode=st.sampled_from(["fedmmb", "fedavg"]),
     batch_size=st.integers(1, 5),
     count=st.integers(1, 3),
+    views=st.booleans(),
 )
 @example(sizes=[9, 14], picks=[0, 0, 0, 1, 1, 1], in_order=False, mode="fedmmb",
-         batch_size=4, count=3)  # two sizes, sorted
+         batch_size=4, count=3, views=False)  # two sizes, sorted
 @example(sizes=[9, 14], picks=[0, 1, 0, 1, 0, 1], in_order=False, mode="fedavg",
-         batch_size=4, count=2)  # two sizes, interleaved
+         batch_size=4, count=2, views=True)  # two sizes, interleaved
 @example(sizes=[16, 7], picks=[0, 0, 1, 0, 0], in_order=False, mode="fedmmb",
-         batch_size=5, count=2)  # one odd-sized client
+         batch_size=5, count=2, views=True)  # one odd-sized client
 def test_any_client_sizes_give_the_per_client_references_bytes(
-    sizes, picks, in_order, mode, batch_size, count
+    sizes, picks, in_order, mode, batch_size, count, views
 ):
     # Runs of equal neighbours train as one range and a client that sits a
     # step out, or trains at another offset, splits its range; whatever the
     # client sizes and their order, the CSV and the final weights must be
-    # those of training each client alone, in one process and in two.
+    # those of training each client alone, in one process and in two. With
+    # ``views`` the clients train as views of one shuffled base and the
+    # reference on copies of their rows.
     ns = [sizes[p % len(sizes)] for p in picks]
     if in_order:
         ns.sort()
     spec = fs.NetworkSpec(4, (3,), 5)
     clients = [make_client(n, seed=j) for j, n in enumerate(ns)]
+    reference_clients = clients
+    if views:
+        clients = views_of(clients)
+        assert [c.features.tobytes() for c in clients] == [
+            c.features.tobytes() for c in reference_clients
+        ]
     test = make_client(20, seed=99)
     knobs = {"batch_count": count} if mode == "fedmmb" else {"local_epochs": count}
     cfg = fs.TrainingConfig(
@@ -277,7 +287,7 @@ def test_any_client_sizes_give_the_per_client_references_bytes(
         clients=len(clients), **knobs,
     )
     driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
-    reference_log, reference_weights = per_client_reference(cfg, spec, clients, test)
+    reference_log, reference_weights = per_client_reference(cfg, spec, reference_clients, test)
     expected = (reference_log.to_csv_string(), reference_weights.tobytes())
 
     def run(hook):
@@ -291,6 +301,68 @@ def test_any_client_sizes_give_the_per_client_references_bytes(
             workers = force_split(patch)
             assert csv_and_final_weights(run) == expected
         assert len(workers) == (len(clients) >= 2)
+
+
+def views_of(clients: list[fs.Dataset]) -> list[fs.DatasetView]:
+    """Views of one base that holds every client's rows, shuffled together."""
+    order = Xoshiro256PP(7).permutation(sum(c.n for c in clients))
+    base = fs.Dataset(
+        np.concatenate([c.features for c in clients])[order],
+        np.concatenate([c.labels for c in clients])[order],
+        clients[0].num_classes,
+    )
+    where = np.argsort(order)  # where each client row landed in the base
+    ends = np.cumsum([c.n for c in clients])
+    return [fs.DatasetView(base, rows) for rows in np.split(where, ends[:-1])]
+
+
+@pytest.mark.parametrize("split_run", [False, pytest.param(True, marks=linux_only)],
+                         ids=["serial", "split"])
+@pytest.mark.parametrize("mode", ["fedmmb", "fedavg"])
+@pytest.mark.parametrize(
+    "plan",
+    [fs.PartitionPlan("iid", 4, 3), fs.PartitionPlan("noniid_l", 4, 3, labels_per_client=2),
+     fs.PartitionPlan("manual", 4, 0, assignment={0: list(range(5, 18)), 1: list(range(5)),
+                                                  2: list(range(18, 40)), 3: list(range(40, 80))})],
+    ids=["iid", "noniid_l", "manual"],
+)
+def test_partition_views_give_the_bytes_of_copies_of_their_rows(plan, mode, split_run,
+                                                                monkeypatch):
+    # Each client is a view of the train set; a run on ``subset`` copies of
+    # the same rows gives the same CSV and final weights. Unequal manual
+    # sizes make steps of several ranges.
+    train, test = synthetic_split(11, 80, 40, 4, 4)
+    spec = fs.NetworkSpec(4, (8,), 4)
+    views = fs.apply_partition(plan, train)
+    copies = [train.subset(v.rows) for v in views]
+    knobs = {"batch_count": 2} if mode == "fedmmb" else {"local_epochs": 1}
+    cfg = fs.TrainingConfig(
+        mode=mode, learning_rate=0.05, max_rounds=4, batch_size=5, seeds=SEEDS, clients=4,
+        eval_every=2, **knobs,
+    )
+    driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
+    expected = csv_and_final_weights(lambda hook: driver(cfg, spec, copies, test, hook))
+    workers = force_split(monkeypatch) if split_run else []
+    assert csv_and_final_weights(lambda hook: driver(cfg, spec, views, test, hook)) == expected
+    assert len(workers) == split_run
+
+
+def test_a_round_never_copies_a_views_features(monkeypatch):
+    # The round loop takes its rows from the base; reading a view's
+    # features would copy all of them.
+    spec, clients, test = small_fed_setup()
+    assert all(isinstance(c, fs.DatasetView) for c in clients)
+
+    def no_copy(self):
+        raise AssertionError("a view's features were copied")
+
+    monkeypatch.setattr(fs.DatasetView, "features", property(no_copy))
+    cfg = fs.TrainingConfig(
+        mode="fedmmb", learning_rate=0.05, max_rounds=4, batch_size=5, seeds=SEEDS,
+        clients=4, batch_count=2,
+    )
+    fs.run_fedmmb(cfg, spec, clients, test)
 
 
 def test_gather_copies_source_rows_and_identity_rows_byte_for_byte():
@@ -737,7 +809,7 @@ def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch)
     assert threads and threading.main_thread() not in threads
     assert [row.round for row in log.rows] == [2, 4, 6]
     for row in log.rows:
-        with split.one_blas_thread():
+        with blas.one_blas_thread():
             loss, accuracy = fs.evaluate(spec, hooked[row.round], test)
         assert (row.test_loss, row.test_accuracy) == (loss, accuracy)
 
@@ -945,9 +1017,9 @@ def test_without_the_blas_api_a_run_splits_only_where_the_environment_pins_one_t
     schedules = [client_schedule(40, batch_size=5, batch_count=3)] * 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sys, "platform", "linux")
-    for name in split._BLAS_THREAD_VARS:
+    for name in blas._BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
-    monkeypatch.setattr(split, "_openblas", lambda: None)
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
     assert not federated._splits(schedules, 1)
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     assert federated._splits(schedules, 1)
@@ -958,12 +1030,12 @@ def test_without_the_blas_api_a_run_splits_only_where_the_environment_pins_one_t
 
 
 @linux_only
-@pytest.mark.skipif(split._openblas() is None, reason="needs the OpenBLAS runtime API")
+@pytest.mark.skipif(blas._openblas() is None, reason="needs the OpenBLAS runtime API")
 @pytest.mark.parametrize("fault", [None, "hook"], ids=["returns", "raises"])
 def test_a_split_run_trains_at_one_blas_thread_and_restores_the_callers_count(
     fault, monkeypatch
 ):
-    api = split._openblas()
+    api = blas._openblas()
     caller = api.get_num_threads()
     workers = force_split(monkeypatch)
     seen = []
@@ -987,7 +1059,7 @@ def test_a_split_run_trains_at_one_blas_thread_and_restores_the_callers_count(
     assert len(workers) == 1
 
 
-@pytest.mark.skipif(split._openblas() is None, reason="needs the OpenBLAS runtime API")
+@pytest.mark.skipif(blas._openblas() is None, reason="needs the OpenBLAS runtime API")
 @pytest.mark.parametrize("fault", [None, "hook"], ids=["returns", "raises"])
 def test_a_run_that_evaluates_aside_runs_at_one_blas_thread_and_restores_the_callers_count(
     fault, monkeypatch
@@ -995,7 +1067,7 @@ def test_a_run_that_evaluates_aside_runs_at_one_blas_thread_and_restores_the_cal
     # The evaluation thread's products and the training thread's would each
     # wake a second BLAS thread on two CPUs; the run holds one throughout.
     spec, train, test = image_shaped_setup()
-    api = split._openblas()
+    api = blas._openblas()
     caller = api.get_num_threads()
     seen, evaluated = [], []
     real = federated.evaluate
@@ -1024,8 +1096,53 @@ def test_a_run_that_evaluates_aside_runs_at_one_blas_thread_and_restores_the_cal
     assert evaluated and set(evaluated) == {1}
 
 
+@pytest.mark.skipif(blas._openblas() is None, reason="needs the OpenBLAS runtime API")
+@pytest.mark.parametrize("driver", ["fedmmb", "centralized"])
+@pytest.mark.parametrize("fault", [None, "hook"], ids=["returns", "raises"])
+def test_a_run_that_neither_splits_nor_evaluates_aside_trains_at_one_blas_thread(
+    fault, driver, monkeypatch
+):
+    # A one-step run with a small test set: no worker, no evaluation thread.
+    # It still trains at one thread, so its bits do not depend on the
+    # caller's count, and it gives the caller's count back either way.
+    spec, clients, test = small_fed_setup()
+    api = blas._openblas()
+    caller = api.get_num_threads()
+    seen, evaluated = [], []
+    real = federated.evaluate
+
+    def inline(*args):
+        evaluated.append(api.get_num_threads())
+        return real(*args)
+
+    def hook(r, w):
+        seen.append(api.get_num_threads())
+        if fault and r == 2:
+            raise ValueError("hook failed")
+
+    monkeypatch.setattr(federated, "evaluate", inline)
+    cfg = fs.TrainingConfig(
+        mode=driver, learning_rate=0.05, max_rounds=4, batch_size=5, seeds=SEEDS,
+        eval_every=2, **({"clients": 4, "batch_count": 1} if driver == "fedmmb" else {}),
+    )
+    assert not federated._evaluates_aside(spec, test)
+    api.set_num_threads(2)
+    try:
+        with pytest.raises(ValueError) if fault else contextlib.nullcontext():
+            if driver == "fedmmb":
+                assert not federated._splits([fs.BatchSchedule(c, 5, 1, 2, 0) for c in clients], 1)
+                fs.run_fedmmb(cfg, spec, clients, test, round_hook=hook)
+            else:
+                fs.run_centralized(cfg, spec, clients[0], test, round_hook=hook)
+        assert api.get_num_threads() == 2
+    finally:
+        api.set_num_threads(caller)
+    assert seen and set(seen) == {1}
+    assert evaluated and set(evaluated) == {1}
+
+
 def test_the_openblas_api_is_looked_up_once_per_process():
-    assert split._openblas() is split._openblas()
+    assert blas._openblas() is blas._openblas()
 
 
 @linux_only
@@ -1033,7 +1150,7 @@ def test_a_split_run_without_the_blas_api_gives_the_serial_bytes(monkeypatch):
     monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
     serial = csv_and_final_weights(four_client_run)
     workers = force_split(monkeypatch)
-    monkeypatch.setattr(split, "_openblas", lambda: None)
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert csv_and_final_weights(four_client_run) == serial
     assert len(workers) == 1

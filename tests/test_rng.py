@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +370,43 @@ def test_a_split_normal_array_returns_private_memory(monkeypatch):
     out = Xoshiro256PP(5).normal_array(40_001)
     assert len(workers) == 1
     assert out.base is None and out.flags.writeable
+
+
+@linux_only
+def test_a_split_normal_array_frees_the_workers_half_as_it_copies_it():
+    # In a fresh process, whose peak RSS is the measure: tracemalloc does not
+    # see the shared mapping. The peak is VmHWM, not ru_maxrss, which keeps
+    # the peak of the process that started the child. A small lane-path
+    # draw first leaves out what any first draw allocates. Copying the
+    # worker's half in one piece mapped all of it next to the whole
+    # returned array (about 1.5x); the chunks freed as they are copied
+    # leave little beyond the array.
+    child = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "import fedsim.split as split\n"
+        "from fedsim.rng import Xoshiro256PP\n"
+        "forks = []\n"
+        "class Counted(split.Worker):\n"
+        "    def __init__(self, *args):\n"
+        "        forks.append(super().__init__(*args))\n"
+        "split.Worker = Counted\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+        "Xoshiro256PP(1).normal_array(20_000)\n"
+        "before = peak()\n"
+        "out = Xoshiro256PP(2).normal_array(2_359_840)\n"
+        "print(len(forks), (peak() - before) * 1024 / out.nbytes)\n"
+    )
+    src = str(Path(rng.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    forks, ratio = result.stdout.split()
+    assert forks == "1" and 1.0 <= float(ratio) <= 1.25
 
 
 @linux_only
