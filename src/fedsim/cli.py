@@ -41,7 +41,7 @@ from .config import ExperimentConfig, config_from_dict, load_config, run_experim
 from .errors import ConfigError, ContractError, DataError, FedsimError
 from .metrics import MetricsLog, discordance
 from .rng import STREAM_VERSION
-from .blas import _openblas, one_blas_thread
+from .blas import _BLAS_THREAD_VARS, _openblas, one_blas_thread
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -111,18 +111,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-# Environment variables that choose OpenBLAS's kernel and thread counts, and
-# with them the summation order inside its matrix products.
-_BLAS_ENV = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _environment() -> dict:
     """What outside fedsim decides a run's bits: interpreter, numpy, BLAS, threads.
 
     ``blas`` is the name and version numpy was built against, or null where
-    this numpy's ``show_config`` cannot return them; unset variables are null.
-    ``blas_core`` and ``blas_threads`` are the kernel the loaded OpenBLAS
-    reports and the thread count every run trains at
+    this numpy's ``show_config`` cannot return them. The environment
+    variables recorded are ``OPENBLAS_CORETYPE``, which picks OpenBLAS's
+    kernel, and the thread-count ones (``blas._BLAS_THREAD_VARS``); unset
+    ones are null. ``blas_core`` and ``blas_threads`` are the kernel the
+    loaded OpenBLAS reports and the thread count every run trains at
     (``blas.one_blas_thread``), or null where its runtime API is not found
     (``blas._openblas``).
     """
@@ -140,7 +137,7 @@ def _environment() -> dict:
         "blas": blas,
         "blas_core": None if api is None else api.get_corename().decode(),
         "blas_threads": threads,
-        **{name: os.environ.get(name) for name in _BLAS_ENV},
+        **{name: os.environ.get(name) for name in ("OPENBLAS_CORETYPE", *_BLAS_THREAD_VARS)},
     }
 
 

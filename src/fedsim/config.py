@@ -187,9 +187,10 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
 
 
 def _run_name(output_sec: dict) -> str:
-    # The name becomes a file name inside output.dir and must not leave it.
+    # The name becomes a file name inside output.dir and must not leave it,
+    # nor hold a NUL, which no file name can.
     name = _str(output_sec, "output", "name")
-    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+    if name in ("", ".", "..") or any(c and c in name for c in ("/", "\0", os.sep, os.altsep)):
         raise ConfigError(f"output.name: expected a plain file name, got {name!r}")
     return name
 

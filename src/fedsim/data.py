@@ -318,11 +318,14 @@ def partition_noniid_l(
 ) -> list[DatasetView]:
     """Label-skewed split: every client receives exactly ``labels_per_client`` labels.
 
-    Samples are grouped by label, each group is split into
-    ``clients * labels_per_client / num_classes`` shards, and shards are
-    dealt round-robin to clients with the label groups visited in a seeded
-    order. Contiguous dealing guarantees no client sees the same label twice.
-    Each client is a view of its shards' rows of ``dataset``.
+    Samples are grouped by label, each group is shuffled and split into
+    ``clients * labels_per_client / num_classes`` equal shards, and the
+    shards, label groups visited in a seeded order, are dealt round-robin:
+    shard ``k`` goes to client ``k mod clients``. A label's shards are at
+    most ``clients`` consecutive ones, so they go to distinct clients, and
+    a client's shards are ``clients`` apart, so no two share a label: each
+    client holds exactly ``labels_per_client`` labels. Each client is a
+    view of its shards' rows of ``dataset``.
     """
     if clients < 1:
         raise DataError("client count must be at least 1")
@@ -334,9 +337,9 @@ def partition_noniid_l(
         raise DataError(
             f"clients * labels_per_client ({clients}*{lpc}) must be divisible by {num_classes}"
         )
+    # No client can get too few labels or one label twice: lpc <= num_classes
+    # makes shards_per_label <= clients, and the deal below does the rest.
     shards_per_label = (clients * lpc) // num_classes
-    if shards_per_label > clients:
-        raise DataError("infeasible assignment: more shards per label than clients")
 
     rng = Xoshiro256PP(derive_seed(seed, 0x901))
     groups: list[np.ndarray] = []
@@ -349,23 +352,12 @@ def partition_noniid_l(
             )
         groups.append(group[rng.permutation(group.size)])
 
-    label_order = rng.permutation(num_classes)
-    client_indices: list[list[np.ndarray]] = [[] for _ in range(clients)]
-    slot = 0
-    for label in label_order:
-        group = groups[label]
-        shard_size = group.size // shards_per_label
-        for s in range(shards_per_label):
-            client_indices[slot % clients].append(group[s * shard_size : (s + 1) * shard_size])
-            slot += 1
-
-    result = []
-    for j in range(clients):
-        client = DatasetView(dataset, np.concatenate(client_indices[j]))
-        if len(np.unique(client.labels)) != lpc:
-            raise DataError("infeasible assignment: distinct-label constraint violated")
-        result.append(client)
-    return result
+    shards = [
+        shard
+        for label in rng.permutation(num_classes)
+        for shard in np.split(groups[label], shards_per_label)
+    ]
+    return [DatasetView(dataset, np.concatenate(shards[j::clients])) for j in range(clients)]
 
 
 def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list[DatasetView]:
@@ -386,9 +378,9 @@ def partition_manual(dataset: Dataset, assignment: dict[int, list[int]]) -> list
             raise DataError(f"client {j}: sample index out of range")
         if seen[arr].any():
             raise DataError(f"client {j}: overlapping assignment")
-        values, counts = np.unique(arr, return_counts=True)
+        counts = np.bincount(arr)
         if counts.max() > 1:
-            raise DataError(f"client {j}: sample {values[counts.argmax()]} assigned more than once")
+            raise DataError(f"client {j}: sample {counts.argmax()} assigned more than once")
         seen[arr] = True
     if not seen.all():
         raise DataError("assignment does not cover every sample")

@@ -156,6 +156,33 @@ def reference_aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
     return acc
 
 
+def reference_noniid_l_rows(
+    dataset: Dataset, clients: int, labels_per_client: int, seed: int
+) -> list[np.ndarray]:
+    """Every client's rows of ``partition_noniid_l``, dealt one shard at a time.
+
+    The same draws as the partitioner, then a slot loop that hands shard
+    after shard to client ``slot % clients``. Inputs must be valid.
+    """
+    shards_per_label = (clients * labels_per_client) // dataset.num_classes
+    rng = Xoshiro256PP(fs.derive_seed(seed, 0x901))
+    groups: list[np.ndarray] = []
+    for label in range(dataset.num_classes):
+        group = np.flatnonzero(dataset.labels == label)
+        groups.append(group[rng.permutation(group.size)])
+
+    label_order = rng.permutation(dataset.num_classes)
+    client_indices: list[list[np.ndarray]] = [[] for _ in range(clients)]
+    slot = 0
+    for label in label_order:
+        group = groups[label]
+        shard_size = group.size // shards_per_label
+        for s in range(shards_per_label):
+            client_indices[slot % clients].append(group[s * shard_size : (s + 1) * shard_size])
+            slot += 1
+    return [np.concatenate(client_indices[j]) for j in range(clients)]
+
+
 def write_idx_pair(directory: str, images: np.ndarray, labels: np.ndarray, stem: str) -> tuple[str, str]:
     """Write a uint8 image array [n, rows, cols] and labels [n] as IDX files."""
     n, rows, cols = images.shape

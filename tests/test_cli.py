@@ -309,6 +309,35 @@ def test_csv_source_with_split(tmp_path):
     assert main(["run", path]) == 0
 
 
+def test_csv_source_with_test_path_runs_as_the_api_on_load_csv(tmp_path):
+    train, test = fs.synthetic_split(4, 40, 20, 3, 2)
+    paths = {}
+    for name, ds in (("train", train), ("test", test)):
+        paths[name] = tmp_path / f"{name}.csv"
+        lines = [f"{y}," + ",".join(map(repr, x)) for x, y in zip(ds.features.tolist(), ds.labels)]
+        paths[name].write_text("label,a,b,c\n" + "\n".join(lines) + "\n")
+    document = base_config(tmp_path)
+    document["dataset"] = {
+        "source": "csv",
+        "train_path": str(paths["train"]),
+        "test_path": str(paths["test"]),
+        "num_classes": 2,
+        "header": True,
+    }
+    document["train"]["K"] = 2
+    assert main(["run", write_config(tmp_path, document)]) == 0
+
+    train = fs.load_csv(str(paths["train"]), 2, header=True)
+    test = fs.load_csv(str(paths["test"]), 2, header=True)
+    config = fs.TrainingConfig(
+        mode="fedmmb", learning_rate=0.05, max_rounds=20, batch_size=8,
+        seeds=fs.Seeds(1, 2, 3), eval_every=1, clients=2, batch_count=1,
+    )
+    clients = fs.partition_iid(train, 2, 3)
+    log = fs.run_fedmmb(config, fs.NetworkSpec(3, (16,), 2), clients, test)
+    assert (tmp_path / "out" / "run.csv").read_bytes() == log.to_csv_string().encode()
+
+
 def test_idx_source_config(tmp_path):
     from fedsim.claims import make_image_blobs
     from helpers import write_idx_pair
@@ -344,7 +373,7 @@ def test_sidecar_alone_reproduces_run(tmp_path):
 
 
 def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monkeypatch):
-    blas_vars = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    blas_vars = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
     for name in blas_vars:
         monkeypatch.delenv(name, raising=False)
     path = write_config(tmp_path, base_config(tmp_path))
@@ -368,7 +397,7 @@ def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monke
     environment = json.loads((tmp_path / "out" / "run.json").read_text())["environment"]
     assert environment["OPENBLAS_CORETYPE"] == "Haswell"
     assert environment["OPENBLAS_NUM_THREADS"] == "1"
-    assert environment["OMP_NUM_THREADS"] is None
+    assert environment["MKL_NUM_THREADS"] is None and environment["OMP_NUM_THREADS"] is None
     csv = (tmp_path / "out" / "run.csv").read_bytes()
     assert csv == unset_csv
     assert csv.decode() == run_experiment(load_config(path)).to_csv_string()
@@ -668,6 +697,16 @@ CONFIG_REFUSALS = {
                                  "partition.assignment: expected an object"),
     "client_keys_not_integers": (lambda d: d.update(manual_partition({"a": [0], "b": [1]})),
                                  "partition.assignment: bad client map"),
+    "unknown_source": (lambda d: d["dataset"].update(source="hdf5"),
+                       "dataset.source must be synthetic, csv, or idx, got 'hdf5'"),
+    "unknown_partition_kind": (lambda d: d["partition"].update(kind="dirichlet"),
+                               "partition.kind must be iid, noniid_l, or manual, got 'dirichlet'"),
+    "hidden_not_positive_integers": (lambda d: d["model"].update(hidden=[16, 0]),
+                                     "model.hidden: expected a list of positive integers"),
+    "name_not_a_string": (lambda d: d["output"].update(name=7),
+                          "output.name: expected a string, got 7"),
+    "name_with_a_nul": (lambda d: d["output"].update(name="a\0"),
+                        "output.name: expected a plain file name, got 'a\\x00'"),
 }
 
 # id -> (the --set expression ``sweep`` refuses, the message printed)

@@ -16,7 +16,7 @@ from fedsim.claims import balanced_subset, image_surrogate, make_image_blobs
 from fedsim.data import synthetic_split
 from fedsim.rng import Xoshiro256PP, derive_seed, shuffle_order
 
-from helpers import mnist_idx_paths, window_batches, write_idx_pair
+from helpers import mnist_idx_paths, reference_noniid_l_rows, window_batches, write_idx_pair
 
 
 def multiset(dataset: fs.Dataset) -> list[tuple]:
@@ -94,6 +94,16 @@ def test_load_idx_rejects_truncation_and_count_mismatch(tmp_path):
     _, labels_path3 = write_idx_pair(str(tmp_path), images[:3], labels[:3], "count3")
     with pytest.raises(fs.DataError):
         fs.load_idx(images_path, labels_path3)
+
+    _, labels_path = write_idx_pair(str(tmp_path), images, labels, "labels")
+    with open(labels_path, "rb") as f:
+        raw = f.read()
+    for cut, message in [(raw[:7], "truncated IDX label header"),
+                         (raw[:-1], "label payload does not match header count")]:
+        with open(labels_path, "wb") as f:
+            f.write(cut)
+        with pytest.raises(fs.DataError, match=message):
+            fs.load_idx(images_path, labels_path)
 
 
 @pytest.mark.parametrize("rows, cols", [(-1, -1), (0, 5), (3, 0)])
@@ -346,6 +356,41 @@ def test_partition_noniid_l2_shard_structure():
     assert clients_multiset(clients) == multiset(ds)
 
 
+@st.composite
+def noniid_l_inputs(draw):
+    """A valid label-skew split: dataset, clients, L and seed.
+
+    ``clients * L`` is a multiple of the class count, and every label's
+    count is a multiple of the shard count, the counts differing per label.
+    """
+    num_classes = draw(st.integers(1, 10))
+    lpc = draw(st.integers(1, num_classes))
+    step = num_classes // math.gcd(num_classes, lpc)
+    clients = step * draw(st.integers(1, max(1, 24 // step)))
+    shards_per_label = clients * lpc // num_classes
+    counts = draw(st.lists(st.integers(1, 4), min_size=num_classes, max_size=num_classes))
+    labels = np.repeat(np.arange(num_classes), np.array(counts) * shards_per_label)
+    labels = labels[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(labels.size)]
+    dataset = fs.Dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels, num_classes)
+    return dataset, clients, lpc, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(noniid_l_inputs())
+def test_partition_noniid_l_deals_the_reference_loop_s_shards(inputs):
+    # Shard k goes to client k mod clients, as the slot loop dealt them: the
+    # same rows in the same order, exactly L labels a client, every row once.
+    dataset, clients, lpc, seed = inputs
+    views = fs.partition_noniid_l(dataset, clients, lpc, seed)
+    reference = reference_noniid_l_rows(dataset, clients, lpc, seed)
+    assert len(views) == clients
+    for view, rows in zip(views, reference):
+        assert view.rows.tobytes() == rows.tobytes()
+        assert view.labels.tobytes() == dataset.labels[rows].tobytes()
+        assert len(set(view.labels.tolist())) == lpc
+    assert np.array_equal(np.sort(np.concatenate(reference)), np.arange(dataset.n))
+
+
 def test_partition_noniid_rejects_bad_divisibility():
     ds = fs.synthetic(7, 1000, 4, 10)
     with pytest.raises(fs.DataError):
@@ -381,6 +426,12 @@ def test_partition_manual_roundtrip_and_errors():
         fs.partition_manual(ds, {0: [0, 1], 1: [1, 2]})  # overlap
     with pytest.raises(fs.DataError):
         fs.partition_manual(ds, {0: list(range(11))})  # not covering
+    with pytest.raises(fs.DataError, match="client 1: empty assignment"):
+        fs.partition_manual(ds, {0: list(range(12)), 1: []})
+    with pytest.raises(fs.DataError, match="client 0: sample index out of range"):
+        fs.partition_manual(ds, {0: list(range(13))})
+    with pytest.raises(fs.DataError, match="client 0: sample 1 assigned more than once"):
+        fs.partition_manual(ds, {0: [3, 1, 3, 1], 1: [0, 2, *range(4, 12)]})
 
 
 def test_partition_manual_rejects_a_sample_repeated_within_one_client():

@@ -1276,6 +1276,37 @@ def test_only_a_split_run_loads_the_worker_module_and_no_run_loads_a_pool(split)
     assert result.stdout.strip() == ("['fedsim.split', 'mmap']" if split else "[]")
 
 
+def test_a_noniid_l_run_and_a_manual_partition_load_no_masked_arrays(tmp_path):
+    # np.unique's first call in a process imports numpy.ma (about 1.6 MB of
+    # RSS); neither partitioner nor the rest of `fedsim run` needs it.
+    document = {
+        "dataset": {"source": "synthetic", "seed": 5, "n_train": 160, "n_test": 80,
+                    "input_dim": 8, "num_classes": 4},
+        "model": {"hidden": [16]},
+        "partition": {"kind": "noniid_l", "L": 2},
+        "train": {"mode": "fedmmb", "K": 4, "B": 8, "C": 1, "eta": 0.05, "I_max": 4,
+                  "eval_every": 1, "seeds": {"init": 1, "shuffle": 2, "partition": 3}},
+        "output": {"dir": str(tmp_path / "out"), "name": "run"},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    child = (
+        "import sys\n"
+        "import fedsim as fs\n"
+        "from fedsim.cli import main\n"
+        "assert main(['run', sys.argv[1]]) == 0\n"
+        "fs.partition_manual(fs.synthetic(1, 6, 2, 2), {0: [4, 0, 2], 1: [1, 5, 3]})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(federated.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", child, str(path)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_lockstep_rejects_clients_of_different_feature_widths():
     clients = [make_client(20, input_dim=4), make_client(20, input_dim=5)]
     cfg = fs.TrainingConfig(
