@@ -77,8 +77,9 @@ def _make_output_dir(directory: str) -> None:
     """
     try:
         os.makedirs(directory or ".", exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output.dir {directory!r} cannot be created: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: the path holds a NUL byte
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"output.dir {directory!r} cannot be created: {reason}") from exc
 
 
 def _check_output_files(paths: list[str]) -> None:

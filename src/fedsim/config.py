@@ -27,7 +27,7 @@ from .data import (
     split_dataset,
     synthetic_split,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .federated import Seeds, TrainingConfig, run_centralized, run_fedavg, run_fedmmb
 from .metrics import MetricsLog
 from .nn import NetworkSpec
@@ -317,10 +317,16 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
             test = load_csv(section["test_path"], section["num_classes"], header=header)
             return train, test
         return split_dataset(train, section["test_split"], section["seed"])
-    train = load_idx(
-        section["train_images"], section["train_labels"], section.get("num_classes")
-    )
-    test = load_idx(section["test_images"], section["test_labels"], section.get("num_classes"))
+    num_classes = section.get("num_classes")
+    train = load_idx(section["train_images"], section["train_labels"], num_classes)
+    test = load_idx(section["test_images"], section["test_labels"], num_classes)
+    if num_classes is None:
+        # Either label file may lack the top labels; the count covers both.
+        num_classes = max(train.num_classes, test.num_classes)
+        if num_classes < 2:
+            raise DataError("the IDX label files hold 1 class; a network needs at least 2")
+        train = Dataset(train.features, train.labels, num_classes)
+        test = Dataset(test.features, test.labels, num_classes)
     return train, test
 
 

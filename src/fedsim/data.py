@@ -163,7 +163,7 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
             raw_images = f.read()
         with open(labels_path, "rb") as f:
             raw_labels = f.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path holds a NUL byte
         raise DataError(f"cannot read IDX files: {exc}") from exc
 
     if len(raw_images) < 16:
@@ -206,7 +206,7 @@ def load_csv(path: str, num_classes: int, header: bool = False) -> Dataset:
     width = 0
     try:
         f = open(path, newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: the path holds a NUL byte
         raise DataError(f"cannot read CSV {path}: {exc}") from exc
     try:
         with f:

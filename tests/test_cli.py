@@ -10,7 +10,7 @@ import pytest
 import fedsim as fs
 import fedsim.cli as cli
 from fedsim.cli import ComparisonSpec, cmd_compare, main
-from fedsim.config import config_from_dict, load_config, run_experiment
+from fedsim.config import build_datasets, config_from_dict, load_config, run_experiment
 from fedsim.blas import _openblas
 
 
@@ -356,6 +356,71 @@ def test_idx_source_config(tmp_path):
     }
     path = write_config(tmp_path, document)
     assert main(["run", path]) == 0
+
+
+def idx_dataset(tmp_path, train_labels, test_labels) -> dict:
+    """An IDX dataset section over two tiny pairs with these labels and no num_classes."""
+    from helpers import write_idx_pair
+
+    paths = {}
+    for stem, labels in (("train", train_labels), ("test", test_labels)):
+        labels = np.array(labels)
+        images = np.arange(16 * labels.size).reshape(labels.size, 4, 4) % 256
+        paths[stem] = write_idx_pair(str(tmp_path), images, labels, stem)
+    return {"source": "idx", "train_images": paths["train"][0], "train_labels": paths["train"][1],
+            "test_images": paths["test"][0], "test_labels": paths["test"][1]}
+
+
+def test_idx_class_count_is_inferred_from_both_label_files(tmp_path):
+    # The test file holds label 2, which the train file lacks: the network
+    # gets three outputs, and the run evaluates every test label.
+    document = base_config(tmp_path)
+    document["dataset"] = idx_dataset(tmp_path, [0, 1] * 20, [0, 1, 2, 2])
+    train, test = build_datasets(config_from_dict(copy.deepcopy(document)))
+    assert train.num_classes == test.num_classes == 3
+    assert main(["run", write_config(tmp_path, document)]) == 0
+
+
+def test_idx_label_files_with_one_class_exit_3(tmp_path, capsys):
+    document = base_config(tmp_path)
+    document["dataset"] = idx_dataset(tmp_path, [0] * 40, [0] * 8)
+    assert main(["run", write_config(tmp_path, document)]) == 3
+    assert "data error: the IDX label files hold 1 class" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.csv").exists()
+
+
+# id -> (the config key set to a path holding a NUL byte, the exit code)
+NUL_PATHS = {
+    "output_dir": ("output.dir", 2),
+    "csv_train_path": ("dataset.train_path", 3),
+    "csv_test_path": ("dataset.test_path", 3),
+    "idx_train_images": ("dataset.train_images", 3),
+    "idx_test_labels": ("dataset.test_labels", 3),
+}
+
+
+@pytest.mark.parametrize("case", NUL_PATHS)
+def test_a_nul_byte_in_a_path_is_a_config_or_data_error(tmp_path, capsys, case):
+    key, code = NUL_PATHS[case]
+    document = base_config(tmp_path)
+    if key in ("dataset.train_path", "dataset.test_path"):
+        data = tmp_path / "points.csv"
+        data.write_text("0,1.0,0.0\n1,0.0,1.0\n" * 20)
+        document["dataset"] = {"source": "csv", "train_path": str(data),
+                               "test_path": str(data), "num_classes": 2}
+    elif key.startswith("dataset."):
+        document["dataset"] = idx_dataset(tmp_path, [0, 1] * 20, [0, 1] * 4)
+    section, leaf = key.split(".")
+    document[section][leaf] = str(tmp_path / "x\0y")
+    path = write_config(tmp_path, document)
+    assert main(["run", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "data error: ")
+    assert "null byte" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "run.csv").exists()
+    if code == 2:
+        assert main(["sweep", path, "--set", "train.C=1,2"]) == 2
+        assert "output.dir" in capsys.readouterr().err
 
 
 def test_sidecar_alone_reproduces_run(tmp_path):

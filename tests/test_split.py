@@ -1,0 +1,89 @@
+"""The fork runner's pipe reads: each way a read can end, past the spin or within it."""
+
+import os
+import time
+
+import pytest
+
+import fedsim.split as split
+from fedsim.errors import ContractError
+from helpers import linux_only
+
+pytestmark = linux_only
+
+
+@pytest.fixture
+def blocking_reads(monkeypatch) -> list:
+    """The sizes of this process's reads that stopped polling and blocked.
+
+    A worker forked afterwards records its own reads in its copy of the list.
+    """
+    reads = []
+    real = split._read_blocking
+
+    def recorded(fd, n):
+        reads.append(n)
+        return real(fd, n)
+
+    monkeypatch.setattr(split, "_read_blocking", recorded)
+    return reads
+
+
+def test_a_task_slower_than_the_spin_replies_through_a_blocking_read(blocking_reads):
+    def slow(i):
+        time.sleep(20 * split.SPIN_S)
+        if i == 1:
+            raise ValueError("slow and wrong")
+        return b"slow %d" % i
+
+    with split.Worker(slow, "test worker") as worker:
+        worker.start(0)
+        assert worker.finish() == b"slow 0"
+        assert blocking_reads == [8]  # the reply's length; its bytes came with it
+        worker.start(1)
+        with pytest.raises(ContractError, match="^the test worker raised ValueError: slow and wrong$"):
+            worker.finish()
+        worker.start(2)
+        assert worker.finish() == b"slow 2"
+
+
+def test_a_worker_kept_waiting_past_the_spin_blocks_then_runs_its_task(blocking_reads):
+    def count(i):  # this worker's blocking reads so far, and the task index
+        return bytes([len(blocking_reads), i])
+
+    with split.Worker(count, "test worker") as worker:
+        worker.start(0)
+        before = worker.finish()[0]
+        time.sleep(100 * split.SPIN_S)
+        worker.start(7)
+        assert worker.finish() == bytes([before + 1, 7])
+
+
+def test_the_end_of_the_pipe_while_the_parent_spins_reads_as_the_workers_exit(
+    monkeypatch, blocking_reads
+):
+    monkeypatch.setattr(split, "SPIN_S", 60.0)  # every wait below ends within the spin
+
+    def dies_in_task_1(i):
+        if i == 1:
+            os._exit(3)
+        return b"ok"
+
+    with split.Worker(dies_in_task_1, "test worker") as worker:
+        worker.start(0)
+        assert worker.finish() == b"ok"
+        worker.start(1)
+        with pytest.raises(ContractError, match="^the test worker exited during task 1$"):
+            worker.finish()
+    assert blocking_reads == []
+
+
+def test_the_end_of_the_pipe_while_the_worker_spins_ends_it_at_once(monkeypatch):
+    monkeypatch.setattr(split, "SPIN_S", 60.0)
+    with split.Worker(lambda i: b"", "test worker") as worker:
+        worker.start(0)
+        assert worker.finish() == b""
+        leaving = time.perf_counter()
+    # The worker was polling for its next task: it read the end of its pipe
+    # and exited, and the parent reaped it, well before its spin would end.
+    assert time.perf_counter() - leaving < 30
