@@ -80,8 +80,14 @@ def make_image_blobs(
 
 
 def image_surrogate() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Criterion 3's stand-in for MNIST: ``(images, labels)`` to train on, then to test on."""
-    return make_image_blobs(41, 4000), make_image_blobs(42, 1500)
+    """Criterion 3's stand-in for MNIST: ``(images, labels)`` to train on, then to test on.
+
+    Both come from one draw of 5500 rows, sliced 4000 / 1500 as
+    ``synthetic_split`` slices, so the test rows share the train rows' class
+    templates. Both slices start at label 0 and stay balanced.
+    """
+    images, labels = make_image_blobs(41, 5500)
+    return (images[:4000], labels[:4000]), (images[4000:], labels[4000:])
 
 
 def balanced_subset(dataset: Dataset, per_class: int, seed: int) -> Dataset:

@@ -22,8 +22,8 @@ from .data import (
     Dataset,
     PartitionPlan,
     apply_partition,
+    _read_idx,
     load_csv,
-    load_idx,
     split_dataset,
     synthetic_split,
 )
@@ -317,17 +317,15 @@ def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
             test = load_csv(section["test_path"], section["num_classes"], header=header)
             return train, test
         return split_dataset(train, section["test_split"], section["seed"])
+    train = _read_idx(section["train_images"], section["train_labels"])
+    test = _read_idx(section["test_images"], section["test_labels"])
     num_classes = section.get("num_classes")
-    train = load_idx(section["train_images"], section["train_labels"], num_classes)
-    test = load_idx(section["test_images"], section["test_labels"], num_classes)
     if num_classes is None:
         # Either label file may lack the top labels; the count covers both.
-        num_classes = max(train.num_classes, test.num_classes)
+        num_classes = 1 + int(max(train[1].max(), test[1].max()))
         if num_classes < 2:
             raise DataError("the IDX label files hold 1 class; a network needs at least 2")
-        train = Dataset(train.features, train.labels, num_classes)
-        test = Dataset(test.features, test.labels, num_classes)
-    return train, test
+    return Dataset(*train, num_classes), Dataset(*test, num_classes)
 
 
 def build_spec(config: ExperimentConfig, train_set: Dataset) -> NetworkSpec:

@@ -151,12 +151,21 @@ class PartitionPlan:
             raise DataError("assignment only applies to manual partitions")
 
 
-def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> Dataset:
-    """Load an IDX image/label file pair (big-endian, MNIST-style).
+def load_idx(images_path: str, labels_path: str, num_classes: int) -> Dataset:
+    """Load an IDX image/label file pair (big-endian, MNIST-style) with ``num_classes`` classes.
+
+    The count is not inferred from the labels: a train pair and a test pair
+    loaded apart could get two counts. ``config.build_datasets`` infers one
+    count from both label files when a config omits it.
+    """
+    return Dataset(*_read_idx(images_path, labels_path), num_classes)
+
+
+def _read_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The features and int64 labels of an IDX image/label file pair, checked.
 
     Pixels are scaled to [0, 1] by dividing by 255 and images flattened
-    row-major. When ``num_classes`` is omitted it is inferred as
-    ``max(label) + 1``.
+    row-major.
     """
     try:
         with open(images_path, "rb") as f:
@@ -171,6 +180,8 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     magic, count, rows, cols = struct.unpack(">iiii", raw_images[:16])
     if magic != IDX_IMAGE_MAGIC:
         raise DataError(f"{images_path}: bad IDX image magic {magic:#010x}")
+    if count < 1:
+        raise DataError(f"{images_path}: holds no images")
     if rows < 1 or cols < 1:
         raise DataError(f"{images_path}: image size {rows}x{cols} is not positive")
     if len(raw_images) != 16 + count * rows * cols:
@@ -189,9 +200,7 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     pixels = np.frombuffer(raw_images, dtype=np.uint8, offset=16)
     features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8, offset=8).astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if count else 0
-    return Dataset(features, labels, num_classes)
+    return features, labels
 
 
 def load_csv(path: str, num_classes: int, header: bool = False) -> Dataset:

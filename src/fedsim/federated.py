@@ -15,8 +15,10 @@ own copy of the aggregated weights, so its numbers are those of an
 inline evaluation, and the round hook may write the weights it is given:
 the next round starts from what it wrote. A run with long rounds trains
 half its clients in a forked worker process (``_splits``,
-``fedsim.split``); a client's arithmetic does not depend on which
-clients share its stack, so the bits are those of one process.
+``fedsim.split``), which gathers its half of each round's rows before
+the round starts (``prepare_round``); a client's arithmetic does not depend on
+which clients share its stack, and a round's rows on when they are
+gathered, so the bits are those of one process.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
@@ -211,6 +213,9 @@ class StepPlan:
         self._x = np.empty((k, 0, spec.input_dim))
         self._targets = np.empty((k, 0, spec.output_dim))
         self._one_hot = np.eye(spec.output_dim)
+        # The round gathered and not yet trained (``prepare_round``): its index,
+        # each step's ranges, and every client's sample and step count.
+        self.prepared: tuple[int, list, list[int], list[int]] | None = None
 
     def gather(self, rows: list[np.ndarray]) -> None:
         """Copy rows ``rows[j]`` of schedule ``j``'s source to the front of its gather buffers.
@@ -271,43 +276,29 @@ class StepPlan:
             _descend(origin[0], params, self.eta, out=params)
 
 
-def client_update_mmb(
-    plan: StepPlan, round_index: int, global_weights: np.ndarray
-) -> tuple[list[int], list[int]]:
-    """Every client's local training for round ``round_index``, in the plan's stack.
+def prepare_round(plan: StepPlan, round_index: int) -> None:
+    """The first half of round ``round_index`` in ``plan``: its rows, gathered, and its step ranges.
 
-    Each client starts from the global weights and takes one SGD
-    step per batch of this round's ``plan.windows`` batch windows, in
-    order: round ``i`` takes windows ``i * windows`` to
-    ``i * windows + windows - 1`` of each schedule. A window is a pure
-    function of its index, so the round reads no state that earlier rounds
-    left behind. A whole-list schedule (one window per sweep) therefore
-    runs ``windows`` local epochs, epoch k of round i on permutation
-    ``i * windows + k`` of the client's seed stream.
-
-    Client ``j`` trains in row ``j`` of ``plan.stack``. The first step
-    reads the global weights in place, through one set of layer views with
-    a leading axis of 1 that broadcasts across the clients, and writes
-    ``W - eta * g`` into every client's row. Nothing copies the weights
-    into the stack, and no step reads a row before the first step has
-    written it. The global weights therefore must not share memory with
-    the stack (``ContractError``): the first step writes the stack while
-    it still reads them. Each window index of the round is drawn for every
+    Round ``i`` takes windows ``i * windows`` to ``i * windows + windows - 1``
+    of each schedule. Each window index of the round is drawn for every
     client at once (``draw_windows``: one permutation draw per source size
     for all the clients that start a sweep), and the round's rows of each
-    client, with their one-hot targets, are copied out of its source once.
-    The clients are cut once per round into runs of neighbours with one
-    list of batch sizes. At step ``s``, neighbouring runs whose batch ``s``
-    has one offset and size join one range, and each range is one
-    ``plan.step``; a client whose windows have no batch ``s`` sits the
-    step out. Equal clients make one range, so no step loops over them.
-    Clients of two sizes in alternation take one range each at a step
-    where their batches differ, or that some of them sit out. Returns
-    every client's sample count and step count, in row order.
+    client, with their one-hot targets, are copied out of its source once
+    (``StepPlan.gather``). The clients are cut into runs of neighbours with
+    one list of batch sizes. At step ``s``, neighbouring runs whose batch
+    ``s`` has one offset and size join one range, and each range is one
+    ``plan.step``; a client whose windows have no batch ``s`` sits the step
+    out. Equal clients make one range, so no step loops over them. Clients
+    of two sizes in alternation take one range each at a step where their
+    batches differ, or that some of them sit out.
+
+    A window is a pure function of its index, so the round reads no state
+    that earlier rounds left behind, and it may be prepared at any time
+    after the plan's last round has trained: a split run's worker prepares
+    its next round while the driver aggregates. The prepared round is kept
+    in ``plan.prepared`` until ``client_update_mmb`` trains it; preparing
+    another round replaces it.
     """
-    if np.shares_memory(global_weights, plan.stack):
-        raise ContractError("the global weights must not share memory with the client stack")
-    origin = (global_weights, layer_views(plan.spec, global_weights[None]))
     first = round_index * plan.windows
     windows = [draw_windows(plan.schedules, first + e) for e in range(plan.windows)]
     rows, sizes = [], []
@@ -323,6 +314,7 @@ def client_update_mmb(
             runs[-1][1] = j + 1
         else:
             runs.append([j, j + 1, batches, list(accumulate(batches, initial=0))])
+    steps: list[list[list[int]]] = []  # per step: its ranges [a, b, offset, size]
     for s in range(max(map(len, sizes))):
         # Neighbouring runs whose batch s has one offset and size join one range.
         ranges: list[list[int]] = []
@@ -332,9 +324,43 @@ def client_update_mmb(
                     ranges[-1][1] = b
                 else:
                     ranges.append([a, b, offsets[s], batches[s]])
+        steps.append(ranges)
+    plan.prepared = (round_index, steps, [r.size for r in rows], [len(z) for z in sizes])
+
+
+def client_update_mmb(
+    plan: StepPlan, round_index: int, global_weights: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Every client's local training for round ``round_index``, in the plan's stack.
+
+    Each client starts from the global weights and takes one SGD step per
+    batch of this round's ``plan.windows`` batch windows, in order
+    (``prepare_round``, which runs first unless ``plan.prepared`` already
+    holds this round). A whole-list schedule (one window per sweep)
+    therefore runs ``windows`` local epochs, epoch k of round i on
+    permutation ``i * windows + k`` of the client's seed stream.
+
+    Client ``j`` trains in row ``j`` of ``plan.stack``. The first step
+    reads the global weights in place, through one set of layer views with
+    a leading axis of 1 that broadcasts across the clients, and writes
+    ``W - eta * g`` into every client's row. Nothing copies the weights
+    into the stack, and no step reads a row before the first step has
+    written it. The global weights therefore must not share memory with
+    the stack (``ContractError``): the first step writes the stack while
+    it still reads them. Returns every client's sample and step count, in
+    row order.
+    """
+    if np.shares_memory(global_weights, plan.stack):
+        raise ContractError("the global weights must not share memory with the client stack")
+    if plan.prepared is None or plan.prepared[0] != round_index:
+        prepare_round(plan, round_index)
+    _, steps, samples, counts = plan.prepared
+    plan.prepared = None
+    origin = (global_weights, layer_views(plan.spec, global_weights[None]))
+    for s, ranges in enumerate(steps):
         for a, b, offset, size in ranges:
             plan.step(a, b, offset, size, origin if s == 0 else None)
-    return [r.size for r in rows], [len(z) for z in sizes]
+    return samples, counts
 
 
 def aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
@@ -403,8 +429,12 @@ def _run_rounds(
     client's arithmetic is that of a serial round. Each round this process
     copies the global weights into the shared mapping, and the worker
     replies with its clients' sample and step counts. The worker is forked
-    before the first round and before the evaluation thread starts. It is
-    reaped when this call returns or raises.
+    before the initial weights are drawn and before the evaluation thread
+    starts. It prepares its half of round 0 (``prepare_round``) while this
+    process draws the weights, and of round ``i + 1`` as soon as it has
+    replied for round ``i``, while this process aggregates, evaluates and
+    runs the hook; it prepares no round past the last. It is reaped when
+    this call returns or raises.
 
     When the test set is large (``EVAL_ASIDE_MACS``), each evaluation runs
     on one worker thread, at most one at a time, on its own copy of the
@@ -436,21 +466,28 @@ def _run_rounds(
             samples, steps = client_update_mmb(rest, i, shared_weights)
             return np.array(samples + steps, dtype=np.int64).tobytes()
 
+        def worker_ahead(i: int) -> None:
+            if i < config.max_rounds:
+                prepare_round(rest, i)
+
     else:
         plan = StepPlan(spec, schedules, windows, eta)
         stack = plan.stack
-    weights = init_weights(spec, config.seeds.init)
     bytes_per_round = comm_cost(config, spec)
     log = MetricsLog()
     local_updates = 0
     pending = None  # the evaluation on the worker thread: its row's counts and its future
-    # The fork comes last before the first round, at one BLAS thread, and
-    # before the thread starts.
+    # The fork comes at one BLAS thread, before the thread starts (on the
+    # first ``submit``) and before the initial weights are drawn, so the
+    # worker prepares its round 0 while this process draws them.
     with (
         one_blas_thread(),
-        Worker(worker_round, "training worker") if worker_round else nullcontext() as worker,
+        Worker(worker_round, "training worker", worker_ahead)
+        if worker_round
+        else nullcontext() as worker,
         _thread() if aside else nullcontext() as pool,
     ):
+        weights = init_weights(spec, config.seeds.init)
         for i in range(config.max_rounds):
             if worker is not None:
                 shared_weights[:] = weights

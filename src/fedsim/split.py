@@ -5,7 +5,8 @@
 it, each only when it is large enough to pay for the fork:
 
 - a run whose rounds are long (``federated._splits``) trains half its
-  clients in the worker, every round;
+  clients in the worker, every round, and has it gather each round's rows
+  while the parent finishes the round before (``prepare``);
 - a large ``normal_array`` (``rng.SPLIT_MIN_DRAWS``) draws half its lanes
   there, once.
 
@@ -45,6 +46,8 @@ from .errors import ContractError
 
 # A worker's task: its index in, its reply out.
 Task = Callable[[int], bytes]
+# Work a worker may do ahead of a task, given the index it expects next.
+Prepare = Callable[[int], None]
 
 # ``drain`` copies and frees a shared mapping this many floats (1 MB) at a time.
 _DRAIN_FLOATS = 2**17
@@ -107,14 +110,18 @@ class Worker:
     returned, and raises ``ContractError``, naming the worker by ``name``,
     when the worker sends an exception or has died. The task sees the
     parent's memory as it was at the fork, plus whatever either side writes
-    to a shared mapping (``shared_array``). The worker ignores SIGINT,
+    to a shared mapping (``shared_array``). With ``prepare``, the worker
+    calls ``prepare(0)`` as soon as it starts and ``prepare(i + 1)`` as
+    soon as it has replied to task ``i``, so work for the next task runs
+    while the parent does its own; an exception there is sent as the next
+    task's reply, and ``finish`` raises it. The worker ignores SIGINT,
     closes the pipe ends it does not use, and exits with ``os._exit`` when
     it reads the end of its pipe, so it never runs the parent's cleanup.
     Leaving the ``with`` block closes the parent's pipe ends and reaps the
-    worker, after at most the task it is running.
+    worker, after at most the task or preparation it is running.
     """
 
-    def __init__(self, task: Task, name: str):
+    def __init__(self, task: Task, name: str, prepare: Prepare | None = None):
         self.name = name
         self._index = None  # the task last started
         commands, self._commands = os.pipe()
@@ -136,7 +143,7 @@ class Worker:
                 gc.freeze()
                 os.close(self._commands)
                 os.close(self._replies)
-                _serve(task, commands, replies)
+                _serve(task, prepare, commands, replies)
                 code = 0
             finally:
                 os._exit(code)
@@ -169,14 +176,27 @@ class Worker:
         os.waitpid(self.pid, 0)
 
 
-def _serve(task: Task, commands: int, replies: int) -> None:
-    """The worker's loop: run each task it is sent, until its pipe ends."""
-    while (message := _receive(commands)) is not None:
+def _serve(task: Task, prepare: Prepare | None, commands: int, replies: int) -> None:
+    """The worker's loop: prepare the next task, run the one it is sent, until its pipe ends."""
+    expected = 0
+    while True:
+        failed = None
+        if prepare is not None:
+            try:
+                prepare(expected)
+            except Exception as exc:  # sent in place of the next task's reply
+                failed = exc
+        if (message := _receive(commands)) is None:
+            return
+        index = int.from_bytes(message, "little")
         try:
-            reply = b"+" + task(int.from_bytes(message, "little"))
+            if failed is not None:
+                raise failed
+            reply = b"+" + task(index)
         except Exception as exc:  # sent to the parent, which raises it
             reply = f"-{type(exc).__name__}: {exc}".encode()
         _send(replies, reply)
+        expected = index + 1
 
 
 def _send(fd: int, payload: bytes) -> None:

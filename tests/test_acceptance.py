@@ -80,13 +80,14 @@ def test_acceptance_2_lockstep_equivalence():
 def _image_datasets(tmp_path) -> tuple[fs.Dataset, fs.Dataset, str]:
     paths = mnist_idx_paths()
     if paths is not None:
-        train_full = fs.load_idx(paths["train_images"], paths["train_labels"])
-        test_full = fs.load_idx(paths["test_images"], paths["test_labels"])
+        train_full = fs.load_idx(paths["train_images"], paths["train_labels"], 10)
+        test_full = fs.load_idx(paths["test_images"], paths["test_labels"], 10)
         return train_full, test_full, "mnist"
     # Deterministic surrogate with MNIST's geometry, via the IDX loader.
     (train_images, train_labels), (test_images, test_labels) = claims.image_surrogate()
-    train_full = fs.load_idx(*write_idx_pair(str(tmp_path), train_images, train_labels, "train"))
-    test_full = fs.load_idx(*write_idx_pair(str(tmp_path), test_images, test_labels, "test"))
+    train_paths = write_idx_pair(str(tmp_path), train_images, train_labels, "train")
+    test_paths = write_idx_pair(str(tmp_path), test_images, test_labels, "test")
+    train_full, test_full = fs.load_idx(*train_paths, 10), fs.load_idx(*test_paths, 10)
     return train_full, test_full, "image-blob surrogate"
 
 
@@ -95,6 +96,9 @@ def test_acceptance_3_free_running_concordance(tmp_path):
     train_full, test_full, source = _image_datasets(tmp_path)
     train, test, cent, fed = claims.image_concordance(claims.IMAGE_SEEDS, train_full, test_full)
     assert train.n == 2000 and test.n == 1000 and train.input_dim == 784
+    # Concordance of arms that learn nothing checks nothing: the centralized
+    # arm must reach five times chance.
+    assert cent.log.max_accuracy() >= 0.5, f"centralized max accuracy {cent.log.max_accuracy()}"
     deltas = {}
     for scenario in ("iid", "noniid_1"):
         verdict = fs.discordance(fed[scenario].log, cent.log, epsilon=0.01)
@@ -105,7 +109,8 @@ def test_acceptance_3_free_running_concordance(tmp_path):
     report_pass(
         3,
         "free-running concordance",
-        f"{source}: delta iid {deltas['iid']:.2e}, noniid-1 {deltas['noniid_1']:.2e}, {elapsed:.0f}s",
+        f"{source}: delta iid {deltas['iid']:.2e}, noniid-1 {deltas['noniid_1']:.2e},"
+        f" centralized max accuracy {cent.log.max_accuracy():.3f}, {elapsed:.0f}s",
     )
 
 

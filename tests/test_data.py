@@ -62,7 +62,7 @@ def test_load_idx_hand_crafted_fixture(tmp_path):
     images = np.arange(10 * 2 * 3, dtype=np.uint8).reshape(10, 2, 3)
     labels = (np.arange(10) % 4).astype(np.uint8)
     images_path, labels_path = write_idx_pair(str(tmp_path), images, labels, "tiny")
-    ds = fs.load_idx(images_path, labels_path)
+    ds = fs.load_idx(images_path, labels_path, 4)
     assert ds.n == 10 and ds.input_dim == 6 and ds.num_classes == 4
     np.testing.assert_array_equal(ds.features, images.reshape(10, 6) / 255.0)
     np.testing.assert_array_equal(ds.labels, labels)
@@ -76,7 +76,7 @@ def test_load_idx_rejects_wrong_magic(tmp_path):
     with open(labels_path, "r+b") as f:
         f.write(struct.pack(">i", 0x00000803))
     with pytest.raises(fs.DataError):
-        fs.load_idx(images_path, labels_path)
+        fs.load_idx(images_path, labels_path, 2)
 
 
 def test_load_idx_rejects_truncation_and_count_mismatch(tmp_path):
@@ -88,12 +88,12 @@ def test_load_idx_rejects_truncation_and_count_mismatch(tmp_path):
     with open(images_path, "wb") as f:
         f.write(raw[:-3])
     with pytest.raises(fs.DataError):
-        fs.load_idx(images_path, labels_path)
+        fs.load_idx(images_path, labels_path, 2)
 
     images_path, _ = write_idx_pair(str(tmp_path), images, labels, "count")
     _, labels_path3 = write_idx_pair(str(tmp_path), images[:3], labels[:3], "count3")
     with pytest.raises(fs.DataError):
-        fs.load_idx(images_path, labels_path3)
+        fs.load_idx(images_path, labels_path3, 2)
 
     _, labels_path = write_idx_pair(str(tmp_path), images, labels, "labels")
     with open(labels_path, "rb") as f:
@@ -103,7 +103,7 @@ def test_load_idx_rejects_truncation_and_count_mismatch(tmp_path):
         with open(labels_path, "wb") as f:
             f.write(cut)
         with pytest.raises(fs.DataError, match=message):
-            fs.load_idx(images_path, labels_path)
+            fs.load_idx(images_path, labels_path, 2)
 
 
 @pytest.mark.parametrize("rows, cols", [(-1, -1), (0, 5), (3, 0)])
@@ -117,13 +117,44 @@ def test_load_idx_rejects_non_positive_image_size(tmp_path, rows, cols):
         f.write(struct.pack(">iiii", 0x00000803, 1, rows, cols))
         f.write(bytes(rows * cols))
     with pytest.raises(fs.DataError, match="image size"):
-        fs.load_idx(images_path, labels_path)
+        fs.load_idx(images_path, labels_path, 2)
+
+
+def test_load_idx_takes_its_class_count_so_pairs_loaded_apart_agree(tmp_path):
+    # The train file lacks label 2, which the test file holds: each pair gets
+    # the count it is given, not one inferred from its own labels, so both
+    # fit one network. A count below a file's labels is refused.
+    pairs = {}
+    for stem, labels in (("train", [0, 1] * 20), ("test", [0, 1, 2, 2] * 2)):
+        images = np.arange(16 * len(labels), dtype=np.uint8).reshape(len(labels), 4, 4)
+        pairs[stem] = write_idx_pair(str(tmp_path), images, np.array(labels), stem)
+    train, test = (fs.load_idx(*pairs[stem], 3) for stem in ("train", "test"))
+    assert train.num_classes == test.num_classes == 3
+    spec = fs.NetworkSpec(16, (8,), train.num_classes)
+    config = fs.TrainingConfig(
+        mode="fedmmb", learning_rate=0.05, max_rounds=2, batch_size=5, clients=2,
+        batch_count=1, seeds=fs.Seeds(1, 2, 3),
+    )
+    log = fs.run_fedmmb(config, spec, fs.partition_iid(train, 2, 3), test)
+    assert len(log.rows) == 2
+    with pytest.raises(fs.DataError, match="labels out of range"):
+        fs.load_idx(*pairs["test"], 2)
+    with pytest.raises(TypeError):
+        fs.load_idx(*pairs["train"])  # no count to infer from one file
+
+
+def test_load_idx_refuses_a_pair_without_images(tmp_path):
+    images_path, labels_path = write_idx_pair(
+        str(tmp_path), np.zeros((0, 2, 2), dtype=np.uint8), np.zeros(0, dtype=np.uint8), "empty"
+    )
+    with pytest.raises(fs.DataError, match="holds no images"):
+        fs.load_idx(images_path, labels_path, 2)
 
 
 @pytest.mark.skipif(mnist_idx_paths() is None, reason="real MNIST IDX files not present")
 def test_load_idx_real_mnist():
     paths = mnist_idx_paths()
-    ds = fs.load_idx(paths["train_images"], paths["train_labels"])
+    ds = fs.load_idx(paths["train_images"], paths["train_labels"], 10)
     assert ds.n == 60000 and ds.input_dim == 784 and ds.num_classes == 10
 
 
@@ -405,7 +436,8 @@ def test_partition_noniid_rejects_bad_divisibility():
 @pytest.mark.parametrize("clients", [0, -5])
 def test_partition_noniid_rejects_client_counts_below_one(clients):
     # Without its own check, zero clients divide by zero shards per label,
-    # and -5 clients are refused as "more shards per label than clients".
+    # and -5 clients make -1 shards per label, which ``np.split`` refuses
+    # with a ValueError rather than a DataError.
     ds = fs.synthetic(7, 1000, 4, 10)
     with pytest.raises(fs.DataError, match="client count must be at least 1"):
         fs.partition_noniid_l(ds, clients, 2, 1)
@@ -697,13 +729,14 @@ def test_balanced_subset_rejects_a_short_class():
 def test_image_blob_fixture_roundtrips_through_idx(tmp_path):
     images, labels = make_image_blobs(5, 40, side=4, num_classes=10)
     images_path, labels_path = write_idx_pair(str(tmp_path), images, labels, "blob")
-    ds = fs.load_idx(images_path, labels_path)
+    ds = fs.load_idx(images_path, labels_path, 10)
     assert ds.n == 40 and ds.input_dim == 16 and ds.num_classes == 10
     np.testing.assert_array_equal(np.bincount(ds.labels), np.full(10, 4))
 
 
 # SHA-256 of image_surrogate(): each array's dtype and shape, then its bytes.
-IMAGE_SURROGATE_SHA256 = "eeaab3a54202937363e34ce477922da2c077f5d7c10ad18d506e1e41643b6a43"
+# The train and test slices come from one draw, so they share class templates.
+IMAGE_SURROGATE_SHA256 = "b128a4d5721b83d0750f9177fdee58ff5e60599709f771cb658fd0d5a451249f"
 
 
 def test_the_image_surrogate_keeps_its_bytes():

@@ -984,6 +984,67 @@ def test_a_split_run_gives_the_serial_runs_bytes(run, monkeypatch):
     assert len(workers) == 1
 
 
+@linux_only
+def test_a_split_runs_worker_prepares_every_round_ahead_once_and_none_past_the_last(
+    monkeypatch, tmp_path
+):
+    # Two epochs a round on clients of 13, 22 and 25 samples at B=4, split
+    # 1 | 2: the worker prepares rounds 0..5 once each, each before its task
+    # comes, so never again on demand and never round 6; this process
+    # prepares its half on demand. The run keeps the serial bytes.
+    spec, clients, test = unequal_clients()
+    cfg = fs.TrainingConfig(
+        mode="fedavg", learning_rate=0.1, max_rounds=6, batch_size=4, seeds=SEEDS,
+        eval_every=2, clients=3, local_epochs=2,
+    )
+
+    def run(hook):
+        return fs.run_fedavg(cfg, spec, clients, test, round_hook=hook)
+
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
+    serial = csv_and_final_weights(run)
+    journal = tmp_path / "journal"  # one line a call, from either process
+    for name in ("prepare_round", "client_update_mmb"):
+        real = getattr(federated, name)
+
+        def recorded(plan, i, *args, _name=name, _real=real):
+            with open(journal, "a") as f:
+                f.write(f"{os.getpid()} {_name} {i}\n")
+            return _real(plan, i, *args)
+
+        monkeypatch.setattr(federated, name, recorded)
+    workers = force_split(monkeypatch)
+    assert csv_and_final_weights(run) == serial
+    calls = {}
+    for line in journal.read_text().splitlines():
+        pid, name, i = line.split()
+        calls.setdefault(int(pid), []).append((name, int(i)))
+    ahead = [(name, i) for i in range(6) for name in ("prepare_round", "client_update_mmb")]
+    on_demand = [(name, i) for i in range(6) for name in ("client_update_mmb", "prepare_round")]
+    assert calls == {workers[0].pid: ahead, os.getpid(): on_demand}
+
+
+@linux_only
+def test_an_exception_while_the_worker_prepares_a_round_raises_at_that_round(monkeypatch):
+    parent = os.getpid()
+    real = federated.prepare_round
+
+    def fails_ahead_of_round_2(plan, i):
+        if os.getpid() != parent and i == 2:
+            raise RuntimeError("no rows for round 2")
+        real(plan, i)
+
+    monkeypatch.setattr(federated, "prepare_round", fails_ahead_of_round_2)
+    workers = force_split(monkeypatch)
+    hooked = []
+    message = "^the training worker raised RuntimeError: no rows for round 2$"
+    with pytest.raises(fs.ContractError, match=message):
+        four_client_run(lambda r, w: hooked.append(r))
+    assert hooked == [1, 2]  # rounds 0 and 1 ran; round 2 raised
+    assert len(workers) == 1
+    assert_no_child_left()
+
+
 def test_the_split_rule_reads_platform_cpus_clients_steps_and_threads(monkeypatch):
     schedules = [client_schedule(40, batch_size=5, batch_count=c) for c in (1, 3)]  # T = 8
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -1,4 +1,5 @@
-"""The fork runner's pipe reads: each way a read can end, past the spin or within it."""
+"""The fork runner: each way a pipe read can end, past the spin or within it, and the work
+a worker prepares ahead of each task."""
 
 import os
 import time
@@ -87,3 +88,33 @@ def test_the_end_of_the_pipe_while_the_worker_spins_ends_it_at_once(monkeypatch)
     # The worker was polling for its next task: it read the end of its pipe
     # and exited, and the parent reaped it, well before its spin would end.
     assert time.perf_counter() - leaving < 30
+
+
+def test_a_worker_prepares_before_its_first_task_and_after_each_reply():
+    prepared = []  # the worker's own list: each task replies with what it holds
+
+    with split.Worker(lambda i: bytes(prepared), "test worker", prepared.append) as worker:
+        replies = []
+        for i in (0, 1, 2, 7):
+            worker.start(i)
+            replies.append(worker.finish())
+    # Each reply is sent before the next preparation, which gets the index
+    # after the task's, whatever index comes next.
+    assert replies == [bytes([0]), bytes([0, 1]), bytes([0, 1, 2]), bytes([0, 1, 2, 3])]
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_an_exception_while_preparing_is_raised_by_the_next_finish(failing):
+    def prepare(i):
+        if i == failing:
+            raise ValueError(f"cannot prepare {i}")
+
+    with split.Worker(lambda i: b"%d" % i, "test worker", prepare) as worker:
+        for i in range(failing + 2):
+            worker.start(i)
+            if i == failing:
+                message = f"^the test worker raised ValueError: cannot prepare {i}$"
+                with pytest.raises(ContractError, match=message):
+                    worker.finish()
+            else:
+                assert worker.finish() == b"%d" % i
