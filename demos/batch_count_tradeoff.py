@@ -4,23 +4,22 @@ With homogeneous clients, raising the batch count (more local updates per
 round at the same batch size) reaches a target accuracy in far fewer
 communication rounds without hurting the plateau. The same dial turned up
 under severe label skew trades accuracy away instead - see
-fedavg_comparison.py for that side.
+seed_robustness.py for that side.
 """
 
-from fedsim.claims import DIAL_SEEDS, iid_dial
+from fedsim.claims import DIAL_SEEDS, DIAL_TARGET, iid_dial
 
 
 def main() -> None:
-    target = 0.75
     runs = iid_dial(DIAL_SEEDS)
     cfg = runs[1].config
 
     print(f"{cfg.clients} iid clients, batch size {cfg.batch_size}, "
-          f"learning rate {cfg.learning_rate}, target accuracy {target}")
+          f"learning rate {cfg.learning_rate}, target accuracy {DIAL_TARGET}")
     print()
     print("batch count   rounds to target   max accuracy   bytes to target")
     for batch_count, run in runs.items():
-        first = next((row for row in run.log.rows if row.test_accuracy >= target), None)
+        first = next((row for row in run.log.rows if row.test_accuracy >= DIAL_TARGET), None)
         reached = None if first is None else first.round
         traffic = "-" if first is None else f"{first.cum_bytes:,}"
         print(

@@ -1,12 +1,15 @@
 """The experiments of acceptance criteria 2-6, the paper's two claims, one function each.
 
 Each builds its data, network and partition once and trains every arm on
-them. The acceptance tests, the seed report and the demos all call these;
-the bounds stay with the tests. ``import fedsim`` does not load this module.
+them. The acceptance tests, the seed report and the demos all call these,
+and judge 3-6 by their margin functions and the bounds in ``BOUNDS``.
+``import fedsim`` does not load this module.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -14,7 +17,7 @@ import numpy as np
 from .data import Dataset, partition_iid, partition_noniid_l, synthetic, synthetic_split
 from .errors import DataError
 from .federated import Seeds, TrainingConfig, run_centralized, run_fedavg, run_fedmmb
-from .metrics import MetricsLog
+from .metrics import MetricsLog, discordance
 from .nn import NetworkSpec
 from .rng import Xoshiro256PP, derive_seed
 
@@ -163,3 +166,75 @@ def versus_fedavg(seeds: Seeds) -> tuple[Run, Run, Run]:
         dict(mode="fedavg", batch_size=50, local_epochs=1),
     )
     return tuple(_federated(seeds, spec, clients, test, **fields, **arm) for arm in arms)
+
+
+DIAL_TARGET = 0.75  # the test accuracy criterion 4 counts rounds to
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+class Bound(NamedTuple):
+    """A margin meets its bound when ``margin <op> limit`` holds, which NaN never does."""
+
+    op: str
+    limit: float
+
+    def __str__(self) -> str:
+        return f"{self.op} {self.limit:g}"
+
+
+# Criterion -> margin -> bound; the margin functions below return these names.
+BOUNDS = {
+    3: {
+        # Concordance of arms that learn nothing checks nothing: five times chance.
+        "centralized max accuracy": Bound(">=", 0.5),
+        "delta iid": Bound("<", 0.01),
+        "delta noniid_1": Bound("<", 0.01),
+    },
+    4: {
+        "rounds C=1 - C=5": Bound(">", 0),
+        "rounds C=5 - C=20": Bound(">", 0),
+        "max accuracy spread": Bound("<=", 0.03),
+    },
+    5: {"max accuracy C=1 - C=20": Bound(">=", 0.02)},
+    6: {"over FedAvg B=10": Bound(">=", 0.02), "over FedAvg B=50": Bound(">", 0.0)},
+}
+
+
+def failing(criterion: int, margins: dict[str, float]) -> list[str]:
+    """The names of the margins of ``criterion`` that miss their bound."""
+    bounds = BOUNDS[criterion].items()
+    return [name for name, (op, limit) in bounds if not _COMPARE[op](margins[name], limit)]
+
+
+def concordance_margins(result: tuple[Dataset, Dataset, Run, dict[str, Run]]) -> dict[str, float]:
+    """Criterion 3: the centralized arm's max accuracy and each federated arm's discordance."""
+    _, _, cent, fed = result
+    epsilon = BOUNDS[3]["delta iid"].limit  # sets only the verdict, which is not read
+    deltas = {f"delta {k}": discordance(run.log, cent.log, epsilon).delta for k, run in fed.items()}
+    return {"centralized max accuracy": cent.log.max_accuracy(), **deltas}
+
+
+def dial_margins(runs: dict[int, Run]) -> dict[str, float]:
+    """Criterion 4: rounds to ``DIAL_TARGET`` saved per batch-count step, and the accuracy spread.
+
+    A run that never reaches the target counts NaN rounds.
+    """
+    reached = (runs[c].log.first_round_reaching(DIAL_TARGET) for c in (1, 5, 20))
+    r1, r5, r20 = (math.nan if r is None else r for r in reached)
+    accuracy = [run.log.max_accuracy() for run in runs.values()]
+    return {
+        "rounds C=1 - C=5": r1 - r5,
+        "rounds C=5 - C=20": r5 - r20,
+        "max accuracy spread": max(accuracy) - min(accuracy),
+    }
+
+
+def skew_margins(runs: dict[int, Run]) -> dict[str, float]:
+    """Criterion 5: max accuracy at batch count 1 minus at batch count 20."""
+    return {"max accuracy C=1 - C=20": runs[1].log.max_accuracy() - runs[20].log.max_accuracy()}
+
+
+def fedavg_margins(runs: tuple[Run, Run, Run]) -> dict[str, float]:
+    """Criterion 6: windowed training's max accuracy minus each FedAvg arm's."""
+    mmb, avg_small, avg_large = (run.log.max_accuracy() for run in runs)
+    return {"over FedAvg B=10": mmb - avg_small, "over FedAvg B=50": mmb - avg_large}

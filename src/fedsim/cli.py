@@ -31,6 +31,7 @@ import json
 import math
 import os
 import secrets
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -83,13 +84,21 @@ def _make_output_dir(directory: str) -> None:
 
 
 def _check_output_files(paths: list[str]) -> None:
-    """Raise a ConfigError if any path the command will write is an existing directory.
+    """Raise a ConfigError for any path the command will write that the rename would refuse.
 
-    Called before training, as ``_make_output_dir`` is: the rename that
-    writes the file would fail only after the last round.
+    That is an existing directory, or a path the file system cannot look up,
+    such as a name that is too long. Called before training, as
+    ``_make_output_dir`` is: the rename that writes the file would fail only
+    after the last round.
     """
     for path in paths:
-        if os.path.isdir(path):
+        try:
+            is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+        except FileNotFoundError:
+            continue
+        except OSError as exc:
+            raise ConfigError(f"output file {path} cannot be written: {exc.strerror}") from exc
+        if is_dir:
             raise ConfigError(f"output file {path} is an existing directory")
 
 

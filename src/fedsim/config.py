@@ -107,7 +107,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(raw)
 

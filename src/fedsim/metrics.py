@@ -123,7 +123,7 @@ class MetricsLog:
         try:
             with open(path, newline="") as f:
                 return cls.from_csv_string(f.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read metrics CSV {path}: {exc}") from exc
 
 

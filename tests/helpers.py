@@ -274,6 +274,30 @@ def per_client_reference(
     return log, weights
 
 
+def freeze_claim_drivers(monkeypatch) -> list:
+    """Make every run of ``fedsim.claims`` one whose weights never move.
+
+    The stub driver logs ``evaluate`` of the initial weights at every
+    evaluation round. Returns the list of each call's ``(spec, test_set)``.
+    """
+    calls = []
+
+    def frozen(config, spec, data, test_set, *rest, **hook):
+        calls.append((spec, test_set))
+        loss, accuracy = fs.evaluate(spec, fs.init_weights(spec, config.seeds.init), test_set)
+        rounds = range(config.eval_every, config.max_rounds + 1, config.eval_every)
+        return fs.MetricsLog([fs.MetricsRow(r, loss, accuracy, None, 0, 0) for r in rounds])
+
+    for name in ("run_fedmmb", "run_fedavg", "run_centralized"):
+        monkeypatch.setattr(f"fedsim.claims.{name}", frozen)
+    return calls
+
+
+def zero_images(n: int) -> Dataset:
+    """``n`` all-zero images of 784 pixels, labelled ``0..9`` in turn."""
+    return Dataset(np.zeros((n, 784)), np.arange(n) % 10, 10)
+
+
 # Work runs in two processes only on Linux (``split.can_fork``).
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="runs split only on Linux")
 

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 2-6 run the experiments of ``fedsim.claims`` and hold only the
-bounds they check. Run with ``pytest -s tests/test_acceptance.py`` to see
-the per-criterion lines; criteria that need an image dataset use real
-MNIST IDX files when available (``FEDSIM_MNIST_DIR`` or ``data/mnist/``)
-and otherwise fall back to a deterministic image-blob surrogate served
-through the IDX loader, so the full suite runs self-contained.
+Criteria 2-6 run the experiments of ``fedsim.claims``; 3-6 require each
+margin to meet its bound in ``claims.BOUNDS``, and a null control requires
+each of them to fail runs whose weights never move. Run with ``pytest -s
+tests/test_acceptance.py`` to see the per-criterion lines; criteria that
+need an image dataset use real MNIST IDX files when available
+(``FEDSIM_MNIST_DIR`` or ``data/mnist/``) and otherwise fall back to a
+deterministic image-blob surrogate served through the IDX loader, so the
+full suite runs self-contained.
 """
 
 import json
@@ -20,12 +22,23 @@ from fedsim.cli import main
 from fedsim.data import synthetic_split
 from fedsim.rng import Xoshiro256PP, derive_seed, shuffle_order
 
-from helpers import grad_rel_error, mnist_idx_paths, per_client_reference, write_idx_pair
+from helpers import freeze_claim_drivers, grad_rel_error, mnist_idx_paths, per_client_reference
+from helpers import write_idx_pair, zero_images
 
 
 def report_pass(number: int, name: str, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number} [{name}]: PASS{suffix}")
+
+
+def check_margins(number: int, name: str, margins: dict, started: float, limit_s: float) -> None:
+    """Require every margin of criterion ``number`` to meet its bound, then print its PASS line."""
+    elapsed = time.perf_counter() - started
+    bounds = claims.BOUNDS[number]
+    verdicts = ", ".join(f"{key} {margins[key]:.4g} {bound}" for key, bound in bounds.items())
+    assert not claims.failing(number, margins), verdicts
+    assert elapsed < limit_s
+    report_pass(number, name, f"{verdicts}, {elapsed:.0f}s")
 
 
 # --- criterion 1: gradient correctness ---------------------------------------
@@ -94,24 +107,11 @@ def _image_datasets(tmp_path) -> tuple[fs.Dataset, fs.Dataset, str]:
 def test_acceptance_3_free_running_concordance(tmp_path):
     started = time.perf_counter()
     train_full, test_full, source = _image_datasets(tmp_path)
-    train, test, cent, fed = claims.image_concordance(claims.IMAGE_SEEDS, train_full, test_full)
+    result = claims.image_concordance(claims.IMAGE_SEEDS, train_full, test_full)
+    train, test = result[:2]
     assert train.n == 2000 and test.n == 1000 and train.input_dim == 784
-    # Concordance of arms that learn nothing checks nothing: the centralized
-    # arm must reach five times chance.
-    assert cent.log.max_accuracy() >= 0.5, f"centralized max accuracy {cent.log.max_accuracy()}"
-    deltas = {}
-    for scenario in ("iid", "noniid_1"):
-        verdict = fs.discordance(fed[scenario].log, cent.log, epsilon=0.01)
-        deltas[scenario] = verdict.delta
-        assert verdict.concordant, f"{scenario}: delta {verdict.delta} >= 0.01"
-    elapsed = time.perf_counter() - started
-    assert elapsed < 1200.0
-    report_pass(
-        3,
-        "free-running concordance",
-        f"{source}: delta iid {deltas['iid']:.2e}, noniid-1 {deltas['noniid_1']:.2e},"
-        f" centralized max accuracy {cent.log.max_accuracy():.3f}, {elapsed:.0f}s",
-    )
+    margins = claims.concordance_margins(result)
+    check_margins(3, f"free-running concordance, {source}", margins, started, 1200.0)
 
 
 # --- criterion 4: batch count buys communication rounds under iid -------------
@@ -119,23 +119,8 @@ def test_acceptance_3_free_running_concordance(tmp_path):
 
 def test_acceptance_4_iid_batch_count_efficiency():
     started = time.perf_counter()
-    rounds_to_target = {}
-    max_accuracy = {}
-    for batch_count, run in claims.iid_dial(claims.DIAL_SEEDS).items():
-        reached = run.log.first_round_reaching(0.75)
-        assert reached is not None, f"C={batch_count} never reached 0.75"
-        rounds_to_target[batch_count] = reached
-        max_accuracy[batch_count] = run.log.max_accuracy()
-    elapsed = time.perf_counter() - started
-    assert rounds_to_target[1] > rounds_to_target[5] > rounds_to_target[20]
-    assert max(max_accuracy.values()) - min(max_accuracy.values()) <= 0.03
-    assert elapsed < 300.0
-    report_pass(
-        4,
-        "iid batch-count efficiency",
-        f"rounds to 0.75: {rounds_to_target}, max acc spread "
-        f"{max(max_accuracy.values()) - min(max_accuracy.values()):.3f}, {elapsed:.0f}s",
-    )
+    margins = claims.dial_margins(claims.iid_dial(claims.DIAL_SEEDS))
+    check_margins(4, "iid batch-count efficiency", margins, started, 300.0)
 
 
 # --- criterion 5: severe label skew rewards small batch counts ----------------
@@ -143,17 +128,8 @@ def test_acceptance_4_iid_batch_count_efficiency():
 
 def test_acceptance_5_severe_skew_tradeoff():
     started = time.perf_counter()
-    runs = claims.severe_skew(claims.DIAL_SEEDS)
-    max_accuracy = {batch_count: run.log.max_accuracy() for batch_count, run in runs.items()}
-    elapsed = time.perf_counter() - started
-    margin = max_accuracy[1] - max_accuracy[20]
-    assert margin >= 0.02, f"margin {margin:.4f} below 0.02 ({max_accuracy})"
-    assert elapsed < 600.0
-    report_pass(
-        5,
-        "severe-skew trade-off",
-        f"max acc C=1 {max_accuracy[1]:.4f} vs C=20 {max_accuracy[20]:.4f}, {elapsed:.0f}s",
-    )
+    margins = claims.skew_margins(claims.severe_skew(claims.DIAL_SEEDS))
+    check_margins(5, "severe-skew trade-off", margins, started, 600.0)
 
 
 # --- criterion 6: windowed training beats federated averaging under skew ------
@@ -161,25 +137,31 @@ def test_acceptance_5_severe_skew_tradeoff():
 
 def test_acceptance_6_beats_fedavg_under_skew():
     started = time.perf_counter()
-    mmb_run, avg_small_run, avg_large_run = claims.versus_fedavg(claims.DIAL_SEEDS)
-    max_rounds = mmb_run.config.max_rounds
+    runs = claims.versus_fedavg(claims.DIAL_SEEDS)
+    # Windowed training matches FedAvg B=50's update count, not FedAvg B=10's.
+    max_rounds = runs[0].config.max_rounds
+    updates = [run.log.rows[-1].cum_local_updates for run in runs]
+    assert updates == [max_rounds * 10 * per_round for per_round in (20, 100, 20)]
+    check_margins(6, "beats FedAvg under skew", claims.fedavg_margins(runs), started, 900.0)
 
-    assert avg_small_run.log.rows[-1].cum_local_updates == max_rounds * 10 * 100
-    assert avg_large_run.log.rows[-1].cum_local_updates == max_rounds * 10 * 20
-    assert mmb_run.log.rows[-1].cum_local_updates == max_rounds * 10 * 20
 
-    mmb = mmb_run.log.max_accuracy()
-    avg_small = avg_small_run.log.max_accuracy()
-    avg_large = avg_large_run.log.max_accuracy()
-    elapsed = time.perf_counter() - started
-    assert mmb - avg_small >= 0.02, f"margin over FedAvg(B=10) {mmb - avg_small:.4f}"
-    assert mmb > avg_large, f"decoupling: {mmb:.4f} vs FedAvg(B=50) {avg_large:.4f}"
-    assert elapsed < 900.0
-    report_pass(
-        6,
-        "beats FedAvg under skew",
-        f"mmb {mmb:.4f} vs avg(B=10) {avg_small:.4f} vs avg(B=50,mu=20) {avg_large:.4f}, {elapsed:.0f}s",
-    )
+# --- criteria 3-6 fail runs that learn nothing -------------------------------
+
+
+def test_every_claim_fails_when_no_weight_moves(monkeypatch):
+    # Every run's log is that of weights frozen at their initial values, so
+    # each criterion must have a margin that misses its bound.
+    freeze_claim_drivers(monkeypatch)
+    concordance = claims.image_concordance(claims.IMAGE_SEEDS, zero_images(2000), zero_images(1000))
+    margins = {
+        3: claims.concordance_margins(concordance),
+        4: claims.dial_margins(claims.iid_dial(claims.DIAL_SEEDS)),
+        5: claims.skew_margins(claims.severe_skew(claims.DIAL_SEEDS)),
+        6: claims.fedavg_margins(claims.versus_fedavg(claims.DIAL_SEEDS)),
+    }
+    names = {c: b.keys() for c, b in claims.BOUNDS.items()}
+    assert {c: m.keys() for c, m in margins.items()} == names
+    assert [c for c, m in margins.items() if not claims.failing(c, m)] == [], margins
 
 
 # --- criterion 7: accounting identities ---------------------------------------

@@ -131,6 +131,22 @@ def test_output_file_that_is_a_directory_exits_2_before_training(
     assert f"{tmp_path / 'out' / taken} is an existing directory" in capsys.readouterr().err
 
 
+# 300 bytes is past NAME_MAX (255) for every name; 246 + "-sweep.csv" is
+# 256 bytes, so only the sweep's index name is too long.
+@pytest.mark.parametrize("command, length", [("run", 300), ("sweep", 246)])
+def test_output_name_too_long_for_the_file_system_exits_2_before_training(
+    tmp_path, capsys, monkeypatch, command, length
+):
+    def no_training(config):
+        raise AssertionError("trained although an output file name is too long")
+
+    monkeypatch.setattr(cli, "run_experiment", no_training)
+    path = write_config(tmp_path, base_config(tmp_path, name="x" * length))
+    argv = ["run", path] if command == "run" else ["sweep", path, "--set", "train.C=1,2"]
+    assert main(argv) == 2
+    assert "cannot be written: File name too long" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_run_writes_its_files_with_the_umask_applied(tmp_path, umask, mode):
     path = write_config(tmp_path, base_config(tmp_path))
@@ -617,6 +633,13 @@ def test_compare_mismatched_rounds_exits_3(tmp_path):
 def test_compare_unreadable_file_exits_3(tmp_path):
     a = run_and_get_csv(tmp_path, "readable")
     assert main(["compare", a, str(tmp_path / "nope.csv")]) == 3
+
+
+def test_compare_metrics_csv_that_is_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(fs.CSV_HEADER.encode() + b"\n\xff\n")
+    assert main(["compare", str(path), str(path)]) == 3
+    assert "cannot read metrics CSV" in capsys.readouterr().err
 
 
 GOOD_ROW = {"round": "1", "test_loss": "0.5", "test_accuracy": "0.75", "train_loss": "",

@@ -43,7 +43,7 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("demo", ["fedavg_comparison", "seed_robustness", "blas_kernel_probe"])
+@pytest.mark.parametrize("demo", ["seed_robustness", "blas_kernel_probe"])
 def test_slow_demo_imports(demo):
     namespace = runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="not_main")
     assert callable(namespace["main"])

@@ -22,7 +22,8 @@ from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
 from fedsim.rng import Xoshiro256PP
 
-from helpers import force_split, linux_only, per_client_reference, reference_aggregate
+from helpers import force_split, freeze_claim_drivers, linux_only, per_client_reference
+from helpers import reference_aggregate, zero_images
 
 
 SEEDS = fs.Seeds(init=1, shuffle=2, partition=3)
@@ -850,29 +851,18 @@ def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkey
     # the 20-d ones (criteria 2, 4, 5, 6) evaluate inline.
     from fedsim import claims
 
-    seen = []
-
-    def driver(config, spec, data, test_set, *rest, **hook):
-        seen.append(federated._evaluates_aside(spec, test_set))
-        return fs.MetricsLog()
-
-    for name in ("run_fedmmb", "run_fedavg", "run_centralized"):
-        monkeypatch.setattr(claims, name, driver)
-
-    def images(n: int) -> fs.Dataset:
-        return fs.Dataset(np.zeros((n, 784)), np.arange(n) % 10, 10)
-
+    calls = freeze_claim_drivers(monkeypatch)
     sides = {}
     for name, experiment in [
         ("A2", lambda: claims.lockstep(SEEDS)),
-        ("A3", lambda: claims.image_concordance(SEEDS, images(2000), images(1000))),
+        ("A3", lambda: claims.image_concordance(SEEDS, zero_images(2000), zero_images(1000))),
         ("A4", lambda: claims.iid_dial(SEEDS)),
         ("A5", lambda: claims.severe_skew(SEEDS)),
         ("A6", lambda: claims.versus_fedavg(SEEDS)),
     ]:
-        seen.clear()
+        calls.clear()
         experiment()
-        sides[name] = set(seen)
+        sides[name] = {federated._evaluates_aside(spec, test_set) for spec, test_set in calls}
     assert sides == {"A2": {False}, "A3": {True}, "A4": {False}, "A5": {False}, "A6": {False}}
 
 

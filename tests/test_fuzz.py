@@ -101,6 +101,18 @@ def test_fuzzed_config_exits_with_a_documented_code(mutations):
         assert run_cli(directory, document) in DOCUMENTED_EXITS
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.binary(max_size=16))
+@example(b"\xff")  # not UTF-8: once a crash
+@example(b"[" * 100_000)  # nested past the recursion limit: once a crash
+def test_config_file_of_raw_bytes_exits_2(content):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "config.json")
+        with open(path, "wb") as f:
+            f.write(content)
+        assert main(["run", path]) == 2
+
+
 CSV_CELLS = st.one_of(
     st.sampled_from(["0", "1", "2", "-1", "0.5", "1e400", "nan", "-inf", "", " ", "x", "1,0"]),
     st.integers(-2, 3).map(str),
