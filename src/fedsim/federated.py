@@ -9,16 +9,11 @@ are combined by sample-weighted averaging in ascending client order into
 a new array, with rows 1.. of the stack as the sum's scratch; that is safe
 because nothing reads the stack again before the next round's first
 step, which writes every row. The model is evaluated on a fixed cadence,
-and the round hook sees the new weights. An evaluation of a large test
-set runs on one worker thread while the next rounds train; it reads its
-own copy of the aggregated weights, so its numbers are those of an
-inline evaluation, and the round hook may write the weights it is given:
-the next round starts from what it wrote. A run with long rounds trains
-half its clients in a forked worker process (``_splits``,
-``fedsim.split``), which gathers its half of each round's rows before
-the round starts (``prepare_round``); a client's arithmetic does not depend on
-which clients share its stack, and a round's rows on when they are
-gathered, so the bits are those of one process.
+and the round hook sees the new weights; it may write them, and the next
+round starts from what it wrote. A run with long rounds or a large test
+set forks one worker process (``_run_rounds``, ``fedsim.split``), which
+evaluates aside and trains half the clients in the rounds between; the
+bits are those of one process.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
@@ -36,7 +31,7 @@ the caller's count, so its bits do not depend on it.
 from __future__ import annotations
 
 import math
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
@@ -64,16 +59,17 @@ MODES = ("fedmmb", "fedavg", "centralized")
 RoundHook = Callable[[int, np.ndarray], None]
 
 # An evaluation whose first-layer product, test rows x input width x first
-# hidden width, has at least this many multiply-adds runs on a worker thread
-# while training goes on; a smaller one runs inline. Small evaluations hold
-# the GIL in short numpy calls and stall the training thread more than they
-# save. Measured on 2 vCPUs at one BLAS thread, a 784-32-32-10 network,
+# hidden width, has at least this many multiply-adds runs in the worker
+# process while training goes on (``_run_rounds``); a smaller one, or one
+# in a run that cannot fork, runs inline. The series was taken when such
+# evaluations ran on a thread, where small ones held the GIL and stalled
+# training more than they saved: on 2 vCPUs at one BLAS thread, 784-32-32-10,
 # 10 clients of batch 5 plus a centralized arm, 600 rounds, an evaluation
-# every 10; the run's time with the worker over its time inline, median of
+# every 10, the run's time with the thread over its time inline, median of
 # 6 or 10 alternating pairs: 1.3M multiply-adds 1.13, 3.8M 1.09 and 0.98,
 # 6.3M 0.98 and 1.04, 8.4M 0.98 and 0.97, 10.0M 1.00, 12.5M 0.95, 15.1M
-# 0.97, 16.8M 0.92, 25.1M 0.89 (6 of 6 pairs won). The rule sends the
-# image-shaped runs (25.1M) to the worker and the 20-d ones (at most 0.64M)
+# 0.97, 16.8M 0.92, 25.1M 0.89 (6 of 6 won). The rule sends the
+# image-shaped runs (25.1M) aside and keeps the 20-d ones (at most 0.64M)
 # inline.
 EVAL_ASIDE_MACS = 2**23
 
@@ -87,8 +83,8 @@ EVAL_ASIDE_MACS = 2**23
 # steps 0.76, 20-d 1.03 (3 of 6 won) and 0.90; 3 steps 0.71, 20-d 0.95 and
 # 0.85 (8 of 10); 4 steps 0.64, 20-d 0.91 and 0.94; 6 steps 0.61 and 0.79;
 # 20 steps 0.55 and 0.74 (6 of 6 won). The rule splits the 20-step rounds
-# of the A5 and A6 arms and keeps the 1-step image-shaped concordance runs
-# serial.
+# of the A5 and A6 arms. A run that evaluates aside forks anyway, and then
+# splits every round where its worker is not evaluating, however short.
 SPLIT_MIN_STEPS = 3
 
 
@@ -423,26 +419,30 @@ def _run_rounds(
     only the global weights and writes every row before any later step
     reads one.
 
-    When the rounds are long (``_splits``), clients ``K // 2 ..`` train in
-    a worker process (``split.Worker``) while this one trains the rest, each
-    half on its own step plan over its rows of a shared stack; every
-    client's arithmetic is that of a serial round. Each round this process
-    copies the global weights into the shared mapping, and the worker
-    replies with its clients' sample and step counts. The worker is forked
-    before the initial weights are drawn and before the evaluation thread
-    starts. It prepares its half of round 0 (``prepare_round``) while this
-    process draws the weights, and of round ``i + 1`` as soon as it has
-    replied for round ``i``, while this process aggregates, evaluates and
-    runs the hook; it prepares no round past the last. It is reaped when
-    this call returns or raises.
+    A run whose rounds are long or whose test set is large (``_splits``)
+    forks one worker process (``split.Worker``) before the initial weights
+    are drawn; the stack and one slot for the global weights live in a
+    shared mapping. The worker is reaped when this call returns or raises.
+    A client's arithmetic does not depend on which clients share its
+    stack, nor an evaluation's on its process, so the bits are those of
+    one process.
 
-    When the test set is large (``EVAL_ASIDE_MACS``), each evaluation runs
-    on one worker thread, at most one at a time, on its own copy of the
-    weights, and its row is logged at the next evaluation round or at the
-    end of the run; rows stay in round order, and an evaluation that
-    raises raises there. The hook may run before its round's evaluation
-    ends, and may write the weights it is given. The thread lives only
-    inside this call.
+    When the test set is large (``EVAL_ASIDE_MACS``), the worker evaluates:
+    at an evaluation round this process copies the weights into the slot
+    before the hook runs, and trains on. At the start of each later round
+    it checks, without waiting, whether the reply has come and logs the
+    row once it has; it waits for it at the next evaluation round and at
+    the end of the run. So rows stay in round order and an evaluation that
+    raises raises there. A run that cannot fork evaluates inline.
+
+    With two clients or more, the worker trains clients ``K // 2 ..`` in
+    every round where it is not evaluating, on its own step plan over its
+    rows of the stack, from the weights this process copies into the slot,
+    and replies with their sample and step counts. It prepares its half of
+    round 0 (``prepare_round``) while this process draws the weights, and
+    of round ``i + 1`` as soon as it has replied for round ``i``; none past
+    the last. While the worker evaluates, this process trains every client
+    in one step plan over the whole stack.
 
     Every run trains and evaluates at one BLAS thread
     (``blas.one_blas_thread``), so its bits do not depend on the caller's
@@ -452,108 +452,113 @@ def _run_rounds(
     _require_data(spec, test_set.input_dim, test_set.labels)
     aside = _evaluates_aside(spec, test_set)
     eta = config.learning_rate
-    worker_round = None  # the worker's half of a round, in a run that splits
-    if _splits(schedules, windows):
+    k = len(schedules)
+    worker_task = worker_ahead = stack = None
+    if _splits(schedules, windows, aside):
         from .split import Worker, shared_array
 
-        k, p = len(schedules), spec.parameter_count
+        p = spec.parameter_count
         shared = shared_array((k + 1) * p)
         stack, shared_weights = shared[: k * p].reshape(k, p), shared[k * p :]
-        plan = StepPlan(spec, schedules[: k // 2], windows, eta, stack[: k // 2])
-        rest = StepPlan(spec, schedules[k // 2 :], windows, eta, stack[k // 2 :])
+        evaluation = config.max_rounds  # the worker's task index for an evaluation
 
-        def worker_round(i: int) -> bytes:
+        def worker_task(i: int) -> bytes:
+            if i == evaluation:
+                return np.array(evaluate(spec, shared_weights, test_set)).tobytes()
             samples, steps = client_update_mmb(rest, i, shared_weights)
             return np.array(samples + steps, dtype=np.int64).tobytes()
 
-        def worker_ahead(i: int) -> None:
-            if i < config.max_rounds:
-                prepare_round(rest, i)
+        if k > 1:  # the worker trains clients k // 2 .., a round at a time
+            own = StepPlan(spec, schedules[: k // 2], windows, eta, stack[: k // 2])
+            rest = StepPlan(spec, schedules[k // 2 :], windows, eta, stack[k // 2 :])
 
-    else:
-        plan = StepPlan(spec, schedules, windows, eta)
-        stack = plan.stack
+            def worker_ahead(i: int) -> None:
+                if i < config.max_rounds:
+                    prepare_round(rest, i)
+
+    # This process trains every client in one stack in each round the worker
+    # does not train: every round of a run that does not split its clients,
+    # and the rounds in which the worker evaluates.
+    if worker_ahead is None or aside:
+        whole = StepPlan(spec, schedules, windows, eta, stack)
+        stack = whole.stack
     bytes_per_round = comm_cost(config, spec)
     log = MetricsLog()
     local_updates = 0
-    pending = None  # the evaluation on the worker thread: its row's counts and its future
-    # The fork comes at one BLAS thread, before the thread starts (on the
-    # first ``submit``) and before the initial weights are drawn, so the
-    # worker prepares its round 0 while this process draws them.
+    evaluating = None  # the counts of the row the worker is evaluating
+    # The fork comes at one BLAS thread, before the initial weights are
+    # drawn, so the worker prepares its round 0 while this process draws them.
     with (
         one_blas_thread(),
-        Worker(worker_round, "training worker", worker_ahead)
-        if worker_round
+        Worker(worker_task, "training worker", worker_ahead)
+        if worker_task
         else nullcontext() as worker,
-        _thread() if aside else nullcontext() as pool,
     ):
         weights = init_weights(spec, config.seeds.init)
         for i in range(config.max_rounds):
-            if worker is not None:
+            if evaluating is not None and worker.ready():
+                _log_evaluation(log, evaluating, worker)
+                evaluating = None
+            if worker_ahead is not None and evaluating is None:  # a round in halves
                 shared_weights[:] = weights
                 worker.start(i)
-            samples, steps = client_update_mmb(plan, i, weights)
-            if worker is not None:
+                samples, steps = client_update_mmb(own, i, weights)
                 counts = np.frombuffer(worker.finish(), dtype=np.int64).tolist()
                 samples += counts[: len(counts) // 2]
                 steps += counts[len(counts) // 2 :]
+            else:
+                samples, steps = client_update_mmb(whole, i, weights)
             local_updates += sum(steps)
             weights = aggregate(stack, samples)
             if (i + 1) % config.eval_every == 0:
                 counts = (i + 1, local_updates, (i + 1) * bytes_per_round)
-                if aside:
-                    _log_pending(log, pending)
-                    pending = (counts, pool.submit(evaluate, spec, weights.copy(), test_set))
+                if worker is not None and aside:
+                    if evaluating is not None:
+                        _log_evaluation(log, evaluating, worker)
+                    shared_weights[:] = weights
+                    worker.start(evaluation)
+                    evaluating = counts
                 else:
                     log.append(_metrics_row(*counts, *evaluate(spec, weights, test_set)))
             if round_hook is not None:
                 round_hook(i + 1, weights)
-        _log_pending(log, pending)
+        if evaluating is not None:
+            _log_evaluation(log, evaluating, worker)
     return log
 
 
-def _splits(schedules: list, windows: int) -> bool:
-    """Whether a run trains half its clients in a worker process.
+def _splits(schedules: list, windows: int, aside: bool) -> bool:
+    """Whether a run works in two processes: it forks a worker (``_run_rounds``).
 
-    It does with at least two clients and rounds of at least
+    It does when it evaluates aside (``aside``, ``_evaluates_aside``), or
+    when it has at least two clients and rounds of at least
     ``SPLIT_MIN_STEPS`` stacked steps, the most batches any client takes in
-    a round, when this process may fork (``split.can_fork``: Linux, two
-    CPUs, no other thread) and can hold BLAS at one thread while it trains
-    (``blas.blas_holds_one_thread``). At more threads the parent's
-    products wake a second BLAS thread, which competes with the worker for
-    the CPUs.
+    a round; and only when this process may fork (``split.can_fork``:
+    Linux, two CPUs, no other thread) and can hold BLAS at one thread
+    while it trains (``blas.blas_holds_one_thread``). At more threads the
+    parent's products wake a second BLAS thread, which competes with the
+    worker for the CPUs.
     """
-    if len(schedules) < 2:
+    if not aside and (
+        len(schedules) < 2
+        or windows * max(min(s.batch_count, s.num_batches) for s in schedules) < SPLIT_MIN_STEPS
+    ):
         return False
-    if windows * max(min(s.batch_count, s.num_batches) for s in schedules) < SPLIT_MIN_STEPS:
-        return False
-    # Only a run that may split loads the worker's module, and mmap with it.
+    # Only a run that may fork loads the worker's module, and mmap with it.
     from .split import can_fork
 
     return can_fork() and blas_holds_one_thread()
 
 
 def _evaluates_aside(spec: NetworkSpec, test_set: Dataset) -> bool:
-    """Whether the round loop evaluates on ``test_set`` on its worker thread."""
+    """Whether the round loop evaluates on ``test_set`` in its worker process, if it can fork."""
     return test_set.n * spec.input_dim * spec.layer_dims[0][1] >= EVAL_ASIDE_MACS
 
 
-def _thread() -> AbstractContextManager:
-    """An executor with one worker thread, which its ``with`` block joins on exit.
-
-    ``concurrent.futures`` is imported only for a run that uses it: its
-    import (``logging`` with it) adds about 0.6 MB to a process's peak RSS.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1)
-
-
-def _log_pending(log: MetricsLog, pending) -> None:
-    """Log the row of the evaluation on the worker thread, if any, once it has finished."""
-    if pending is not None:
-        counts, evaluation = pending
-        log.append(_metrics_row(*counts, *evaluation.result()))
+def _log_evaluation(log: MetricsLog, counts: tuple[int, int, int], worker) -> None:
+    """Log the row of the evaluation the worker was given, once it has replied."""
+    loss, accuracy = np.frombuffer(worker.finish()).tolist()
+    log.append(_metrics_row(*counts, loss, accuracy))
 
 
 def _metrics_row(

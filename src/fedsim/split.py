@@ -1,18 +1,22 @@
 """Work in two processes: the package's one fork runner.
 
 ``Worker`` forks one process that runs ``task(i)`` for each task index
-``i`` it is sent and sends back the bytes the task returns. Two jobs use
+``i`` it is sent and sends back the bytes the task returns. Three jobs use
 it, each only when it is large enough to pay for the fork:
 
 - a run whose rounds are long (``federated._splits``) trains half its
-  clients in the worker, every round, and has it gather each round's rows
-  while the parent finishes the round before (``prepare``);
+  clients in the worker and has it gather each round's rows while the
+  parent finishes the round before (``prepare``);
+- a run whose test set is large (``federated.EVAL_ASIDE_MACS``) evaluates
+  there while the parent trains on, and its parent checks for the reply
+  without waiting (``ready``); such a run trains half its clients there in
+  every round where the worker is not evaluating;
 - a large ``normal_array`` (``rng.SPLIT_MIN_DRAWS``) draws half its lanes
   there, once.
 
-Both pass their results through an anonymous shared mapping
+All pass their data through an anonymous shared mapping
 (``shared_array``) that both processes see, so only short replies cross
-the pipe. Both fork only when ``can_fork`` holds. The set-up draw copies
+the pipe. All fork only when ``can_fork`` holds. The set-up draw copies
 the worker's floats out of the mapping chunk by chunk and frees each chunk
 as it goes (``drain``), so the two copies are never whole at once. A run
 that trains in two processes holds BLAS at one thread, as every run does
@@ -59,9 +63,11 @@ _DRAIN_FLOATS = 2**17
 # BLAS thread, a run's time over its time with blocking reads, median of 8
 # alternating runs: a split run that evaluates aside (784-32-32-10, 10
 # clients, 4 steps a round) 1.02 at 0.1 ms, 0.96 at 0.5 ms and 0.89 at 2 ms;
-# 0.94 and 0.88 at 0.5 and 2 ms with a yield between polls, which lets the
-# evaluation thread onto the CPU (8 of 8 won); the ``skew_window`` shape
-# (20-32-32-10, 20 steps a round) 0.95-0.97 at every budget from 0.1 to 2 ms.
+# 0.94 and 0.88 at 0.5 and 2 ms with a yield between polls (8 of 8 won);
+# the ``skew_window`` shape (20-32-32-10, 20 steps a round) 0.95-0.97 at
+# every budget from 0.1 to 2 ms. That run evaluated on a thread of the
+# parent, which the yield let onto the CPU; evaluations now run in the
+# worker, and the yield still gives the CPU to any other runnable process.
 SPIN_S = 0.002
 
 
@@ -108,7 +114,8 @@ class Worker:
 
     ``start(i)`` sends the index; ``finish`` returns the bytes the task
     returned, and raises ``ContractError``, naming the worker by ``name``,
-    when the worker sends an exception or has died. The task sees the
+    when the worker sends an exception or has died; ``ready`` says, without
+    waiting, whether the worker has replied or exited. The task sees the
     parent's memory as it was at the fork, plus whatever either side writes
     to a shared mapping (``shared_array``). With ``prepare``, the worker
     calls ``prepare(0)`` as soon as it starts and ``prepare(i + 1)`` as
@@ -166,6 +173,18 @@ class Worker:
         if reply[:1] != b"+":
             raise ContractError(f"the {self.name} raised {reply[1:].decode()}")
         return reply[1:]
+
+    def ready(self) -> bool:
+        """Whether the reply to the last task started, or the worker's exit, has come.
+
+        It reads nothing, so ``finish`` still returns the reply. Only a
+        caller that asks loads ``select`` (36 KB of RSS).
+        """
+        import select
+
+        poll = select.poll()
+        poll.register(self._replies, select.POLLIN)
+        return bool(poll.poll(0))
 
     def __enter__(self) -> "Worker":
         return self

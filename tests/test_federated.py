@@ -5,7 +5,9 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
+from typing import Callable
 from unittest import mock
 
 import numpy as np
@@ -17,12 +19,14 @@ import fedsim as fs
 import fedsim.blas as blas
 import fedsim.data as data
 import fedsim.federated as federated
+import fedsim.split as split
 from fedsim.cli import main as cli_main
 from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
 from fedsim.rng import Xoshiro256PP
 
 from helpers import force_split, freeze_claim_drivers, linux_only, per_client_reference
+from helpers import record_workers
 from helpers import reference_aggregate, zero_images
 
 
@@ -755,11 +759,11 @@ def test_drivers_check_the_test_set_before_the_first_round(driver, fault):
     assert hooked == []
 
 
-# --- evaluation on the worker thread ------------------------------------------
+# --- evaluation in the worker process ---------------------------------------
 
 
 def image_shaped_setup() -> tuple[fs.NetworkSpec, fs.Dataset, fs.Dataset]:
-    """784-wide training data and a test set just large enough to be evaluated on the worker."""
+    """784-wide training data and a test set just large enough to be evaluated in the worker."""
     spec = fs.NetworkSpec(784, (32,), 10)
     n_test = -(-federated.EVAL_ASIDE_MACS // (784 * 32))
     train, test = synthetic_split(17, 80, n_test, 784, 10)
@@ -783,43 +787,77 @@ def image_shaped_run(driver: str, spec, train, test, round_hook=None) -> fs.Metr
     return fs.run_centralized(cfg, spec, train, test, round_hook=round_hook)
 
 
+def journal(monkeypatch, path: Path, name: str, entry) -> Callable[[], list]:
+    """Record each call of ``federated.<name>``, from either process, as ``[pid, *entry]``.
+
+    ``entry(args, result)`` gives the rest of a call's line. Returns a
+    reader of the lines so far; each process's lines are in its call order.
+    """
+    real = getattr(federated, name)
+
+    def recorded(*args):
+        result = real(*args)
+        with open(path, "a") as f:
+            f.write(json.dumps([os.getpid(), *entry(args, result)]) + "\n")
+        return result
+
+    monkeypatch.setattr(federated, name, recorded)
+    return lambda: [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []
+
+
+def journal_evaluations(monkeypatch, tmp_path) -> Callable[[], list]:
+    """Each evaluation: ``[pid, BLAS threads (None without the API), [loss, accuracy]]``."""
+    api = blas._openblas()
+    return journal(
+        monkeypatch, tmp_path / "evaluations", "evaluate",
+        lambda args, numbers: [api.get_num_threads() if api else None, list(numbers)],
+    )
+
+
+def journal_updates(monkeypatch, tmp_path) -> Callable[[], list]:
+    """Each client update: ``[pid, round index, clients in its plan]``."""
+    return journal(
+        monkeypatch, tmp_path / "updates", "client_update_mmb",
+        lambda args, counts: [args[1], len(args[0].schedules)],
+    )
+
+
+def assert_evaluated_aside(evaluations: list, worker, spec, test, weights: list, log=None) -> None:
+    """Every evaluation ran in ``worker``, at one BLAS thread, with the inline numbers of
+    ``weights``, in order; so does every row of ``log``, if given."""
+    assert [pid for pid, _, _ in evaluations] == [worker.pid] * len(weights)
+    assert {threads for _, threads, _ in evaluations} == ({1} if blas._openblas() else {None})
+    with blas.one_blas_thread():
+        inline = [list(fs.evaluate(spec, w, test)) for w in weights]
+    assert [numbers for _, _, numbers in evaluations] == inline
+    if log is not None:
+        assert [[row.test_loss, row.test_accuracy] for row in log.rows] == inline
+
+
+@linux_only
 @pytest.mark.parametrize("driver", ["fedmmb", "centralized"])
-def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch):
+def test_worker_evaluations_equal_inline_ones_byte_for_byte(driver, monkeypatch, tmp_path):
     # GOLDEN's small test sets are evaluated inline, so this is the check
-    # that the worker path logs exactly what evaluate gives on the hooked
-    # weights, in round order, the last row included. A short switch
-    # interval interleaves the worker and the training thread finely. Such
-    # a run evaluates at one BLAS thread, whose products may differ in the
+    # that the worker process logs exactly what evaluate gives on the
+    # hooked weights, in round order, the last row included. Its
+    # evaluations run at one BLAS thread, whose products may differ in the
     # last bit from those at more, so the reference evaluates at one too.
     spec, train, test = image_shaped_setup()
-    threads = []
-    real = federated.evaluate
-
-    def on_thread(*args):
-        threads.append(threading.current_thread())
-        return real(*args)
-
-    monkeypatch.setattr(federated, "evaluate", on_thread)
+    workers = record_workers(monkeypatch)
+    evaluations = journal_evaluations(monkeypatch, tmp_path)
     hooked = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        log = image_shaped_run(driver, spec, train, test, lambda r, w: hooked.setdefault(r, w))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threads and threading.main_thread() not in threads
+    log = image_shaped_run(driver, spec, train, test, lambda r, w: hooked.setdefault(r, w))
+    assert len(workers) == 1
     assert [row.round for row in log.rows] == [2, 4, 6]
-    for row in log.rows:
-        with blas.one_blas_thread():
-            loss, accuracy = fs.evaluate(spec, hooked[row.round], test)
-        assert (row.test_loss, row.test_accuracy) == (loss, accuracy)
+    assert_evaluated_aside(evaluations(), workers[0], spec, test, [hooked[r] for r in (2, 4, 6)], log)
 
 
 @pytest.mark.parametrize("driver", ["fedmmb", "centralized"])
 def test_a_hook_that_writes_its_weights_logs_what_an_inline_evaluation_logs(driver, monkeypatch):
-    # The evaluation on the thread reads its own copy of the weights, so a
-    # hook that halves them after its round does not change that round's
-    # row; on both paths the next round starts from what the hook wrote.
+    # The worker's evaluation reads its own copy of the weights, taken
+    # before the hook, so a hook that halves them after its round does not
+    # change that round's row; on both paths the next round starts from
+    # what the hook wrote.
     spec, train, test = image_shaped_setup()
 
     def run(halve: bool) -> tuple[str, bytes]:
@@ -833,21 +871,107 @@ def test_a_hook_that_writes_its_weights_logs_what_an_inline_evaluation_logs(driv
         log = image_shaped_run(driver, spec, train, test, hook)
         return log.to_csv_string(), final[-1].tobytes()
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        aside = run(halve=True)
-        monkeypatch.setattr(federated, "EVAL_ASIDE_MACS", 10**18)
-        inline = run(halve=True)
-        unhooked = run(halve=False)
-    finally:
-        sys.setswitchinterval(interval)
+    aside = run(halve=True)
+    monkeypatch.setattr(federated, "EVAL_ASIDE_MACS", 10**18)
+    inline = run(halve=True)
+    unhooked = run(halve=False)
     assert aside == inline
     assert inline[0] != unhooked[0]
 
 
+@linux_only
+def test_rounds_trained_while_the_worker_evaluates_keep_the_serial_inline_bytes(
+    monkeypatch, tmp_path
+):
+    # The first evaluation (after round 2) takes 0.3 s more in the worker,
+    # so this process trains rounds 3 and 4 alone, every client in one
+    # stack, and waits for it at round 4's evaluation. The hook after round
+    # 4 waits 0.3 s, so the second evaluation has replied when round 5
+    # starts, and rounds 5 and 6 train in halves again. The run keeps the
+    # bytes of a serial run that evaluates inline.
+    spec, train, test = image_shaped_setup()
+
+    def run(hook):
+        def waits_after_round_4(r, w):
+            if r == 4:
+                time.sleep(0.3)
+            hook(r, w)
+
+        return image_shaped_run("fedmmb", spec, train, test, waits_after_round_4)
+
+    with monkeypatch.context() as m:
+        m.setattr(federated, "EVAL_ASIDE_MACS", 10**18)
+        serial = csv_and_final_weights(run)
+    parent = os.getpid()
+    real = federated.evaluate
+    slowed = []  # the worker's own list
+
+    def first_one_slow(*args):
+        if os.getpid() != parent and not slowed:
+            slowed.append(None)
+            time.sleep(0.3)
+        return real(*args)
+
+    monkeypatch.setattr(federated, "evaluate", first_one_slow)
+    workers = record_workers(monkeypatch)
+    updates = journal_updates(monkeypatch, tmp_path)
+    assert csv_and_final_weights(run) == serial
+    assert len(workers) == 1
+    calls = {}
+    for pid, i, clients in updates():
+        calls.setdefault(pid, []).append((i, clients))
+    assert calls == {
+        parent: [(0, 2), (1, 2), (2, 4), (3, 4), (4, 2), (5, 2)],
+        workers[0].pid: [(0, 2), (1, 2), (4, 2), (5, 2)],
+    }
+
+
+@linux_only
+def test_a_one_client_run_that_evaluates_aside_forks_a_worker_that_only_evaluates(
+    monkeypatch, tmp_path
+):
+    spec, train, test = image_shaped_setup()
+
+    def run(hook):
+        return image_shaped_run("centralized", spec, train, test, hook)
+
+    with monkeypatch.context() as m:
+        m.setattr(federated, "EVAL_ASIDE_MACS", 10**18)
+        serial = csv_and_final_weights(run)
+    workers = record_workers(monkeypatch)
+    updates = journal_updates(monkeypatch, tmp_path)
+    evaluations = journal_evaluations(monkeypatch, tmp_path)
+    assert csv_and_final_weights(run) == serial
+    assert len(workers) == 1
+    assert updates() == [[os.getpid(), i, 1] for i in range(6)]
+    assert [pid for pid, _, _ in evaluations()] == [workers[0].pid] * 3
+
+
+@linux_only
+@pytest.mark.parametrize("fault", ["cannot_fork", "blas_not_held"])
+def test_a_run_that_evaluates_aside_but_cannot_fork_evaluates_inline_with_the_same_bytes(
+    fault, monkeypatch, tmp_path
+):
+    spec, train, test = image_shaped_setup()
+
+    def run(hook):
+        return image_shaped_run("fedmmb", spec, train, test, hook)
+
+    workers = record_workers(monkeypatch)
+    aside = csv_and_final_weights(run)
+    assert len(workers) == 1
+    if fault == "cannot_fork":
+        monkeypatch.setattr(split, "can_fork", lambda: False)
+    else:
+        monkeypatch.setattr(federated, "blas_holds_one_thread", lambda: False)
+    evaluations = journal_evaluations(monkeypatch, tmp_path)
+    assert csv_and_final_weights(run) == aside
+    assert len(workers) == 1
+    assert [pid for pid, _, _ in evaluations()] == [os.getpid()] * 3
+
+
 def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkeypatch):
-    # The image-shaped experiment (criterion 3) evaluates on the worker;
+    # The image-shaped experiment (criterion 3) evaluates in the worker;
     # the 20-d ones (criteria 2, 4, 5, 6) evaluate inline.
     from fedsim import claims
 
@@ -868,15 +992,22 @@ def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkey
 
 def test_an_inline_run_does_not_load_the_worker_modules():
     # concurrent.futures (with logging) adds about 0.6 MB to a process's peak
-    # RSS, so only a run that evaluates on the worker imports it.
+    # RSS. No run imports it: an inline run, nor one that evaluates aside,
+    # whose evaluations run in the worker process.
     child = (
         "import sys\n"
         "import fedsim as fs\n"
+        "import fedsim.federated as federated\n"
+        "pool = {'concurrent.futures', 'logging'}\n"
         "train, test = fs.synthetic_split(1, 40, 20, 4, 3)\n"
         "cfg = fs.TrainingConfig(mode='centralized', learning_rate=0.1, max_rounds=2,"
         " batch_size=10, seeds=fs.Seeds(1, 2, 3))\n"
         "fs.run_centralized(cfg, fs.NetworkSpec(4, (5,), 3), train, test)\n"
-        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        "print(sorted(pool & set(sys.modules)))\n"
+        "n_test = -(-federated.EVAL_ASIDE_MACS // (784 * 32))\n"
+        "train, test = fs.synthetic_split(1, 40, n_test, 784, 3)\n"
+        "fs.run_centralized(cfg, fs.NetworkSpec(784, (32,), 3), train, test)\n"
+        "print(sorted(pool & set(sys.modules)))\n"
     )
     src = str(Path(federated.__file__).resolve().parent.parent)
     result = subprocess.run(
@@ -884,20 +1015,19 @@ def test_an_inline_run_does_not_load_the_worker_modules():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("failing", [1, 3], ids=["first", "last"])
 def test_a_worker_evaluation_that_raises_raises_from_the_driver(failing, monkeypatch):
     # The first evaluation's error surfaces at the next evaluation round,
     # the last one's at the end of the run; either way no log comes back,
-    # and the worker thread is gone when the driver returns or raises.
+    # and no process is left when the driver returns or raises.
     spec, train, test = image_shaped_setup()
-    before = threading.active_count()
     image_shaped_run("fedmmb", spec, train, test)
-    assert threading.active_count() == before
+    assert_no_child_left()
     real = federated.evaluate
-    calls = []
+    calls = []  # the evaluating process's own list
 
     def evaluate(*args):
         calls.append(None)
@@ -908,7 +1038,34 @@ def test_a_worker_evaluation_that_raises_raises_from_the_driver(failing, monkeyp
     monkeypatch.setattr(federated, "evaluate", evaluate)
     with pytest.raises(fs.ContractError, match="non-finite loss"):
         image_shaped_run("fedmmb", spec, train, test)
-    assert threading.active_count() == before
+    assert_no_child_left()
+
+
+@linux_only
+def test_an_evaluation_that_raises_while_this_process_trains_alone_names_its_cause(
+    monkeypatch, tmp_path
+):
+    # The first evaluation fails in the worker after 0.3 s, while this
+    # process trains rounds 3 and 4 in one stack; round 4's evaluation
+    # round raises it, before its hook.
+    spec, train, test = image_shaped_setup()
+    workers = record_workers(monkeypatch)
+    updates = journal_updates(monkeypatch, tmp_path)
+
+    def evaluate(*args):
+        time.sleep(0.3)
+        raise RuntimeError("no evaluation today")
+
+    monkeypatch.setattr(federated, "evaluate", evaluate)
+    hooked = []
+    message = "^the training worker raised RuntimeError: no evaluation today$"
+    with pytest.raises(fs.ContractError, match=message):
+        image_shaped_run("fedmmb", spec, train, test, lambda r, w: hooked.append(r))
+    assert hooked == [1, 2, 3]
+    assert [[i, k] for pid, i, k in updates() if pid == os.getpid()] == [
+        [0, 2], [1, 2], [2, 4], [3, 4]]
+    assert len(workers) == 1
+    assert_no_child_left()
 
 
 # --- clients split across two processes -------------------------------------
@@ -1040,26 +1197,32 @@ def test_the_split_rule_reads_platform_cpus_clients_steps_and_threads(monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sys, "platform", "linux")
     assert federated.SPLIT_MIN_STEPS == 3
-    assert federated._splits(schedules, 1)  # client 1 takes 3 batches a round
-    assert not federated._splits(schedules[:1], 2)  # one client
-    assert not federated._splits(schedules[:1] * 2, 2)  # 2 steps a round
-    assert federated._splits(schedules[:1] * 2, 3)  # 3 windows of 1 batch
-    assert federated._splits([client_schedule(10, 5, 20)] * 2, 2)  # T = 2 caps each window
-    assert not federated._splits([client_schedule(10, 5, 20)] * 2, 1)
+    assert federated._splits(schedules, 1, False)  # client 1 takes 3 batches a round
+    assert not federated._splits(schedules[:1], 2, False)  # one client
+    assert not federated._splits(schedules[:1] * 2, 2, False)  # 2 steps a round
+    assert federated._splits(schedules[:1] * 2, 3, False)  # 3 windows of 1 batch
+    assert federated._splits([client_schedule(10, 5, 20)] * 2, 2, False)  # T = 2 caps each window
+    assert not federated._splits([client_schedule(10, 5, 20)] * 2, 1, False)
+    # A run that evaluates aside forks whatever its clients and steps.
+    assert federated._splits(schedules[:1], 1, True)
+    assert federated._splits(schedules[:1] * 2, 1, True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not federated._splits(schedules, 1)
+    assert not federated._splits(schedules, 1, False)
+    assert not federated._splits(schedules[:1], 1, True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert not federated._splits(schedules, 1)  # a fork copies only its own thread
+        assert not federated._splits(schedules, 1, False)  # a fork copies only its own thread
+        assert not federated._splits(schedules[:1], 1, True)
     finally:
         release.set()
         other.join(timeout=60)
     assert not other.is_alive()
     monkeypatch.setattr(sys, "platform", "darwin")
-    assert not federated._splits(schedules, 1)
+    assert not federated._splits(schedules, 1, False)
+    assert not federated._splits(schedules[:1], 1, True)
 
 
 def test_without_the_blas_api_a_run_splits_only_where_the_environment_pins_one_thread(
@@ -1071,13 +1234,15 @@ def test_without_the_blas_api_a_run_splits_only_where_the_environment_pins_one_t
     for name in blas._BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setattr(blas, "_openblas", lambda: None)
-    assert not federated._splits(schedules, 1)
+    assert not federated._splits(schedules, 1, False)
+    assert not federated._splits(schedules[:1], 1, True)
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert federated._splits(schedules, 1)
+    assert federated._splits(schedules, 1, False)
+    assert federated._splits(schedules[:1], 1, True)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert not federated._splits(schedules, 1)
+    assert not federated._splits(schedules, 1, False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert federated._splits(schedules, 1)
+    assert federated._splits(schedules, 1, False)
 
 
 @linux_only
@@ -1110,41 +1275,45 @@ def test_a_split_run_trains_at_one_blas_thread_and_restores_the_callers_count(
     assert len(workers) == 1
 
 
+@linux_only
 @pytest.mark.skipif(blas._openblas() is None, reason="needs the OpenBLAS runtime API")
 @pytest.mark.parametrize("fault", [None, "hook"], ids=["returns", "raises"])
 def test_a_run_that_evaluates_aside_runs_at_one_blas_thread_and_restores_the_callers_count(
-    fault, monkeypatch
+    fault, monkeypatch, tmp_path
 ):
-    # The evaluation thread's products and the training thread's would each
-    # wake a second BLAS thread on two CPUs; the run holds one throughout.
+    # The worker's evaluations and this process's training would each wake
+    # a second BLAS thread on two CPUs; both processes hold one throughout.
+    # A hook that raises after round 4 leaves the evaluation of round 4 to
+    # finish in the worker before the driver reaps it.
     spec, train, test = image_shaped_setup()
     api = blas._openblas()
     caller = api.get_num_threads()
-    seen, evaluated = [], []
-    real = federated.evaluate
-
-    def on_thread(*args):
-        evaluated.append(api.get_num_threads())
-        return real(*args)
+    workers = record_workers(monkeypatch)
+    evaluations = journal_evaluations(monkeypatch, tmp_path)
+    seen, hooked = [], []
 
     def hook(r, w):
         seen.append(api.get_num_threads())
+        if r % 2 == 0:
+            hooked.append(w)
         if fault and r == 4:
             raise ValueError("hook failed")
 
-    monkeypatch.setattr(federated, "evaluate", on_thread)
     api.set_num_threads(2)
     try:
+        log = None
         if fault:
             with pytest.raises(ValueError):
                 image_shaped_run("fedmmb", spec, train, test, hook)
         else:
-            image_shaped_run("fedmmb", spec, train, test, hook)
+            log = image_shaped_run("fedmmb", spec, train, test, hook)
         assert api.get_num_threads() == 2
     finally:
         api.set_num_threads(caller)
     assert seen and set(seen) == {1}
-    assert evaluated and set(evaluated) == {1}
+    assert len(hooked) == (2 if fault else 3)
+    assert len(workers) == 1
+    assert_evaluated_aside(evaluations(), workers[0], spec, test, hooked, log)
 
 
 @pytest.mark.skipif(blas._openblas() is None, reason="needs the OpenBLAS runtime API")
@@ -1153,7 +1322,7 @@ def test_a_run_that_evaluates_aside_runs_at_one_blas_thread_and_restores_the_cal
 def test_a_run_that_neither_splits_nor_evaluates_aside_trains_at_one_blas_thread(
     fault, driver, monkeypatch
 ):
-    # A one-step run with a small test set: no worker, no evaluation thread.
+    # A one-step run with a small test set: no worker.
     # It still trains at one thread, so its bits do not depend on the
     # caller's count, and it gives the caller's count back either way.
     spec, clients, test = small_fed_setup()
@@ -1181,7 +1350,8 @@ def test_a_run_that_neither_splits_nor_evaluates_aside_trains_at_one_blas_thread
     try:
         with pytest.raises(ValueError) if fault else contextlib.nullcontext():
             if driver == "fedmmb":
-                assert not federated._splits([fs.BatchSchedule(c, 5, 1, 2, 0) for c in clients], 1)
+                schedules = [fs.BatchSchedule(c, 5, 1, 2, 0) for c in clients]
+                assert not federated._splits(schedules, 1, False)
                 fs.run_fedmmb(cfg, spec, clients, test, round_hook=hook)
             else:
                 fs.run_centralized(cfg, spec, clients[0], test, round_hook=hook)
@@ -1253,8 +1423,14 @@ def test_a_split_run_that_raises_leaves_no_process_behind(fault, monkeypatch):
             os.kill(os.getpid(), signal.SIGINT)
 
     expected = {"aggregate": fs.ContractError, "hook": ValueError, "interrupt": KeyboardInterrupt}
-    with pytest.raises(expected[fault]):
-        four_client_run(hook, eta=1e300 if fault == "aggregate" else 0.05)
+    # SIGINT raises KeyboardInterrupt even where this process was started
+    # with it ignored, as a shell starts a background job.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(expected[fault]):
+            four_client_run(hook, eta=1e300 if fault == "aggregate" else 0.05)
+    finally:
+        signal.signal(signal.SIGINT, previous)
     assert len(workers) == 1
     assert_no_child_left()
 

@@ -3,7 +3,8 @@
 The harness imports, wraps and checks names of fedsim, private ones
 included, so a change to ``src/`` that breaks any of them fails here.
 ``skew_window`` trains its clients in two processes; ``concordance_c1``
-evaluates on the worker thread and runs a centralized arm. The
+evaluates in a forked worker, which trains half the federated clients in
+the rounds between evaluations, and runs a centralized arm. The
 fingerprints are the first 8 hex digits of the SHA-256 of each arm's
 metrics CSV and final weights at seed 1. Like ``tests/test_golden.py``'s
 digests, they were taken under OpenBLAS's SkylakeX kernels, and another

@@ -1,5 +1,5 @@
-"""The fork runner: each way a pipe read can end, past the spin or within it, and the work
-a worker prepares ahead of each task."""
+"""The fork runner: each way a pipe read can end, past the spin or within it, the work a
+worker prepares ahead of each task, and the check for a reply that does not wait."""
 
 import os
 import time
@@ -118,3 +118,40 @@ def test_an_exception_while_preparing_is_raised_by_the_next_finish(failing):
                     worker.finish()
             else:
                 assert worker.finish() == b"%d" % i
+
+
+def test_ready_says_whether_a_reply_has_come_and_reads_nothing():
+    go_on, let_go = os.pipe()  # task 0 waits for a byte on this pipe
+
+    def task(i):
+        if i == 1:
+            os._exit(3)
+        os.read(go_on, 1)
+        return b"done %d" % i
+
+    def wait_until_ready(worker):
+        deadline = time.monotonic() + 60
+        while not worker.ready():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+    try:
+        with split.Worker(task, "test worker") as worker:
+            worker.start(0)
+            try:
+                time.sleep(10 * split.SPIN_S)
+                waiting = worker.ready()
+            finally:  # the worker cannot be reaped before task 0 ends
+                os.write(let_go, b"x")
+            assert not waiting
+            wait_until_ready(worker)
+            assert worker.ready()  # still there: ready read nothing
+            assert worker.finish() == b"done 0"
+            assert not worker.ready()
+            worker.start(1)
+            wait_until_ready(worker)  # the end of the pipe counts as a reply
+            with pytest.raises(ContractError, match="^the test worker exited during task 1$"):
+                worker.finish()
+    finally:
+        os.close(go_on)
+        os.close(let_go)
