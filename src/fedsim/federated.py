@@ -12,8 +12,8 @@ step, which writes every row. The model is evaluated on a fixed cadence,
 and the round hook sees the new weights; it may write them, and the next
 round starts from what it wrote. A run with long rounds or a large test
 set forks one worker process (``_run_rounds``, ``fedsim.split``), which
-evaluates aside and trains half the clients in the rounds between; the
-bits are those of one process.
+evaluates aside and trains half the clients of the run's one ``StepPlan``
+in the rounds between; the bits are those of one process.
 The drivers differ only in the schedules they pass. ``run_fedmmb`` gives
 each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
@@ -169,17 +169,18 @@ class StepPlan:
 
     It holds the client stack (``[K, parameter_count]``, client ``j`` of
     ``schedules`` in row ``j``; ``stack`` if given, else a new array), one
-    gradient buffer of the same shape, the layer views of both, and gather
-    buffers for a round's window rows: their features, and their labels as
-    one-hot float64 targets (``[K, n, classes]``), built once per round by
-    ``gather``. Each ``step`` trains a contiguous range of clients on views
-    of their rows. Only the steps after a round's first use the gradient
-    buffer; a first step backpropagates into the stack itself. Each round
-    takes ``windows`` batch windows of every schedule at learning rate
-    ``eta``. Building it checks ``windows``, ``eta`` and each schedule's
-    source against the spec (feature width, label range), so no round or
-    step checks them again, and finds the array that holds each source's
-    rows (``base_rows``).
+    gradient buffer of the same shape, and gather buffers for a round's
+    window rows: their features, and their labels as one-hot float64
+    targets (``[K, n, classes]``), built once per round by ``gather``. A
+    round trains a range of the clients, all by default (a split run's two
+    processes train two ranges of one plan), and each ``step`` a
+    contiguous range of them on views of their rows. Only the steps after
+    a round's first use the gradient buffer; a first step backpropagates
+    into the stack itself. Each round takes ``windows`` batch windows of
+    every schedule at learning rate ``eta``. Building it checks
+    ``windows``, ``eta`` and each schedule's source against the spec
+    (feature width, label range), so no round or step checks them again,
+    and finds the array that holds each source's rows (``base_rows``).
     """
 
     def __init__(
@@ -204,17 +205,18 @@ class StepPlan:
         k = len(schedules)
         self.stack = np.empty((k, spec.parameter_count)) if stack is None else stack
         self.grads = np.empty_like(self.stack)
-        self.layers = layer_views(spec, self.stack)
-        self.grad_layers = layer_views(spec, self.grads)
+        # The layer views of the stack's and the gradients' rows a..b-1, per
+        # client range (a, b) that a step has trained.
+        self._views: dict[tuple[int, int], tuple[list, list]] = {}
         self._x = np.empty((k, 0, spec.input_dim))
         self._targets = np.empty((k, 0, spec.output_dim))
         self._one_hot = np.eye(spec.output_dim)
         # The round gathered and not yet trained (``prepare_round``): its index,
-        # each step's ranges, and every client's sample and step count.
-        self.prepared: tuple[int, list, list[int], list[int]] | None = None
+        # clients and step ranges, and each client's sample and step count.
+        self.prepared: tuple[int, range, list, list[int], list[int]] | None = None
 
-    def gather(self, rows: list[np.ndarray]) -> None:
-        """Copy rows ``rows[j]`` of schedule ``j``'s source to the front of its gather buffers.
+    def gather(self, rows: list[np.ndarray], first: int = 0) -> None:
+        """Copy ``rows[j]`` of client ``first + j``'s source to the front of its gather buffers.
 
         The features are copied as they are, from the array that holds them:
         a view's rows are first mapped to rows of its base, with one
@@ -225,10 +227,10 @@ class StepPlan:
         """
         n = max(r.size for r in rows)
         if self._x.shape[1] < n:
-            self._x = np.empty((len(rows), n, self.spec.input_dim))
-            self._targets = np.empty((len(rows), n, self.spec.output_dim))
+            self._x = np.empty((len(self.schedules), n, self.spec.input_dim))
+            self._targets = np.empty((len(self.schedules), n, self.spec.output_dim))
         for j, (schedule, (features, index), r) in enumerate(
-            zip(self.schedules, self._bases, rows)
+            zip(self.schedules[first:], self._bases[first:], rows), first
         ):
             # The rows come from a permutation of this schedule's source, and
             # its labels index the outputs, so both takes are in range;
@@ -256,15 +258,15 @@ class StepPlan:
         global weights and their ``layer_views`` with a leading axis of 1,
         read in place. Their gradients go to their rows of the gradient
         buffer or, on the first step, of the stack itself, and the new
-        parameters to their rows of the stack. A range of every client uses
-        the plan's layer views; any other takes views of its rows.
+        parameters to their rows of the stack. A range takes the layer
+        views of its rows on its first step and keeps them.
         """
         params, grads = self.stack[a:b], self.grads[a:b]
-        whole = b - a == len(self.schedules)
-        layers = self.layers if whole else layer_views(self.spec, params)
+        if (a, b) not in self._views:
+            self._views[a, b] = layer_views(self.spec, params), layer_views(self.spec, grads)
+        layers, grad_layers = self._views[a, b]
         x, t = self._x[a:b, offset : offset + size], self._targets[a:b, offset : offset + size]
         if origin is None:
-            grad_layers = self.grad_layers if whole else layer_views(self.spec, grads)
             _gradients_into(layers, grad_layers, x, t)
             _descend(params, grads, self.eta, out=params)
         else:
@@ -272,12 +274,12 @@ class StepPlan:
             _descend(origin[0], params, self.eta, out=params)
 
 
-def prepare_round(plan: StepPlan, round_index: int) -> None:
-    """The first half of round ``round_index`` in ``plan``: its rows, gathered, and its step ranges.
+def prepare_round(plan: StepPlan, round_index: int, clients: range) -> None:
+    """The first half of round ``round_index`` of ``clients``: their rows and step ranges.
 
     Round ``i`` takes windows ``i * windows`` to ``i * windows + windows - 1``
-    of each schedule. Each window index of the round is drawn for every
-    client at once (``draw_windows``: one permutation draw per source size
+    of each schedule. Each window index of the round is drawn for all the
+    clients at once (``draw_windows``: one permutation draw per source size
     for all the clients that start a sweep), and the round's rows of each
     client, with their one-hot targets, are copied out of its source once
     (``StepPlan.gather``). The clients are cut into runs of neighbours with
@@ -291,21 +293,22 @@ def prepare_round(plan: StepPlan, round_index: int) -> None:
     A window is a pure function of its index, so the round reads no state
     that earlier rounds left behind, and it may be prepared at any time
     after the plan's last round has trained: a split run's worker prepares
-    its next round while the driver aggregates. The prepared round is kept
-    in ``plan.prepared`` until ``client_update_mmb`` trains it; preparing
-    another round replaces it.
+    its range of the next round while the driver aggregates. The prepared
+    round is kept in ``plan.prepared``, with its index and range, until
+    ``client_update_mmb`` trains it; preparing another replaces it.
     """
+    schedules = plan.schedules[clients.start : clients.stop]
     first = round_index * plan.windows
-    windows = [draw_windows(plan.schedules, first + e) for e in range(plan.windows)]
+    windows = [draw_windows(schedules, first + e) for e in range(plan.windows)]
     rows, sizes = [], []
     for parts in zip(*windows):
         rows.append(parts[0][0] if len(parts) == 1 else np.concatenate([r for r, _ in parts]))
         sizes.append(sum((zs for _, zs in parts), ()))
-    plan.gather(rows)
+    plan.gather(rows, clients.start)
     # Runs of consecutive clients with one list of batch sizes this round:
     # [first client, end, batch sizes, batch offsets].
     runs: list[list] = []
-    for j, batches in enumerate(sizes):
+    for j, batches in enumerate(sizes, clients.start):
         if runs and runs[-1][2] == batches:
             runs[-1][1] = j + 1
         else:
@@ -321,19 +324,19 @@ def prepare_round(plan: StepPlan, round_index: int) -> None:
                 else:
                     ranges.append([a, b, offsets[s], batches[s]])
         steps.append(ranges)
-    plan.prepared = (round_index, steps, [r.size for r in rows], [len(z) for z in sizes])
+    plan.prepared = (round_index, clients, steps, [r.size for r in rows], [len(z) for z in sizes])
 
 
 def client_update_mmb(
-    plan: StepPlan, round_index: int, global_weights: np.ndarray
+    plan: StepPlan, round_index: int, global_weights: np.ndarray, clients: range | None = None
 ) -> tuple[list[int], list[int]]:
-    """Every client's local training for round ``round_index``, in the plan's stack.
+    """The local training of ``clients`` (every client by default) for round ``round_index``.
 
     Each client starts from the global weights and takes one SGD step per
     batch of this round's ``plan.windows`` batch windows, in order
     (``prepare_round``, which runs first unless ``plan.prepared`` already
-    holds this round). A whole-list schedule (one window per sweep)
-    therefore runs ``windows`` local epochs, epoch k of round i on
+    holds this round of this range). A whole-list schedule (one window per
+    sweep) therefore runs ``windows`` local epochs, epoch k of round i on
     permutation ``i * windows + k`` of the client's seed stream.
 
     Client ``j`` trains in row ``j`` of ``plan.stack``. The first step
@@ -343,14 +346,15 @@ def client_update_mmb(
     into the stack, and no step reads a row before the first step has
     written it. The global weights therefore must not share memory with
     the stack (``ContractError``): the first step writes the stack while
-    it still reads them. Returns every client's sample and step count, in
-    row order.
+    it still reads them. Rows outside the range are neither read nor
+    written. Returns the range's sample and step counts, in row order.
     """
     if np.shares_memory(global_weights, plan.stack):
         raise ContractError("the global weights must not share memory with the client stack")
-    if plan.prepared is None or plan.prepared[0] != round_index:
-        prepare_round(plan, round_index)
-    _, steps, samples, counts = plan.prepared
+    clients = range(len(plan.schedules)) if clients is None else clients
+    if plan.prepared is None or plan.prepared[:2] != (round_index, clients):
+        prepare_round(plan, round_index, clients)
+    _, _, steps, samples, counts = plan.prepared
     plan.prepared = None
     origin = (global_weights, layer_views(plan.spec, global_weights[None]))
     for s, ranges in enumerate(steps):
@@ -436,13 +440,13 @@ def _run_rounds(
     raises raises there. A run that cannot fork evaluates inline.
 
     With two clients or more, the worker trains clients ``K // 2 ..`` in
-    every round where it is not evaluating, on its own step plan over its
-    rows of the stack, from the weights this process copies into the slot,
-    and replies with their sample and step counts. It prepares its half of
-    round 0 (``prepare_round``) while this process draws the weights, and
-    of round ``i + 1`` as soon as it has replied for round ``i``; none past
-    the last. While the worker evaluates, this process trains every client
-    in one step plan over the whole stack.
+    every round where it is not evaluating, from the weights this process
+    copies into the slot, and replies with their sample and step counts;
+    this process trains the others, and all of them while the worker
+    evaluates. Both train ranges of the run's one step plan over the shared
+    stack, built before the fork. The worker prepares its range of round 0
+    (``prepare_round``) while this process draws the weights, and of round
+    ``i + 1`` as soon as it has replied for round ``i``; none past the last.
 
     Every run trains and evaluates at one BLAS thread
     (``blas.one_blas_thread``), so its bits do not depend on the caller's
@@ -451,7 +455,6 @@ def _run_rounds(
     """
     _require_data(spec, test_set.input_dim, test_set.labels)
     aside = _evaluates_aside(spec, test_set)
-    eta = config.learning_rate
     k = len(schedules)
     worker_task = worker_ahead = stack = None
     if _splits(schedules, windows, aside):
@@ -465,23 +468,15 @@ def _run_rounds(
         def worker_task(i: int) -> bytes:
             if i == evaluation:
                 return np.array(evaluate(spec, shared_weights, test_set)).tobytes()
-            samples, steps = client_update_mmb(rest, i, shared_weights)
+            samples, steps = client_update_mmb(plan, i, shared_weights, range(k // 2, k))
             return np.array(samples + steps, dtype=np.int64).tobytes()
 
         if k > 1:  # the worker trains clients k // 2 .., a round at a time
-            own = StepPlan(spec, schedules[: k // 2], windows, eta, stack[: k // 2])
-            rest = StepPlan(spec, schedules[k // 2 :], windows, eta, stack[k // 2 :])
-
             def worker_ahead(i: int) -> None:
                 if i < config.max_rounds:
-                    prepare_round(rest, i)
+                    prepare_round(plan, i, range(k // 2, k))
 
-    # This process trains every client in one stack in each round the worker
-    # does not train: every round of a run that does not split its clients,
-    # and the rounds in which the worker evaluates.
-    if worker_ahead is None or aside:
-        whole = StepPlan(spec, schedules, windows, eta, stack)
-        stack = whole.stack
+    plan = StepPlan(spec, schedules, windows, config.learning_rate, stack)
     bytes_per_round = comm_cost(config, spec)
     log = MetricsLog()
     local_updates = 0
@@ -502,14 +497,14 @@ def _run_rounds(
             if worker_ahead is not None and evaluating is None:  # a round in halves
                 shared_weights[:] = weights
                 worker.start(i)
-                samples, steps = client_update_mmb(own, i, weights)
+                samples, steps = client_update_mmb(plan, i, weights, range(k // 2))
                 counts = np.frombuffer(worker.finish(), dtype=np.int64).tolist()
                 samples += counts[: len(counts) // 2]
                 steps += counts[len(counts) // 2 :]
             else:
-                samples, steps = client_update_mmb(whole, i, weights)
+                samples, steps = client_update_mmb(plan, i, weights, range(k))
             local_updates += sum(steps)
-            weights = aggregate(stack, samples)
+            weights = aggregate(plan.stack, samples)
             if (i + 1) % config.eval_every == 0:
                 counts = (i + 1, local_updates, (i + 1) * bytes_per_round)
                 if worker is not None and aside:

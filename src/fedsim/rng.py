@@ -151,10 +151,6 @@ class Xoshiro256PP:
         self._s = [s0, s1, s2, s3]
         return result
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) using the top 53 bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias (rejection sampling).
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 from unittest import mock
@@ -414,7 +415,8 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
     # trains, so a client row that a round's first step did not write, or a
     # gradient read before it was written, makes the run diverge. The runs
     # stay in one process, where first_steps sees every range, until the
-    # last one, which splits its clients 1 | 2 and poisons both plans.
+    # last one, which splits its clients 1 | 2; there each process poisons
+    # only the rows of its own range of the one shared stack.
     monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
     spec, clients, test = unequal_clients()
     cent_cfg = fs.TrainingConfig(
@@ -432,11 +434,11 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
     real_update, real_step = federated.client_update_mmb, StepPlan.step
     first_steps = []  # per round: the (a, b, offset, size) of each first-step range
 
-    def poisoned_update(plan, round_index, weights):
-        plan.stack.fill(np.nan)
-        plan.grads.fill(np.nan)
+    def poisoned_update(plan, round_index, weights, clients):
+        plan.stack[clients.start : clients.stop].fill(np.nan)
+        plan.grads[clients.start : clients.stop].fill(np.nan)
         first_steps.append([])
-        return real_update(plan, round_index, weights)
+        return real_update(plan, round_index, weights, clients)
 
     def recorded_step(plan, a, b, offset, size, origin=None):
         if origin is not None:
@@ -470,6 +472,41 @@ def test_no_round_reads_what_an_earlier_round_left_in_the_plan(monkeypatch):
         log = fs.run_fedavg(cfg, spec, clients, test)
         assert log.to_csv_string() == reference_log.to_csv_string()
         assert len(workers) == 1
+
+
+def test_a_plan_takes_the_layer_views_of_each_client_range_once(monkeypatch):
+    # Unequal clients train as several ranges a step, partial ones among
+    # them; each distinct range takes the views of its stack rows and of its
+    # gradient rows on its first step, and no later step takes them again.
+    monkeypatch.setattr(federated, "SPLIT_MIN_STEPS", 10**9)
+    spec, clients, test = unequal_clients()
+    cfg = fs.TrainingConfig(
+        mode="fedavg", learning_rate=0.1, max_rounds=6, batch_size=4, seeds=SEEDS,
+        eval_every=2, clients=3, local_epochs=2,
+    )
+    real_step, real_views = StepPlan.step, federated.layer_views
+    ranges, taken = [], []  # each step's (a, b); the range of each view taken in a step
+    stepping = []
+
+    def step(plan, a, b, *args):
+        ranges.append((a, b))
+        stepping.append(None)
+        try:
+            real_step(plan, a, b, *args)
+        finally:
+            stepping.pop()
+
+    def views(spec, params):
+        if stepping:
+            taken.append(ranges[-1])
+        return real_views(spec, params)
+
+    monkeypatch.setattr(StepPlan, "step", step)
+    monkeypatch.setattr(federated, "layer_views", views)
+    fs.run_fedavg(cfg, spec, clients, test)
+    assert {(0, 1), (1, 3), (0, 3)} <= set(ranges)
+    assert len(ranges) > 5 * len(set(ranges))
+    assert Counter(taken) == {r: 2 for r in set(ranges)}
 
 
 def stack_runs() -> dict:
@@ -815,11 +852,13 @@ def journal_evaluations(monkeypatch, tmp_path) -> Callable[[], list]:
 
 
 def journal_updates(monkeypatch, tmp_path) -> Callable[[], list]:
-    """Each client update: ``[pid, round index, clients in its plan]``."""
-    return journal(
-        monkeypatch, tmp_path / "updates", "client_update_mmb",
-        lambda args, counts: [args[1], len(args[0].schedules)],
-    )
+    """Each client update: ``[pid, round index, [first, end] of the clients it trains]``."""
+
+    def entry(args, counts):
+        clients = args[3] if len(args) > 3 else range(len(args[0].schedules))
+        return [args[1], [clients.start, clients.stop]]
+
+    return journal(monkeypatch, tmp_path / "updates", "client_update_mmb", entry)
 
 
 def assert_evaluated_aside(evaluations: list, worker, spec, test, weights: list, log=None) -> None:
@@ -921,8 +960,8 @@ def test_rounds_trained_while_the_worker_evaluates_keep_the_serial_inline_bytes(
     for pid, i, clients in updates():
         calls.setdefault(pid, []).append((i, clients))
     assert calls == {
-        parent: [(0, 2), (1, 2), (2, 4), (3, 4), (4, 2), (5, 2)],
-        workers[0].pid: [(0, 2), (1, 2), (4, 2), (5, 2)],
+        parent: [(0, [0, 2]), (1, [0, 2]), (2, [0, 4]), (3, [0, 4]), (4, [0, 2]), (5, [0, 2])],
+        workers[0].pid: [(0, [2, 4]), (1, [2, 4]), (4, [2, 4]), (5, [2, 4])],
     }
 
 
@@ -943,7 +982,7 @@ def test_a_one_client_run_that_evaluates_aside_forks_a_worker_that_only_evaluate
     evaluations = journal_evaluations(monkeypatch, tmp_path)
     assert csv_and_final_weights(run) == serial
     assert len(workers) == 1
-    assert updates() == [[os.getpid(), i, 1] for i in range(6)]
+    assert updates() == [[os.getpid(), i, [0, 1]] for i in range(6)]
     assert [pid for pid, _, _ in evaluations()] == [workers[0].pid] * 3
 
 
@@ -1063,7 +1102,7 @@ def test_an_evaluation_that_raises_while_this_process_trains_alone_names_its_cau
         image_shaped_run("fedmmb", spec, train, test, lambda r, w: hooked.append(r))
     assert hooked == [1, 2, 3]
     assert [[i, k] for pid, i, k in updates() if pid == os.getpid()] == [
-        [0, 2], [1, 2], [2, 4], [3, 4]]
+        [0, [0, 2]], [1, [0, 2]], [2, [0, 4]], [3, [0, 4]]]
     assert len(workers) == 1
     assert_no_child_left()
 
@@ -1172,14 +1211,50 @@ def test_a_split_runs_worker_prepares_every_round_ahead_once_and_none_past_the_l
 
 
 @linux_only
+@pytest.mark.parametrize("run", ["split", "aside"])
+def test_a_run_in_two_processes_builds_one_step_plan(run, monkeypatch):
+    real_init = StepPlan.__init__
+    plans = []  # this process's own list; the worker builds none
+
+    def init(plan, *args):
+        plans.append(None)
+        real_init(plan, *args)
+
+    monkeypatch.setattr(StepPlan, "__init__", init)
+    if run == "split":
+        workers = force_split(monkeypatch)
+        four_client_run()
+    else:
+        workers = record_workers(monkeypatch)
+        image_shaped_run("fedmmb", *image_shaped_setup())
+    assert len(workers) == 1
+    assert len(plans) == 1
+
+
+@linux_only
+def test_a_split_runs_two_processes_train_the_two_halves_of_one_plan(monkeypatch, tmp_path):
+    workers = force_split(monkeypatch)
+    updates = journal_updates(monkeypatch, tmp_path)
+    four_client_run()
+    assert len(workers) == 1
+    calls = {}
+    for pid, i, clients in updates():
+        calls.setdefault(pid, []).append((i, clients))
+    assert calls == {
+        os.getpid(): [(i, [0, 2]) for i in range(6)],
+        workers[0].pid: [(i, [2, 4]) for i in range(6)],
+    }
+
+
+@linux_only
 def test_an_exception_while_the_worker_prepares_a_round_raises_at_that_round(monkeypatch):
     parent = os.getpid()
     real = federated.prepare_round
 
-    def fails_ahead_of_round_2(plan, i):
+    def fails_ahead_of_round_2(plan, i, clients):
         if os.getpid() != parent and i == 2:
             raise RuntimeError("no rows for round 2")
-        real(plan, i)
+        real(plan, i, clients)
 
     monkeypatch.setattr(federated, "prepare_round", fails_ahead_of_round_2)
     workers = force_split(monkeypatch)

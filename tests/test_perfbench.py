@@ -2,9 +2,11 @@
 
 The harness imports, wraps and checks names of fedsim, private ones
 included, so a change to ``src/`` that breaks any of them fails here.
-``skew_window`` trains its clients in two processes; ``concordance_c1``
-evaluates in a forked worker, which trains half the federated clients in
-the rounds between evaluations, and runs a centralized arm. The
+``skew_window`` trains its clients in two processes, and so does
+``fedavg_b50``, the only workload that runs the FedAvg driver;
+``concordance_c1`` evaluates in a forked worker, which trains half the
+federated clients in the rounds between evaluations, and runs a
+centralized arm. The
 fingerprints are the first 8 hex digits of the SHA-256 of each arm's
 metrics CSV and final weights at seed 1. Like ``tests/test_golden.py``'s
 digests, they were taken under OpenBLAS's SkylakeX kernels, and another
@@ -24,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # workload -> arm -> (metrics CSV, final weights) SHA-256 prefixes at seed 1
 FINGERPRINTS = {
     "skew_window": {"fed": ("e3b1d07f", "19a6f33c")},
+    "fedavg_b50": {"fed": ("2d7b0499", "e9991272")},
     "concordance_c1": {"fed": ("cf479ac2", "d3851859"), "cent": ("2c66962b", "4ca90d46")},
 }
 

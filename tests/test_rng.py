@@ -60,13 +60,6 @@ def test_different_seeds_differ():
     assert [a.next_uint64() for _ in range(4)] != [b.next_uint64() for _ in range(4)]
 
 
-def test_random_range():
-    rng = Xoshiro256PP(9)
-    values = [rng.random() for _ in range(2000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-    assert 0.4 < np.mean(values) < 0.6
-
-
 def test_below_is_in_range_and_rejects_bad_bound():
     rng = Xoshiro256PP(3)
     assert all(0 <= rng.below(7) < 7 for _ in range(500))
