@@ -25,12 +25,12 @@ that trains in two processes holds BLAS at one thread, as every run does
 The two processes talk over two pipes. The parent sends a task index; the
 worker answers with ``+`` and the task's bytes, or with ``-`` and the type
 and message of the exception it hit. Each message is its length in 8
-bytes, then its bytes. The read end of each pipe is non-blocking: a
-reader polls it for up to ``SPIN_S`` and only then blocks (``_read``), so a
-message that comes within the spin wakes no sleeping process. The worker
-is already polling when the parent sends the next index, and the parent
-sees the reply within microseconds. A wait costs at most ``SPIN_S`` of CPU
-time past the blocking one.
+bytes, then its bytes. Both pipes stay blocking. A reader polls its pipe
+for up to ``SPIN_S`` before it reads (``_read``), so a message that comes
+within the spin wakes no sleeping process; ``ready`` is the same poll
+(``_ready``) without the spin. The worker is already polling when the
+parent sends the next index, and the parent sees the reply at once. A
+wait costs at most ``SPIN_S`` of CPU time past the blocking one.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import gc
 import mmap
 import os
+import select
 import signal
 import sys
 import threading
@@ -65,9 +66,8 @@ _DRAIN_FLOATS = 2**17
 # clients, 4 steps a round) 1.02 at 0.1 ms, 0.96 at 0.5 ms and 0.89 at 2 ms;
 # 0.94 and 0.88 at 0.5 and 2 ms with a yield between polls (8 of 8 won);
 # the ``skew_window`` shape (20-32-32-10, 20 steps a round) 0.95-0.97 at
-# every budget from 0.1 to 2 ms. That run evaluated on a thread of the
-# parent, which the yield let onto the CPU; evaluations now run in the
-# worker, and the yield still gives the CPU to any other runnable process.
+# every budget from 0.1 to 2 ms. The yield gives the CPU to any other
+# runnable process.
 SPIN_S = 0.002
 
 
@@ -133,8 +133,6 @@ class Worker:
         self._index = None  # the task last started
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
-        os.set_blocking(commands, False)
-        os.set_blocking(self._replies, False)
         try:
             self.pid = os.fork()
         except OSError:
@@ -175,16 +173,8 @@ class Worker:
         return reply[1:]
 
     def ready(self) -> bool:
-        """Whether the reply to the last task started, or the worker's exit, has come.
-
-        It reads nothing, so ``finish`` still returns the reply. Only a
-        caller that asks loads ``select`` (36 KB of RSS).
-        """
-        import select
-
-        poll = select.poll()
-        poll.register(self._replies, select.POLLIN)
-        return bool(poll.poll(0))
+        """Whether the last task's reply, or the worker's exit, has come; it reads nothing."""
+        return _ready(self._replies)
 
     def __enter__(self) -> "Worker":
         return self
@@ -232,31 +222,30 @@ def _receive(fd: int) -> bytes | None:
 
 
 def _read(fd: int, n: int) -> bytes | None:
-    """Exactly ``n`` bytes from the non-blocking ``fd``, or None if it ends first.
+    """Exactly ``n`` bytes from ``fd``, or None if it ends first.
 
-    It polls ``fd`` for up to ``SPIN_S``, yielding the CPU between polls,
-    then waits for it blocking.
+    Each read blocks only once ``fd`` has stayed empty for ``SPIN_S``.
     """
     data = b""
-    spin_until = time.perf_counter() + SPIN_S
     while len(data) < n:
-        try:
-            chunk = os.read(fd, n - len(data))
-        except BlockingIOError:
-            if time.perf_counter() < spin_until:
-                os.sched_yield()
-                continue
-            chunk = _read_blocking(fd, n - len(data))
-        if not chunk:
+        _ready(fd, SPIN_S)
+        if not (chunk := os.read(fd, n - len(data))):
             return None
         data += chunk
     return data
 
 
-def _read_blocking(fd: int, n: int) -> bytes:
-    """Up to ``n`` bytes from the non-blocking ``fd``, waiting for the first."""
-    os.set_blocking(fd, True)
-    try:
-        return os.read(fd, n)
-    finally:
-        os.set_blocking(fd, False)
+def _ready(fd: int, spin_s: float = 0.0) -> bool:
+    """Whether ``fd`` has data or has ended, polled for up to ``spin_s`` seconds.
+
+    It is the one check either side makes of a pipe: it reads nothing, polls
+    at least once and yields the CPU between polls.
+    """
+    poll = select.poll()
+    poll.register(fd, select.POLLIN)
+    spin_until = time.perf_counter() + spin_s
+    while not poll.poll(0):
+        if time.perf_counter() >= spin_until:
+            return False
+        os.sched_yield()
+    return True

@@ -652,6 +652,7 @@ GOOD_ROW = {"round": "1", "test_loss": "0.5", "test_accuracy": "0.75", "train_lo
         ("test_loss", "nan"),
         ("test_loss", "inf"),
         ("test_loss", "-inf"),
+        ("test_loss", "1e999"),  # a decimal literal, which parses as inf
         ("test_accuracy", "inf"),
         ("test_accuracy", "nan"),
         ("test_accuracy", "1.5"),
@@ -678,6 +679,17 @@ def test_compare_rejects_corrupt_metrics_cells(tmp_path, capsys, column, cell):
     assert main(["compare", good, good, "--json"]) == 0
     capsys.readouterr()
     assert main(["compare", bad, bad, "--json"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "rows", [["2,0.5,0.5,,4,0", "1,0.5,0.5,,8,0"], ["1,0.5,0.5,,4"]],
+    ids=["falling_rounds", "five_cells"],
+)
+def test_compare_rejects_metrics_rows_no_run_writes(tmp_path, capsys, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([fs.CSV_HEADER, *rows]) + "\n")
+    assert main(["compare", str(path), str(path), "--json"]) == 3
     assert capsys.readouterr().out == ""
 
 

@@ -53,6 +53,8 @@ def test_dataset_validation():
         fs.Dataset(np.zeros((2, 3)), np.array([0, 5]), 2)
     with pytest.raises(fs.DataError):
         fs.Dataset(np.zeros((2, 3)), np.array([0]), 2)
+    with pytest.raises(fs.DataError, match="^num_classes must be positive$"):
+        fs.Dataset(np.zeros((2, 3)), np.array([0, 0]), 0)
 
 
 # --- IDX loading ------------------------------------------------------------
@@ -342,6 +344,13 @@ def test_partition_iid_k1_is_shuffled_original():
     assert not np.array_equal(client.features, ds.features)  # actually shuffled
 
 
+@pytest.mark.parametrize("clients", [0, -2])
+def test_partition_iid_rejects_client_counts_below_one(clients):
+    # Without its own check, zero clients divide by zero: a ZeroDivisionError.
+    with pytest.raises(fs.DataError, match="^client count must be at least 1$"):
+        fs.partition_iid(fs.synthetic(2, 10, 3, 2), clients, 1)
+
+
 def test_partition_iid_rejects_indivisible():
     ds = fs.synthetic(2, 10, 3, 2)
     with pytest.raises(fs.DataError):
@@ -547,6 +556,12 @@ def test_partition_plan_validation():
         fs.PartitionPlan(kind="noniid_l", clients=2, seed=0)
     with pytest.raises(fs.DataError):
         fs.PartitionPlan(kind="iid", clients=2, seed=0, labels_per_client=2)
+    with pytest.raises(fs.DataError, match="^client count must be at least 1$"):
+        fs.PartitionPlan(kind="iid", clients=0, seed=0)
+    with pytest.raises(fs.DataError, match="^manual partitions require an assignment map$"):
+        fs.PartitionPlan(kind="manual", clients=2, seed=0)
+    with pytest.raises(fs.DataError, match="^assignment only applies to manual partitions$"):
+        fs.PartitionPlan(kind="iid", clients=1, seed=0, assignment={0: [0]})
 
 
 # --- batch schedules --------------------------------------------------------
@@ -564,6 +579,12 @@ def sweep_batches(schedule: fs.BatchSchedule, sweep: int) -> list[fs.Dataset]:
     """The batches of every window of one sweep, in training order."""
     span = schedule.window_span
     return [b for i in range(sweep * span, (sweep + 1) * span) for b in window_batches(schedule, i)]
+
+
+@pytest.mark.parametrize("batch_size, batch_count", [(0, 1), (-1, 1), (2, 0), (2, -3)])
+def test_a_schedule_rejects_a_batch_size_or_count_below_one(batch_size, batch_count):
+    with pytest.raises(fs.ContractError, match="^batch size and batch count must be positive$"):
+        make_schedule(make_client(10), batch_size, batch_count, 1)
 
 
 def test_make_schedule_counts():

@@ -71,6 +71,26 @@ def test_config_mode_exclusivity():
         )
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"mode": "fedsgd", "clients": 2}, "mode must be one of"),
+        ({"max_rounds": 0}, "max_rounds must be at least 1"),
+        ({"max_rounds": -2}, "max_rounds must be at least 1"),
+        ({"batch_count": 0}, "batch_count must be at least 1"),
+        ({"mode": "fedavg", "batch_count": None, "local_epochs": 0},
+         "local_epochs must be at least 1"),
+    ],
+    ids=["unknown_mode", "zero_rounds", "negative_rounds", "zero_batch_count", "zero_epochs"],
+)
+def test_config_rejects_an_unknown_mode_and_counts_below_one(knobs, message):
+    # eval_every=1 divides every max_rounds, so only the check named can raise.
+    document = {"mode": "fedmmb", "learning_rate": 0.1, "max_rounds": 2, "batch_size": 4,
+                "seeds": SEEDS, "clients": 2, "batch_count": 1, "eval_every": 1}
+    with pytest.raises(fs.ConfigError, match=message):
+        fs.TrainingConfig(**{**document, **knobs})
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize("field", ["init", "shuffle", "partition"])
 def test_seeds_outside_64_bits_raise(field, seed):
@@ -1171,6 +1191,24 @@ def test_a_split_run_gives_the_serial_runs_bytes(run, monkeypatch):
 
 
 @linux_only
+def test_no_split_run_changes_a_pipes_blocking_mode(monkeypatch, tmp_path):
+    monkeypatch.setattr(split, "SPIN_S", 0.0)  # a read that finds its pipe empty blocks
+    journal = tmp_path / "journal"  # one line a call, from either process
+    real = os.set_blocking
+
+    def recorded(fd, blocking):
+        with open(journal, "a") as f:
+            f.write(f"{os.getpid()} {fd} {blocking}\n")
+        real(fd, blocking)
+
+    monkeypatch.setattr(os, "set_blocking", recorded)
+    workers = force_split(monkeypatch)
+    two_client_run()
+    assert len(workers) == 1
+    assert not journal.exists()
+
+
+@linux_only
 def test_a_split_runs_worker_prepares_every_round_ahead_once_and_none_past_the_last(
     monkeypatch, tmp_path
 ):
@@ -1609,6 +1647,39 @@ def test_a_noniid_l_run_and_a_manual_partition_load_no_masked_arrays(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("driver", ["run_fedavg", "run_centralized"])
+def test_a_driver_rejects_a_config_of_another_mode(driver):
+    spec, clients, test = small_fed_setup()
+    cfg = fs.TrainingConfig(
+        mode="fedmmb", learning_rate=0.05, max_rounds=1, batch_size=5, seeds=SEEDS,
+        clients=4, batch_count=1,
+    )
+    with pytest.raises(fs.ConfigError, match=f"^{driver} needs mode"):
+        getattr(fs, driver)(cfg, spec, clients if driver == "run_fedavg" else clients[0], test)
+
+
+@pytest.mark.parametrize("mode", ["fedmmb", "fedavg"])
+def test_a_driver_rejects_an_empty_client_list(mode):
+    spec, _, test = small_fed_setup()
+    knob = {"batch_count": 1} if mode == "fedmmb" else {"local_epochs": 1}
+    cfg = fs.TrainingConfig(
+        mode=mode, learning_rate=0.05, max_rounds=1, batch_size=5, seeds=SEEDS, clients=1,
+        **knob,
+    )
+    driver = fs.run_fedmmb if mode == "fedmmb" else fs.run_fedavg
+    with pytest.raises(fs.ConfigError, match="^at least one client is required$"):
+        driver(cfg, spec, [], test)
+
+
+def test_run_centralized_rejects_neither_a_train_set_nor_lockstep_clients():
+    spec, _, test = small_fed_setup()
+    cfg = fs.TrainingConfig(
+        mode="centralized", learning_rate=0.05, max_rounds=1, batch_size=5, seeds=SEEDS,
+    )
+    with pytest.raises(fs.ConfigError, match="requires a train set"):
+        fs.run_centralized(cfg, spec, None, test)
+
+
 def test_lockstep_rejects_clients_of_different_feature_widths():
     clients = [make_client(20, input_dim=4), make_client(20, input_dim=5)]
     cfg = fs.TrainingConfig(
@@ -1792,6 +1863,14 @@ def test_discordance_rejects_epsilon_that_is_not_finite_and_positive(epsilon):
         fs.discordance(log, log, epsilon=epsilon)
 
 
+def test_an_empty_log_has_no_max_accuracy_and_two_empty_logs_no_discordance():
+    empty = fs.MetricsLog()
+    with pytest.raises(fs.DataError, match="^empty metrics log$"):
+        empty.max_accuracy()
+    with pytest.raises(fs.DataError, match="^cannot compare empty metrics logs$"):
+        fs.discordance(empty, fs.MetricsLog(), epsilon=0.01)
+
+
 def test_discordance_mismatched_rounds_raise():
     a = make_log([1.0, 2.0])
     b = make_log([1.0, 2.0], rounds=[1, 3])
@@ -1861,6 +1940,21 @@ def test_metrics_csv_roundtrip():
 def test_metrics_csv_rejects_bad_header():
     with pytest.raises(fs.DataError):
         fs.MetricsLog.from_csv_string("round,loss\n1,2.0\n")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1,1e999,0.5,,4,0"], "non-finite loss"),  # a decimal literal that parses as inf
+        (["1,0.5,0.5,-1e999,4,0"], "non-finite loss"),
+        (["2,0.5,0.5,,4,0", "1,0.5,0.5,,8,0"], "rounds must be strictly increasing"),
+        (["1,0.5,0.5,,4"], "^malformed metrics row: '1,0.5,0.5,,4'$"),
+    ],
+    ids=["inf_test_loss", "minus_inf_train_loss", "falling_rounds", "five_cells"],
+)
+def test_metrics_csv_rejects_rows_no_run_writes(rows, message):
+    with pytest.raises(fs.DataError, match=message):
+        fs.MetricsLog.from_csv_string("\n".join([fs.CSV_HEADER, *rows]) + "\n")
 
 
 def test_metrics_csv_reads_crlf_line_ends():

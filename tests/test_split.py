@@ -14,23 +14,25 @@ pytestmark = linux_only
 
 
 @pytest.fixture
-def blocking_reads(monkeypatch) -> list:
-    """The sizes of this process's reads that stopped polling and blocked.
+def spins(monkeypatch) -> list:
+    """What each of this process's readiness checks (``split._ready``) returned.
 
-    A worker forked afterwards records its own reads in its copy of the list.
+    A read whose spin ends False found its pipe empty for all of ``SPIN_S``
+    and blocks. A worker forked afterwards records its own checks in its
+    copy of the list.
     """
-    reads = []
-    real = split._read_blocking
+    results = []
+    real = split._ready
 
-    def recorded(fd, n):
-        reads.append(n)
-        return real(fd, n)
+    def recorded(fd, spin_s=0.0):
+        results.append(real(fd, spin_s))
+        return results[-1]
 
-    monkeypatch.setattr(split, "_read_blocking", recorded)
-    return reads
+    monkeypatch.setattr(split, "_ready", recorded)
+    return results
 
 
-def test_a_task_slower_than_the_spin_replies_through_a_blocking_read(blocking_reads):
+def test_a_task_slower_than_the_spin_replies_through_a_blocking_read(spins):
     def slow(i):
         time.sleep(20 * split.SPIN_S)
         if i == 1:
@@ -40,7 +42,7 @@ def test_a_task_slower_than_the_spin_replies_through_a_blocking_read(blocking_re
     with split.Worker(slow, "test worker") as worker:
         worker.start(0)
         assert worker.finish() == b"slow 0"
-        assert blocking_reads == [8]  # the reply's length; its bytes came with it
+        assert spins == [False, True]  # the reply's length waited; its bytes came with it
         worker.start(1)
         with pytest.raises(ContractError, match="^the test worker raised ValueError: slow and wrong$"):
             worker.finish()
@@ -48,9 +50,9 @@ def test_a_task_slower_than_the_spin_replies_through_a_blocking_read(blocking_re
         assert worker.finish() == b"slow 2"
 
 
-def test_a_worker_kept_waiting_past_the_spin_blocks_then_runs_its_task(blocking_reads):
+def test_a_worker_kept_waiting_past_the_spin_blocks_then_runs_its_task(spins):
     def count(i):  # this worker's blocking reads so far, and the task index
-        return bytes([len(blocking_reads), i])
+        return bytes([spins.count(False), i])
 
     with split.Worker(count, "test worker") as worker:
         worker.start(0)
@@ -61,7 +63,7 @@ def test_a_worker_kept_waiting_past_the_spin_blocks_then_runs_its_task(blocking_
 
 
 def test_the_end_of_the_pipe_while_the_parent_spins_reads_as_the_workers_exit(
-    monkeypatch, blocking_reads
+    monkeypatch, spins
 ):
     monkeypatch.setattr(split, "SPIN_S", 60.0)  # every wait below ends within the spin
 
@@ -76,7 +78,7 @@ def test_the_end_of_the_pipe_while_the_parent_spins_reads_as_the_workers_exit(
         worker.start(1)
         with pytest.raises(ContractError, match="^the test worker exited during task 1$"):
             worker.finish()
-    assert blocking_reads == []
+    assert spins and all(spins)
 
 
 def test_the_end_of_the_pipe_while_the_worker_spins_ends_it_at_once(monkeypatch):
