@@ -10,6 +10,7 @@ deterministic image-blob surrogate served through the IDX loader, so the
 full suite runs self-contained.
 """
 
+import hashlib
 import json
 import time
 
@@ -39,6 +40,43 @@ def check_margins(number: int, name: str, margins: dict, started: float, limit_s
     assert not claims.failing(number, margins), verdicts
     assert elapsed < limit_s
     report_pass(number, name, f"{verdicts}, {elapsed:.0f}s")
+
+
+# The SHA-256 of each arm's metrics CSV at the acceptance seeds, criterion 3
+# on the image-blob surrogate. Like those of ``tests/test_golden.py``, these
+# digests depend on the OpenBLAS kernel that rounds the matrix products: they
+# were taken where DYNAMIC_ARCH picks SkylakeX, and that file's docstring says
+# which kernels differ.
+ARM_DIGESTS = {
+    3: {
+        "centralized": "9d139726db87b9949a3aeb7fb4dfe43d13638012d2a367c7f800b386c0c5dc0b",
+        "iid": "101319977a0a766d3ee7bc1ba27e7e214ba9b14cff7253ae258f76659399fa70",
+        "noniid_1": "7c3f31291fc7af0dfaacf571450c3a945a9f7c46724f530c5cde9b683dcbcff6",
+    },
+    4: {
+        "C=1": "b110098e99c04d8fbbf479602bd575426839adbb0b302b43ecea21b3486b5485",
+        "C=5": "1b387d0d714cd8dfbcdf18f88f204d61cc62c45dbb4d14806126151cab3e20de",
+        "C=20": "86748bbabf2d7a2f47adbf22c9ba65c5d8dfae7bbcc4b6ca20bc1a493e2d88c1",
+    },
+    5: {
+        "C=1": "d1eb2d8281300ac4cb96fdaad406b05a2024d2502ce626dc319aa5c98848d4c4",
+        "C=20": "71e1ef56c23b58b5612ea6f0a57c19e3d8a07ad515682300d117eb0f823b806c",
+    },
+    6: {
+        "windowed B=10": "6cf14ca8396e7979ab6ef56763f4a775f72422b59efa65ba8f6467fcbedb769e",
+        "FedAvg B=10": "cd0405f0b17d0f1caee23d65efb7a89869944f7ec465efcc3dccb8fe363c2ad0",
+        "FedAvg B=50": "135bb2f423917babc59a4b0e69324389d40d291719a31431d94fc18f92b2c8f6",
+    },
+}
+
+
+def check_digests(number: int, runs: dict) -> None:
+    """Require the metrics CSV of every arm of criterion ``number`` to keep its bytes."""
+    digests = {
+        name: hashlib.sha256(run.log.to_csv_string().encode()).hexdigest()
+        for name, run in runs.items()
+    }
+    assert digests == ARM_DIGESTS[number]
 
 
 # --- criterion 1: gradient correctness ---------------------------------------
@@ -110,6 +148,9 @@ def test_acceptance_3_free_running_concordance(tmp_path):
     result = claims.image_concordance(claims.IMAGE_SEEDS, train_full, test_full)
     train, test = result[:2]
     assert train.n == 2000 and test.n == 1000 and train.input_dim == 784
+    if source == "image-blob surrogate":
+        _, _, cent, fed = result
+        check_digests(3, {"centralized": cent, **fed})
     margins = claims.concordance_margins(result)
     check_margins(3, f"free-running concordance, {source}", margins, started, 1200.0)
 
@@ -119,7 +160,9 @@ def test_acceptance_3_free_running_concordance(tmp_path):
 
 def test_acceptance_4_iid_batch_count_efficiency():
     started = time.perf_counter()
-    margins = claims.dial_margins(claims.iid_dial(claims.DIAL_SEEDS))
+    runs = claims.iid_dial(claims.DIAL_SEEDS)
+    check_digests(4, {f"C={c}": run for c, run in runs.items()})
+    margins = claims.dial_margins(runs)
     check_margins(4, "iid batch-count efficiency", margins, started, 300.0)
 
 
@@ -128,7 +171,9 @@ def test_acceptance_4_iid_batch_count_efficiency():
 
 def test_acceptance_5_severe_skew_tradeoff():
     started = time.perf_counter()
-    margins = claims.skew_margins(claims.severe_skew(claims.DIAL_SEEDS))
+    runs = claims.severe_skew(claims.DIAL_SEEDS)
+    check_digests(5, {f"C={c}": run for c, run in runs.items()})
+    margins = claims.skew_margins(runs)
     check_margins(5, "severe-skew trade-off", margins, started, 600.0)
 
 
@@ -142,6 +187,7 @@ def test_acceptance_6_beats_fedavg_under_skew():
     max_rounds = runs[0].config.max_rounds
     updates = [run.log.rows[-1].cum_local_updates for run in runs]
     assert updates == [max_rounds * 10 * per_round for per_round in (20, 100, 20)]
+    check_digests(6, dict(zip(["windowed B=10", "FedAvg B=10", "FedAvg B=50"], runs)))
     check_margins(6, "beats FedAvg under skew", claims.fedavg_margins(runs), started, 900.0)
 
 
