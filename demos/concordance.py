@@ -8,34 +8,27 @@ or each client holds a single label.
 """
 
 import fedsim as fs
-from fedsim.claims import BOUNDS
+from fedsim import claims
 from fedsim.data import synthetic_split
 
 
 def main() -> None:
     train, test = synthetic_split(seed=19, n_train=1000, n_test=300, input_dim=10, num_classes=5)
-    spec = fs.NetworkSpec(10, (16,), 5)
     seeds = fs.Seeds(init=1, shuffle=2, partition=3)
-    epsilon = BOUNDS[3]["delta iid"].limit
-
-    cent_cfg = fs.TrainingConfig(
-        mode="centralized", learning_rate=0.02, max_rounds=800, batch_size=50,
-        seeds=seeds, eval_every=8,
-    )
-    cent_log = fs.run_centralized(cent_cfg, spec, train, test)
+    fields = dict(learning_rate=0.02, max_rounds=800, seeds=seeds, eval_every=8)
+    fed = fs.TrainingConfig(mode="fedmmb", batch_size=5, clients=10, batch_count=1, **fields)
+    arms = {
+        "centralized": (None, fs.TrainingConfig(mode="centralized", batch_size=50, **fields)),
+        "iid": (fs.partition_iid(train, 10, seeds.partition), fed),
+        "non-iid, 1 label per client": (fs.partition_noniid_l(train, 10, 1, seeds.partition), fed),
+    }
+    runs = claims.train(claims.Experiment(train, test, fs.NetworkSpec(10, (16,), 5), arms))
+    cent_log = runs.pop("centralized").log
+    epsilon = claims.BOUNDS[3]["delta iid"].limit
     print(f"centralized MBGD (B'=50): final loss {cent_log.rows[-1].test_loss:.4f}, "
           f"max accuracy {cent_log.max_accuracy():.4f}")
     print()
-
-    for name, clients in (
-        ("iid", fs.partition_iid(train, 10, seeds.partition)),
-        ("non-iid, 1 label per client", fs.partition_noniid_l(train, 10, 1, seeds.partition)),
-    ):
-        fed_cfg = fs.TrainingConfig(
-            mode="fedmmb", learning_rate=0.02, max_rounds=800, batch_size=5,
-            seeds=seeds, clients=10, batch_count=1, eval_every=8,
-        )
-        fed_log = fs.run_fedmmb(fed_cfg, spec, clients, test)
+    for name, (_, fed_log) in runs.items():
         verdict = fs.discordance(fed_log, cent_log, epsilon)
         flag = "concordant" if verdict.concordant else "NOT concordant"
         print(f"single-mini-batch federated, {name}:")

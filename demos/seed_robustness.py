@@ -17,7 +17,8 @@ about 15 s per triple on one core.
 """
 
 import fedsim as fs
-from fedsim.claims import BOUNDS, failing, fedavg_margins, severe_skew, skew_margins, versus_fedavg
+from fedsim.claims import BOUNDS, failing, fedavg_margins, skew_margins
+from fedsim.claims import severe_skew, train, versus_fedavg
 
 TRIPLES = [fs.Seeds(init=3 + 3 * t, shuffle=4 + 3 * t, partition=5 + 3 * t) for t in range(5)]
 CRITERIA = (5, 6)
@@ -31,18 +32,18 @@ def main() -> None:
     below = []
     for t, seeds in enumerate(TRIPLES):
         triple = (seeds.init, seeds.shuffle, seeds.partition)
-        runs = versus_fedavg(seeds)
-        margins = {5: skew_margins(severe_skew(seeds)), 6: fedavg_margins(runs)}
+        runs = train(versus_fedavg(seeds))
+        margins = {5: skew_margins(train(severe_skew(seeds))), 6: fedavg_margins(runs)}
         if t == 0:
-            arms = [f"{run.config.mode} B={run.config.batch_size}" for run in runs]
             print("the A6 arms, with their max accuracies in the first three columns below:")
-            for name, (cfg, log) in zip(arms, runs):
+            for name, (cfg, log) in runs.items():
                 per_round = log.rows[-1].cum_local_updates // (cfg.max_rounds * cfg.clients)
                 print(f"  {name}: {per_round} local updates per client per round")
             print()
-            headers = arms + [f"A{c} {name}" for c, name in columns]
+            headers = list(runs) + [f"A{c} {name}" for c, name in columns]
             print(f"{'seeds':11}  " + "  ".join(headers))
-        values = [run.log.max_accuracy() for run in runs] + [margins[c][n] for c, n in columns]
+        values = [run.log.max_accuracy() for run in runs.values()]
+        values += [margins[c][n] for c, n in columns]
         flags = [f"A{c} {name}" for c in CRITERIA for name in failing(c, margins[c])]
         below.extend(f"{flag} at {triple}" for flag in flags)
         cells = "  ".join(f"{v:{len(h)}.4f}" for h, v in zip(headers, values))

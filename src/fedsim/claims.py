@@ -1,9 +1,9 @@
-"""The experiments of acceptance criteria 2-6, the paper's two claims, one function each.
+"""The experiments of acceptance criteria 2-6, the paper's two claims, as arm tables.
 
-Each builds its data, network and partition once and trains every arm on
-them. The acceptance tests, the seed report and the demos all call these,
-and judge 3-6 by their margin functions and the bounds in ``BOUNDS``.
-``import fedsim`` does not load this module.
+The builders of criteria 3-6 train nothing. Each returns an ``Experiment``
+whose named arms share its data and client lists; ``train`` trains the arms
+in table order. The margin functions read them by name, and a variant arm is
+``dataclasses.replace`` on a config. ``import fedsim`` does not load this module.
 """
 
 from __future__ import annotations
@@ -34,11 +34,29 @@ class Run(NamedTuple):
     log: MetricsLog
 
 
-def _federated(seeds, spec, clients, test, round_hook=None, **fields) -> Run:
-    """Train one federated arm; ``fields`` are the rest of its ``TrainingConfig``."""
-    config = TrainingConfig(seeds=seeds, clients=len(clients), **fields)
-    driver = run_fedmmb if config.mode == "fedmmb" else run_fedavg
-    return Run(config, driver(config, spec, clients, test, round_hook=round_hook))
+class Experiment(NamedTuple):
+    """Data, network and arms ``{name: (clients, config)}``; ``None`` clients train on ``train``."""
+
+    train: Dataset
+    test: Dataset
+    spec: NetworkSpec
+    arms: dict[str, tuple[list[Dataset] | None, TrainingConfig]]
+
+
+def train(experiment: Experiment) -> dict[str, Run]:
+    """Train every arm of ``experiment`` in table order."""
+    drivers = {"fedmmb": run_fedmmb, "fedavg": run_fedavg, "centralized": run_centralized}
+    train_set, test, spec, arms = experiment
+    runs = {}
+    for name, (clients, config) in arms.items():
+        data = train_set if clients is None else clients
+        runs[name] = Run(config, drivers[config.mode](config, spec, data, test))
+    return runs
+
+
+def _arm(clients: list[Dataset], **fields) -> tuple[list[Dataset], TrainingConfig]:
+    """A federated arm on ``clients``; ``fields`` are the rest of its ``TrainingConfig``."""
+    return clients, TrainingConfig(clients=len(clients), **fields)
 
 
 def lockstep(seeds: Seeds) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -46,14 +64,11 @@ def lockstep(seeds: Seeds) -> tuple[list[np.ndarray], list[np.ndarray]]:
     train, test = synthetic(5, 800, 20, 10), synthetic(6, 400, 20, 10)
     spec = NetworkSpec(20, (32,), 10)
     clients = partition_iid(train, 4, seeds.partition)
+    fields = dict(learning_rate=0.05, max_rounds=100, seeds=seeds)
     fed, cent = [], []
-    _federated(
-        seeds, spec, clients, test, round_hook=lambda r, w: fed.append(w),
-        mode="fedmmb", learning_rate=0.05, max_rounds=100, batch_size=10, batch_count=1,
-    )
-    cent_cfg = TrainingConfig(
-        mode="centralized", learning_rate=0.05, max_rounds=100, batch_size=40, seeds=seeds,
-    )
+    fed_cfg = TrainingConfig(mode="fedmmb", batch_size=10, clients=4, batch_count=1, **fields)
+    run_fedmmb(fed_cfg, spec, clients, test, round_hook=lambda r, w: fed.append(w))
+    cent_cfg = TrainingConfig(mode="centralized", batch_size=40, **fields)
     run_centralized(cent_cfg, spec, None, test, clients, lambda r, w: cent.append(w))
     return fed, cent
 
@@ -112,60 +127,49 @@ def balanced_subset(dataset: Dataset, per_class: int, seed: int) -> Dataset:
     return dataset.subset(idx)
 
 
-def image_concordance(
-    seeds: Seeds, train_full: Dataset, test_full: Dataset
-) -> tuple[Dataset, Dataset, Run, dict[str, Run]]:
-    """Criterion 3: the balanced subsets, the centralized run, the federated runs by partition."""
+def image_concordance(seeds: Seeds, train_full: Dataset, test_full: Dataset) -> Experiment:
+    """Criterion 3: centralized and batch-count-1 arms on balanced subsets of the full sets."""
     train = balanced_subset(train_full, 200, seed=7)
     test = balanced_subset(test_full, 100, seed=8)
-    spec = NetworkSpec(784, (32, 32), 10)
-    cent_cfg = TrainingConfig(
-        mode="centralized", learning_rate=0.01, max_rounds=2000, batch_size=50, seeds=seeds,
-        eval_every=10,
-    )
-    cent = Run(cent_cfg, run_centralized(cent_cfg, spec, train, test))
-    partitions = {
-        "iid": partition_iid(train, 10, seeds.partition),
-        "noniid_1": partition_noniid_l(train, 10, 1, seeds.partition),
+    fields = dict(learning_rate=0.01, max_rounds=2000, seeds=seeds, eval_every=10)
+    fed = dict(mode="fedmmb", batch_size=5, batch_count=1, **fields)
+    arms = {
+        "centralized": (None, TrainingConfig(mode="centralized", batch_size=50, **fields)),
+        "iid": _arm(partition_iid(train, 10, seeds.partition), **fed),
+        "noniid_1": _arm(partition_noniid_l(train, 10, 1, seeds.partition), **fed),
     }
-    fields = dict(mode="fedmmb", learning_rate=0.01, max_rounds=2000, batch_size=5, batch_count=1)
-    fed = {
-        name: _federated(seeds, spec, clients, test, eval_every=10, **fields)
-        for name, clients in partitions.items()
-    }
-    return train, test, cent, fed
+    return Experiment(train, test, NetworkSpec(784, (32, 32), 10), arms)
 
 
-def iid_dial(seeds: Seeds) -> dict[int, Run]:
-    """Criterion 4: one run per batch count (the keys) with iid clients."""
+def iid_dial(seeds: Seeds) -> Experiment:
+    """Criterion 4: batch counts 1, 5 and 20 with iid clients."""
     train, test = synthetic_split(1, 2000, 600, 20, 3)
-    spec = NetworkSpec(20, (32,), 3)
     clients = partition_iid(train, 10, seeds.partition)
     fields = dict(mode="fedmmb", learning_rate=0.05, max_rounds=600, batch_size=10)
-    return {c: _federated(seeds, spec, clients, test, batch_count=c, **fields) for c in (1, 5, 20)}
+    arms = {f"C={c}": _arm(clients, seeds=seeds, batch_count=c, **fields) for c in (1, 5, 20)}
+    return Experiment(train, test, NetworkSpec(20, (32,), 3), arms)
 
 
-def severe_skew(seeds: Seeds) -> dict[int, Run]:
-    """Criterion 5: one run per batch count (the keys) with two labels per client."""
+def severe_skew(seeds: Seeds) -> Experiment:
+    """Criterion 5: batch counts 1 and 20 with two labels per client."""
     train, test = synthetic_split(21, 2000, 500, 20, 10)
-    spec = NetworkSpec(20, (32, 32), 10)
     clients = partition_noniid_l(train, 10, 2, seeds.partition)
     fields = dict(mode="fedmmb", learning_rate=0.08, max_rounds=2000, batch_size=10, eval_every=10)
-    return {c: _federated(seeds, spec, clients, test, batch_count=c, **fields) for c in (1, 20)}
+    arms = {f"C={c}": _arm(clients, seeds=seeds, batch_count=c, **fields) for c in (1, 20)}
+    return Experiment(train, test, NetworkSpec(20, (32, 32), 10), arms)
 
 
-def versus_fedavg(seeds: Seeds) -> tuple[Run, Run, Run]:
+def versus_fedavg(seeds: Seeds) -> Experiment:
     """Criterion 6: windowed training, then federated averaging at batch sizes 10 and 50."""
     train, test = synthetic_split(31, 10000, 1000, 20, 10)
-    spec = NetworkSpec(20, (32, 32), 10)
     clients = partition_noniid_l(train, 10, 2, seeds.partition)
-    fields = dict(learning_rate=0.05, max_rounds=600, eval_every=5)
-    arms = (
-        dict(mode="fedmmb", batch_size=10, batch_count=20),
-        dict(mode="fedavg", batch_size=10, local_epochs=1),
-        dict(mode="fedavg", batch_size=50, local_epochs=1),
-    )
-    return tuple(_federated(seeds, spec, clients, test, **fields, **arm) for arm in arms)
+    fields = dict(learning_rate=0.05, max_rounds=600, seeds=seeds, eval_every=5)
+    arms = {
+        "windowed B=10": _arm(clients, mode="fedmmb", batch_size=10, batch_count=20, **fields),
+        "FedAvg B=10": _arm(clients, mode="fedavg", batch_size=10, local_epochs=1, **fields),
+        "FedAvg B=50": _arm(clients, mode="fedavg", batch_size=50, local_epochs=1, **fields),
+    }
+    return Experiment(train, test, NetworkSpec(20, (32, 32), 10), arms)
 
 
 DIAL_TARGET = 0.75  # the test accuracy criterion 4 counts rounds to
@@ -206,22 +210,24 @@ def failing(criterion: int, margins: dict[str, float]) -> list[str]:
     return [name for name, (op, limit) in bounds if not _COMPARE[op](margins[name], limit)]
 
 
-def concordance_margins(result: tuple[Dataset, Dataset, Run, dict[str, Run]]) -> dict[str, float]:
+def concordance_margins(runs: dict[str, Run]) -> dict[str, float]:
     """Criterion 3: the centralized arm's max accuracy and each federated arm's discordance."""
-    _, _, cent, fed = result
+    cent = runs["centralized"].log
     epsilon = BOUNDS[3]["delta iid"].limit  # sets only the verdict, which is not read
-    deltas = {f"delta {k}": discordance(run.log, cent.log, epsilon).delta for k, run in fed.items()}
-    return {"centralized max accuracy": cent.log.max_accuracy(), **deltas}
+    deltas = {
+        f"delta {k}": discordance(runs[k].log, cent, epsilon).delta for k in ("iid", "noniid_1")
+    }
+    return {"centralized max accuracy": cent.max_accuracy(), **deltas}
 
 
-def dial_margins(runs: dict[int, Run]) -> dict[str, float]:
+def dial_margins(runs: dict[str, Run]) -> dict[str, float]:
     """Criterion 4: rounds to ``DIAL_TARGET`` saved per batch-count step, and the accuracy spread.
 
     A run that never reaches the target counts NaN rounds.
     """
-    reached = (runs[c].log.first_round_reaching(DIAL_TARGET) for c in (1, 5, 20))
+    reached = [runs[name].log.first_round_reaching(DIAL_TARGET) for name in ("C=1", "C=5", "C=20")]
     r1, r5, r20 = (math.nan if r is None else r for r in reached)
-    accuracy = [run.log.max_accuracy() for run in runs.values()]
+    accuracy = [runs[name].log.max_accuracy() for name in ("C=1", "C=5", "C=20")]
     return {
         "rounds C=1 - C=5": r1 - r5,
         "rounds C=5 - C=20": r5 - r20,
@@ -229,12 +235,14 @@ def dial_margins(runs: dict[int, Run]) -> dict[str, float]:
     }
 
 
-def skew_margins(runs: dict[int, Run]) -> dict[str, float]:
+def skew_margins(runs: dict[str, Run]) -> dict[str, float]:
     """Criterion 5: max accuracy at batch count 1 minus at batch count 20."""
-    return {"max accuracy C=1 - C=20": runs[1].log.max_accuracy() - runs[20].log.max_accuracy()}
+    c1, c20 = (runs[name].log.max_accuracy() for name in ("C=1", "C=20"))
+    return {"max accuracy C=1 - C=20": c1 - c20}
 
 
-def fedavg_margins(runs: tuple[Run, Run, Run]) -> dict[str, float]:
+def fedavg_margins(runs: dict[str, Run]) -> dict[str, float]:
     """Criterion 6: windowed training's max accuracy minus each FedAvg arm's."""
-    mmb, avg_small, avg_large = (run.log.max_accuracy() for run in runs)
+    names = ("windowed B=10", "FedAvg B=10", "FedAvg B=50")
+    mmb, avg_small, avg_large = (runs[name].log.max_accuracy() for name in names)
     return {"over FedAvg B=10": mmb - avg_small, "over FedAvg B=50": mmb - avg_large}

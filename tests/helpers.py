@@ -20,7 +20,7 @@ import fedsim as fs
 import fedsim.federated as federated
 import fedsim.rng as rng
 import fedsim.split as split
-from fedsim import Dataset, NetworkSpec, layer_views
+from fedsim import Dataset, NetworkSpec, claims, layer_views
 from fedsim.rng import _GOLDEN, _MASK64, Xoshiro256PP, _lane_jump, _mix64, _polymulmod, _xpow
 
 
@@ -277,20 +277,34 @@ def per_client_reference(
 def freeze_claim_drivers(monkeypatch) -> list:
     """Make every run of ``fedsim.claims`` one whose weights never move.
 
-    The stub driver logs ``evaluate`` of the initial weights at every
-    evaluation round. Returns the list of each call's ``(spec, test_set)``.
+    The stub drivers log ``evaluate`` of the initial weights at every
+    evaluation round. Returns the list of each call's driver name and first
+    four arguments, ``(name, config, spec, data, test_set)``.
     """
     calls = []
 
-    def frozen(config, spec, data, test_set, *rest, **hook):
-        calls.append((spec, test_set))
-        loss, accuracy = fs.evaluate(spec, fs.init_weights(spec, config.seeds.init), test_set)
-        rounds = range(config.eval_every, config.max_rounds + 1, config.eval_every)
-        return fs.MetricsLog([fs.MetricsRow(r, loss, accuracy, None, 0, 0) for r in rounds])
+    def frozen(name):
+        def driver(config, spec, data, test_set, *rest, **hook):
+            calls.append((name, config, spec, data, test_set))
+            loss, accuracy = fs.evaluate(spec, fs.init_weights(spec, config.seeds.init), test_set)
+            rounds = range(config.eval_every, config.max_rounds + 1, config.eval_every)
+            return fs.MetricsLog([fs.MetricsRow(r, loss, accuracy, None, 0, 0) for r in rounds])
+
+        return driver
 
     for name in ("run_fedmmb", "run_fedavg", "run_centralized"):
-        monkeypatch.setattr(f"fedsim.claims.{name}", frozen)
+        monkeypatch.setattr(f"fedsim.claims.{name}", frozen(name))
     return calls
+
+
+def claim_experiments() -> dict[int, claims.Experiment]:
+    """The experiments of criteria 3-6 at the acceptance seeds; criterion 3's on all-zero images."""
+    return {
+        3: claims.image_concordance(claims.IMAGE_SEEDS, zero_images(2000), zero_images(1000)),
+        4: claims.iid_dial(claims.DIAL_SEEDS),
+        5: claims.severe_skew(claims.DIAL_SEEDS),
+        6: claims.versus_fedavg(claims.DIAL_SEEDS),
+    }
 
 
 def zero_images(n: int) -> Dataset:

@@ -1,13 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 2-6 run the experiments of ``fedsim.claims``; 3-6 require each
-margin to meet its bound in ``claims.BOUNDS``, and a null control requires
-each of them to fail runs whose weights never move. Run with ``pytest -s
-tests/test_acceptance.py`` to see the per-criterion lines; criteria that
-need an image dataset use real MNIST IDX files when available
-(``FEDSIM_MNIST_DIR`` or ``data/mnist/``) and otherwise fall back to a
-deterministic image-blob surrogate served through the IDX loader, so the
-full suite runs self-contained.
+Criteria 2-6 run the experiments of ``fedsim.claims``; 3-6 train their arm
+tables with ``claims.train``, require each margin to meet its bound in
+``claims.BOUNDS`` and each arm's metrics CSV to keep its digest, and a null
+control requires each of them to fail runs whose weights never move. A
+further test pins what a runner of arms relies on: ``claims.train`` calls
+one driver per arm, in table order, on the experiment's own objects. Run
+with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines;
+criteria that need an image dataset use real MNIST IDX files when
+available (``FEDSIM_MNIST_DIR`` or ``data/mnist/``) and otherwise fall back
+to a deterministic image-blob surrogate served through the IDX loader, so
+the full suite runs self-contained.
 """
 
 import hashlib
@@ -23,8 +26,8 @@ from fedsim.cli import main
 from fedsim.data import synthetic_split
 from fedsim.rng import Xoshiro256PP, derive_seed, shuffle_order
 
-from helpers import freeze_claim_drivers, grad_rel_error, mnist_idx_paths, per_client_reference
-from helpers import write_idx_pair, zero_images
+from helpers import claim_experiments, freeze_claim_drivers, grad_rel_error, mnist_idx_paths
+from helpers import per_client_reference, write_idx_pair
 
 
 def report_pass(number: int, name: str, detail: str = "") -> None:
@@ -77,6 +80,14 @@ def check_digests(number: int, runs: dict) -> None:
         for name, run in runs.items()
     }
     assert digests == ARM_DIGESTS[number]
+
+
+MARGINS = {
+    3: claims.concordance_margins,
+    4: claims.dial_margins,
+    5: claims.skew_margins,
+    6: claims.fedavg_margins,
+}
 
 
 # --- criterion 1: gradient correctness ---------------------------------------
@@ -145,13 +156,13 @@ def _image_datasets(tmp_path) -> tuple[fs.Dataset, fs.Dataset, str]:
 def test_acceptance_3_free_running_concordance(tmp_path):
     started = time.perf_counter()
     train_full, test_full, source = _image_datasets(tmp_path)
-    result = claims.image_concordance(claims.IMAGE_SEEDS, train_full, test_full)
-    train, test = result[:2]
+    experiment = claims.image_concordance(claims.IMAGE_SEEDS, train_full, test_full)
+    train, test = experiment.train, experiment.test
     assert train.n == 2000 and test.n == 1000 and train.input_dim == 784
+    runs = claims.train(experiment)
     if source == "image-blob surrogate":
-        _, _, cent, fed = result
-        check_digests(3, {"centralized": cent, **fed})
-    margins = claims.concordance_margins(result)
+        check_digests(3, runs)
+    margins = claims.concordance_margins(runs)
     check_margins(3, f"free-running concordance, {source}", margins, started, 1200.0)
 
 
@@ -160,8 +171,8 @@ def test_acceptance_3_free_running_concordance(tmp_path):
 
 def test_acceptance_4_iid_batch_count_efficiency():
     started = time.perf_counter()
-    runs = claims.iid_dial(claims.DIAL_SEEDS)
-    check_digests(4, {f"C={c}": run for c, run in runs.items()})
+    runs = claims.train(claims.iid_dial(claims.DIAL_SEEDS))
+    check_digests(4, runs)
     margins = claims.dial_margins(runs)
     check_margins(4, "iid batch-count efficiency", margins, started, 300.0)
 
@@ -171,8 +182,8 @@ def test_acceptance_4_iid_batch_count_efficiency():
 
 def test_acceptance_5_severe_skew_tradeoff():
     started = time.perf_counter()
-    runs = claims.severe_skew(claims.DIAL_SEEDS)
-    check_digests(5, {f"C={c}": run for c, run in runs.items()})
+    runs = claims.train(claims.severe_skew(claims.DIAL_SEEDS))
+    check_digests(5, runs)
     margins = claims.skew_margins(runs)
     check_margins(5, "severe-skew trade-off", margins, started, 600.0)
 
@@ -182,12 +193,12 @@ def test_acceptance_5_severe_skew_tradeoff():
 
 def test_acceptance_6_beats_fedavg_under_skew():
     started = time.perf_counter()
-    runs = claims.versus_fedavg(claims.DIAL_SEEDS)
+    runs = claims.train(claims.versus_fedavg(claims.DIAL_SEEDS))
     # Windowed training matches FedAvg B=50's update count, not FedAvg B=10's.
-    max_rounds = runs[0].config.max_rounds
-    updates = [run.log.rows[-1].cum_local_updates for run in runs]
+    max_rounds = runs["windowed B=10"].config.max_rounds
+    updates = [run.log.rows[-1].cum_local_updates for run in runs.values()]
     assert updates == [max_rounds * 10 * per_round for per_round in (20, 100, 20)]
-    check_digests(6, dict(zip(["windowed B=10", "FedAvg B=10", "FedAvg B=50"], runs)))
+    check_digests(6, runs)
     check_margins(6, "beats FedAvg under skew", claims.fedavg_margins(runs), started, 900.0)
 
 
@@ -198,16 +209,33 @@ def test_every_claim_fails_when_no_weight_moves(monkeypatch):
     # Every run's log is that of weights frozen at their initial values, so
     # each criterion must have a margin that misses its bound.
     freeze_claim_drivers(monkeypatch)
-    concordance = claims.image_concordance(claims.IMAGE_SEEDS, zero_images(2000), zero_images(1000))
-    margins = {
-        3: claims.concordance_margins(concordance),
-        4: claims.dial_margins(claims.iid_dial(claims.DIAL_SEEDS)),
-        5: claims.skew_margins(claims.severe_skew(claims.DIAL_SEEDS)),
-        6: claims.fedavg_margins(claims.versus_fedavg(claims.DIAL_SEEDS)),
-    }
+    margins = {c: MARGINS[c](claims.train(e)) for c, e in claim_experiments().items()}
     names = {c: b.keys() for c, b in claims.BOUNDS.items()}
     assert {c: m.keys() for c, m in margins.items()} == names
     assert [c for c, m in margins.items() if not claims.failing(c, m)] == [], margins
+
+
+def test_train_runs_each_arm_once_in_table_order_on_the_experiments_own_objects(monkeypatch):
+    # A runner that deals arms out to forked children relies on this: the
+    # experiment is built once, before any fork, and every arm trains on its
+    # objects. Arms on one partition share one client list.
+    calls = freeze_claim_drivers(monkeypatch)
+    drivers = {"fedmmb": "run_fedmmb", "fedavg": "run_fedavg", "centralized": "run_centralized"}
+    partitions = {}
+    for c, experiment in claim_experiments().items():
+        calls.clear()
+        runs = claims.train(experiment)
+        assert list(runs) == list(experiment.arms) and len(calls) == len(runs)
+        for (driver, config, spec, data, test_set), (clients, arm_config), run in zip(
+            calls, experiment.arms.values(), runs.values()
+        ):
+            assert driver == drivers[config.mode]
+            assert config is arm_config and run.config is arm_config
+            assert data is (experiment.train if clients is None else clients)
+            assert spec is experiment.spec and test_set is experiment.test
+        lists = {id(clients) for clients, _ in experiment.arms.values() if clients is not None}
+        partitions[c] = len(lists)
+    assert partitions == {3: 2, 4: 1, 5: 1, 6: 1}
 
 
 # --- criterion 7: accounting identities ---------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import os
 import signal
@@ -26,9 +27,8 @@ from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
 from fedsim.rng import Xoshiro256PP
 
-from helpers import force_split, freeze_claim_drivers, linux_only, per_client_reference
-from helpers import record_workers
-from helpers import reference_aggregate, zero_images
+from helpers import claim_experiments, force_split, freeze_claim_drivers, linux_only
+from helpers import per_client_reference, record_workers, reference_aggregate
 
 
 SEEDS = fs.Seeds(init=1, shuffle=2, partition=3)
@@ -1035,18 +1035,14 @@ def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkey
     from fedsim import claims
 
     calls = freeze_claim_drivers(monkeypatch)
+    runs = {2: lambda: claims.lockstep(SEEDS)}
+    runs.update((c, functools.partial(claims.train, e)) for c, e in claim_experiments().items())
     sides = {}
-    for name, experiment in [
-        ("A2", lambda: claims.lockstep(SEEDS)),
-        ("A3", lambda: claims.image_concordance(SEEDS, zero_images(2000), zero_images(1000))),
-        ("A4", lambda: claims.iid_dial(SEEDS)),
-        ("A5", lambda: claims.severe_skew(SEEDS)),
-        ("A6", lambda: claims.versus_fedavg(SEEDS)),
-    ]:
+    for c, run in runs.items():
         calls.clear()
-        experiment()
-        sides[name] = {federated._evaluates_aside(spec, test_set) for spec, test_set in calls}
-    assert sides == {"A2": {False}, "A3": {True}, "A4": {False}, "A5": {False}, "A6": {False}}
+        run()
+        sides[c] = {federated._evaluates_aside(spec, test) for _, _, spec, _, test in calls}
+    assert sides == {2: {False}, 3: {True}, 4: {False}, 5: {False}, 6: {False}}
 
 
 def test_an_inline_run_does_not_load_the_worker_modules():
