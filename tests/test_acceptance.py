@@ -125,6 +125,15 @@ def test_acceptance_1_gradient_correctness():
 # --- criterion 2: exact single-batch federated/centralized equivalence -------
 
 
+# The SHA-256 of each criterion-2 trajectory: the float64 bytes of its 100
+# weight vectors, in round order. Like ``ARM_DIGESTS``, they depend on the
+# OpenBLAS kernel that rounds the matrix products (taken under SkylakeX).
+TRAJECTORY_DIGESTS = (
+    "e9676497f88b3544ff70e3e90b164aa2658de28028812be7fc7c1cc5ffd77faa",  # federated
+    "b69d49793c41c044437291de4988e2423515a627fb9ba23af3f9cb68d2f98e57",  # centralized
+)
+
+
 def test_acceptance_2_lockstep_equivalence():
     started = time.perf_counter()
     fed_weights, cent_weights = claims.lockstep(claims.LOCKSTEP_SEEDS)
@@ -133,6 +142,11 @@ def test_acceptance_2_lockstep_equivalence():
     assert len(gaps) == 100
     assert max(gaps) <= 1e-10
     assert elapsed < 30.0
+    digests = tuple(
+        hashlib.sha256(b"".join(w.tobytes() for w in weights)).hexdigest()
+        for weights in (fed_weights, cent_weights)
+    )
+    assert digests == TRAJECTORY_DIGESTS
     report_pass(2, "lockstep equivalence", f"max weight gap {max(gaps):.2e}, {elapsed:.1f}s")
 
 
