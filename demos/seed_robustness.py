@@ -26,6 +26,7 @@ CRITERIA = (5, 6)
 
 def main() -> None:
     columns = [(c, name) for c in CRITERIA for name in BOUNDS[c]]
+    width = max(len(str((s.init, s.shuffle, s.partition))) for s in TRIPLES)
     print("seeds (init, shuffle, partition); each margin's bound:")
     for c, name in columns:
         print(f"  A{c} {name} {BOUNDS[c][name]}")
@@ -41,14 +42,14 @@ def main() -> None:
                 print(f"  {name}: {per_round} local updates per client per round")
             print()
             headers = list(runs) + [f"A{c} {name}" for c, name in columns]
-            print(f"{'seeds':11}  " + "  ".join(headers))
+            print(f"{'seeds':{width}}  " + "  ".join(headers))
         values = [run.log.max_accuracy() for run in runs.values()]
         values += [margins[c][n] for c, n in columns]
         flags = [f"A{c} {name}" for c in CRITERIA for name in failing(c, margins[c])]
         below.extend(f"{flag} at {triple}" for flag in flags)
         cells = "  ".join(f"{v:{len(h)}.4f}" for h, v in zip(headers, values))
         mark = "  below: " + ", ".join(flags) if flags else ""
-        print(f"{str(triple):11}  {cells}{mark}", flush=True)
+        print(f"{str(triple):{width}}  {cells}{mark}", flush=True)
     print()
     print("every margin meets its bound" if not below else "below bound: " + "; ".join(below))
 

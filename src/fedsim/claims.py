@@ -1,5 +1,8 @@
 """The experiments of acceptance criteria 2-6, the paper's two claims, as arm tables.
 
+Criterion 2 compares the federated driver at batch count 1 with
+``lockstep_mbgd``, an oracle that trains with the engine's checked step
+(``compute_gradients``, ``sgd_step``), not with the round loop it checks.
 The builders of criteria 3-6 train nothing. Each returns an ``Experiment``
 whose named arms share its data and client lists; ``train`` trains the arms
 in table order. The margin functions read them by name, and a variant arm is
@@ -14,11 +17,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, partition_iid, partition_noniid_l, synthetic, synthetic_split
-from .errors import DataError
-from .federated import Seeds, TrainingConfig, run_centralized, run_fedavg, run_fedmmb
+from .blas import one_blas_thread
+from .data import BatchSchedule, Dataset, draw_windows, partition_iid, partition_noniid_l
+from .data import synthetic, synthetic_split
+from .errors import ConfigError, DataError
+from .federated import RoundHook, Seeds, TrainingConfig, run_centralized, run_fedavg, run_fedmmb
 from .metrics import MetricsLog, discordance
-from .nn import NetworkSpec
+from .nn import NetworkSpec, _require_data, compute_gradients, init_weights, sgd_step
 from .rng import Xoshiro256PP, derive_seed
 
 # The seed triples the acceptance tests run at.
@@ -59,8 +64,45 @@ def _arm(clients: list[Dataset], **fields) -> tuple[list[Dataset], TrainingConfi
     return clients, TrainingConfig(clients=len(clients), **fields)
 
 
+def lockstep_mbgd(
+    config: TrainingConfig, spec: NetworkSpec, clients: list[Dataset], round_hook: RoundHook
+) -> None:
+    """Criterion 2's centralized side: mini-batch descent on the union of K clients' batches.
+
+    Iteration ``i`` trains on the concatenation, in client order, of the
+    batches of ``config.batch_size / K`` samples that batch-count-1
+    federated clients take in round ``i`` (``draw_windows``), with one
+    checked ``compute_gradients`` and ``sgd_step``, and then calls
+    ``round_hook(i + 1, weights)``. It shares only the batch schedules with
+    the round loop. K must divide the batch size (``ConfigError``),
+    and every client is checked against the spec before the first step
+    (``ContractError``). Like every run, it trains at one BLAS thread.
+    """
+    if config.mode != "centralized":
+        raise ConfigError(f"lockstep_mbgd needs mode 'centralized', got {config.mode!r}")
+    k, b = len(clients), config.batch_size
+    if k == 0 or b % k:
+        raise ConfigError(f"lockstep needs a client count that divides batch size {b}, got {k}")
+    for c in clients:
+        _require_data(spec, c.input_dim, c.labels)
+    shuffle = config.seeds.shuffle
+    schedules = [BatchSchedule(c, b // k, 1, shuffle, j) for j, c in enumerate(clients)]
+    with one_blas_thread():
+        weights = init_weights(spec, config.seeds.init)
+        for i in range(config.max_rounds):
+            parts = [c.subset(rows) for c, (rows, _) in zip(clients, draw_windows(schedules, i))]
+            batch = Dataset(
+                np.concatenate([p.features for p in parts]),
+                np.concatenate([p.labels for p in parts]),
+                spec.output_dim,
+            )
+            _, grads = compute_gradients(spec, weights, batch)
+            weights = sgd_step(weights, grads, config.learning_rate)
+            round_hook(i + 1, weights)
+
+
 def lockstep(seeds: Seeds) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Criterion 2: the global weights after every round, federated and lockstep centralized."""
+    """Criterion 2: the global weights after every round, federated and ``lockstep_mbgd``."""
     train, test = synthetic(5, 800, 20, 10), synthetic(6, 400, 20, 10)
     spec = NetworkSpec(20, (32,), 10)
     clients = partition_iid(train, 4, seeds.partition)
@@ -69,7 +111,7 @@ def lockstep(seeds: Seeds) -> tuple[list[np.ndarray], list[np.ndarray]]:
     fed_cfg = TrainingConfig(mode="fedmmb", batch_size=10, clients=4, batch_count=1, **fields)
     run_fedmmb(fed_cfg, spec, clients, test, round_hook=lambda r, w: fed.append(w))
     cent_cfg = TrainingConfig(mode="centralized", batch_size=40, **fields)
-    run_centralized(cent_cfg, spec, None, test, clients, lambda r, w: cent.append(w))
+    lockstep_mbgd(cent_cfg, spec, clients, lambda r, w: cent.append(w))
     return fed, cent
 
 

@@ -70,7 +70,7 @@ class DatasetView:
     of their labels, not their features. ``features`` is a new copy of the
     rows on every access; the round loop never reads it, but takes each
     round's rows straight from ``base`` (``base_rows``). A view of a view
-    is a view of the first one's base.
+    checks its rows against that view, then becomes a view of its base.
     """
 
     base: Dataset
@@ -79,10 +79,10 @@ class DatasetView:
 
     def __post_init__(self) -> None:
         base, rows = self.base, np.asarray(self.rows, dtype=np.int64)
-        if isinstance(base, DatasetView):
-            base, rows = base.base, base.rows[rows]
         if rows.ndim != 1 or rows.size < 1 or rows.min() < 0 or rows.max() >= base.n:
             raise DataError("a view needs a non-empty vector of rows of its base")
+        if isinstance(base, DatasetView):
+            base, rows = base.base, base.rows[rows]
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", base.labels[rows])
@@ -466,37 +466,33 @@ class BatchSchedule:
         return rows, (b,) * (q - p) + (rows.size - (q - p) * b,)
 
 
-def draw_windows(schedules: list, index: int) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """Window ``index`` of every batch source in ``schedules``, as ``window_rows`` gives it.
+def draw_windows(
+    schedules: list[BatchSchedule], index: int
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Window ``index`` of every schedule in ``schedules``, as ``window_rows`` gives it.
 
-    One pass over the list finds every ``BatchSchedule`` that does not hold
-    the sweep of window ``index`` yet. Those are grouped by source size, and
+    One pass over the list finds every schedule that does not hold the
+    sweep of window ``index`` yet. Those are grouped by source size, and
     each group draws its permutations in one ``shuffle_orders`` call, whose
     row for a seed is that seed's own ``shuffle_order``; so a round of K
     clients that all start a sweep draws once, not K times. Each window is
-    then cut from the permutation its schedule holds. Any other batch source
-    (the lockstep source, which draws over its own shadows) gives its window
-    through its ``window_rows``. Each window is a pure function of
-    ``index``, so neither the order of the list nor the order of the calls
-    changes what comes back.
+    then cut from the permutation its schedule holds. Each window is a pure
+    function of ``index``, so neither the order of the list nor the order
+    of the calls changes what comes back.
     """
     stale: dict[int, list[tuple[BatchSchedule, int]]] = {}
     for schedule in schedules:
-        if isinstance(schedule, BatchSchedule):
-            sweep = index // schedule.window_span
-            drawn = schedule._drawn
-            if drawn is None or drawn[0] != sweep:
-                stale.setdefault(schedule.source.n, []).append((schedule, sweep))
+        sweep = index // schedule.window_span
+        drawn = schedule._drawn
+        if drawn is None or drawn[0] != sweep:
+            stale.setdefault(schedule.source.n, []).append((schedule, sweep))
     for n, group in stale.items():
         seeds = [derive_seed(s.base_seed, s.client_index, sweep) for s, sweep in group]
         for (schedule, sweep), order in zip(group, shuffle_orders(seeds, n)):
             # The kept permutation is a cache of a pure function of the frozen
             # fields, so it may change on a frozen schedule.
             object.__setattr__(schedule, "_drawn", (sweep, order))
-    return [
-        s._cut(index) if isinstance(s, BatchSchedule) else s.window_rows(index)
-        for s in schedules
-    ]
+    return [s._cut(index) for s in schedules]
 
 
 def batch_window(schedule: BatchSchedule, round_index: int) -> tuple[int, int]:

@@ -19,11 +19,11 @@ each client a sliding window of ``batch_count`` batches per round (batch
 count 1 is the single-mini-batch special case). ``run_fedavg`` gives each
 client ``local_epochs`` windows that each cover its whole batch list.
 ``run_centralized`` is the one-client case: one schedule over the whole
-train set, or a lockstep source that concatenates the single batches of
-shadow clients, with zero bytes exchanged. Clients are a list of
-``Dataset``s or ``DatasetView``s; client ``j`` is the one at position
-``j``. Each round's rows are copied straight from the array that holds
-them (``data.base_rows``), so a view's features are never copied whole.
+train set, with zero bytes exchanged. Every schedule is a
+``data.BatchSchedule``. Clients are a list of ``Dataset``s or
+``DatasetView``s; client ``j`` is the one at position ``j``. Each round's
+rows are copied straight from the array that holds them
+(``data.base_rows``), so a view's features are never copied whole.
 Every run trains at one BLAS thread (``blas.one_blas_thread``), whatever
 the caller's count, so its bits do not depend on it.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
@@ -165,7 +165,7 @@ class TrainingConfig:
 
 
 class StepPlan:
-    """A run's local training: its schedules, hyperparameters and buffers, built once.
+    """A run's local training: its ``BatchSchedule``s, hyperparameters and buffers, built once.
 
     It holds the client stack (``[K, parameter_count]``, client ``j`` of
     ``schedules`` in row ``j``; ``stack`` if given, else a new array), one
@@ -186,7 +186,7 @@ class StepPlan:
     def __init__(
         self,
         spec: NetworkSpec,
-        schedules: list,
+        schedules: list[BatchSchedule],
         windows: int,
         eta: float,
         stack: np.ndarray | None = None,
@@ -406,15 +406,15 @@ def aggregate(stack: np.ndarray, samples: list[int]) -> np.ndarray:
 def _run_rounds(
     config: TrainingConfig,
     spec: NetworkSpec,
-    schedules: list,
+    schedules: list[BatchSchedule],
     windows: int,
     test_set: Dataset,
     round_hook: RoundHook | None,
 ) -> MetricsLog:
     """The one round loop: every schedule's client update, aggregate, evaluate, hook.
 
-    ``schedules`` holds one batch source per client, in ascending client
-    order; each needs a ``source`` dataset and a ``window_rows`` method.
+    ``schedules`` holds one ``BatchSchedule`` per client, in ascending
+    client order.
     The test set is checked against the spec here, before the first round.
     The clients train in one stack, built here, once per run, before the
     first round; ``aggregate`` returns a new array, so the weights the hook
@@ -522,7 +522,7 @@ def _run_rounds(
     return log
 
 
-def _splits(schedules: list, windows: int, aside: bool) -> bool:
+def _splits(schedules: list[BatchSchedule], windows: int, aside: bool) -> bool:
     """Whether a run works in two processes: it forks a worker (``_run_rounds``).
 
     It does when it evaluates aside (``aside``, ``_evaluates_aside``), or
@@ -622,73 +622,24 @@ def _check_clients(config: TrainingConfig, clients: list[Dataset]) -> None:
         raise ConfigError(f"config names {config.clients} clients but {len(clients)} were given")
 
 
-@dataclass
-class _LockstepSchedule:
-    """A one-client batch source whose window ``i`` is the lockstep batch of round ``i``.
-
-    Its source is the shadows' sources, concatenated once; window ``i`` is
-    one batch of every shadow's rows of its window ``i``, in shadow order.
-    """
-
-    shadows: list[BatchSchedule]
-    source: Dataset = field(init=False)
-    _offsets: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        sources = [s.source for s in self.shadows]
-        if len({d.input_dim for d in sources}) != 1:
-            raise ContractError("lockstep clients must share one feature width")
-        self.source = Dataset(
-            np.concatenate([d.features for d in sources]),
-            np.concatenate([d.labels for d in sources]),
-            max(d.num_classes for d in sources),
-        )
-        self._offsets = np.cumsum([0] + [d.n for d in sources[:-1]])
-
-    def window_rows(self, index: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        parts = draw_windows(self.shadows, index)
-        rows = np.concatenate([r + o for (r, _), o in zip(parts, self._offsets)])
-        return rows, (rows.size,)
-
-
 def run_centralized(
     config: TrainingConfig,
     spec: NetworkSpec,
-    train_set: Dataset | None,
+    train_set: Dataset,
     test_set: Dataset,
-    lockstep: list[Dataset] | None = None,
     round_hook: RoundHook | None = None,
 ) -> MetricsLog:
     """Single-site mini-batch gradient descent, one update per iteration.
 
     This is the round loop with one client, one single-batch window per
     round and no traffic; aggregating a single row returns its weights.
-    In the default (free-running) mode the train set is shuffled and split
-    into batches of ``config.batch_size``, consumed one per iteration, on a
-    fresh permutation each sweep. With ``lockstep``, a non-empty list of K
-    clients, ``train_set`` is ignored and iteration ``i`` trains on the
-    concatenation, in client order, of the batches of
-    ``config.batch_size / K`` samples that batch-count-1 federated clients
-    take in round ``i``: a test-only oracle for exact federated/centralized
-    comparisons. K must divide the batch size (``ConfigError``).
+    The train set is shuffled and split into batches of
+    ``config.batch_size``, consumed one per iteration, on a fresh
+    permutation each sweep.
     """
     if config.mode != "centralized":
         raise ConfigError(f"run_centralized needs mode 'centralized', got {config.mode!r}")
-    if lockstep is not None:
-        k = len(lockstep)
-        if k == 0 or config.batch_size % k:
-            raise ConfigError(
-                f"lockstep needs a client count that divides batch size {config.batch_size},"
-                f" got {k}"
-            )
-        shadows = [
-            BatchSchedule(c, config.batch_size // k, 1, config.seeds.shuffle, j)
-            for j, c in enumerate(lockstep)
-        ]
-        schedule = _LockstepSchedule(shadows)
-    elif train_set is None:
+    if train_set is None:
         raise ConfigError("centralized training requires a train set")
-    else:
-        schedule = BatchSchedule(train_set, config.batch_size, 1, config.seeds.shuffle, 0)
+    schedule = BatchSchedule(train_set, config.batch_size, 1, config.seeds.shuffle, 0)
     return _run_rounds(config, spec, [schedule], 1, test_set, round_hook)
-

@@ -66,3 +66,17 @@ def test_seed_robustness_runs_on_frozen_drivers(monkeypatch, capsys):
     triples = [(s.init, s.shuffle, s.partition) for s in namespace["TRIPLES"]]
     below = [f"A{c} {name} at {t}" for t in triples for c in (5, 6) for name in BOUNDS[c]]
     assert lines[-1] == "below bound: " + "; ".join(below)
+    # Every cell of a triple's row fills its header's span, as a number
+    # right-aligned in the header's width.
+    header = lines[9]
+    headers = arms + [f"A{c} {name}" for c in (5, 6) for name in BOUNDS[c]]
+    spans, start = [], 0
+    for h in headers:
+        start = header.index(h, start)
+        spans.append((start, start + len(h)))
+        start += len(h)
+    rows = [line for line in lines if line.startswith("(")]
+    assert [row[: row.index(")") + 1] for row in rows] == [str(t) for t in triples]
+    for row in rows:
+        for a, b in spans:
+            assert row[a:b] == f"{float(row[a:b]):{b - a}.4f}", (row, header[a:b])

@@ -22,6 +22,7 @@ import fedsim.blas as blas
 import fedsim.data as data
 import fedsim.federated as federated
 import fedsim.split as split
+from fedsim import claims
 from fedsim.cli import main as cli_main
 from fedsim.data import draw_windows, synthetic_split
 from fedsim.federated import StepPlan
@@ -223,8 +224,8 @@ def test_a_round_draws_once_per_distinct_size_of_the_clients_that_start_a_sweep(
     # Three clients of 12 samples (T = 3 at B=4, C=1) and two of 20 (T = 5):
     # the 12s start a sweep every third round and the 20s every fifth, so
     # rounds 0 and 15 draw once for each size, rounds such as 3 and 5 once
-    # for one size, and rounds inside every client's sweep draw nothing. The
-    # lockstep source over the same clients draws the same way.
+    # for one size, and rounds inside every client's sweep draw nothing.
+    # claims.lockstep_mbgd over the same clients draws the same way.
     clients = [make_client(n, seed=j) for j, n in enumerate((12, 12, 12, 20, 20))]
     spec = fs.NetworkSpec(4, (6,), 5)
     calls = []
@@ -236,17 +237,23 @@ def test_a_round_draws_once_per_distinct_size_of_the_clients_that_start_a_sweep(
 
     monkeypatch.setattr(data, "shuffle_orders", counted)
 
-    def schedules():
-        return [fs.BatchSchedule(c, 4, 1, 2, j) for j, c in enumerate(clients)]
-
-    federated_plan = StepPlan(spec, schedules(), 1, 0.1)
-    lockstep_plan = StepPlan(spec, [federated._LockstepSchedule(schedules())], 1, 0.1)
+    plan = StepPlan(spec, [fs.BatchSchedule(c, 4, 1, 2, j) for j, c in enumerate(clients)], 1, 0.1)
     w = fs.init_weights(spec, 1)
-    for plan in (federated_plan, lockstep_plan):
-        for i in range(16):
-            calls.clear()
-            fs.client_update_mmb(plan, i, w)
-            assert calls == [(3, 12)] * (i % 3 == 0) + [(2, 20)] * (i % 5 == 0), i
+    for i in range(16):
+        calls.clear()
+        fs.client_update_mmb(plan, i, w)
+        assert calls == [(3, 12)] * (i % 3 == 0) + [(2, 20)] * (i % 5 == 0), i
+
+    def lockstep_round(r, w):  # the oracle draws round i = r - 1, then calls its hook
+        i = r - 1
+        assert calls == [(3, 12)] * (i % 3 == 0) + [(2, 20)] * (i % 5 == 0), i
+        calls.clear()
+
+    cfg = fs.TrainingConfig(
+        mode="centralized", learning_rate=0.1, max_rounds=16, batch_size=20, seeds=SEEDS,
+    )
+    calls.clear()
+    claims.lockstep_mbgd(cfg, spec, clients, lockstep_round)  # 5 clients, batches of 4
 
 
 def test_equal_clients_make_one_step_call_per_step_over_every_row():
@@ -393,23 +400,20 @@ def test_a_round_never_copies_a_views_features(monkeypatch):
 
 def test_gather_copies_source_rows_and_identity_rows_byte_for_byte():
     spec, clients, _ = unequal_clients()
-    shadows = [fs.BatchSchedule(c, 2, 1, 2, j) for j, c in enumerate(clients)]
-    lockstep = federated._LockstepSchedule(shadows)
-    federated_schedules = [fs.BatchSchedule(c, 4, 3, 2, j) for j, c in enumerate(clients)]
-    for schedules in (federated_schedules, [lockstep]):
-        plan = StepPlan(spec, schedules, 1, 0.1)
-        # The 13-sample client's even windows hold 12 rows and its odd ones
-        # 1 row, so its buffers are written short after they were written long.
-        for index in (2, 1, 2, 0, 5):
-            rows = [r for r, _ in draw_windows(plan.schedules, index)]
-            plan.gather(rows)
-            for j, (schedule, r) in enumerate(zip(plan.schedules, rows)):
-                source = schedule.source
-                x = plan._x[j, : r.size]
-                targets = plan._targets[j, : r.size]
-                assert x.tobytes() == source.features[r].tobytes(), (index, j)
-                one_hot = np.eye(spec.output_dim)[source.labels[r]]
-                assert targets.tobytes() == one_hot.tobytes(), (index, j)
+    schedules = [fs.BatchSchedule(c, 4, 3, 2, j) for j, c in enumerate(clients)]
+    plan = StepPlan(spec, schedules, 1, 0.1)
+    # The 13-sample client's even windows hold 12 rows and its odd ones
+    # 1 row, so its buffers are written short after they were written long.
+    for index in (2, 1, 2, 0, 5):
+        rows = [r for r, _ in draw_windows(plan.schedules, index)]
+        plan.gather(rows)
+        for j, (schedule, r) in enumerate(zip(plan.schedules, rows)):
+            source = schedule.source
+            x = plan._x[j, : r.size]
+            targets = plan._targets[j, : r.size]
+            assert x.tobytes() == source.features[r].tobytes(), (index, j)
+            one_hot = np.eye(spec.output_dim)[source.labels[r]]
+            assert targets.tobytes() == one_hot.tobytes(), (index, j)
 
 
 @pytest.mark.parametrize("mode", ["fedmmb", "fedavg"])
@@ -557,7 +561,6 @@ def stack_runs() -> dict:
         "fedmmb": lambda: run(fs.run_fedmmb, mmb, spec, clients, test),
         "fedavg": lambda: run(fs.run_fedavg, avg, spec, clients, test),
         "centralized": lambda: run(fs.run_centralized, cent, spec, train, test),
-        "lockstep": lambda: run(fs.run_centralized, cent, spec, None, test, lockstep=clients),
         "unequal-fedmmb": lambda: run(fs.run_fedmmb, uneven_mmb, uneven_spec, uneven, uneven_test),
         "unequal-fedavg": lambda: run(fs.run_fedavg, uneven_avg, uneven_spec, uneven, uneven_test),
     }
@@ -565,7 +568,7 @@ def stack_runs() -> dict:
 
 @pytest.mark.parametrize(
     "name",
-    ["fedmmb", "fedavg", "centralized", "lockstep", "unequal-fedmmb", "unequal-fedavg"],
+    ["fedmmb", "fedavg", "centralized", "unequal-fedmmb", "unequal-fedavg"],
 )
 def test_nothing_reads_the_stack_between_aggregate_and_the_next_round(name, monkeypatch):
     # aggregate overwrites rows 1.. of the stack. Filling the whole stack with
@@ -752,11 +755,11 @@ def test_drivers_check_client_data_against_the_spec_before_training(driver, faul
         elif driver == "fedavg":
             fs.run_fedavg(cfg, spec, clients, test, round_hook=hook)
         else:
-            fs.run_centralized(cfg, spec, None, test, clients, hook)
+            claims.lockstep_mbgd(cfg, spec, clients, hook)
     assert hooked == []
 
 
-@pytest.mark.parametrize("driver", ["fedmmb", "fedavg", "centralized", "lockstep"])
+@pytest.mark.parametrize("driver", ["fedmmb", "fedavg", "centralized"])
 def test_round_loop_calls_its_hooks_once_a_round(driver, monkeypatch):
     # A benchmark marks round 1 by the first client_update_mmb call and
     # times client_update_mmb and aggregate where fedsim.federated binds
@@ -777,17 +780,14 @@ def test_round_loop_calls_its_hooks_once_a_round(driver, monkeypatch):
         "fedavg": {"clients": 4, "local_epochs": 1},
     }.get(driver, {})
     cfg = fs.TrainingConfig(
-        mode=driver if driver in ("fedmmb", "fedavg") else "centralized", learning_rate=0.05,
-        max_rounds=3, batch_size=20 if driver == "lockstep" else 5, seeds=SEEDS, **knobs,
+        mode=driver, learning_rate=0.05, max_rounds=3, batch_size=5, seeds=SEEDS, **knobs,
     )
     if driver == "fedmmb":
         fs.run_fedmmb(cfg, spec, clients, test)
     elif driver == "fedavg":
         fs.run_fedavg(cfg, spec, clients, test)
-    elif driver == "centralized":
-        fs.run_centralized(cfg, spec, clients[0], test)
     else:
-        fs.run_centralized(cfg, spec, None, test, clients)  # 4 clients, batches of 5
+        fs.run_centralized(cfg, spec, clients[0], test)
     assert calls == ["init_weights"] + ["client_update_mmb", "aggregate"] * cfg.max_rounds
 
 
@@ -1032,8 +1032,6 @@ def test_a_run_that_evaluates_aside_but_cannot_fork_evaluates_inline_with_the_sa
 def test_claim_experiments_fall_on_their_side_of_the_evaluation_size_rule(monkeypatch):
     # The image-shaped experiment (criterion 3) evaluates in the worker;
     # the 20-d ones (criteria 2, 4, 5, 6) evaluate inline.
-    from fedsim import claims
-
     calls = freeze_claim_drivers(monkeypatch)
     runs = {2: lambda: claims.lockstep(SEEDS)}
     runs.update((c, functools.partial(claims.train, e)) for c, e in claim_experiments().items())
@@ -1667,7 +1665,7 @@ def test_a_driver_rejects_an_empty_client_list(mode):
         driver(cfg, spec, [], test)
 
 
-def test_run_centralized_rejects_neither_a_train_set_nor_lockstep_clients():
+def test_run_centralized_rejects_a_missing_train_set():
     spec, _, test = small_fed_setup()
     cfg = fs.TrainingConfig(
         mode="centralized", learning_rate=0.05, max_rounds=1, batch_size=5, seeds=SEEDS,
@@ -1682,7 +1680,7 @@ def test_lockstep_rejects_clients_of_different_feature_widths():
         mode="centralized", learning_rate=0.05, max_rounds=2, batch_size=10, seeds=SEEDS,
     )
     with pytest.raises(fs.ContractError):
-        fs.run_centralized(cfg, fs.NetworkSpec(4, (6,), 5), None, make_client(10), clients)
+        claims.lockstep_mbgd(cfg, fs.NetworkSpec(4, (6,), 5), clients, lambda r, w: None)
 
 
 @pytest.mark.parametrize("batch_size, clients", [(10, 3), (10, 0)], ids=["indivisible", "empty"])
@@ -1693,7 +1691,7 @@ def test_lockstep_rejects_a_client_count_that_does_not_divide_the_batch_size(bat
     )
     lockstep = [make_client(20, seed=j) for j in range(clients)]
     with pytest.raises(fs.ConfigError, match="lockstep"):
-        fs.run_centralized(cfg, fs.NetworkSpec(4, (6,), 5), None, make_client(10), lockstep)
+        claims.lockstep_mbgd(cfg, fs.NetworkSpec(4, (6,), 5), lockstep, lambda r, w: None)
 
 
 def test_single_client_full_window_equals_centralized_steps():
@@ -1746,11 +1744,7 @@ def test_lockstep_single_batch_equals_centralized_union():
     )
     fed_weights, cent_weights = [], []
     fs.run_fedmmb(fed_cfg, spec, clients, test, round_hook=lambda r, w: fed_weights.append(w))
-    fs.run_centralized(
-        cent_cfg, spec, None, test,
-        lockstep=clients,
-        round_hook=lambda r, w: cent_weights.append(w),
-    )
+    claims.lockstep_mbgd(cent_cfg, spec, clients, lambda r, w: cent_weights.append(w))
     gaps = [np.max(np.abs(a - b)) for a, b in zip(fed_weights, cent_weights)]
     assert len(gaps) == 60
     assert max(gaps) <= 1e-10

@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 import fedsim as fs
+from fedsim import claims
 from fedsim.data import synthetic, synthetic_split
 from fedsim.rng import Xoshiro256PP
 
@@ -70,12 +71,27 @@ def fedavg(clients, rounds, eval_every, local_epochs):
     return lambda hook: fs.run_fedavg(cfg, SPEC, clients, TEST, round_hook=hook)
 
 
-def centralized(rounds, eval_every, batch_size, lockstep=None):
+def centralized(rounds, eval_every, batch_size):
     cfg = config("centralized", rounds, eval_every, batch_size)
-    train = None if lockstep else TRAIN
-    return lambda hook: fs.run_centralized(
-        cfg, SPEC, train, TEST, lockstep=lockstep, round_hook=hook
-    )
+    return lambda hook: fs.run_centralized(cfg, SPEC, TRAIN, TEST, round_hook=hook)
+
+
+def lockstep(clients, rounds, eval_every, batch_size):
+    """``claims.lockstep_mbgd``, with the rows a centralized run logs rebuilt at the cadence."""
+    cfg = config("centralized", rounds, eval_every, batch_size)
+
+    def run(hook):
+        log = fs.MetricsLog()
+
+        def logged(r, w):
+            if r % eval_every == 0:
+                log.append(fs.MetricsRow(r, *fs.evaluate(SPEC, w, TEST), None, r, 0))
+            hook(r, w)
+
+        claims.lockstep_mbgd(cfg, SPEC, clients, logged)
+        return log
+
+    return run
 
 
 CASES = {
@@ -85,9 +101,7 @@ CASES = {
     "fedavg_e1": fedavg(iid_clients(), 15, 3, local_epochs=1),
     "fedavg_e2_unequal": fedavg(unequal_clients(), 12, 3, local_epochs=2),
     "centralized_short_batch": centralized(120, 10, batch_size=7),  # 100 = 14 * 7 + 2
-    "centralized_lockstep": centralized(
-        60, 5, batch_size=15, lockstep=unequal_clients()  # 3 clients, batches of 5
-    ),
+    "centralized_lockstep": lockstep(unequal_clients(), 60, 5, batch_size=15),  # batches of 5
 }
 
 # name -> (metrics CSV SHA-256, final weights SHA-256)

@@ -10,7 +10,9 @@ centralized arm. The
 fingerprints are the first 8 hex digits of the SHA-256 of each arm's
 metrics CSV and final weights at seed 1. Like ``tests/test_golden.py``'s
 digests, they were taken under OpenBLAS's SkylakeX kernels, and another
-kernel may round differently.
+kernel may round differently. A last test pins that the harness reaches
+no code of ``fedsim.claims``, so a change to that module alone cannot move
+a benchmark number.
 """
 
 import json
@@ -48,3 +50,18 @@ def test_a_one_second_benchmark_run_is_correct_and_keeps_its_fingerprints(worklo
         for arm, digests in report["fingerprints"].items()
     }
     assert fingerprints == FINGERPRINTS[workload]
+
+
+def test_the_benchmark_reaches_no_code_of_fedsim_claims():
+    # A change to fedsim.claims alone cannot move a benchmark number:
+    # ``import fedsim`` does not load it, and no harness file names it.
+    child = "import sys\nimport fedsim\nprint('fedsim.claims' in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "fedsim.claims" not in text and "from fedsim import claims" not in text, path.name
