@@ -2,8 +2,9 @@
 
 When every client takes one SGD step on one batch per round and the
 centralized run consumes the concatenation of those same batches (the
-lockstep oracle), the two weight trajectories coincide to floating-point
-roundoff - not approximately, but at the 1e-15 level, round after round.
+oracle ``claims.lockstep_mbgd``, which takes the engine's checked step),
+the two weight trajectories coincide to floating-point roundoff - not
+approximately, but at the 1e-15 level, round after round.
 This is the mechanism behind the federated/centralized concordance: the
 sample-weighted average of one-step updates equals one step on the union
 batch.

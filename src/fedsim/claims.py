@@ -69,17 +69,16 @@ def lockstep_mbgd(
 ) -> None:
     """Criterion 2's centralized side: mini-batch descent on the union of K clients' batches.
 
-    Iteration ``i`` trains on the concatenation, in client order, of the
-    batches of ``config.batch_size / K`` samples that batch-count-1
-    federated clients take in round ``i`` (``draw_windows``), with one
-    checked ``compute_gradients`` and ``sgd_step``, and then calls
+    ``config`` is a centralized ``TrainingConfig``. Iteration ``i`` trains
+    on the concatenation, in client order, of the batches of
+    ``config.batch_size / K`` samples that batch-count-1 federated clients
+    take in round ``i`` (``draw_windows``), with one checked
+    ``compute_gradients`` and ``sgd_step``, and then calls
     ``round_hook(i + 1, weights)``. It shares only the batch schedules with
-    the round loop. K must divide the batch size (``ConfigError``),
-    and every client is checked against the spec before the first step
+    the round loop. K must divide the batch size (``ConfigError``), and
+    every client is checked against the spec before the first step
     (``ContractError``). Like every run, it trains at one BLAS thread.
     """
-    if config.mode != "centralized":
-        raise ConfigError(f"lockstep_mbgd needs mode 'centralized', got {config.mode!r}")
     k, b = len(clients), config.batch_size
     if k == 0 or b % k:
         raise ConfigError(f"lockstep needs a client count that divides batch size {b}, got {k}")

@@ -414,8 +414,8 @@ def _run_rounds(
     """The one round loop: every schedule's client update, aggregate, evaluate, hook.
 
     ``schedules`` holds one ``BatchSchedule`` per client, in ascending
-    client order.
-    The test set is checked against the spec here, before the first round.
+    client order. The test set is checked against the spec here, before
+    the first round.
     The clients train in one stack, built here, once per run, before the
     first round; ``aggregate`` returns a new array, so the weights the hook
     sees never alias the stack. ``aggregate`` overwrites rows 1.. of the
@@ -522,7 +522,7 @@ def _run_rounds(
     return log
 
 
-def _splits(schedules: list[BatchSchedule], windows: int, aside: bool) -> bool:
+def _splits(schedules: list, windows: int, aside: bool) -> bool:
     """Whether a run works in two processes: it forks a worker (``_run_rounds``).
 
     It does when it evaluates aside (``aside``, ``_evaluates_aside``), or

@@ -528,25 +528,25 @@ def test_a_view_of_a_view_is_a_view_of_its_base():
     assert inner.features.tobytes() == outer.subset([2, 0]).features.tobytes()
 
 
-# Rows that are not a vector of 12 rows.
-BAD_ROWS = pytest.mark.parametrize(
-    "rows", [[], [0, 12], [-1], [[0, 1]]], ids=["empty", "past_the_end", "negative", "matrix"]
+BAD_ROWS = {"empty": [], "past_the_end": [0, 12], "negative": [-1], "matrix": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "rows, of_a_view",
+    [
+        pytest.param(rows, of_a_view, id=name + "-of_a_view" * of_a_view)
+        for of_a_view in (False, True)
+        for name, rows in BAD_ROWS.items()
+    ],
 )
-
-
-@BAD_ROWS
-def test_a_view_rejects_rows_that_are_not_a_vector_of_its_bases_rows(rows):
+def test_a_view_rejects_rows_that_are_not_a_vector_of_its_bases_rows(rows, of_a_view):
+    base = fs.synthetic(8, 12, 3, 2)
+    if of_a_view:
+        # 12 rows of a 17-row base. Rows -1 and 12 of that base exist, so a
+        # view of this view checks its rows before it maps them there.
+        base = fs.DatasetView(fs.synthetic(8, 17, 3, 2), np.arange(5, 17))
     with pytest.raises(fs.DataError):
-        fs.DatasetView(fs.synthetic(8, 12, 3, 2), rows)
-
-
-@BAD_ROWS
-def test_a_view_of_a_view_rejects_rows_that_are_not_a_vector_of_its_rows(rows):
-    # The outer view holds 12 rows of a 17-row base. Its rows -1 and 12 are
-    # rows of that base, so a view of it checks them before it maps them.
-    outer = fs.DatasetView(fs.synthetic(8, 17, 3, 2), np.arange(5, 17))
-    with pytest.raises(fs.DataError):
-        fs.DatasetView(outer, rows)
+        fs.DatasetView(base, rows)
 
 
 @pytest.mark.parametrize("plan", PLANS[:2], ids=["iid", "noniid_l"])
