@@ -3,7 +3,10 @@
 First it prints, for numpy's float64 ``sin``, ``cos``, ``log``, ``exp`` and
 ``sqrt``, on how many of 400k Box–Muller-shaped inputs numpy and ``math``
 (the C library) differ. fedsim's normals take ``cos`` and ``sin`` from numpy
-and ``log`` from ``math``, so this shows whether this numpy keeps their bits.
+and ``log`` from ``fedsim.rng._log``, which rounds numpy's long double ``log``
+and calls ``math.log`` only near a rounding midpoint; its row must read 0, and
+the line after it gives the share of inputs that went to ``math.log``. So this
+shows whether this numpy and this C library keep their bits.
 
 The digests in ``tests/test_golden.py`` pin fedsim's bits, but the matrix
 products inside them are summed by whichever OpenBLAS kernel the CPU gets.
@@ -29,9 +32,11 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 
+from fedsim import rng
 from fedsim.rng import Xoshiro256PP
 
 KERNELS = ("Prescott", "Sandybridge", "Haswell", "Zen", "SkylakeX")
@@ -62,12 +67,22 @@ def libm_inputs() -> dict[str, np.ndarray]:
 def print_libm_mismatches() -> None:
     print(f"numpy {np.__version__} against math, float64, {LIBM_INPUTS} inputs each")
     print(f"{'function':<9} {'differ':>7} {'share':>8}")
-    for name, x in libm_inputs().items():
-        got = getattr(np, name)(x)
-        want = np.fromiter(map(getattr(math, name), x.tolist()), np.float64, x.size)
-        differ = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
-        print(f"{name:<9} {differ:>7} {differ / x.size:>8.3%}")
+    inputs = libm_inputs()
+    for name, x in inputs.items():
+        print_mismatches(name, getattr(np, name)(x), getattr(math, name), x)
+    with mock.patch.object(rng, "_libm", wraps=rng._libm) as libm:
+        print_mismatches("rng._log", rng._log(inputs["log"]), math.log, inputs["log"])
+    fell_back = sum(call.args[1].size for call in libm.call_args_list)
+    print(f"rng._log called math.log on {fell_back} of {LIBM_INPUTS} "
+          f"({fell_back / LIBM_INPUTS:.1%})")
     print()
+
+
+def print_mismatches(name: str, got: np.ndarray, f, x: np.ndarray) -> None:
+    """One row: on how many elements of ``x`` ``got`` differs from ``f`` in ``math``."""
+    want = np.fromiter(map(f, x.tolist()), np.float64, x.size)
+    differ = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+    print(f"{name:<9} {differ:>7} {differ / x.size:>8.3%}")
 
 
 def run_case(kernel: str, threads: int) -> dict[str, str]:

@@ -30,6 +30,7 @@ import copy
 import json
 import math
 import os
+import platform
 import secrets
 import stat
 import sys
@@ -122,10 +123,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _environment() -> dict:
-    """What outside fedsim decides a run's bits: interpreter, numpy, BLAS, threads.
+    """What outside fedsim decides a run's bits: interpreter, numpy, BLAS, libm, threads.
 
     ``blas`` is the name and version numpy was built against, or null where
-    this numpy's ``show_config`` cannot return them. The environment
+    this numpy's ``show_config`` cannot return them. ``libc`` is the name
+    and version of the C library, whose ``log``, ``cos`` and ``sin`` the
+    normals take (``platform.libc_ver``), or null where they are unknown. The environment
     variables recorded are ``OPENBLAS_CORETYPE``, which picks OpenBLAS's
     kernel, and the thread-count ones (``blas._BLAS_THREAD_VARS``); unset
     ones are null. ``blas_core`` and ``blas_threads`` are the kernel the
@@ -138,6 +141,7 @@ def _environment() -> dict:
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):
         blas = None
+    libc, libc_version = platform.libc_ver()
     api = _openblas()
     with one_blas_thread():
         threads = None if api is None else api.get_num_threads()
@@ -145,6 +149,7 @@ def _environment() -> dict:
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "blas": blas,
+        "libc": {"name": libc, "version": libc_version} if libc else None,
         "blas_core": None if api is None else api.get_corename().decode(),
         "blas_threads": threads,
         **{name: os.environ.get(name) for name in ("OPENBLAS_CORETYPE", *_BLAS_THREAD_VARS)},

@@ -25,12 +25,12 @@ generators (``random``, ``numpy.random``) are deliberately never used.
 
 Normals add floating point, in ``_box_muller``. Its shifts, scaling,
 ``sqrt`` and products are correctly rounded IEEE operations. Its ``log``
-goes through ``math``, element by element, because numpy's vectorized
-float64 ``log`` differs from the C library's in the last bit on some
-inputs. Its ``cos`` and ``sin`` go through numpy, whose float64 versions
-call the C library's per element and so equal ``math``'s bit for bit; a
-test pins that, since a numpy that vectorized them would change the
-stream. So the bits of the normals also rest on the platform's libm.
+is the C library's, bit for bit (``_log``), not numpy's vectorized one,
+which differs in the last bit on some inputs. Its ``cos`` and ``sin`` go
+through numpy, whose float64 versions call the C library's per element and
+so equal ``math``'s bit for bit; a test pins that, since a numpy that
+vectorized them would change the stream. So the bits of the normals also
+rest on the platform's libm.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ _LANE_MIN_DRAWS = 16_000
 # its lanes in a forked worker (``fedsim.split``) while this process fills
 # the first, when ``split.can_fork`` holds; a smaller one does not pay for
 # the fork. Measured on 2 vCPUs at one BLAS thread, in a process of about
-# 40 MB; the median time split over serial of 10 alternating pairs: 50K
-# normals 1.06 (7.0 ms serial, 0 of 10 won), 220K 0.78 (19.8 ms), 524K
-# 0.70, 1M 0.64 (79 ms, 9 of 10 won), 2.35M 0.61 (172 -> 105 ms). The rule
-# splits the 784-d data sets and keeps the 20-d ones (at most 220K normals)
-# call for call as they were. ``uniform_array`` stays serial: at 2**20
-# draws a split took 1.05 of its 20 ms (3 of 10 won).
+# 40 MB; the median time split over serial of 50 alternating pairs, 10 in
+# each of 5 processes: 50K normals 1.20 (12.5 ms serial, 1 won), 220K 0.97
+# (33 ms, 32 won), 1M 0.81 (112 ms, 42 won), 2.35M 0.70 (242 -> 180 ms, 49
+# won). In one of the 5 processes the split lost up to 1M (1.28 there).
+# The rule splits the 784-d data sets and keeps the 20-d ones (at most 220K
+# normals) call for call as they were. ``uniform_array`` stays serial: at
+# 2**20 draws a split took 1.05 of its 20 ms (3 of 10 won).
 SPLIT_MIN_DRAWS = 2**20
 
 
@@ -312,20 +313,42 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
+# ``_log`` calls libm where ``logl`` lies this many ULPs or more from its
+# double: everywhere when long double is no wider than double.
+_LOG_SURE = 0.5 - 1 / 16 if np.finfo(np.longdouble).nmant >= 63 else 0.0
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of every element of ``x``, bit for bit, mostly in one C loop.
+
+    numpy's long double ``log`` is ``logl`` (a 64-bit significand on
+    x86_64). Its nearest double ``y`` is libm's ``log`` wherever ``logl``
+    lies over 1/16 ULP from a rounding midpoint (Ziv's test), as glibc
+    misrounds only within 0.02 ULP of one. The test is exact: ``logl - y``
+    fits a double, and ``y * (1 - 2**-53)`` is ``y``'s neighbour toward 0.
+    The rest, about 1/8, go through ``_libm``.
+    """
+    wide = np.log(x, dtype=np.longdouble)
+    y = wide.astype(np.float64)
+    wide -= y
+    unsure = np.abs(wide.astype(np.float64)) >= _LOG_SURE * np.abs(y - y * (1 - 2.0**-53))
+    y[unsure] = _libm(math.log, x[unsure])
+    return y
+
+
 def _box_muller(d: np.ndarray) -> np.ndarray:
     """Normals from a block of draws whose rows pair up as ``(2i, 2i + 1)``.
 
     The IEEE operations (shift, scale, ``sqrt``, products) run in numpy,
-    which rounds each correctly as Python's floats do. ``log`` goes through
-    ``math``, one Python call per element: numpy's SIMD float64 ``log``
-    differs from libm in the last bit on some inputs. ``cos`` and ``sin``
-    run in numpy, whose float64 loops call libm per element: they equal
-    ``math.cos`` and ``math.sin`` bit for bit (``tests/test_rng.py`` pins
-    that on the installed numpy) without a Python call per element.
+    which rounds each correctly as Python's floats do. ``log`` is libm's
+    (``_log``). ``cos`` and ``sin`` run in numpy, whose float64 loops call
+    libm per element: they equal ``math.cos`` and ``math.sin`` bit for bit
+    (``tests/test_rng.py`` pins that on the installed numpy) without a
+    Python call per element.
     """
     u1 = ((d[0::2] >> 11) + 1) * 2.0**-53  # in (0, 1], so log never sees zero
     u2 = (d[1::2] >> 11) * 2.0**-53
-    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    r = np.sqrt(-2.0 * _log(u1))
     angle = 2.0 * math.pi * u2
     out = np.empty(d.shape, dtype=np.float64)
     out[0::2] = r * np.cos(angle)

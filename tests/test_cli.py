@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import platform
 import stat
 import sys
 
@@ -461,10 +462,14 @@ def test_sidecar_stamps_the_environment_and_leaves_the_csv_alone(tmp_path, monke
     assert main(["run", path]) == 0
     unset_csv = (tmp_path / "out" / "run.csv").read_bytes()
     environment = json.loads((tmp_path / "out" / "run.json").read_text())["environment"]
-    assert set(environment) == {"python", "numpy", "blas", "blas_core", "blas_threads", *blas_vars}
+    assert set(environment) == {
+        "python", "numpy", "blas", "libc", "blas_core", "blas_threads", *blas_vars
+    }
     assert environment["python"] == "%d.%d.%d" % sys.version_info[:3]
     assert environment["numpy"] == np.__version__
     assert environment["blas"] is None or set(environment["blas"]) == {"name", "version"}
+    libc, libc_version = platform.libc_ver()
+    assert environment["libc"] == ({"name": libc, "version": libc_version} if libc else None)
     assert all(environment[name] is None for name in blas_vars)
     api = _openblas()
     assert (environment["blas_core"], environment["blas_threads"]) == (

@@ -197,6 +197,27 @@ def test_numpy_cos_and_sin_equal_libm_on_box_muller_angles():
         )
 
 
+def test_log_equals_libm_bit_for_bit():
+    # Box-Muller's log is rng._log and its oracle's math.log. Inputs: the
+    # u1 = ((d >> 11) + 1)*2**-53 of the draws above, and each 2**-k from
+    # 1.0 to 2**-53 with its two neighbours (1 - 2**-53 among them).
+    powers = [2.0**-k for k in range(54)]
+    edges = np.array(
+        [x for p in powers for x in (math.nextafter(p, 0.0), p, math.nextafter(p, 2.0))]
+    )
+    u1 = np.concatenate(
+        [Xoshiro256PP(seed).uniform_array(2**19, 0.0, 1.0) + 2.0**-53 for seed in (3, 2**63 + 5)]
+        + [edges]
+    )
+    want = np.fromiter(map(math.log, u1.tolist()), np.float64, u1.size).view(np.uint64)
+    differ = int(np.count_nonzero(rng._log(u1).view(np.uint64) != want))
+    assert differ == 0, f"rng._log differs from math.log on {differ} of {u1.size} inputs"
+    # The fallback has work to do: the rounded logl alone misses some.
+    if rng._LOG_SURE:
+        rounded = np.log(u1, dtype=np.longdouble).astype(np.float64).view(np.uint64)
+        assert np.count_nonzero(rounded != want) > 0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
