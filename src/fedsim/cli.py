@@ -128,13 +128,13 @@ def _environment() -> dict:
     ``blas`` is the name and version numpy was built against, or null where
     this numpy's ``show_config`` cannot return them. ``libc`` is the name
     and version of the C library, whose ``log``, ``cos`` and ``sin`` the
-    normals take (``platform.libc_ver``), or null where they are unknown. The environment
-    variables recorded are ``OPENBLAS_CORETYPE``, which picks OpenBLAS's
-    kernel, and the thread-count ones (``blas._BLAS_THREAD_VARS``); unset
-    ones are null. ``blas_core`` and ``blas_threads`` are the kernel the
-    loaded OpenBLAS reports and the thread count every run trains at
-    (``blas.one_blas_thread``), or null where its runtime API is not found
-    (``blas._openblas``).
+    normals take (``platform.libc_ver``), or null where they are unknown.
+    The environment variables recorded are ``OPENBLAS_CORETYPE``, which
+    picks OpenBLAS's kernel, and the thread-count ones
+    (``blas._BLAS_THREAD_VARS``); unset ones are null. ``blas_core`` and
+    ``blas_threads`` are the kernel the loaded OpenBLAS reports and the
+    thread count every run trains at (``blas.one_blas_thread``), or null
+    where its runtime API is not found (``blas._openblas``).
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
